@@ -12,7 +12,8 @@ Output contract
     * CSV output is RFC-4180 (CRLF line endings, header row mandatory) with
       complex quantities split into ``_re``/``_im`` columns;
     * a fixed --seed makes ``verify`` output byte-identical between runs;
-    * exit status: 0 success, 1 verification failure (non-flagged), 2 usage.
+    * exit status: 0 success, 1 verification failure (non-flagged), 2 usage
+      or domain error (a one-line ``Error:`` message on stderr).
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ _FORMATS = ("text", "json", "csv")
 _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",
                    "planewave", "radial", "assemble")
 _TABLE_FUNCTIONS = ("z", "zonal")
+
+
+class _DomainError(click.ClickException):
+    """An input outside a function's domain: one-line message, exit status 2."""
+
+    exit_code = 2
 
 
 def format_complex(value: complex) -> str:
@@ -242,7 +249,7 @@ def cmd_eval(function, l, m, n, dotted, theta, tau, phi, epsilon, chi, vareps,
                            chi, vareps, kvec, lam, xvec, t, rvalue, cconst,
                            cdot, variant, angles, light_speed)
     except ValueError as error:
-        raise click.UsageError(str(error)) from None
+        raise _DomainError(str(error)) from None
     _render_eval(function, values, fmt)
 
 
@@ -440,19 +447,15 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
     """Tabulate FUNCTION over the (theta, tau) grid, row-major in theta."""
     thetas = _parse_grid(theta, "theta")
     taus = _parse_grid(tau, "tau")
-    if function == "z":
-        _require(function, m=m, n=n)
-        idx = HarmonicIndex(l, m, n, dotted=dotted)
-
-        def value(th: float, ta: float) -> complex:
-            return z_sum(idx, th, ta)
-    else:
-        def value(th: float, ta: float) -> complex:
-            return zonal_z(l, th, ta)
     try:
-        rows = [(th, ta, value(th, ta)) for th in thetas for ta in taus]
+        if function == "z":
+            _require(function, m=m, n=n)
+            idx = HarmonicIndex(l, m, n, dotted=dotted)
+            rows = [(th, ta, z_sum(idx, th, ta)) for th in thetas for ta in taus]
+        else:
+            rows = [(th, ta, zonal_z(l, th, ta)) for th in thetas for ta in taus]
     except ValueError as error:
-        raise click.UsageError(str(error)) from None
+        raise _DomainError(str(error)) from None
     if fmt == "json":
         payload = {"function": function,
                    "rows": [{"theta": th, "tau": ta,

@@ -25,8 +25,8 @@ non-negative integers.  Two independent evaluation routes are provided:
 
 ``su2_factor_p`` / ``qu2_factor_jacobi`` are the rotation-angle and rapidity
 halves of the summand, so that sum_k P^l_mk(cos theta) * Q^l_kn(cosh tau)
-factorizes Z^l_mn; they deliberately evaluate the unfolded tangent-power form
-(with reciprocal-gamma zeroing of out-of-range terms) so the factorization
+factorizes Z^l_mn; they deliberately evaluate the double sum's cached
+coefficient tables in the unfolded tangent-power form, so the factorization
 check compares genuinely different floating-point evaluations.
 
 ``generalized_m`` decorates Z with the exponential weights
@@ -38,7 +38,8 @@ the complex conjugate of the undotted value at the same parameters.
 evaluates the explicit low-order closed forms for m in {-1, 0, +1}.
 
 All powers of i and all fractional powers use principal branches; all functions
-are pure and deterministic.
+are pure and deterministic.  Where the factorial coefficients (from l ~ 50)
+or the growth e^(l |tau|) overflow a float, the routes raise ValueError.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ __all__ = [
 
 #: i**n for n mod 4, exact.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+
+#: Bound on 2l |tau|: e^(l |tau|), and cosh(tau/2) itself, must stay floats
+#: (709 is the log of the largest float, less a margin for rounding).
+_MAX_GROWTH = 2 * 709.0
 
 
 def _doubled(name: str, value: float) -> int:
@@ -183,21 +188,24 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     return total
 
 
-def _sqrt_ratio(factorial_args: tuple[int, ...], denominator: int,
-                sign: int) -> float:
-    """sign * sqrt(prod of factorials) / denominator, exact when possible.
+def _sqrt_ratio(L: int, A: int, K: int, denominator: int, sign: int) -> float:
+    """sign * sqrt((l-a)! (l+a)! (l-k)! (l+k)!) / denominator at doubled indices.
 
     When the factorial product is a perfect square the result is an exact
     rational converted once to float (so ratios like sqrt((a! b!)^2)/(a! b!)
     come out as exactly 1.0); otherwise a single correctly-rounded sqrt is used.
+    Raises ValueError naming l when the product is too large for a float.
     """
-    product = 1
-    for arg in factorial_args:
-        product *= math.factorial(arg)
+    product = (math.factorial((L - A) // 2) * math.factorial((L + A) // 2)
+               * math.factorial((L - K) // 2) * math.factorial((L + K) // 2))
     root = math.isqrt(product)
-    if root * root == product:
-        return sign * float(Fraction(root, denominator))
-    return sign * math.sqrt(product) / denominator
+    try:
+        if root * root == product:
+            return sign * float(Fraction(root, denominator))
+        return sign * math.sqrt(product) / denominator
+    except OverflowError:
+        raise ValueError(f"l={L / 2:g} is out of range: its factorial "
+                         "coefficients overflow a float") from None
 
 
 @lru_cache(maxsize=None)
@@ -212,17 +220,14 @@ def _angular_terms(L: int, A: int, K: int, alternating: bool
     (odd, even) = (sin, cos) or (sinh, cosh).  ``alternating`` applies the
     (-1)^j sign of the rotation side.
     """
-    la, lpa = (L - A) // 2, (L + A) // 2
-    lk, lpk = (L - K) // 2, (L + K) // 2
-    ak = (A - K) // 2
+    la, lpk, ak = (L - A) // 2, (L + K) // 2, (A - K) // 2
     terms = []
     for j in range(max(0, -ak), min(la, lpk) + 1):
         p = ak + 2 * j
         denominator = (math.factorial(j) * math.factorial(la - j)
                        * math.factorial(lpk - j) * math.factorial(ak + j))
         sign = -1 if (alternating and j % 2) else 1
-        terms.append((p, L - p, _sqrt_ratio((la, lpa, lk, lpk),
-                                            denominator, sign)))
+        terms.append((p, L - p, _sqrt_ratio(L, A, K, denominator, sign)))
     return tuple(terms)
 
 
@@ -260,59 +265,54 @@ def _validate_theta(theta: float) -> float:
     return theta
 
 
-def _validate_tau(tau: float) -> float:
+def _growth_error(L: int, tau: float) -> ValueError:
+    return ValueError(f"tau={tau!r} is out of range for l={L / 2:g}: "
+                      "e^(l |tau|) overflows a float")
+
+
+def _validate_tau(tau: float, L: int) -> float:
     tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    if not abs(tau) * (L or 1) <= _MAX_GROWTH:  # also true for nan
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau!r}")
+        raise _growth_error(L, tau)
     return tau
 
 
 def z_sum(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     """Z^l_mn(theta, tau) via the exact-coefficient double sum."""
-    theta, tau = _validate_theta(theta), _validate_tau(tau)
     L, M, N = idx.doubled
-    value = _z_value(L, M, N, theta, tau)
+    value = _z_value(L, M, N, _validate_theta(theta), _validate_tau(tau, L))
     return value.conjugate() if idx.dotted else value
 
 
 def _theta_inner_unfolded(L: int, M: int, K: int, theta: float) -> complex:
-    """Rotation-side summand in the raw tangent-power form, including i^(m-k).
+    """Rotation-side summand cos^L(theta/2) * sum coeff * tan^p(theta/2) * i^(m-k).
 
-    Used as the fallback for internal indices where the hypergeometric lower
-    parameter is a non-positive integer, and by ``su2_factor_p``.
+    Reads the rotation-side ``_angular_terms`` table.  Used as the fallback for
+    internal indices where the hypergeometric lower parameter is a non-positive
+    integer, and by ``su2_factor_p``.
     """
-    la, lpk = (L - M) // 2, (L + K) // 2
-    lpa, lk = (L + M) // 2, (L - K) // 2
-    ak = (M - K) // 2
-    t, c = math.tan(theta / 2), math.cos(theta / 2)
+    t = math.tan(theta / 2)
     acc = 0.0
-    for j in range(la + 1):
-        if (gamma_reciprocal(j + 1) * gamma_reciprocal(la - j + 1)
-                * gamma_reciprocal(lpk - j + 1) * gamma_reciprocal(ak + j + 1)) == 0.0:
-            continue
-        denominator = (math.factorial(j) * math.factorial(la - j)
-                       * math.factorial(lpk - j) * math.factorial(ak + j))
-        coeff = _sqrt_ratio((la, lpa, lk, lpk), denominator, -1 if j % 2 else 1)
-        acc += coeff * t ** (ak + 2 * j)
-    return _I_POW[ak % 4] * (c ** L * acc)
+    for p, _, coeff in _angular_terms(L, M, K, True):
+        acc += coeff * t ** p
+    return _I_POW[((M - K) // 2) % 4] * (math.cos(theta / 2) ** L * acc)
 
 
 def _tau_inner_unfolded(L: int, N: int, K: int, tau: float) -> float:
-    """Rapidity-side summand in the raw hyperbolic-tangent form (real)."""
-    la, lpk = (L - N) // 2, (L + K) // 2
-    lpa, lk = (L + N) // 2, (L - K) // 2
-    ak = (N - K) // 2
-    t, c = math.tanh(tau / 2), math.cosh(tau / 2)
+    """Rapidity-side summand cosh^L(tau/2) * sum coeff * tanh^p(tau/2) (real)."""
+    t = math.tanh(tau / 2)
     acc = 0.0
-    for s in range(la + 1):
-        if (gamma_reciprocal(s + 1) * gamma_reciprocal(la - s + 1)
-                * gamma_reciprocal(lpk - s + 1) * gamma_reciprocal(ak + s + 1)) == 0.0:
-            continue
-        denominator = (math.factorial(s) * math.factorial(la - s)
-                       * math.factorial(lpk - s) * math.factorial(ak + s))
-        coeff = _sqrt_ratio((la, lpa, lk, lpk), denominator, 1)
-        acc += coeff * t ** (ak + 2 * s)
-    return c ** L * acc
+    for p, _, coeff in _angular_terms(L, N, K, False):
+        acc += coeff * t ** p
+    return math.cosh(tau / 2) ** L * acc
+
+
+@lru_cache(maxsize=None)
+def _doubled_triple(l: float, m: float, k: float) -> tuple[int, int, int]:
+    """Validated doubled (l, m, k); invalid triples raise and are not cached."""
+    return HarmonicIndex(l, m, k).doubled
 
 
 def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
@@ -320,10 +320,8 @@ def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
 
     Includes the i^(m-k) phase; at theta = 0 reduces to the Kronecker delta.
     """
-    idx = HarmonicIndex(l, m, k)  # reuse index validation for the (l, m, k) triple
-    theta = _validate_theta(theta)
-    L, M, K = idx.doubled
-    return _theta_inner_unfolded(L, M, K, theta)
+    L, M, K = _doubled_triple(l, m, k)
+    return _theta_inner_unfolded(L, M, K, _validate_theta(theta))
 
 
 def qu2_factor_jacobi(l: float, k: float, n: float, tau: float) -> float:
@@ -331,22 +329,20 @@ def qu2_factor_jacobi(l: float, k: float, n: float, tau: float) -> float:
 
     At tau = 0 reduces to the Kronecker delta.
     """
-    idx = HarmonicIndex(l, k, n)
-    tau = _validate_tau(tau)
-    L, K, N = idx.doubled
-    return _tau_inner_unfolded(L, N, K, tau)
+    L, K, N = _doubled_triple(l, k, n)
+    return _tau_inner_unfolded(L, N, K, _validate_tau(tau, L))
 
 
 def _theta_factor_2f1(L: int, M: int, K: int, theta: float) -> complex:
-    """Rotation-side summand via the terminating Gauss series (with fallback)."""
+    """Rotation-side summand via the terminating Gauss series (with fallback).
+
+    The series is normalized to its leading term, so its square-root factorial
+    prefactor is the j = 0 coefficient of the cached ``_angular_terms`` table.
+    """
     ak = (M - K) // 2
     if ak < 0:
         return _theta_inner_unfolded(L, M, K, theta)
-    la, lpa = (L - M) // 2, (L + M) // 2
-    lk, lpk = (L - K) // 2, (L + K) // 2
-    prefactor = _sqrt_ratio(
-        (la, lpa, lk, lpk),
-        math.factorial(la) * math.factorial(lpk) * math.factorial(ak), 1)
+    prefactor = _angular_terms(L, M, K, True)[0][2]
     sh, ch = math.sin(theta / 2), math.cos(theta / 2)
     x = -math.tan(theta / 2) ** 2
     series = terminating_2f1((M - L) / 2, -(L + K) / 2, ak + 1, x)
@@ -358,11 +354,7 @@ def _tau_factor_2f1(L: int, N: int, K: int, tau: float) -> float:
     ak = (N - K) // 2
     if ak < 0:
         return _tau_inner_unfolded(L, N, K, tau)
-    la, lpa = (L - N) // 2, (L + N) // 2
-    lk, lpk = (L - K) // 2, (L + K) // 2
-    prefactor = _sqrt_ratio(
-        (la, lpa, lk, lpk),
-        math.factorial(la) * math.factorial(lpk) * math.factorial(ak), 1)
+    prefactor = _angular_terms(L, N, K, False)[0][2]
     sb, cb = math.sinh(tau / 2), math.cosh(tau / 2)
     x = math.tanh(tau / 2) ** 2
     series = terminating_2f1((N - L) / 2, -(L + K) / 2, ak + 1, x)
@@ -371,8 +363,8 @@ def _tau_factor_2f1(L: int, N: int, K: int, tau: float) -> float:
 
 def z_2f1(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     """Z^l_mn(theta, tau) via terminating hypergeometric series per summand."""
-    theta, tau = _validate_theta(theta), _validate_tau(tau)
     L, M, N = idx.doubled
+    theta, tau = _validate_theta(theta), _validate_tau(tau, L)
     total = 0j
     for K in range(-L, L + 1, 2):
         total += _theta_factor_2f1(L, M, K, theta) * _tau_factor_2f1(L, N, K, tau)
@@ -392,6 +384,8 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     undotted value at the same six-tuple.
     """
     L, M, N = HarmonicIndex(l, m, n).doubled
+    if abs(tau) * (L or 1) > _MAX_GROWTH:
+        raise _growth_error(L, tau)
     weight = cmath.exp(complex(-(m * epsilon + n * vareps),
                                -(m * phi + n * chi)))
     value = weight * _z_value(L, M, N, theta, tau)
@@ -429,7 +423,7 @@ def section3_z(l: int, m: int, theta: float, tau: float) -> complex:
     if m not in (-1, 0, 1):
         raise ValueError(f"m must be one of -1, 0, +1, got {m!r}")
     l = int(l)
-    theta, tau = _validate_theta(theta), _validate_tau(tau)
+    theta, tau = _validate_theta(theta), _validate_tau(tau, 2 * l)
     tan2 = math.tan(theta / 2) ** 2
     tanh2 = math.tanh(tau / 2) ** 2
     total = 0j

@@ -133,6 +133,19 @@ class TestEval:
         assert result.exit_code == 2
         assert "theta" in result.output
 
+    @pytest.mark.parametrize("args, parameter", [
+        (["--l", "60", "--m", "0", "--n", "0", "--theta", "1",
+          "--tau", "0.5"], "l=60"),
+        (["--l", "3", "--m", "0", "--n", "0", "--theta", "1",
+          "--tau", "800"], "tau=800.0"),
+    ])
+    def test_overflow_is_one_line_domain_error(self, runner, args, parameter):
+        result = invoke(runner, ["eval", "z", *args], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"Error: {parameter} is out of range")
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_default_json_schema(self, runner):

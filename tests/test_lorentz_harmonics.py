@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_2f1, wigner_d, z_reference
+from poincarewaves import lorentz_harmonics
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
@@ -307,6 +309,98 @@ class TestFactorization:
                             )
                             want = z_sum(HarmonicIndex(l, m, n), theta, tau)
                             assert abs(total - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def coefficient_caches():
+    """The lru-cached coefficient and index tables of lorentz_harmonics."""
+    return {name: value for name, value in vars(lorentz_harmonics).items()
+            if hasattr(value, "cache_info")}
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("l, m, k", [(1, 0.5, 0), (1, 0, 2), (-1, 0, 0)])
+    def test_invalid_triples_raise_index_error(self, l, m, k):
+        with pytest.raises(ValueError) as expected:
+            HarmonicIndex(l, m, k)
+        message = re.escape(str(expected.value))
+        for _ in range(2):  # a rejected triple is not cached as valid
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                su2_factor_p(l, m, k, 0.5)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                qu2_factor_jacobi(l, m, k, 0.5)
+
+    @pytest.mark.parametrize("l", [6, 6.5])
+    def test_routes_agree_at_high_weight(self, l):
+        # All (m, n) pairs, so m < k (the ak < 0 unfolded fallback) is covered.
+        projections = all_projections(l)
+        assert any(m < k for m in projections for k in projections)
+        for theta, tau in [(0.7, 0.4), (2.3, -0.9)]:
+            rotation = {(m, k): su2_factor_p(l, m, k, theta)
+                        for m in projections for k in projections}
+            rapidity = {(k, n): qu2_factor_jacobi(l, k, n, tau)
+                        for k in projections for n in projections}
+            for m in projections:
+                for n in projections:
+                    idx = HarmonicIndex(l, m, n)
+                    want = z_sum(idx, theta, tau)
+                    factored = sum(rotation[m, k] * rapidity[k, n]
+                                   for k in projections)
+                    bound = 1e-12 * max(1.0, abs(want))
+                    assert abs(factored - want) <= bound
+                    assert abs(z_2f1(idx, theta, tau) - want) <= bound
+
+    def test_repeated_z_2f1_adds_no_cache_misses(self):
+        def counts():
+            return {name: cache.cache_info()[:2]
+                    for name, cache in coefficient_caches().items()}
+
+        idx = HarmonicIndex(5.5, 1.5, -2.5)
+        z_2f1(idx, 1.2, 0.3)
+        before = counts()
+        z_2f1(idx, 0.4, -0.8)
+        after = counts()
+        assert {name: info[1] for name, info in after.items()} == {
+            name: info[1] for name, info in before.items()}
+        assert sum(info[0] for info in after.values()) > sum(
+            info[0] for info in before.values())
+
+    def test_failed_table_build_is_not_cached(self):
+        sizes = {name: cache.cache_info().currsize
+                 for name, cache in coefficient_caches().items()}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="l=60 is out of range"):
+                z_sum(HarmonicIndex(60, 0, 0), 1.0, 0.5)
+        assert {name: cache.cache_info().currsize
+                for name, cache in coefficient_caches().items()} == sizes
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("evaluate", [
+        lambda: z_sum(HarmonicIndex(60, 0, 0), 1.0, 0.5),
+        lambda: z_2f1(HarmonicIndex(60, 0, 0), 1.0, 0.5),
+        lambda: su2_factor_p(60, 0, 59, 1.0),
+        lambda: qu2_factor_jacobi(60, 59, 0, 0.5),
+        lambda: generalized_m_values(60, 0, 0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0),
+    ])
+    def test_factorial_overflow_names_l(self, evaluate):
+        with pytest.raises(ValueError, match="^l=60 is out of range"):
+            evaluate()
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: z_sum(HarmonicIndex(3, 0, 0), 1.0, 800.0),
+        lambda: z_2f1(HarmonicIndex(3, 0, 0), 1.0, 800.0),
+        lambda: qu2_factor_jacobi(3, 0, 0, 800.0),
+        lambda: generalized_m_values(3, 0, 0, 0.0, 0.0, 1.0, 800.0, 0.0, 0.0),
+    ])
+    def test_rapidity_overflow_names_tau(self, evaluate):
+        with pytest.raises(ValueError, match=r"^tau=800\.0 is out of range"):
+            evaluate()
+
+    def test_values_just_inside_the_rapidity_bound_are_finite(self):
+        tau = 2 * 709.0 / 6
+        for m in all_projections(3):
+            value = z_sum(HarmonicIndex(3, m, 0), 1.0, tau)
+            assert cmath.isfinite(value)
 
 
 class TestGeneralizedM:
