@@ -43,7 +43,6 @@ from .lorentz_harmonics import (
     generalized_m,
     generalized_m_values,
     qu2_factor_jacobi,
-    section3_z,
     su2_factor_p,
     terminating_2f1,
     z_2f1,
@@ -90,7 +89,6 @@ from .poincare_assembly import (
     CatalogMember,
     PoincareWaveFunction,
     SolutionCatalog,
-    assemble,
     build_catalog,
     physical_filter,
 )
@@ -112,8 +110,8 @@ __all__ = [
     "angles_to_sl2c", "make_angles", "sl2c_to_complex_rotation",
     # lorentz_harmonics
     "HarmonicIndex", "associated_m", "generalized_m", "generalized_m_values",
-    "qu2_factor_jacobi", "section3_z", "su2_factor_p", "terminating_2f1",
-    "z_2f1", "z_sum", "zonal_z",
+    "qu2_factor_jacobi", "su2_factor_p", "terminating_2f1", "z_2f1", "z_sum",
+    "zonal_z",
     # differential_checks
     "DEFAULT_SCHEME", "FDScheme", "ResidualRecord",
     "casimir_convergence_order", "casimir_x2_residual", "casimir_y2_residual",
@@ -130,8 +128,8 @@ __all__ = [
     "LambdaMatrices", "RadialSolution", "SeparatedSolution", "build_matrices",
     "radial_ladder", "radial_residual", "separated_psi",
     # poincare_assembly
-    "CatalogMember", "PoincareWaveFunction", "SolutionCatalog", "assemble",
-    "build_catalog", "physical_filter",
+    "CatalogMember", "PoincareWaveFunction", "SolutionCatalog", "build_catalog",
+    "physical_filter",
     # suites
     "DEFAULT_TOLERANCES", "SUITE_NAMES", "SuiteConfig", "build_report",
     "report_exit_code", "run_suite",

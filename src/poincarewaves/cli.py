@@ -34,7 +34,7 @@ from .lorentz_harmonics import (
     z_sum,
     zonal_z,
 )
-from .lorentz_sector import RadialSolution
+from .lorentz_sector import VARIANTS, RadialSolution
 from .photon_plane_waves import WaveVector, plane_wave, polarization_vectors
 from .poincare_assembly import PoincareWaveFunction
 from .suites import SUITE_NAMES, SuiteConfig, build_report, report_exit_code
@@ -233,7 +233,7 @@ def _format_option(default: str):
 @click.option("--r", "rvalue", help="Complex radius 're,im' or literal.")
 @click.option("--C", "cconst", help="Integration constant of the + slot.")
 @click.option("--Cdot", "cdot", help="Integration constant of the dotted slot.")
-@click.option("--variant", type=click.Choice(("paper", "corrected")),
+@click.option("--variant", type=click.Choice(VARIANTS),
               default="corrected", show_default=True,
               help="Radial linear-coefficient variant.")
 @click.option("--angles", help="'phi,epsilon,theta,tau,chi,vareps'.")
@@ -308,8 +308,8 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
                  angles=angles)
         radial = _radial_solution(l, cconst, cdot, variant)
         wave = PoincareWaveFunction(
-            WaveVector(*_parse_vector3(kvec, "k")), lam, int(l), radial,
-            dotted, light_speed)
+            WaveVector(*_parse_vector3(kvec, "k")), lam, l, radial, dotted,
+            light_speed)
         value = wave.value(_parse_vector3(xvec, "x"), t,
                            _parse_complex(rvalue, "r"), _parse_angles(angles))
         return {"psi": list(value)}
@@ -317,13 +317,9 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
 
 
 def _radial_solution(l, cconst, cdot, variant) -> RadialSolution:
-    if l != int(l) or int(l) < 1:
-        raise click.UsageError(
-            f"--l must be a positive integer for radial solutions, got {l!r}")
     constant = _parse_complex(cconst, "C") if cconst is not None else 0.0
     constant_dot = _parse_complex(cdot, "Cdot") if cdot is not None else 0.0
-    return RadialSolution(l=int(l), C=constant, Cdot=constant_dot,
-                          variant=variant)
+    return RadialSolution(l=l, C=constant, Cdot=constant_dot, variant=variant)
 
 
 def _render_eval(function: str, values: dict, fmt: str) -> None:
@@ -373,7 +369,7 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
               help="Override one check tolerance (repeatable).")
 @click.option("--c", "light_speed", type=float, default=1.0,
               show_default=True, help="Propagation speed constant.")
-@click.option("--variant", type=click.Choice(("paper", "corrected")),
+@click.option("--variant", type=click.Choice(VARIANTS),
               default="corrected", show_default=True,
               help="Radial linear-coefficient variant.")
 @click.option("--corrected-lambda", type=click.Choice(("true", "false")),

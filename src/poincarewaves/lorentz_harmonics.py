@@ -34,12 +34,12 @@ e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
 the conjugate series, whose value at a given six-tuple of real parameters is
 the complex conjugate of the undotted value at the same parameters.
 ``associated_m`` (n = 0, with the e^(-m(epsilon + i phi)) sign convention) and
-``zonal_z`` (m = n = 0) are the standard specializations, and ``section3_z``
-evaluates the explicit low-order closed forms for m in {-1, 0, +1}.
+``zonal_z`` (m = n = 0) are the standard specializations.
 
 All powers of i and all fractional powers use principal branches; all functions
-are pure and deterministic.  Where the factorial coefficients (from l ~ 50)
-or the growth e^(l |tau|) overflow a float, the routes raise ValueError.
+are pure and deterministic.  Where the factorial coefficients (from l ~ 50),
+the growth e^(l |tau|), the tangent powers tan^(2l)(theta/2) near theta = pi or
+the exponential weights overflow a float, the routes raise ValueError.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .group_kinematics import ComplexEulerAngles
 
 __all__ = [
     "HarmonicIndex",
-    "HypersphericalValue",
-    "gamma_reciprocal",
     "terminating_2f1",
     "z_sum",
     "z_2f1",
@@ -65,15 +63,16 @@ __all__ = [
     "generalized_m_values",
     "associated_m",
     "zonal_z",
-    "section3_z",
 ]
 
 #: i**n for n mod 4, exact.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
-#: Bound on 2l |tau|: e^(l |tau|), and cosh(tau/2) itself, must stay floats
-#: (709 is the log of the largest float, less a margin for rounding).
-_MAX_GROWTH = 2 * 709.0
+#: Log of the largest float, less a margin for rounding.
+_MAX_LOG = 709.0
+
+#: Bound on 2l |tau|: e^(l |tau|), and cosh(tau/2) itself, must stay floats.
+_MAX_GROWTH = 2 * _MAX_LOG
 
 
 def _doubled(name: str, value: float) -> int:
@@ -127,38 +126,6 @@ class HarmonicIndex:
     def eigenvalue(self) -> float:
         """l(l+1), the quadratic-invariant eigenvalue of the weight."""
         return self.l * (self.l + 1)
-
-
-@dataclass(frozen=True)
-class HypersphericalValue:
-    """A matrix-element evaluation bundled with the point it was taken at."""
-
-    index: HarmonicIndex
-    theta: float
-    tau: float
-    value: complex
-    angles: ComplexEulerAngles | None = None
-
-    def __post_init__(self) -> None:
-        value = complex(self.value)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"value must be finite, got {value!r}")
-        object.__setattr__(self, "value", value)
-
-
-def gamma_reciprocal(x: float) -> float:
-    """1/Gamma(x) for (half-)integer x, exactly 0 at the poles.
-
-    Non-positive integers are poles of Gamma, so the reciprocal is defined to
-    vanish there; this is the convention that zeroes out-of-range summands in
-    the factorial sums below.
-    """
-    if x == round(x):
-        n = int(round(x))
-        if n <= 0:
-            return 0.0
-        return 1.0 / math.factorial(n - 1)
-    return 1.0 / math.gamma(x)
 
 
 def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
@@ -265,9 +232,17 @@ def _validate_theta(theta: float) -> float:
     return theta
 
 
-def _growth_error(L: int, tau: float) -> ValueError:
-    return ValueError(f"tau={tau!r} is out of range for l={L / 2:g}: "
-                      "e^(l |tau|) overflows a float")
+def _tangent(theta: float, L: int) -> float:
+    """tan(theta/2) for the tangent forms, whose sums reach (2 tan(theta/2))^(2l).
+
+    A coefficient table sums to at most 2^(2l) in absolute value, so below the
+    bound no term, partial sum or power of cos(theta/2) leaves the float range.
+    """
+    t = math.tan(theta / 2)
+    if t > 1.0 and L * math.log(2 * t) > _MAX_LOG:
+        raise ValueError(f"theta={theta!r} is out of range for l={L / 2:g}: "
+                         "tan^(2l)(theta/2) overflows a float")
+    return t
 
 
 def _validate_tau(tau: float, L: int) -> float:
@@ -275,7 +250,8 @@ def _validate_tau(tau: float, L: int) -> float:
     if not abs(tau) * (L or 1) <= _MAX_GROWTH:  # also true for nan
         if not math.isfinite(tau):
             raise ValueError(f"tau must be finite, got {tau!r}")
-        raise _growth_error(L, tau)
+        raise ValueError(f"tau={tau!r} is out of range for l={L / 2:g}: "
+                         "e^(l |tau|) overflows a float")
     return tau
 
 
@@ -293,7 +269,7 @@ def _theta_inner_unfolded(L: int, M: int, K: int, theta: float) -> complex:
     internal indices where the hypergeometric lower parameter is a non-positive
     integer, and by ``su2_factor_p``.
     """
-    t = math.tan(theta / 2)
+    t = _tangent(theta, L)
     acc = 0.0
     for p, _, coeff in _angular_terms(L, M, K, True):
         acc += coeff * t ** p
@@ -344,7 +320,7 @@ def _theta_factor_2f1(L: int, M: int, K: int, theta: float) -> complex:
         return _theta_inner_unfolded(L, M, K, theta)
     prefactor = _angular_terms(L, M, K, True)[0][2]
     sh, ch = math.sin(theta / 2), math.cos(theta / 2)
-    x = -math.tan(theta / 2) ** 2
+    x = -_tangent(theta, L) ** 2
     series = terminating_2f1((M - L) / 2, -(L + K) / 2, ak + 1, x)
     return _I_POW[ak % 4] * (prefactor * sh**ak * ch**(L - ak) * series)
 
@@ -381,13 +357,18 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     finite-difference verification stencils legitimately step slightly outside
     the canonical parameter ranges.  Use ``generalized_m`` for validated input.
     The dotted value at a six-tuple of reals is the complex conjugate of the
-    undotted value at the same six-tuple.
+    undotted value at the same six-tuple.  |Z| is at most e^(l |tau|), so the
+    value is refused when the weight times that bound leaves the float range.
     """
     L, M, N = HarmonicIndex(l, m, n).doubled
-    if abs(tau) * (L or 1) > _MAX_GROWTH:
-        raise _growth_error(L, tau)
-    weight = cmath.exp(complex(-(m * epsilon + n * vareps),
-                               -(m * phi + n * chi)))
+    tau = _validate_tau(tau, L)
+    decay = m * epsilon + n * vareps
+    if L / 2 * abs(tau) - decay > _MAX_LOG:
+        raise ValueError(
+            f"epsilon={epsilon!r}, vareps={vareps!r} are out of range for "
+            f"l={L / 2:g}, m={M / 2:g}, n={N / 2:g}, tau={tau!r}: "
+            "e^(-(m epsilon + n vareps) + l |tau|) overflows a float")
+    weight = cmath.exp(complex(-decay, -(m * phi + n * chi)))
     value = weight * _z_value(L, M, N, theta, tau)
     return value.conjugate() if dotted else value
 
@@ -408,49 +389,3 @@ def associated_m(l: float, m: float, angles: ComplexEulerAngles) -> complex:
 def zonal_z(l: float, theta: float, tau: float) -> complex:
     """Zonal function Z^l_00(theta, tau)."""
     return z_sum(HarmonicIndex(l, 0.0, 0.0), theta, tau)
-
-
-def section3_z(l: int, m: int, theta: float, tau: float) -> complex:
-    """Closed-form specialization of Z^l_m0 for m in {-1, 0, +1}, integer l >= 1.
-
-    Evaluates the explicit low-order displays (square-root factorial prefactor
-    times a terminating Gauss series per internal index, falling back to the
-    raw inner sum where the series' lower parameter is non-positive).  Agrees
-    with ``z_2f1(HarmonicIndex(l, m, 0), theta, tau)``.
-    """
-    if l != int(l) or int(l) < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
-    if m not in (-1, 0, 1):
-        raise ValueError(f"m must be one of -1, 0, +1, got {m!r}")
-    l = int(l)
-    theta, tau = _validate_theta(theta), _validate_tau(tau, 2 * l)
-    tan2 = math.tan(theta / 2) ** 2
-    tanh2 = math.tanh(tau / 2) ** 2
-    total = 0j
-    for k in range(-l, l + 1):
-        mk, nk = m - k, -k
-        if mk >= 0:
-            prefactor = math.sqrt(
-                math.factorial(l - m) * math.factorial(l + m)
-                * math.factorial(l - k) * math.factorial(l + k)
-            ) / (math.factorial(l - m) * math.factorial(l + k)
-                 * math.factorial(mk))
-            rotation = (_I_POW[mk % 4] * prefactor
-                        * math.sin(theta / 2) ** mk
-                        * math.cos(theta / 2) ** (2 * l - mk)
-                        * terminating_2f1(m - l, -l - k, mk + 1, -tan2))
-        else:
-            rotation = _theta_inner_unfolded(2 * l, 2 * m, 2 * k, theta)
-        if nk >= 0:
-            prefactor = math.sqrt(
-                math.factorial(l) * math.factorial(l)
-                * math.factorial(l - k) * math.factorial(l + k)
-            ) / (math.factorial(l) * math.factorial(l + k) * math.factorial(nk))
-            rapidity = (prefactor
-                        * math.sinh(tau / 2) ** nk
-                        * math.cosh(tau / 2) ** (2 * l - nk)
-                        * terminating_2f1(-l, -l - k, nk + 1, tanh2))
-        else:
-            rapidity = _tau_inner_unfolded(2 * l, 0, 2 * k, tau)
-        total += rotation * rapidity
-    return total

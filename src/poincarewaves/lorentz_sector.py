@@ -43,8 +43,10 @@ import numpy as np
 
 from .group_kinematics import ComplexEulerAngles
 from .lorentz_harmonics import generalized_m_values
+from .photon_plane_waves import commutator_sign
 
 __all__ = [
+    "VARIANTS",
     "LambdaMatrices",
     "RadialSolution",
     "SeparatedSolution",
@@ -52,7 +54,18 @@ __all__ = [
     "radial_residual",
     "radial_ladder",
     "separated_psi",
+    "angular_order",
 ]
+
+#: Radial linear-coefficient variants: the printed form and the corrected one.
+VARIANTS = ("paper", "corrected")
+
+
+def angular_order(l) -> int:
+    """l as an int, validated: the radial system needs an integer l >= 1."""
+    if l != int(l) or int(l) < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    return int(l)
 
 
 def radial_ladder(l: int) -> float:
@@ -96,21 +109,7 @@ class LambdaMatrices:
         AssertionError if the commutators are not proportional to the
         generators (as happens for the verbatim printed variant).
         """
-        unit = [lam / self.c11 for lam in self.lambdas]
-        signs = []
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            commutator = unit[i] @ unit[j] - unit[j] @ unit[i]
-            target = 1j * unit[k]
-            entry = np.argmax(np.abs(target))
-            ratio = commutator.flat[entry] / target.flat[entry]
-            if np.abs(commutator - ratio * target).max() > 1e-12:
-                raise AssertionError(
-                    "commutators are not proportional to the generators")
-            signs.append(complex(ratio))
-        if len({round(s.real) for s in signs}) != 1 or any(
-                abs(s.imag) > 1e-12 for s in signs):
-            raise AssertionError(f"inconsistent commutator signs: {signs}")
-        return int(round(signs[0].real))
+        return commutator_sign([lam / self.c11 for lam in self.lambdas], 1e-12)
 
 
 def build_matrices(c11: complex = 1.0, corrected: bool = True) -> LambdaMatrices:
@@ -142,9 +141,6 @@ def build_matrices(c11: complex = 1.0, corrected: bool = True) -> LambdaMatrices
     return LambdaMatrices(lambda1, lambda2, lambda3, upsilons, c11, corrected)
 
 
-_VARIANTS = ("paper", "corrected")
-
-
 @dataclass(frozen=True)
 class RadialSolution:
     """Closed-form solutions of the radial system at angular order l.
@@ -166,12 +162,10 @@ class RadialSolution:
     variant: str = "corrected"
 
     def __post_init__(self) -> None:
-        if self.l != int(self.l) or int(self.l) < 1:
-            raise ValueError(f"l must be an integer >= 1, got {self.l!r}")
-        object.__setattr__(self, "l", int(self.l))
-        if self.variant not in _VARIANTS:
+        object.__setattr__(self, "l", angular_order(self.l))
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+                f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("C", "Cdot"):
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -197,7 +191,7 @@ class RadialSolution:
             derivative += constant / (2.0 * cmath.sqrt(r))
         return derivative
 
-    # Undotted triple (integration constant C).
+    # Undotted triple (integration constant C); f_{1,-1} = f_{1,+1}.
     def f_plus(self, r: complex) -> complex:
         return self._f(self.C, r)
 
@@ -210,30 +204,18 @@ class RadialSolution:
     def f_zero_prime(self, r: complex) -> complex:
         return complex(self.ladder)
 
-    def f_minus(self, r: complex) -> complex:
-        return self.f_plus(r)
+    f_minus, f_minus_prime = f_plus, f_plus_prime
 
-    def f_minus_prime(self, r: complex) -> complex:
-        return self.f_plus_prime(r)
-
-    # Dotted triple (integration constant Cdot), evaluated at r* by callers.
+    # Dotted triple (integration constant Cdot), evaluated at r* by callers;
+    # the 0 slot has no integration constant, so it is the undotted one.
     def fdot_plus(self, r_star: complex) -> complex:
         return self._f(self.Cdot, r_star)
 
     def fdot_plus_prime(self, r_star: complex) -> complex:
         return self._f_prime(self.Cdot, r_star)
 
-    def fdot_zero(self, r_star: complex) -> complex:
-        return self.ladder * r_star
-
-    def fdot_zero_prime(self, r_star: complex) -> complex:
-        return complex(self.ladder)
-
-    def fdot_minus(self, r_star: complex) -> complex:
-        return self.fdot_plus(r_star)
-
-    def fdot_minus_prime(self, r_star: complex) -> complex:
-        return self.fdot_plus_prime(r_star)
+    fdot_minus, fdot_minus_prime = fdot_plus, fdot_plus_prime
+    fdot_zero, fdot_zero_prime = f_zero, f_zero_prime
 
     def select(self, lam: int, dotted: bool = False):
         """The radial evaluator for projection lam in {+1, 0, -1}."""
@@ -262,12 +244,11 @@ def radial_residual(l: int, radial, r: complex
     with eq3/eq4 the dotted analogues at r* = conj(r).  ``radial`` may be any
     object exposing the twelve evaluator methods of RadialSolution.
     """
-    if l != int(l) or int(l) < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    l = angular_order(l)
     r = complex(r)
     if r == 0:
         raise ValueError("r = 0 is a singular point of the radial system")
-    ladder = radial_ladder(int(l))
+    ladder = radial_ladder(l)
     eq1 = (2.0 * r * radial.f_plus_prime(r) - radial.f_plus(r)
            - ladder * radial.f_zero(r))
     eq2 = (-2.0 * r * radial.f_minus_prime(r) + radial.f_minus(r)
@@ -302,9 +283,7 @@ def separated_psi(l: int, radial, r: complex,
     element.  The dotted triple uses the dotted radial functions at r* and the
     dotted (conjugated) angular functions at the same real parameters.
     """
-    if l != int(l) or int(l) < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
-    l = int(l)
+    l = angular_order(l)
     r = complex(r)
 
     def angular(m: int, dotted: bool) -> complex:

@@ -76,9 +76,11 @@ __all__ = [
 #: Plane-wave normalization {2 (2 pi)^3}^(-1/2).
 NORMALIZATION = 1.0 / math.sqrt(2.0 * (2.0 * math.pi) ** 3)
 
-#: Relative threshold below which the transverse polarization axis is treated
-#: as degenerate (k1^2 + k2^2 < DEGENERACY_THRESHOLD * |k|^2).
-DEGENERACY_THRESHOLD = 1e-12
+#: Relative threshold at or below which the transverse polarization axis is
+#: treated as degenerate (k1^2 + k2^2 <= DEGENERACY_THRESHOLD * |k|^2): only
+#: where k1^2 + k2^2 is negligible at float precision, so the closed form is
+#: used wherever it is accurate.
+DEGENERACY_THRESHOLD = 1e-300
 
 _ALPHA1 = np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex)
 _ALPHA2 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
@@ -123,22 +125,27 @@ def spin_matrices() -> SpinMatrices:
     return SpinMatrices(*(m.copy() for m in (*_ALPHA, _GAMMA0, *_GAMMA)))
 
 
-def commutator_sign() -> int:
-    """Global sign s in [alpha_i, alpha_j] = s i eps_ijk alpha_k, measured.
+def commutator_sign(generators=_ALPHA, tolerance: float = 1e-14) -> int:
+    """Global sign s in [g_i, g_j] = s i eps_ijk g_k, measured.
 
-    The three cyclic pairs are required to agree exactly; the measured value
-    is -1 (the matrices are minus the standard spin-1 generators).
+    The commutators must be proportional to the generators within tolerance
+    and the three cyclic pairs must agree; otherwise AssertionError.  The
+    measured value for the alpha matrices (the default) is -1: they are minus
+    the standard spin-1 generators.
     """
+    g = generators
     signs = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        commutator = _ALPHA[i] @ _ALPHA[j] - _ALPHA[j] @ _ALPHA[i]
-        target = 1j * _ALPHA[k]
+        commutator = g[i] @ g[j] - g[j] @ g[i]
+        target = 1j * g[k]
         entry = np.argmax(np.abs(target))
         ratio = commutator.flat[entry] / target.flat[entry]
-        if np.abs(commutator - ratio * target).max() > 1e-14:
-            raise AssertionError("commutator is not proportional to i*alpha_k")
+        if np.abs(commutator - ratio * target).max() > tolerance:
+            raise AssertionError(
+                "commutators are not proportional to the generators")
         signs.append(complex(ratio))
-    if len({round(s.real) for s in signs}) != 1 or any(abs(s.imag) > 1e-14 for s in signs):
+    if len({round(s.real) for s in signs}) != 1 or any(
+            abs(s.imag) > tolerance for s in signs):
         raise AssertionError(f"inconsistent commutator signs: {signs}")
     return int(round(signs[0].real))
 
@@ -209,18 +216,6 @@ class Eigenstructure:
     eigenvalues: np.ndarray   # [-c|k|, 0, +c|k|]
     eigenvectors: np.ndarray  # columns matching eigenvalues
 
-    @property
-    def omega_minus(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def omega_zero(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
-    def omega_plus(self) -> float:
-        return float(self.eigenvalues[2])
-
     def vector(self, position: int) -> np.ndarray:
         return self.eigenvectors[:, position]
 
@@ -253,7 +248,7 @@ def polarization_vectors(k) -> PolarizationTriple:
     eps_pm = (-k1 k3 +- i k2 |k|, -k2 k3 -+ i k1 |k|, k1^2 + k2^2)
              / sqrt(2 |k|^2 (k1^2 + k2^2)),   eps_0 = k / |k|.
 
-    When k1^2 + k2^2 < 1e-12 |k|^2 the transverse denominators degenerate and
+    When k1^2 + k2^2 <= 1e-300 |k|^2 the transverse denominators degenerate and
     the continuous limit along k2 = 0, k1 -> 0+ is used instead:
     eps_pm = (-1, -+ i sign(k3), 0)/sqrt(2), eps_0 = (0, 0, sign(k3)).
     The vectors satisfy M eps_lam = lam c |k| eps_lam for the curl matrix M.
@@ -264,7 +259,7 @@ def polarization_vectors(k) -> PolarizationTriple:
         raise ValueError("wavevector must be non-zero to define polarizations")
     k1, k2, k3 = kv.k1, kv.k2, kv.k3
     perp_sq = k1 * k1 + k2 * k2
-    if perp_sq < DEGENERACY_THRESHOLD * norm * norm:
+    if perp_sq <= DEGENERACY_THRESHOLD * norm * norm:
         sign3 = 1.0 if k3 > 0 else -1.0
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         eps_plus = np.array([-1.0, -1j * sign3, 0.0]) * inv_sqrt2
@@ -389,9 +384,6 @@ class PhotonPlaneWave:
     def value(self, x, t: float) -> np.ndarray:
         term = self.displayed_term()
         return term.amplitude * term.phase(x, t)
-
-    def field_pair(self, x, t: float) -> FieldPair:
-        return FieldPair.from_value(self.value(x, t))
 
 
 def plane_wave(k, lam: int, x, t: float, c: float = 1.0) -> np.ndarray:

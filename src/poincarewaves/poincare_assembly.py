@@ -29,6 +29,7 @@ import numpy as np
 
 from .group_kinematics import ComplexEulerAngles
 from .lorentz_harmonics import generalized_m_values
+from .lorentz_sector import angular_order
 from .photon_plane_waves import (
     NORMALIZATION,
     PhotonPlaneWave,
@@ -42,7 +43,6 @@ __all__ = [
     "PoincareWaveFunction",
     "CatalogMember",
     "SolutionCatalog",
-    "assemble",
     "build_catalog",
     "physical_filter",
     "TAG_NEGATIVE_ENERGY",
@@ -69,9 +69,7 @@ class PoincareWaveFunction:
     def __post_init__(self) -> None:
         wave = PhotonPlaneWave(self.k, self.lam, self.c)  # validates k, lam, c
         object.__setattr__(self, "k", wave.k)
-        if self.l != int(self.l) or int(self.l) < 1:
-            raise ValueError(f"l must be an integer >= 1, got {self.l!r}")
-        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "l", angular_order(self.l))
         object.__setattr__(self, "dotted", bool(self.dotted))
 
     @property
@@ -116,16 +114,6 @@ class PoincareWaveFunction:
     def value(self, x, t: float, r: complex,
               angles: ComplexEulerAngles) -> np.ndarray:
         return self.translation_value(x, t) * self.lorentz_factor(r, angles)
-
-
-def assemble(k, lam: int, l: int, radial, x, t: float, r: complex,
-             angles: ComplexEulerAngles, dotted: bool = False,
-             c: float = 1.0) -> np.ndarray:
-    """Assembled 6-component value at one configuration-space point."""
-    wave = PoincareWaveFunction(k if isinstance(k, WaveVector)
-                                else WaveVector(*map(float, k)),
-                                lam, l, radial, dotted, c)
-    return wave.value(x, t, r, angles)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .lorentz_harmonics import (
     z_sum,
 )
 from .lorentz_sector import (
+    VARIANTS,
     RadialSolution,
     build_matrices,
     radial_ladder,
@@ -131,9 +132,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "assembly_dirac": 1e-12,
 }
 
-_VARIANTS = ("paper", "corrected")
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     """Configuration shared by all verification suites."""
@@ -159,9 +157,9 @@ class SuiteConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be a positive finite constant, got {self.c!r}")
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+                f"variant must be one of {VARIANTS}, got {self.variant!r}")
         resolved = {}
         for name, value in dict(self.tolerances).items():
             if name not in DEFAULT_TOLERANCES:
@@ -217,6 +215,30 @@ def _projections(l: float) -> list[float]:
     return [-l + j for j in range(count)]
 
 
+def _harmonic_indices(l: float) -> list[HarmonicIndex]:
+    """Every HarmonicIndex of weight l, row-major in (m, n), both ascending."""
+    projections = _projections(l)
+    return [HarmonicIndex(l, m, n) for m in projections for n in projections]
+
+
+def _worst_grid_record(check: str, idx: HarmonicIndex, thetas, taus,
+                       compare, tolerance: float) -> ResidualRecord:
+    """Record at the theta x tau point with the largest residual / max(1, scale).
+
+    compare(theta, tau) returns (residual, scale); ties keep the first point.
+    """
+    worst = (-1.0, thetas[0], taus[0], 0.0, 0.0)
+    for theta in thetas:
+        for tau in taus:
+            residual, scale = compare(theta, tau)
+            ratio = residual / max(1.0, scale)
+            if ratio > worst[0]:
+                worst = (ratio, theta, tau, residual, scale)
+    _, theta, tau, residual, scale = worst
+    return make_record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
+                       {"theta": theta, "tau": tau}, residual, scale, tolerance)
+
+
 def _ring_points() -> list[complex]:
     return [radius * cmath.exp(1j * phase)
             for radius in _RING_RADII for phase in _RING_PHASES]
@@ -253,39 +275,27 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
     tol_identity = config.tolerance("identity")
     tol_unitarity = config.tolerance("unitarity")
     for l in _l_values(config.lmax):
-        projections = _projections(l)
+        indices = _harmonic_indices(l)
         identity_worst = 0.0
-        for m in projections:
-            for n in projections:
-                idx = HarmonicIndex(l, m, n)
-                worst = (-1.0, thetas[0], taus[0], 0.0, 0.0)
-                for theta in thetas:
-                    for tau in taus:
-                        direct = z_sum(idx, theta, tau)
-                        series = z_2f1(idx, theta, tau)
-                        residual = abs(direct - series)
-                        scale = abs(direct)
-                        ratio = residual / max(1.0, scale)
-                        if ratio > worst[0]:
-                            worst = (ratio, theta, tau, residual, scale)
-                records.append(make_record(
-                    "cross_formula",
-                    {"l": float(l), "m": float(m), "n": float(n)},
-                    {"theta": worst[1], "tau": worst[2]},
-                    worst[3], worst[4], tol_cross))
-                delta = 1.0 if m == n else 0.0
-                identity_worst = max(identity_worst,
-                                     abs(z_sum(idx, 0.0, 0.0) - delta))
+        for idx in indices:
+
+            def compare(theta, tau):
+                direct = z_sum(idx, theta, tau)
+                return abs(direct - z_2f1(idx, theta, tau)), abs(direct)
+
+            records.append(_worst_grid_record(
+                "cross_formula", idx, thetas, taus, compare, tol_cross))
+            delta = 1.0 if idx.m == idx.n else 0.0
+            identity_worst = max(identity_worst,
+                                 abs(z_sum(idx, 0.0, 0.0) - delta))
         records.append(make_record(
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
             identity_worst, 1.0, tol_identity))
-        dimension = len(projections)
+        dimension = len(_projections(l))
         worst_unitary = (-1.0, thetas[0])
         for theta in thetas:
-            matrix = np.empty((dimension, dimension), dtype=complex)
-            for row, m in enumerate(projections):
-                for col, n in enumerate(projections):
-                    matrix[row, col] = z_sum(HarmonicIndex(l, m, n), theta, 0.0)
+            matrix = np.array([z_sum(idx, theta, 0.0) for idx in indices]
+                              ).reshape(dimension, dimension)
             deviation = float(np.abs(matrix @ matrix.conj().T
                                      - np.eye(dimension)).max())
             if deviation > worst_unitary[0]:
@@ -302,27 +312,19 @@ def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
     tol = config.tolerance("factorization")
     for l in _l_values(config.lmax):
         projections = _projections(l)
-        for m in projections:
-            for n in projections:
-                idx = HarmonicIndex(l, m, n)
-                worst = (-1.0, thetas[0], taus[0], 0.0, 0.0)
-                for theta in thetas:
-                    for tau in taus:
-                        total = 0.0 + 0.0j
-                        for k in projections:
-                            total += (su2_factor_p(l, m, k, theta)
-                                      * qu2_factor_jacobi(l, k, n, tau))
-                        direct = z_sum(idx, theta, tau)
-                        residual = abs(total - direct)
-                        scale = abs(direct)
-                        ratio = residual / max(1.0, scale)
-                        if ratio > worst[0]:
-                            worst = (ratio, theta, tau, residual, scale)
-                records.append(make_record(
-                    "factorization",
-                    {"l": float(l), "m": float(m), "n": float(n)},
-                    {"theta": worst[1], "tau": worst[2]},
-                    worst[3], worst[4], tol))
+        for idx in _harmonic_indices(l):
+            m, n = idx.m, idx.n
+
+            def compare(theta, tau):
+                total = 0.0 + 0.0j
+                for k in projections:
+                    total += (su2_factor_p(l, m, k, theta)
+                              * qu2_factor_jacobi(l, k, n, tau))
+                direct = z_sum(idx, theta, tau)
+                return abs(total - direct), abs(direct)
+
+            records.append(_worst_grid_record(
+                "factorization", idx, thetas, taus, compare, tol))
     return records
 
 

@@ -146,6 +146,27 @@ class TestEval:
         assert result.stderr.startswith(f"Error: {parameter} is out of range")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["m", "--l", "1", "--m", "1", "--n", "0", "--phi", "0",
+         "--epsilon", "-710", "--theta", "1", "--tau", "0", "--chi", "0",
+         "--vareps", "0"],
+        ["m", "--l", "1", "--m", "1", "--n", "0", "--phi", "0",
+         "--epsilon", "-700", "--theta", "1", "--tau", "100", "--chi", "0",
+         "--vareps", "0"],
+        ["associated", "--l", "1", "--m", "1", "--phi", "0",
+         "--epsilon", "-710", "--theta", "1", "--tau", "0"],
+        ["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
+         "--x", "0,0,0", "--t", "0", "--r", "1",
+         "--angles", "0,-710,1,0,0,0"],
+    ])
+    def test_weight_overflow_is_one_line_domain_error(self, runner, args):
+        result = invoke(runner, ["eval", *args], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: epsilon=")
+        assert "vareps=" in result.stderr
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_default_json_schema(self, runner):

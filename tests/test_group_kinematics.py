@@ -15,6 +15,7 @@ from poincarewaves.group_kinematics import (
     sl2c_to_complex_rotation,
     sphere_invariant,
 )
+from poincarewaves.lorentz_harmonics import generalized_m_values
 
 
 class TestMakeAngles:
@@ -152,3 +153,30 @@ class TestRotationAction:
             assert np.abs(rotation.T @ rotation - np.eye(3)).max() < 1e-9 * max(
                 1.0, float(np.abs(rotation).max()) ** 2
             )
+
+
+class TestSpinHalfElement:
+    def test_weighted_element_is_the_sl2c_matrix(self):
+        # [M^(1/2)_mn], m and n ascending, is sigma3 g sigma3 with both axes
+        # reversed; the dotted series gives its complex conjugate.
+        rng = np.random.default_rng(20261017)
+        sigma3 = np.diag([1.0, -1.0])
+        half = (-0.5, 0.5)
+        for _ in range(500):
+            angles = make_angles(
+                rng.uniform(0, 2 * math.pi - 1e-9),
+                rng.normal(),
+                rng.uniform(0, math.pi),
+                rng.normal(),
+                rng.uniform(-2 * math.pi, 2 * math.pi - 1e-9),
+                rng.normal(),
+            )
+            params = (angles.phi, angles.epsilon, angles.theta, angles.tau,
+                      angles.chi, angles.vareps)
+            want = (sigma3 @ angles_to_sl2c(angles).matrix() @ sigma3)[::-1, ::-1]
+            bound = 1e-13 * float(np.abs(want).max())
+            for dotted, expected in ((False, want), (True, want.conj())):
+                got = np.array([[generalized_m_values(0.5, m, n, *params,
+                                                      dotted=dotted)
+                                 for n in half] for m in half])
+                assert np.abs(got - expected).max() <= bound

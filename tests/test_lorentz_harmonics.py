@@ -13,13 +13,10 @@ from poincarewaves import lorentz_harmonics
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
-    HypersphericalValue,
     associated_m,
-    gamma_reciprocal,
     generalized_m,
     generalized_m_values,
     qu2_factor_jacobi,
-    section3_z,
     su2_factor_p,
     terminating_2f1,
     z_2f1,
@@ -62,23 +59,6 @@ class TestHarmonicIndex:
     def test_invalid_indices_rejected(self, l, m, n):
         with pytest.raises(ValueError):
             HarmonicIndex(l, m, n)
-
-    def test_value_wrapper_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            HypersphericalValue(HarmonicIndex(1, 0, 0), 0.0, 0.0, complex("nan"))
-
-
-class TestGammaReciprocal:
-    @pytest.mark.parametrize(
-        "x, expected",
-        [(1, 1.0), (0, 0.0), (4, 1 / 6), (-2, 0.0), (-17, 0.0), (2, 1.0)],
-    )
-    def test_integer_points(self, x, expected):
-        assert gamma_reciprocal(x) == expected
-
-    def test_half_integer_points(self):
-        assert gamma_reciprocal(0.5) == pytest.approx(1 / math.sqrt(math.pi))
-        assert gamma_reciprocal(-0.5) == pytest.approx(1 / math.gamma(-0.5))
 
 
 class TestTerminating2F1:
@@ -402,6 +382,48 @@ class TestOutOfRange:
             value = z_sum(HarmonicIndex(3, m, 0), 1.0, tau)
             assert cmath.isfinite(value)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda: su2_factor_p(10, 0, 0, math.pi),
+        lambda: z_2f1(HarmonicIndex(10, 0, 0), math.pi, 0.2),
+        lambda: su2_factor_p(17, 0, 0, math.pi - 1e-9),
+        lambda: z_2f1(HarmonicIndex(17, 0, 0), math.pi - 1e-9, 0.2),
+    ])
+    def test_tangent_overflow_names_theta(self, evaluate):
+        with pytest.raises(ValueError, match=r"^theta=3\.14\d* is out of range "
+                                             r"for l=1[07]"):
+            evaluate()
+
+    def test_tangent_forms_at_pi_inside_the_bound(self):
+        # l = 9 is the largest integer weight whose tangent sums fit at pi.
+        l, tau = 9, 0.2
+        projections = all_projections(l)
+        for m in projections:
+            for n in projections:
+                want = z_sum(HarmonicIndex(l, m, n), math.pi, tau)
+                factored = sum(su2_factor_p(l, m, k, math.pi)
+                               * qu2_factor_jacobi(l, k, n, tau)
+                               for k in projections)
+                bound = 1e-12 * max(1.0, abs(want))
+                assert abs(z_2f1(HarmonicIndex(l, m, n), math.pi, tau)
+                           - want) <= bound
+                assert abs(factored - want) <= bound
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: generalized_m_values(1, 1, 0, 0.0, -710.0, 1.0, 0.0, 0.0, 0.0),
+        lambda: generalized_m_values(1, 0, -1, 0.0, 0.0, 1.0, 0.0, 0.0, 710.0),
+        # the weight alone fits, but weight * e^(l |tau|) does not
+        lambda: generalized_m_values(1, 1, 0, 0.0, -700.0, 1.0, 100.0, 0.0, 0.0),
+        lambda: associated_m(1, 1, make_angles(0.0, -710.0, 1.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_weight_overflow_names_epsilon_and_vareps(self, evaluate):
+        with pytest.raises(ValueError, match=r"^epsilon=.*, vareps=.* are out "
+                                             r"of range"):
+            evaluate()
+
+    def test_weights_just_inside_the_bound_are_finite(self):
+        value = generalized_m_values(1, 1, 0, 0.0, -600.0, 1.0, 100.0, 0.0, 0.0)
+        assert cmath.isfinite(value)
+
 
 class TestGeneralizedM:
     def test_zero_projections_reduce_to_z(self):
@@ -469,33 +491,5 @@ class TestAssociatedAndZonal:
 
     def test_zonal_matches_explicit_formula(self):
         got = zonal_z(1, 0.4, 0.0)
-        want = section3_z(1, 0, 0.4, 0.0)
+        want = z_reference(1, 0, 0, 0.4, 0.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-class TestSection3:
-    def test_identity(self):
-        assert section3_z(1, 0, 0.0, 0.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "l, m, theta, tau",
-        [(1, 1, 0.6, 0.0), (2, -1, 0.3, 0.8)],
-    )
-    def test_spec_examples(self, l, m, theta, tau):
-        got = section3_z(l, m, theta, tau)
-        want = z_2f1(HarmonicIndex(l, m, 0), theta, tau)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_grid_against_hypergeometric_route(self):
-        for l in (1, 2, 3):
-            for m in (-1, 0, 1):
-                for theta in (0.0, 0.7, 2.4, math.pi - 0.01):
-                    for tau in (-1.1, 0.0, 0.6):
-                        got = section3_z(l, m, theta, tau)
-                        want = z_2f1(HarmonicIndex(l, m, 0), theta, tau)
-                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    @pytest.mark.parametrize("l, m", [(0, 0), (1.5, 0), (1, 2), (1, -2)])
-    def test_domain_rejected(self, l, m):
-        with pytest.raises(ValueError):
-            section3_z(l, m, 0.5, 0.5)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarewaves.photon_plane_waves import (
@@ -205,16 +205,36 @@ class TestPolarizationVectors:
     def test_continuity_at_axis(self):
         near = polarization_vectors((1e-6, 0.0, 1.0))
         axis = polarization_vectors((0.0, 0.0, 1.0))
-        for a, b in ((near.eps_plus, axis.eps_plus),
-                     (near.eps_minus, axis.eps_minus),
-                     (near.eps_zero, axis.eps_zero)):
-            assert np.abs(a - b).max() < 1e-5
+        jump = max(np.abs(a - b).max() for a, b in (
+            (near.eps_plus, axis.eps_plus),
+            (near.eps_minus, axis.eps_minus),
+            (near.eps_zero, axis.eps_zero)))
+        # The off-axis point takes the closed form, so the jump is ~1e-6, not 0.
+        assert 1e-7 < jump < 1e-5
+
+    @pytest.mark.parametrize("exponent", [-150, -100, -50, -20, -12, -7, -5, -3])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (-0.6, 0.8)])
+    def test_closed_form_close_to_the_axis(self, exponent, direction):
+        for k3 in (1.0, -2.5):
+            perp = 10.0 ** exponent * abs(k3)
+            k = (direction[0] * perp, direction[1] * perp, k3)
+            karr = np.array(k)
+            norm = math.hypot(*k)
+            pol = polarization_vectors(k)
+            m = curl_matrix(k)
+            bound = 1e-12 * norm
+            for lam, eps in ((1, pol.eps_plus), (-1, pol.eps_minus)):
+                assert abs(karr @ eps) <= bound
+                assert np.abs(m @ eps - lam * norm * eps).max() <= bound
+            assert np.abs(m @ pol.eps_zero).max() <= bound
+            assert np.abs(pol.eps_zero - karr / norm).max() <= 1e-15
 
     def test_zero_wavevector_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
             polarization_vectors((0.0, 0.0, 0.0))
 
     @given(finite_k)
+    @example((0.0, 1.192092896e-07, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_properties_random(self, k):
         pol = polarization_vectors(k)

@@ -22,7 +22,6 @@ from poincarewaves.poincare_assembly import (
     TAG_NEGATIVE_ENERGY,
     TAG_OMITTED,
     PoincareWaveFunction,
-    assemble,
     build_catalog,
     physical_filter,
 )
@@ -47,7 +46,8 @@ class TestAssemble:
         radial = RadialSolution(l=1, C=0.7)
         identity = make_angles(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         r = 1.3 + 0.4j
-        value = assemble(K_GENERIC, 0, 1, radial, (0, 0, 0), 0.0, r, identity)
+        value = PoincareWaveFunction(K_GENERIC, 0, 1, radial).value(
+            (0, 0, 0), 0.0, r, identity)
         eps_zero = polarization_vectors(K_GENERIC).eps_zero
         expected = (NORMALIZATION * np.concatenate([eps_zero, eps_zero])
                     * radial.f_zero(r))
@@ -57,7 +57,8 @@ class TestAssemble:
     def test_equals_plane_wave_times_separated_component(self, lam, slot):
         radial = RadialSolution(l=2, C=0.3 - 0.8j, Cdot=1.1 + 0.2j)
         x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
-        value = assemble(K_GENERIC, lam, 2, radial, x, t, r, GENERIC_ANGLES)
+        value = PoincareWaveFunction(K_GENERIC, lam, 2, radial).value(
+            x, t, r, GENERIC_ANGLES)
         separated = separated_psi(2, radial, r, GENERIC_ANGLES)
         expected = plane_wave(K_GENERIC, lam, x, t) * separated.psi[slot]
         assert np.abs(value - expected).max() < 1e-15 * max(
@@ -68,8 +69,8 @@ class TestAssemble:
             self, lam, slot):
         radial = RadialSolution(l=1, C=0.3 - 0.8j, Cdot=1.1 + 0.2j)
         x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
-        value = assemble(K_GENERIC, lam, 1, radial, x, t, r, GENERIC_ANGLES,
-                         dotted=True)
+        value = PoincareWaveFunction(K_GENERIC, lam, 1, radial,
+                                     dotted=True).value(x, t, r, GENERIC_ANGLES)
         separated = separated_psi(1, radial, r, GENERIC_ANGLES)
         expected = (plane_wave(K_GENERIC, lam, x, t).conjugate()
                     * separated.psi_dot[slot])
@@ -81,10 +82,10 @@ class TestAssemble:
         rotation_only = make_angles(1.2, 0.0, 0.8, 0.0, 2.1, 0.0)
         x, t, r = (0.5, 0.4, -0.3), 0.9, 2.5
         for lam in (1, 0, -1):
-            undotted = assemble(K_GENERIC, lam, 1, radial, x, t, r,
-                                rotation_only)
-            dotted = assemble(K_GENERIC, lam, 1, radial, x, t, r,
-                              rotation_only, dotted=True)
+            undotted = PoincareWaveFunction(K_GENERIC, lam, 1, radial).value(
+                x, t, r, rotation_only)
+            dotted = PoincareWaveFunction(K_GENERIC, lam, 1, radial,
+                                          dotted=True).value(x, t, r, rotation_only)
             assert np.abs(dotted - undotted.conjugate()).max() < 1e-13
 
     def test_factorization_invariant_random_points(self):
@@ -118,14 +119,14 @@ class TestAssemble:
     def test_invalid_helicity_and_order_rejected(self):
         radial = RadialSolution(l=1)
         with pytest.raises(ValueError, match="helicity"):
-            assemble(K_GENERIC, 5, 1, radial, (0, 0, 0), 0.0, 1.0,
-                     GENERIC_ANGLES)
+            PoincareWaveFunction(K_GENERIC, 5, 1, radial).value(
+                (0, 0, 0), 0.0, 1.0, GENERIC_ANGLES)
         with pytest.raises(ValueError, match="l must be"):
-            assemble(K_GENERIC, 1, 0, radial, (0, 0, 0), 0.0, 1.0,
-                     GENERIC_ANGLES)
+            PoincareWaveFunction(K_GENERIC, 1, 0, radial).value(
+                (0, 0, 0), 0.0, 1.0, GENERIC_ANGLES)
         with pytest.raises(ValueError, match="non-zero"):
-            assemble((0.0, 0.0, 0.0), 1, 1, radial, (0, 0, 0), 0.0, 1.0,
-                     GENERIC_ANGLES)
+            PoincareWaveFunction((0.0, 0.0, 0.0), 1, 1, radial).value(
+                (0, 0, 0), 0.0, 1.0, GENERIC_ANGLES)
 
 
 class TestCatalog:
