@@ -46,7 +46,9 @@ from .lorentz_harmonics import (
     su2_factor_p,
     terminating_2f1,
     z_2f1,
+    z_2f1_grid,
     z_sum,
+    z_sum_grid,
     zonal_z,
 )
 from .lorentz_sector import (
@@ -110,8 +112,8 @@ __all__ = [
     "angles_to_sl2c", "make_angles", "sl2c_to_complex_rotation",
     # lorentz_harmonics
     "HarmonicIndex", "associated_m", "generalized_m", "generalized_m_values",
-    "qu2_factor_jacobi", "su2_factor_p", "terminating_2f1", "z_2f1", "z_sum",
-    "zonal_z",
+    "qu2_factor_jacobi", "su2_factor_p", "terminating_2f1", "z_2f1",
+    "z_2f1_grid", "z_sum", "z_sum_grid", "zonal_z",
     # differential_checks
     "DEFAULT_SCHEME", "FDScheme", "ResidualRecord",
     "casimir_convergence_order", "casimir_x2_residual", "casimir_y2_residual",

@@ -32,6 +32,7 @@ from .lorentz_harmonics import (
     associated_m,
     generalized_m,
     z_sum,
+    z_sum_grid,
     zonal_z,
 )
 from .lorentz_sector import VARIANTS, RadialSolution
@@ -447,9 +448,11 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
         if function == "z":
             _require(function, m=m, n=n)
             idx = HarmonicIndex(l, m, n, dotted=dotted)
-            rows = [(th, ta, z_sum(idx, th, ta)) for th in thetas for ta in taus]
         else:
-            rows = [(th, ta, zonal_z(l, th, ta)) for th in thetas for ta in taus]
+            idx = HarmonicIndex(l, 0.0, 0.0)
+        grid = z_sum_grid([idx], thetas, taus)[0]
+        rows = [(th, ta, v) for th, row in zip(thetas, grid)
+                for ta, v in zip(taus, row)]
     except ValueError as error:
         raise _DomainError(str(error)) from None
     if fmt == "json":

@@ -29,6 +29,14 @@ factorizes Z^l_mn; they deliberately evaluate the double sum's cached
 coefficient tables in the unfolded tangent-power form, so the factorization
 check compares genuinely different floating-point evaluations.
 
+``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
+indices over a whole theta x tau grid.  The summand's rotation side depends
+only on (m, k, theta) and its rapidity side only on (k, n, tau), so each side
+is evaluated once per grid angle; the k sum at every point then repeats the
+scalar route's own expression in ascending k, so every grid value is
+bit-identical to ``z_sum`` / ``z_2f1`` at that point, and an out-of-range
+point raises the error the scalar routes would raise first.
+
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
 the conjugate series, whose value at a given six-tuple of real parameters is
@@ -57,6 +65,8 @@ __all__ = [
     "terminating_2f1",
     "z_sum",
     "z_2f1",
+    "z_sum_grid",
+    "z_2f1_grid",
     "su2_factor_p",
     "qu2_factor_jacobi",
     "generalized_m",
@@ -345,6 +355,107 @@ def z_2f1(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     for K in range(-L, L + 1, 2):
         total += _theta_factor_2f1(L, M, K, theta) * _tau_factor_2f1(L, N, K, tau)
     return total.conjugate() if idx.dotted else total
+
+
+def _folded_side(terms, halves) -> list[float]:
+    """sum coeff * odd**p * even**cp over one coefficient table, per (odd, even)."""
+    values = []
+    for odd, even in halves:
+        acc = 0.0
+        for p, cp, coeff in terms:
+            acc += coeff * odd**p * even**cp
+        values.append(acc)
+    return values
+
+
+def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
+                 phased: bool) -> list[list[list[complex]]]:
+    """Per index, rows over thetas of sum_K rotation * rapidity over taus.
+
+    rotation_side(L, M, K) returns one side's values over thetas and
+    rapidity_side(L, N, K) over taus; each runs once per distinct (L, a, K).
+    At every point the K sum starts from 0j and adds in ascending K with the
+    scalar route's own expression: _I_POW[(m - k) mod 4] * (rotation *
+    rapidity) when ``phased`` (z_sum), rotation * rapidity otherwise (z_2f1,
+    whose rotation side carries the phase); dotted indices are conjugated.
+    """
+    width = len(taus)
+    # Side values spread over the row-major points of the grid.
+    rotations, rapidities = {}, {}
+    grids = []
+    for idx in indices:
+        L, M, N = idx.doubled
+        values = [0j] * (len(thetas) * width)
+        for K in range(-L, L + 1, 2):
+            if (L, M, K) not in rotations:
+                rotations[L, M, K] = [v for v in rotation_side(L, M, K)
+                                      for _ in taus]
+            if (L, N, K) not in rapidities:
+                rapidities[L, N, K] = rapidity_side(L, N, K) * len(thetas)
+            points = zip(values, rotations[L, M, K], rapidities[L, N, K])
+            if phased:
+                phase = _I_POW[((M - K) // 2) % 4]
+                values = [t + phase * (r * q) for t, r, q in points]
+            else:
+                values = [t + r * q for t, r, q in points]
+        if idx.dotted:
+            values = [v.conjugate() for v in values]
+        grids.append([values[i * width:(i + 1) * width]
+                      for i in range(len(thetas))])
+    return grids
+
+
+def _on_grid(route, indices, thetas, taus, evaluate):
+    """Validate the grid, then evaluate(indices, thetas, taus).
+
+    On a domain error, raise the error that route(idx, theta, tau) meets
+    first in a loop over indices, then thetas, then taus: the grid's first
+    error is the scalar loop's.
+    """
+    indices, thetas, taus = list(indices), list(thetas), list(taus)
+    L = max((idx.doubled[0] for idx in indices), default=0)
+    try:
+        return evaluate(indices, [_validate_theta(t) for t in thetas],
+                        [_validate_tau(t, L) for t in taus])
+    except ValueError:
+        for idx in indices:
+            for theta in thetas:
+                for tau in taus:
+                    route(idx, theta, tau)
+        raise
+
+
+def z_sum_grid(indices, thetas, taus) -> list[list[list[complex]]]:
+    """z_sum(idx, theta, tau) for each index over the theta x tau grid.
+
+    Returns, per index, one row per theta of the values at each tau, each
+    bit-identical to z_sum at that point.  Each side of the summand is
+    evaluated once per grid angle and (l, m or n, k).
+    """
+    def evaluate(indices, thetas, taus):
+        halves = [(math.sin(t / 2), math.cos(t / 2)) for t in thetas]
+        boosts = [(math.sinh(t / 2), math.cosh(t / 2)) for t in taus]
+        return _grid_values(
+            indices, thetas, taus,
+            lambda L, M, K: _folded_side(_angular_terms(L, M, K, True), halves),
+            lambda L, N, K: _folded_side(_angular_terms(L, N, K, False), boosts),
+            phased=True)
+    return _on_grid(z_sum, indices, thetas, taus, evaluate)
+
+
+def z_2f1_grid(indices, thetas, taus) -> list[list[list[complex]]]:
+    """z_2f1(idx, theta, tau) for each index over the theta x tau grid.
+
+    Same layout and contract as ``z_sum_grid``: bit-identical to z_2f1, with
+    each hypergeometric side evaluated once per grid angle and (l, m or n, k).
+    """
+    def evaluate(indices, thetas, taus):
+        return _grid_values(
+            indices, thetas, taus,
+            lambda L, M, K: [_theta_factor_2f1(L, M, K, t) for t in thetas],
+            lambda L, N, K: [_tau_factor_2f1(L, N, K, t) for t in taus],
+            phased=False)
+    return _on_grid(z_2f1, indices, thetas, taus, evaluate)
 
 
 def generalized_m_values(l: float, m: float, n: float, phi: float,

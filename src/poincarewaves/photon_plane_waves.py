@@ -82,6 +82,16 @@ NORMALIZATION = 1.0 / math.sqrt(2.0 * (2.0 * math.pi) ** 3)
 #: used wherever it is accurate.
 DEGENERACY_THRESHOLD = 1e-300
 
+#: Smallest k1^2 + k2^2 + k3^2 taken as it is: from here up, the squares that
+#: underflow are below the sum's rounding error.
+_MIN_SQUARE = 2.0 ** -1000
+
+#: Range of max |k_i| in which the polarization vectors are evaluated on k
+#: itself: there |k|^4 and, on the closed-form branch, 2 |k|^2 (k1^2 + k2^2)
+#: >= 2e-300 |k|^4 stay normal floats.  Outside it they are evaluated on
+#: k / 2^e; not everywhere, for the reason given in ``WaveVector.magnitude``.
+_DIRECT_MIN, _DIRECT_MAX = 2.0 ** -6, 2.0 ** 250
+
 _ALPHA1 = np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex)
 _ALPHA2 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
 _ALPHA3 = np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]], dtype=complex)
@@ -171,7 +181,30 @@ class WaveVector:
 
     @property
     def magnitude(self) -> float:
-        return math.sqrt(self.k1**2 + self.k2**2 + self.k3**2)
+        """|k|; raises ValueError when it overflows a float."""
+        try:
+            square = self.k1**2 + self.k2**2 + self.k3**2
+        except OverflowError:  # a component above ~1.3e154
+            square = math.inf
+        if _MIN_SQUARE <= square < math.inf:
+            return math.sqrt(square)
+        # Only here is k scaled: x**2 in libm does not commute bit for bit
+        # with power-of-two scaling, so scaling everywhere would move |k|.
+        k1, k2, k3, exponent = self._scaled_components()
+        try:
+            return math.ldexp(math.sqrt(k1**2 + k2**2 + k3**2), exponent)
+        except OverflowError:
+            raise ValueError(f"|k| of {self} overflows a float") from None
+
+    def _scaled_components(self) -> tuple[float, float, float, int]:
+        """(k1, k2, k3) / 2^e and e, with max |k_i| / 2^e in [0.5, 1).
+
+        Dividing by a power of two is exact, and it keeps squares and fourth
+        powers of the components inside the float range for every finite k.
+        """
+        exponent = math.frexp(max(abs(self.k1), abs(self.k2), abs(self.k3)))[1]
+        return (math.ldexp(self.k1, -exponent), math.ldexp(self.k2, -exponent),
+                math.ldexp(self.k3, -exponent), exponent)
 
     def omega(self, c: float = 1.0) -> float:
         """Dispersion omega = c |k| for the propagating modes."""
@@ -254,10 +287,13 @@ def polarization_vectors(k) -> PolarizationTriple:
     The vectors satisfy M eps_lam = lam c |k| eps_lam for the curl matrix M.
     """
     kv = _as_wavevector(k)
-    norm = kv.magnitude
+    k1, k2, k3 = kv.k1, kv.k2, kv.k3
+    if not _DIRECT_MIN <= max(abs(k1), abs(k2), abs(k3)) <= _DIRECT_MAX:
+        # The vectors are homogeneous of degree 0 in k: use k / 2^e instead.
+        k1, k2, k3, _ = kv._scaled_components()
+    norm = math.sqrt(k1**2 + k2**2 + k3**2)
     if norm == 0.0:
         raise ValueError("wavevector must be non-zero to define polarizations")
-    k1, k2, k3 = kv.k1, kv.k2, kv.k3
     perp_sq = k1 * k1 + k2 * k2
     if perp_sq <= DEGENERACY_THRESHOLD * norm * norm:
         sign3 = 1.0 if k3 > 0 else -1.0
@@ -277,7 +313,7 @@ def polarization_vectors(k) -> PolarizationTriple:
         complex(-k2 * k3, k1 * norm),
         complex(perp_sq, 0.0),
     ]) / denominator
-    eps_zero = kv.array.astype(complex) / norm
+    eps_zero = np.array([k1, k2, k3], dtype=complex) / norm
     return PolarizationTriple(eps_plus, eps_minus, eps_zero)
 
 

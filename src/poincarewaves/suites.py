@@ -47,8 +47,9 @@ from .lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
     su2_factor_p,
-    z_2f1,
+    z_2f1_grid,
     z_sum,
+    z_sum_grid,
 )
 from .lorentz_sector import (
     VARIANTS,
@@ -222,21 +223,26 @@ def _harmonic_indices(l: float) -> list[HarmonicIndex]:
 
 
 def _worst_grid_record(check: str, idx: HarmonicIndex, thetas, taus,
-                       compare, tolerance: float) -> ResidualRecord:
+                       pairs, tolerance: float) -> ResidualRecord:
     """Record at the theta x tau point with the largest residual / max(1, scale).
 
-    compare(theta, tau) returns (residual, scale); ties keep the first point.
+    pairs holds (residual, scale) at each point in row-major order (theta
+    outer); ties keep the first point.
     """
     worst = (-1.0, thetas[0], taus[0], 0.0, 0.0)
-    for theta in thetas:
-        for tau in taus:
-            residual, scale = compare(theta, tau)
-            ratio = residual / max(1.0, scale)
-            if ratio > worst[0]:
-                worst = (ratio, theta, tau, residual, scale)
+    points = ((theta, tau) for theta in thetas for tau in taus)
+    for (theta, tau), (residual, scale) in zip(points, pairs):
+        ratio = residual / max(1.0, scale)
+        if ratio > worst[0]:
+            worst = (ratio, theta, tau, residual, scale)
     _, theta, tau, residual, scale = worst
     return make_record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
                        {"theta": theta, "tau": tau}, residual, scale, tolerance)
+
+
+def _flat(grid) -> list:
+    """Row-major values of one index's theta x tau grid."""
+    return [value for row in grid for value in row]
 
 
 def _ring_points() -> list[complex]:
@@ -277,14 +283,13 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
     for l in _l_values(config.lmax):
         indices = _harmonic_indices(l)
         identity_worst = 0.0
-        for idx in indices:
-
-            def compare(theta, tau):
-                direct = z_sum(idx, theta, tau)
-                return abs(direct - z_2f1(idx, theta, tau)), abs(direct)
-
+        for idx, direct_grid, series_grid in zip(
+                indices, z_sum_grid(indices, thetas, taus),
+                z_2f1_grid(indices, thetas, taus)):
+            pairs = [(abs(direct - series), abs(direct)) for direct, series
+                     in zip(_flat(direct_grid), _flat(series_grid))]
             records.append(_worst_grid_record(
-                "cross_formula", idx, thetas, taus, compare, tol_cross))
+                "cross_formula", idx, thetas, taus, pairs, tol_cross))
             delta = 1.0 if idx.m == idx.n else 0.0
             identity_worst = max(identity_worst,
                                  abs(z_sum(idx, 0.0, 0.0) - delta))
@@ -292,9 +297,10 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
             identity_worst, 1.0, tol_identity))
         dimension = len(_projections(l))
+        rotations = z_sum_grid(indices, thetas, (0.0,))
         worst_unitary = (-1.0, thetas[0])
-        for theta in thetas:
-            matrix = np.array([z_sum(idx, theta, 0.0) for idx in indices]
+        for i, theta in enumerate(thetas):
+            matrix = np.array([grid[i][0] for grid in rotations]
                               ).reshape(dimension, dimension)
             deviation = float(np.abs(matrix @ matrix.conj().T
                                      - np.eye(dimension)).max())
@@ -312,19 +318,25 @@ def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
     tol = config.tolerance("factorization")
     for l in _l_values(config.lmax):
         projections = _projections(l)
-        for idx in _harmonic_indices(l):
-            m, n = idx.m, idx.n
-
-            def compare(theta, tau):
-                total = 0.0 + 0.0j
-                for k in projections:
-                    total += (su2_factor_p(l, m, k, theta)
-                              * qu2_factor_jacobi(l, k, n, tau))
-                direct = z_sum(idx, theta, tau)
-                return abs(total - direct), abs(direct)
-
+        indices = _harmonic_indices(l)
+        # Each half once per grid angle, spread over the row-major points.
+        rotation = {}
+        for m in projections:
+            for k in projections:
+                halves = [su2_factor_p(l, m, k, theta) for theta in thetas]
+                rotation[m, k] = [p for p in halves for _ in taus]
+        rapidity = {(k, n): [qu2_factor_jacobi(l, k, n, tau) for tau in taus]
+                    * len(thetas)
+                    for k in projections for n in projections}
+        for idx, direct_grid in zip(indices, z_sum_grid(indices, thetas, taus)):
+            totals = [0.0 + 0.0j] * (len(thetas) * len(taus))
+            for k in projections:
+                totals = [total + p * q for total, p, q in zip(
+                    totals, rotation[idx.m, k], rapidity[k, idx.n])]
+            pairs = [(abs(total - direct), abs(direct))
+                     for total, direct in zip(totals, _flat(direct_grid))]
             records.append(_worst_grid_record(
-                "factorization", idx, thetas, taus, compare, tol))
+                "factorization", idx, thetas, taus, pairs, tol))
     return records
 
 

@@ -86,6 +86,16 @@ class TestEval:
         lines = result.output.strip().split("\n")
         assert lines[2] == "eps_zero = (0+0i, 0+0i, 1+0i)"
 
+    @pytest.mark.parametrize("k", ["1e200,0,0", "1e150,0,0", "0,1e-200,3e-200"])
+    def test_polarization_at_extreme_scales(self, runner, k):
+        result = invoke(runner, ["eval", "polarization", "--k", k,
+                                 "--format", "json"])
+        for vector in json.loads(result.output)["values"].values():
+            components = [complex(c["re"], c["im"]) for c in vector]
+            assert all(math.isfinite(abs(c)) for c in components)
+            assert math.sqrt(sum(abs(c) ** 2 for c in components)) == (
+                pytest.approx(1.0, abs=1e-15))
+
     def test_radial_paper_example(self, runner):
         result = invoke(runner, ["eval", "radial", "--variant", "paper",
                                  "--l", "1", "--C", "0", "--r", "1"])

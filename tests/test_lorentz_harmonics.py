@@ -20,7 +20,9 @@ from poincarewaves.lorentz_harmonics import (
     su2_factor_p,
     terminating_2f1,
     z_2f1,
+    z_2f1_grid,
     z_sum,
+    z_sum_grid,
     zonal_z,
 )
 
@@ -423,6 +425,93 @@ class TestOutOfRange:
     def test_weights_just_inside_the_bound_are_finite(self):
         value = generalized_m_values(1, 1, 0, 0.0, -600.0, 1.0, 100.0, 0.0, 0.0)
         assert cmath.isfinite(value)
+
+
+GRID_THETAS = [0.0, 0.05, math.pi / 2, 2.9, math.pi]
+GRID_TAUS = [-1.0, -0.0, 0.0, 0.7]
+GRID_ROUTES = [(z_sum_grid, z_sum), (z_2f1_grid, z_2f1)]
+NAN, INF = float("nan"), float("inf")
+
+
+def first_scalar_error(route, indices, thetas, taus):
+    """The message of the first ValueError of the row-major scalar loop."""
+    try:
+        for idx in indices:
+            for theta in thetas:
+                for tau in taus:
+                    route(idx, theta, tau)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestGrids:
+    @pytest.mark.parametrize("dotted", [False, True])
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_bit_identical_to_the_scalar_routes(self, grid, route, dotted):
+        for doubled_l in range(13):
+            projections = all_projections(doubled_l / 2)
+            indices = [HarmonicIndex(doubled_l / 2, m, n, dotted=dotted)
+                       for m in projections for n in projections]
+            grids = grid(indices, GRID_THETAS, GRID_TAUS)
+            assert len(grids) == len(indices)
+            for idx, rows in zip(indices, grids):
+                assert len(rows) == len(GRID_THETAS)
+                for theta, row in zip(GRID_THETAS, rows):
+                    assert len(row) == len(GRID_TAUS)
+                    for tau, value in zip(GRID_TAUS, row):
+                        # repr tells signed zeros apart, as table CSV does.
+                        assert repr(value) == repr(route(idx, theta, tau)), (
+                            idx, theta, tau)
+
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_mixed_weights_in_one_call(self, grid, route):
+        indices = [HarmonicIndex(2, 1, -2), HarmonicIndex(0.5, -0.5, 0.5, True),
+                   HarmonicIndex(2, 1, -2), HarmonicIndex(6, 0, 3)]
+        rows = grid(indices, [0.3, 2.2], [-0.4, 0.9, 0.0])
+        for idx, values in zip(indices, rows):
+            assert values == [[route(idx, theta, tau) for tau in (-0.4, 0.9, 0.0)]
+                              for theta in (0.3, 2.2)]
+
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_empty_grids(self, grid, route):
+        idx = HarmonicIndex(1, 0, 1)
+        assert grid([], [0.1], [0.2]) == []
+        assert grid([idx], [], [0.2]) == [[]]
+        assert grid([idx], [0.1, 0.2], []) == [[[], []]]
+
+    @pytest.mark.parametrize("thetas, taus", [
+        ([4.0, 0.1], [0.2, NAN]),
+        ([0.1, 4.0], [0.2, NAN]),
+        ([0.1, 0.2, -1.0], [0.2, 800.0, 0.3]),
+        ([0.1, -1.0], [0.2, 0.3, 800.0]),
+        ([0.1, 0.2], [0.3, INF]),
+        ([0.1, NAN], [0.3, 0.4]),
+        ([0.1, 5.0], [100.0, 0.3]),
+        ([math.pi, 0.1], [0.2, 800.0]),
+        ([0.1, math.pi], [0.2, 800.0]),
+    ])
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    @pytest.mark.parametrize("l", [2, 10])
+    def test_out_of_range_raises_the_scalar_loops_first_error(
+            self, grid, route, l, thetas, taus):
+        # At l = 10, tau = 100 is out of range, and so is theta = pi for
+        # z_2f1's tangent form; the scalar loop meets that before tau = 800.
+        indices = [HarmonicIndex(l, 1, -1), HarmonicIndex(1, 0, 1)]
+        message = first_scalar_error(route, indices, thetas, taus)
+        assert message is not None
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid(indices, thetas, taus)
+
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_factorial_overflow_raises_the_scalar_loops_first_error(
+            self, grid, route):
+        indices = [HarmonicIndex(60, 0, 0)]
+        for taus in ([0.5], [0.5, 30.0]):
+            message = first_scalar_error(route, indices, [1.0], taus)
+            assert message.startswith("l=60 is out of range")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                grid(indices, [1.0], taus)
 
 
 class TestGeneralizedM:

@@ -233,6 +233,26 @@ class TestPolarizationVectors:
         with pytest.raises(ValueError, match="non-zero"):
             polarization_vectors((0.0, 0.0, 0.0))
 
+    def test_scale_invariant_over_the_float_range(self):
+        reference = polarization_vectors((1.0, 2.0, 3.0))
+        for exponent in range(-300, 301, 5):
+            s = 10.0 ** exponent
+            pol = polarization_vectors((s, 2 * s, 3 * s))
+            for eps, want in ((pol.eps_plus, reference.eps_plus),
+                              (pol.eps_minus, reference.eps_minus),
+                              (pol.eps_zero, reference.eps_zero)):
+                assert np.abs(eps - want).max() <= 1e-15, s
+                assert abs(np.linalg.norm(eps) - 1.0) <= 1e-15, s
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e160, 1e300])
+    def test_magnitude_at_extreme_scales(self, s):
+        magnitude = WaveVector(3 * s, 0.0, -4 * s).magnitude
+        assert abs(magnitude - 5 * s) <= 1e-15 * 5 * s
+
+    def test_magnitude_overflow_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            WaveVector(1.5e308, 1.5e308, 0.0).magnitude
+
     @given(finite_k)
     @example((0.0, 1.192092896e-07, 1.0))
     @settings(max_examples=60, deadline=None)

@@ -4,10 +4,20 @@ import json
 
 import pytest
 
+from poincarewaves import suites
+from poincarewaves.lorentz_harmonics import (
+    HarmonicIndex,
+    qu2_factor_jacobi,
+    su2_factor_p,
+    z_2f1,
+    z_sum,
+)
 from poincarewaves.suites import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
     SuiteConfig,
+    _tau_grid,
+    _theta_grid,
     build_report,
     report_exit_code,
     run_suite,
@@ -160,3 +170,60 @@ class TestControls:
                                    tolerances={"casimir": 0.0}))
         assert report["summary"]["failed"] > 0
         assert report_exit_code(report) == 1
+
+
+def scalar_cross_formula(idx, theta, tau):
+    direct = z_sum(idx, theta, tau)
+    return abs(direct - z_2f1(idx, theta, tau)), abs(direct)
+
+
+def scalar_factorization(idx, theta, tau):
+    total = 0.0 + 0.0j
+    for j in range(int(round(2 * idx.l)) + 1):
+        k = -idx.l + j
+        total += (su2_factor_p(idx.l, idx.m, k, theta)
+                  * qu2_factor_jacobi(idx.l, k, idx.n, tau))
+    direct = z_sum(idx, theta, tau)
+    return abs(total - direct), abs(direct)
+
+
+class TestGridRecords:
+    @pytest.mark.parametrize("grid_density", [3, 4])  # 3 puts tau = 0 on the grid
+    @pytest.mark.parametrize("suite, check, compare", [
+        ("hypergeom", "cross_formula", scalar_cross_formula),
+        ("factorization", "factorization", scalar_factorization),
+    ])
+    def test_records_match_a_scalar_rescan(self, grid_density, suite, check,
+                                           compare):
+        config = SuiteConfig(lmax=2, grid_density=grid_density)
+        points = [(theta, tau) for theta in _theta_grid(config)
+                  for tau in _tau_grid(config)]
+        assert (0.0 in _tau_grid(config)) == (grid_density % 2 == 1)
+        records = [record for _, record in run_suite(suite, config)
+                   if record.check_name == check]
+        assert len(records) == sum((d + 1) ** 2 for d in range(5))
+        for record in records:
+            idx = HarmonicIndex(record.indices["l"], record.indices["m"],
+                                record.indices["n"])
+            scan = [(point, *compare(idx, *point)) for point in points]
+            worst = max(residual / max(1.0, scale) for _, residual, scale in scan)
+            point, residual, scale = next(
+                entry for entry in scan
+                if entry[1] / max(1.0, entry[2]) == worst)
+            assert (record.point["theta"], record.point["tau"]) == point
+            assert record.residual == residual
+            assert record.scale == scale
+
+    def test_factor_halves_once_per_grid_angle(self, monkeypatch):
+        calls = {"su2_factor_p": 0, "qu2_factor_jacobi": 0}
+        for name in calls:
+            route = getattr(suites, name)
+
+            def counted(*args, name=name, route=route):
+                calls[name] += 1
+                return route(*args)
+
+            monkeypatch.setattr(suites, name, counted)
+        run_suite("factorization", SuiteConfig(lmax=2, grid_density=3))
+        pairs = sum((d + 1) ** 2 for d in range(5))  # (m, k) or (k, n) pairs
+        assert calls == {"su2_factor_p": 3 * pairs, "qu2_factor_jacobi": 3 * pairs}
