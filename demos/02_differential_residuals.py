@@ -36,7 +36,7 @@ print("-----------------------------------------------------------------")
 idx = HarmonicIndex(1, 1, -1)
 print(f"undotted: {casimir_convergence_order(idx, ANGLES):.4f}")
 idx = HarmonicIndex(1, 1, -1, dotted=True)
-print(f"dotted:   {casimir_convergence_order(idx, ANGLES, dotted=True):.4f}")
+print(f"dotted:   {casimir_convergence_order(idx, ANGLES):.4f}")
 
 print()
 print("Second-order equation in z = cos(theta - i tau)")

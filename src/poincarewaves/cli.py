@@ -11,13 +11,16 @@ Output contract
       text format and as ``{"re": ..., "im": ...}`` objects in JSON;
     * CSV output is RFC-4180 (CRLF line endings, header row mandatory) with
       complex quantities split into ``_re``/``_im`` columns;
-    * a fixed --seed makes ``verify`` output byte-identical between runs;
+    * a fixed --seed makes ``verify`` output byte-identical between runs on
+      one platform (across platforms libm ``pow``, which is not correctly
+      rounded everywhere, can move the last bits of the matrix elements);
     * exit status: 0 success, 1 verification failure (non-flagged), 2 usage
       or domain error (a one-line ``Error:`` message on stderr).
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -119,6 +122,14 @@ def _parse_vector3(token: str, name: str) -> tuple[float, float, float]:
         raise click.UsageError(
             f"--{name} expects three comma-separated components, got {token!r}")
     return tuple(_parse_number(part, name) for part in parts)
+
+
+def _finite(name: str, value):
+    """value itself when every component is finite; a domain error otherwise."""
+    parts = value if isinstance(value, tuple) else (value,)
+    if not all(cmath.isfinite(part) for part in parts):
+        raise _DomainError(f"--{name} must be finite, got {value!r}")
+    return value
 
 
 def _parse_angles(token: str) -> ComplexEulerAngles:
@@ -292,12 +303,13 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
     if function == "planewave":
         _require(function, k=kvec, lam=lam, x=xvec, t=t)
         value = plane_wave(_parse_vector3(kvec, "k"), lam,
-                           _parse_vector3(xvec, "x"), t, light_speed)
+                           _finite("x", _parse_vector3(xvec, "x")),
+                           _finite("t", t), light_speed)
         return {"psi": list(value)}
     if function == "radial":
         _require(function, l=l, r=rvalue)
         radial = _radial_solution(l, cconst, cdot, variant)
-        r = _parse_complex(rvalue, "r")
+        r = _finite("r", _parse_complex(rvalue, "r"))
         r_star = r.conjugate()
         return {"f_plus": radial.f_plus(r), "f_zero": radial.f_zero(r),
                 "f_minus": radial.f_minus(r),
@@ -311,8 +323,10 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
         wave = PoincareWaveFunction(
             WaveVector(*_parse_vector3(kvec, "k")), lam, l, radial, dotted,
             light_speed)
-        value = wave.value(_parse_vector3(xvec, "x"), t,
-                           _parse_complex(rvalue, "r"), _parse_angles(angles))
+        value = wave.value(_finite("x", _parse_vector3(xvec, "x")),
+                           _finite("t", t),
+                           _finite("r", _parse_complex(rvalue, "r")),
+                           _parse_angles(angles))
         return {"psi": list(value)}
     raise click.UsageError(f"unknown function {function!r}")
 

@@ -140,17 +140,22 @@ def _angle_map(angles: ComplexEulerAngles) -> dict:
             "tau": angles.tau, "chi": angles.chi, "vareps": angles.vareps}
 
 
-def _casimir_operator_value(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                            scheme: FDScheme, dotted: bool) -> tuple[complex, complex]:
-    """(operator value, function value) for X2 (dotted=False) or Y2 (dotted=True)."""
+def _casimir_record(idx: HarmonicIndex, angles: ComplexEulerAngles,
+                    scheme: FDScheme, tolerance: float) -> ResidualRecord:
+    """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx)."""
     phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
+    if not (SINGULARITY_MARGIN < theta0 < math.pi - SINGULARITY_MARGIN):
+        raise ValueError(
+            f"evaluation point too close to a coordinate singularity: theta="
+            f"{theta0!r} must satisfy {SINGULARITY_MARGIN} < theta < "
+            f"pi - {SINGULARITY_MARGIN}")
 
     def f(theta: float, phi: float, chi: float) -> complex:
         return generalized_m_values(idx.l, idx.m, idx.n, phi, angles.epsilon,
                                     theta, angles.tau, chi, angles.vareps,
-                                    dotted=dotted)
+                                    dotted=idx.dotted)
 
-    theta_c = angles.theta_c_dot if dotted else angles.theta_c
+    theta_c = angles.theta_c_dot if idx.dotted else angles.theta_c
     sin_c, cos_c = cmath.sin(theta_c), cmath.cos(theta_c)
     f0 = f(theta0, phi0, chi0)
 
@@ -172,15 +177,12 @@ def _casimir_operator_value(idx: HarmonicIndex, angles: ComplexEulerAngles,
                 + (d2_phi - 2 * cos_c * d_phi_chi + d2_chi) / (sin_c * sin_c))
 
     operator = _richardson(estimate, scheme.step, int(scheme.richardson_levels))
-    return operator, f0
-
-
-def _check_interior_theta(theta: float) -> None:
-    if not (SINGULARITY_MARGIN < theta < math.pi - SINGULARITY_MARGIN):
-        raise ValueError(
-            f"evaluation point too close to a coordinate singularity: theta="
-            f"{theta!r} must satisfy {SINGULARITY_MARGIN} < theta < "
-            f"pi - {SINGULARITY_MARGIN}")
+    eigenvalue = idx.eigenvalue
+    residual = abs(operator + eigenvalue * f0)
+    scale = max(1.0, eigenvalue) * abs(f0)
+    return make_record("casimir_y2" if idx.dotted else "casimir_x2",
+                       _index_map(idx), _angle_map(angles), residual, scale,
+                       tolerance)
 
 
 def casimir_x2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
@@ -190,13 +192,7 @@ def casimir_x2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
     if idx.dotted:
         raise ValueError("casimir_x2_residual checks the undotted series; "
                          "use casimir_y2_residual for a dotted index")
-    _check_interior_theta(angles.theta)
-    operator, f0 = _casimir_operator_value(idx, angles, scheme, dotted=False)
-    eigenvalue = idx.eigenvalue
-    residual = abs(operator + eigenvalue * f0)
-    scale = max(1.0, eigenvalue) * abs(f0)
-    return make_record("casimir_x2", _index_map(idx), _angle_map(angles),
-                       residual, scale, tolerance)
+    return _casimir_record(idx, angles, scheme, tolerance)
 
 
 def casimir_y2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
@@ -206,13 +202,7 @@ def casimir_y2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
     if not idx.dotted:
         raise ValueError("casimir_y2_residual checks the dotted series; "
                          "construct the index with dotted=True")
-    _check_interior_theta(angles.theta)
-    operator, f0 = _casimir_operator_value(idx, angles, scheme, dotted=True)
-    eigenvalue = idx.eigenvalue
-    residual = abs(operator + eigenvalue * f0)
-    scale = max(1.0, eigenvalue) * abs(f0)
-    return make_record("casimir_y2", _index_map(idx), _angle_map(angles),
-                       residual, scale, tolerance)
+    return _casimir_record(idx, angles, scheme, tolerance)
 
 
 def _z_line_derivatives(idx: HarmonicIndex, theta: float, tau: float,
@@ -301,15 +291,15 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float, tau: float,
 
 
 def casimir_convergence_order(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                              coarse_step: float = 2e-2,
-                              dotted: bool = False) -> float:
+                              coarse_step: float = 2e-2) -> float:
     """Measured order log2(residual(2h)/residual(h)) of the raw FD residual.
 
-    Uses single-level (unextrapolated) estimates at coarse_step and
-    coarse_step/2, where truncation error dominates rounding; a second-order
-    stencil should measure close to 2.
+    Checks Y2 for a dotted idx and X2 otherwise, with single-level
+    (unextrapolated) estimates at coarse_step and coarse_step/2, where
+    truncation error dominates rounding; a second-order stencil should
+    measure close to 2.
     """
-    check = casimir_y2_residual if dotted else casimir_x2_residual
+    check = casimir_y2_residual if idx.dotted else casimir_x2_residual
     coarse = check(idx, angles, FDScheme(coarse_step, 1))
     fine = check(idx, angles, FDScheme(coarse_step / 2, 1))
     return math.log2(coarse.residual / fine.residual)

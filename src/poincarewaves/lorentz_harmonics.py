@@ -84,6 +84,10 @@ _MAX_LOG = 709.0
 #: Bound on 2l |tau|: e^(l |tau|), and cosh(tau/2) itself, must stay floats.
 _MAX_GROWTH = 2 * _MAX_LOG
 
+#: Largest weight l accepted.  This bounds the cost of the exact factorials
+#: behind the overflow check; the routes lose their accuracy far below it.
+_MAX_WEIGHT = 1000
+
 
 def _doubled(name: str, value: float) -> int:
     """Map a half-integer to its exact doubled integer, validating on the way."""
@@ -116,6 +120,9 @@ class HarmonicIndex:
         N = _doubled("n", self.n)
         if L < 0:
             raise ValueError(f"l must be non-negative, got {self.l!r}")
+        if L > 2 * _MAX_WEIGHT:
+            raise ValueError(f"l={L / 2:g} is out of range: l must not exceed "
+                             f"{_MAX_WEIGHT}")
         for name, D in (("m", M), ("n", N)):
             if abs(D) > L:
                 raise ValueError(f"|{name}| must not exceed l, got {name}="

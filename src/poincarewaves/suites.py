@@ -177,6 +177,13 @@ class SuiteConfig:
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
+    def record(self, check: str, indices: Mapping[str, object],
+               point: Mapping[str, object], residual: float, scale: float,
+               flagged: bool = False) -> ResidualRecord:
+        """A record of check, judged by the tolerance of that check name."""
+        return make_record(check, indices, point, residual, scale,
+                           self.tolerance(check), flagged)
+
     def resolved_tolerances(self) -> dict[str, float]:
         return {name: self.tolerance(name) for name in sorted(DEFAULT_TOLERANCES)}
 
@@ -222,8 +229,8 @@ def _harmonic_indices(l: float) -> list[HarmonicIndex]:
     return [HarmonicIndex(l, m, n) for m in projections for n in projections]
 
 
-def _worst_grid_record(check: str, idx: HarmonicIndex, thetas, taus,
-                       pairs, tolerance: float) -> ResidualRecord:
+def _worst_grid_record(config: SuiteConfig, check: str, idx: HarmonicIndex,
+                       thetas, taus, pairs) -> ResidualRecord:
     """Record at the theta x tau point with the largest residual / max(1, scale).
 
     pairs holds (residual, scale) at each point in row-major order (theta
@@ -236,8 +243,8 @@ def _worst_grid_record(check: str, idx: HarmonicIndex, thetas, taus,
         if ratio > worst[0]:
             worst = (ratio, theta, tau, residual, scale)
     _, theta, tau, residual, scale = worst
-    return make_record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
-                       {"theta": theta, "tau": tau}, residual, scale, tolerance)
+    return config.record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
+                         {"theta": theta, "tau": tau}, residual, scale)
 
 
 def _flat(grid) -> list:
@@ -277,9 +284,6 @@ def _deficit(threshold: float, observed: float) -> float:
 def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
     thetas, taus = _theta_grid(config), _tau_grid(config)
-    tol_cross = config.tolerance("cross_formula")
-    tol_identity = config.tolerance("identity")
-    tol_unitarity = config.tolerance("unitarity")
     for l in _l_values(config.lmax):
         indices = _harmonic_indices(l)
         identity_worst = 0.0
@@ -289,13 +293,13 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
             pairs = [(abs(direct - series), abs(direct)) for direct, series
                      in zip(_flat(direct_grid), _flat(series_grid))]
             records.append(_worst_grid_record(
-                "cross_formula", idx, thetas, taus, pairs, tol_cross))
+                config, "cross_formula", idx, thetas, taus, pairs))
             delta = 1.0 if idx.m == idx.n else 0.0
             identity_worst = max(identity_worst,
                                  abs(z_sum(idx, 0.0, 0.0) - delta))
-        records.append(make_record(
+        records.append(config.record(
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
-            identity_worst, 1.0, tol_identity))
+            identity_worst, 1.0))
         dimension = len(_projections(l))
         rotations = z_sum_grid(indices, thetas, (0.0,))
         worst_unitary = (-1.0, thetas[0])
@@ -306,16 +310,15 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
                                      - np.eye(dimension)).max())
             if deviation > worst_unitary[0]:
                 worst_unitary = (deviation, theta)
-        records.append(make_record(
+        records.append(config.record(
             "unitarity", {"l": float(l)}, {"theta": worst_unitary[1], "tau": 0.0},
-            worst_unitary[0], 1.0, tol_unitarity))
+            worst_unitary[0], 1.0))
     return records
 
 
 def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
     thetas, taus = _theta_grid(config), _tau_grid(config)
-    tol = config.tolerance("factorization")
     for l in _l_values(config.lmax):
         projections = _projections(l)
         indices = _harmonic_indices(l)
@@ -336,7 +339,7 @@ def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
             pairs = [(abs(total - direct), abs(direct))
                      for total, direct in zip(totals, _flat(direct_grid))]
             records.append(_worst_grid_record(
-                "factorization", idx, thetas, taus, pairs, tol))
+                config, "factorization", idx, thetas, taus, pairs))
     return records
 
 
@@ -354,34 +357,31 @@ def _casimir_index_sample(config: SuiteConfig, rng: np.random.Generator,
 
 def _suite_casimir(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(2)
-    tol = config.tolerance("casimir")
     records = []
     for position, idx in enumerate(_casimir_index_sample(config, rng, per_l=3)):
         angles = _random_angles(rng)
-        record = casimir_x2_residual(idx, angles, tolerance=tol)
-        records.append(make_record(
+        record = casimir_x2_residual(idx, angles)
+        records.append(config.record(
             "casimir", {**record.indices, "operator": "x2", "draw": position},
-            record.point, record.residual, record.scale, tol))
+            record.point, record.residual, record.scale))
         dotted = HarmonicIndex(idx.l, idx.m, idx.n, dotted=True)
-        record = casimir_y2_residual(dotted, angles, tolerance=tol)
-        records.append(make_record(
+        record = casimir_y2_residual(dotted, angles)
+        records.append(config.record(
             "casimir", {**record.indices, "operator": "y2", "draw": position},
-            record.point, record.residual, record.scale, tol))
-    order_tol = config.tolerance("casimir_order")
+            record.point, record.residual, record.scale))
     order_angles = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
     for operator, dotted in (("x2", False), ("y2", True)):
         idx = HarmonicIndex(1, 1, -1, dotted=dotted)
-        order = casimir_convergence_order(idx, order_angles, dotted=dotted)
-        records.append(make_record(
+        order = casimir_convergence_order(idx, order_angles)
+        records.append(config.record(
             "casimir_order",
             {"l": 1.0, "m": 1.0, "n": -1.0, "operator": operator},
-            {"coarse_step": 2e-2}, abs(order - 2.0), 1.0, order_tol))
+            {"coarse_step": 2e-2}, abs(order - 2.0), 1.0))
     return records
 
 
 def _suite_legendre(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(3)
-    tol = config.tolerance("legendre")
     records = []
     for l in _l_values(min(config.lmax, 3)):
         projections = _projections(l)
@@ -392,16 +392,15 @@ def _suite_legendre(config: SuiteConfig) -> list[ResidualRecord]:
             tau = float(rng.normal() * 0.4)
             for dotted in (False, True):
                 idx = HarmonicIndex(l, m, n, dotted=dotted)
-                record = legendre_residual(idx, theta, tau, tolerance=tol)
-                records.append(make_record(
+                record = legendre_residual(idx, theta, tau)
+                records.append(config.record(
                     "legendre", {**record.indices, "draw": draw},
-                    record.point, record.residual, record.scale, tol))
+                    record.point, record.residual, record.scale))
     return records
 
 
 def _suite_holomorphy(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(4)
-    tol = config.tolerance("holomorphy")
     records = []
     for l in _l_values(min(config.lmax, 3)):
         if l == 0:
@@ -413,29 +412,26 @@ def _suite_holomorphy(config: SuiteConfig) -> list[ResidualRecord]:
         tau = float(rng.normal() * 0.4)
         for dotted in (False, True):
             idx = HarmonicIndex(l, m, n, dotted=dotted)
-            record = holomorphy_residual(idx, theta, tau, tolerance=tol)
-            records.append(make_record(
+            record = holomorphy_residual(idx, theta, tau)
+            records.append(config.record(
                 "holomorphy", record.indices, record.point,
-                record.residual, record.scale, tol, flagged=True))
+                record.residual, record.scale, flagged=True))
     return records
 
 
 def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(5)
     records = []
-    tol_spec = config.tolerance("eigen_spectrum")
-    tol_align = config.tolerance("eigen_alignment")
-    tol_pol = config.tolerance("polarization")
     c = config.c
     fixed_cases = {"axis": (0.0, 0.0, 1.0), "pythagorean": (3.0, 4.0, 0.0)}
     for case, k in sorted(fixed_cases.items()):
         norm = math.hypot(*k)
         eig = eigenstructure(k, c)
         expected = np.array([-c * norm, 0.0, c * norm])
-        records.append(make_record(
+        records.append(config.record(
             "eigen_spectrum", {"case": case}, {"k": _k_label(k)},
             float(np.abs(eig.eigenvalues - expected).max()),
-            max(1.0, c * norm), tol_spec))
+            max(1.0, c * norm)))
     draws = []
     while len(draws) < 100:
         k = rng.normal(size=3)
@@ -445,19 +441,19 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
         norm = float(np.linalg.norm(k))
         eig = eigenstructure(k, c)
         expected = np.array([-c * norm, 0.0, c * norm])
-        records.append(make_record(
+        records.append(config.record(
             "eigen_spectrum", {"draw": position}, {"k": _k_label(k)},
             float(np.abs(eig.eigenvalues - expected).max()),
-            max(1.0, c * norm), tol_spec))
+            max(1.0, c * norm)))
         pol = polarization_vectors(k)
         alignment = max(
             abs(abs(np.vdot(eig.vector(2), pol.eps_plus)) - 1.0),
             abs(abs(np.vdot(eig.vector(0), pol.eps_minus)) - 1.0),
             abs(abs(np.vdot(eig.vector(1), pol.eps_zero)) - 1.0),
         )
-        records.append(make_record(
+        records.append(config.record(
             "eigen_alignment", {"draw": position}, {"k": _k_label(k)},
-            float(alignment), 1.0, tol_align))
+            float(alignment), 1.0))
         if position < 20:
             karr = np.asarray(k, dtype=float)
             worst = 0.0
@@ -469,18 +465,18 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
                         abs(np.vdot(pol.eps_plus, pol.eps_minus)),
                         abs(np.vdot(pol.eps_plus, pol.eps_zero)),
                         abs(np.vdot(pol.eps_minus, pol.eps_zero)))
-            records.append(make_record(
+            records.append(config.record(
                 "polarization", {"draw": position}, {"k": _k_label(k)},
-                float(worst), 1.0, tol_pol))
+                float(worst), 1.0))
     near = polarization_vectors((1e-6, 0.0, 1.0))
     axis = polarization_vectors((0.0, 0.0, 1.0))
     jump = max(float(np.abs(a - b).max()) for a, b in
                ((near.eps_plus, axis.eps_plus),
                 (near.eps_minus, axis.eps_minus),
                 (near.eps_zero, axis.eps_zero)))
-    records.append(make_record(
+    records.append(config.record(
         "eigen_continuity", {"offset": 1e-6}, {"k": _k_label((0, 0, 1))},
-        jump, 1.0, config.tolerance("eigen_continuity")))
+        jump, 1.0))
     return records
 
 
@@ -495,52 +491,44 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(6)
     c = config.c
     records = []
-    tol_maxwell = config.tolerance("maxwell")
-    tol_control = config.tolerance("maxwell_control")
-    tol_dirac = config.tolerance("dirac_form")
-    tol_dcontrol = config.tolerance("dirac_control")
-    tol_pairing = config.tolerance("pairing")
-    tol_energy = config.tolerance("energy")
-    tol_lagrangian = config.tolerance("lagrangian")
-    tol_lcontrol = config.tolerance("lagrangian_control")
     for k in _K_SET:
         norm = math.hypot(*k)
         point, t = _generic_point_for(k)
         for lam in (1, -1):
             residuals = maxwell_residuals(k, lam, point, t, c)
-            records.append(make_record(
+            records.append(config.record(
                 "maxwell", {"k": _k_label(k), "lam": lam},
                 {"x": _k_label(point), "t": t},
-                max(residuals), max(1.0, norm), tol_maxwell))
+                max(residuals), max(1.0, norm)))
         faraday, ampere, div_e, div_b = maxwell_residuals(k, 0, point, t, c)
-        records.append(make_record(
+        records.append(config.record(
             "maxwell", {"k": _k_label(k), "lam": 0, "part": "curl"},
             {"x": _k_label(point), "t": t},
-            max(faraday, ampere), max(1.0, norm), tol_maxwell))
+            max(faraday, ampere), max(1.0, norm)))
         threshold = 0.1 * NORMALIZATION * norm
-        records.append(make_record(
+        records.append(config.record(
             "maxwell_control", {"k": _k_label(k), "lam": 0},
             {"x": _k_label(point), "t": t,
              "div_e": div_e, "div_b": div_b},
-            _deficit(threshold, min(div_e, div_b)), 1.0, tol_control))
+            _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
             for equation, terms in (("ME1", me1_member(k, lam, c)),
                                     ("ME2", me2_member(k, lam, c)),
                                     ("ME6", me6_column(k, lam, c))):
                 scale = dirac_form_scale(terms, c)
-                records.append(make_record(
+                records.append(config.record(
                     "dirac_form", {"k": _k_label(k), "lam": lam,
                                    "equation": equation},
                     {"x": _k_label(point), "t": t},
                     dirac_form_residual(terms, equation, point, t, c),
-                    scale, tol_dirac))
+                    scale))
             column = me6_column(k, lam, c)
-            records.append(make_record(
+            records.append(config.record(
                 "dirac_form", {"k": _k_label(k), "lam": lam,
                                "equation": "ANTI"},
                 {"x": _k_label(point), "t": t},
                 anti_equation_residual(column, point, t, c),
-                dirac_form_scale(column, c), tol_dirac))
+                dirac_form_scale(column, c)))
         omega = c * norm
         amplitude = rng.normal(size=3) + 1j * rng.normal(size=3)
         random_terms = [PlaneWaveTerm(amplitude, np.asarray(k, dtype=float),
@@ -548,62 +536,61 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         scale = dirac_form_scale(random_terms, c)
         for equation in ("ME1", "ME2"):
             observed = dirac_form_residual(random_terms, equation, point, t, c)
-            records.append(make_record(
+            records.append(config.record(
                 "dirac_control", {"k": _k_label(k), "equation": equation},
                 {"observed": observed, "threshold": 0.1 * scale},
-                _deficit(0.1 * scale, observed), 1.0, tol_dcontrol))
+                _deficit(0.1 * scale, observed), 1.0))
         pair_terms = [*me1_member(k, 1, c), *me1_member(k, -1, c)]
         conjugated = [term.conjugate() for term in pair_terms]
-        records.append(make_record(
+        records.append(config.record(
             "pairing", {"k": _k_label(k)}, {"x": _k_label(point), "t": t},
             dirac_form_residual(conjugated, "ME2", point, t, c),
-            dirac_form_scale(pair_terms, c), tol_pairing))
+            dirac_form_scale(pair_terms, c)))
         wave = PhotonPlaneWave(WaveVector(*k), 1, c)
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
                     for x, s in ((point, t), ((1.7, -0.3, 0.4), -2.0)))
-        records.append(make_record(
+        records.append(config.record(
             "energy", {"k": _k_label(k), "kind": "constancy"},
-            {"reference": reference}, drift, max(1.0, reference), tol_energy))
+            {"reference": reference}, drift, max(1.0, reference)))
         for lam in (1, 0, -1):
             column = me6_column(k, lam, c)
             value = abs(lagrangian_density_translation(column, point, t, c))
-            records.append(make_record(
+            records.append(config.record(
                 "lagrangian", {"k": _k_label(k), "lam": lam},
-                {"x": _k_label(point), "t": t}, value, 1.0, tol_lagrangian))
+                {"x": _k_label(point), "t": t}, value, 1.0))
         off_amplitude = rng.normal(size=6) + 1j * rng.normal(size=6)
         off_terms = [PlaneWaveTerm(off_amplitude, np.asarray(k, dtype=float),
                                    omega)]
         observed = abs(lagrangian_density_translation(off_terms, point, t, c))
-        records.append(make_record(
+        records.append(config.record(
             "lagrangian_control", {"k": _k_label(k)},
             {"observed": observed, "threshold": 1e-6},
-            _deficit(1e-6, observed), 1.0, tol_lcontrol))
+            _deficit(1e-6, observed), 1.0))
     for draw in range(100):
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         direct = float(np.real(psi.conjugate() @ psi))
         pair = FieldPair.from_value(psi)
         dual = 2.0 * float(np.linalg.norm(pair.E) ** 2
                            + np.linalg.norm(pair.B) ** 2)
-        records.append(make_record(
+        records.append(config.record(
             "energy", {"draw": draw, "kind": "dual"}, {},
-            abs(direct - dual), max(1.0, direct), tol_energy))
+            abs(direct - dual), max(1.0, direct)))
     return records
 
 
 def _suite_transversality(config: SuiteConfig) -> list[ResidualRecord]:
-    tol = config.tolerance("transversality")
     records = []
     for k in _K_SET:
         norm = math.hypot(*k)
         for lam in (1, -1):
-            records.append(make_record(
+            records.append(config.record(
                 "transversality", {"k": _k_label(k), "lam": lam}, {},
-                transversality_residual(k, lam), max(1.0, norm), tol))
-        records.append(make_record(
+                transversality_residual(k, lam), max(1.0, norm)))
+        records.append(config.record(
             "transversality", {"k": _k_label(k), "lam": 0},
             {"expected": norm},
-            abs(transversality_residual(k, 0) - norm), max(1.0, norm), tol))
+            abs(transversality_residual(k, 0) - norm), max(1.0, norm)))
     return records
 
 
@@ -634,10 +621,6 @@ class _HomogeneousTriple:
 def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(8)
     records = []
-    tol = config.tolerance("radial")
-    tol_disc = config.tolerance("radial_discrepancy")
-    tol_homog = config.tolerance("radial_homogeneous")
-    tol_sym = config.tolerance("radial_symmetry")
     paper = config.variant == "paper"
     for l in (1, 2, 3):
         radial = RadialSolution(l=l, C=1.3 - 0.4j, Cdot=0.25 + 2.0j,
@@ -649,30 +632,30 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
             point = {"r_re": r.real, "r_im": r.imag}
             if paper:
                 point["formula"] = "(sqrt(2l(l+1)) - 2l(l+1)) * r"
-            records.append(make_record(
+            records.append(config.record(
                 "radial", {"l": l, "variant": config.variant,
                            "ring": position},
-                point, max(abs(value) for value in residuals), scale, tol,
+                point, max(abs(value) for value in residuals), scale,
                 flagged=paper))
             if paper:
                 eq1, eq2, eq3, eq4 = residuals
                 deviation = max(abs(eq1 - rate * r), abs(eq2 + rate * r),
                                 abs(eq3 - rate * r.conjugate()),
                                 abs(eq4 + rate * r.conjugate()))
-                records.append(make_record(
+                records.append(config.record(
                     "radial_discrepancy", {"l": l, "ring": position},
                     {"r_re": r.real, "r_im": r.imag,
                      "expected_rate": rate},
-                    deviation, max(1.0, abs(rate * r)), tol_disc))
+                    deviation, max(1.0, abs(rate * r))))
         homogeneous = _HomogeneousTriple(2.0 - 3.0j)
         worst = 0.0
         for r in _ring_points():
             scale = max(1.0, abs(homogeneous.f_plus(r)))
             worst = max(worst, max(abs(value) for value in
                                    radial_residual(l, homogeneous, r)) / scale)
-        records.append(make_record(
+        records.append(config.record(
             "radial_homogeneous", {"l": l}, {"constant": "2-3j"},
-            worst, 1.0, tol_homog))
+            worst, 1.0))
         symmetry = 0.0
         for _ in range(100):
             r = complex(rng.normal(), rng.normal())
@@ -681,56 +664,51 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
             symmetry = max(symmetry,
                            abs(radial.f_minus(r) - radial.f_plus(r)),
                            abs(radial.fdot_minus(r) - radial.fdot_plus(r)))
-        records.append(make_record(
-            "radial_symmetry", {"l": l}, {}, symmetry, 1.0, tol_sym))
+        records.append(config.record(
+            "radial_symmetry", {"l": l}, {}, symmetry, 1.0))
     return records
 
 
 def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
-    tol = config.tolerance("commutator")
-    tol_casimir = config.tolerance("lambda_casimir")
-    tol_control = config.tolerance("lambda_control")
-    tol_structure = config.tolerance("lambda_structure")
     mats = spin_matrices()
     sign = commutator_sign()
-    records.append(make_record(
+    records.append(config.record(
         "commutator", {"family": "alpha", "kind": "sign"},
-        {"measured": sign}, abs(sign - (-1)), 1.0, tol))
+        {"measured": sign}, abs(sign - (-1)), 1.0))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         closure = np.abs(mats.alphas[i] @ mats.alphas[j]
                          - mats.alphas[j] @ mats.alphas[i]
                          - sign * 1j * mats.alphas[k]).max()
-        records.append(make_record(
+        records.append(config.record(
             "commutator", {"family": "alpha", "triple": f"{i+1}{j+1}-{k+1}"},
-            {}, float(closure), 1.0, tol))
-    records.append(make_record(
+            {}, float(closure), 1.0))
+    records.append(config.record(
         "commutator", {"family": "gamma", "kind": "involution"}, {},
-        float(np.abs(mats.gamma0 @ mats.gamma0 - np.eye(6)).max()), 1.0, tol))
+        float(np.abs(mats.gamma0 @ mats.gamma0 - np.eye(6)).max()), 1.0))
     lambdas = build_matrices(1.0, corrected=config.corrected_lambda)
     flagged = not config.corrected_lambda
     if config.corrected_lambda:
         lam_sign = lambdas.commutator_sign()
-        records.append(make_record(
+        records.append(config.record(
             "commutator", {"family": "lambda", "kind": "sign"},
-            {"measured": lam_sign}, abs(lam_sign - 1), 1.0, tol))
+            {"measured": lam_sign}, abs(lam_sign - 1), 1.0))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         closure = np.abs(lambdas.lambdas[i] @ lambdas.lambdas[j]
                          - lambdas.lambdas[j] @ lambdas.lambdas[i]
                          - 1j * lambdas.lambdas[k]).max()
-        records.append(make_record(
+        records.append(config.record(
             "commutator", {"family": "lambda", "triple": f"{i+1}{j+1}-{k+1}",
                            "corrected": config.corrected_lambda},
-            {}, float(closure), 1.0, tol, flagged=flagged))
-    records.append(make_record(
+            {}, float(closure), 1.0, flagged=flagged))
+    records.append(config.record(
         "lambda_casimir", {"corrected": config.corrected_lambda},
-        {"target": 2.0}, lambdas.casimir_defect(), 1.0, tol_casimir,
-        flagged=flagged))
+        {"target": 2.0}, lambdas.casimir_defect(), 1.0, flagged=flagged))
     printed_defect = build_matrices(1.0, corrected=False).casimir_defect()
-    records.append(make_record(
+    records.append(config.record(
         "lambda_control", {"variant": "printed"},
         {"observed": printed_defect, "threshold": 0.1},
-        _deficit(0.1, printed_defect), 1.0, tol_control))
+        _deficit(0.1, printed_defect), 1.0))
     structure = 0.0
     for position, upsilon in enumerate(lambdas.upsilons):
         lam = lambdas.lambdas[position % 3]
@@ -741,19 +719,15 @@ def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
             float(np.abs(upsilon[3:, 3:]).max()),
             float(np.abs(upsilon[:3, 3:] - factor * lam.conj()).max()),
             float(np.abs(upsilon[3:, :3] - factor * lam).max()))
-    records.append(make_record(
+    records.append(config.record(
         "lambda_structure", {"count": len(lambdas.upsilons)}, {},
-        structure, 1.0, tol_structure))
+        structure, 1.0))
     return records
 
 
 def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(9)
     records = []
-    tol_fact = config.tolerance("assembly_factorization")
-    tol_filter = config.tolerance("assembly_filter")
-    tol_conj = config.tolerance("assembly_conjugation")
-    tol_dirac = config.tolerance("assembly_dirac")
     radial = RadialSolution(l=1, C=0.6 + 0.2j, Cdot=-0.4 + 1.0j,
                             variant=config.variant)
     for draw in range(100):
@@ -782,11 +756,10 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
             residual = max(residual,
                            float(np.abs(value / factor - translation).max())
                            / max(1.0, float(np.abs(translation).max())))
-        records.append(make_record(
+        records.append(config.record(
             "assembly_factorization", {"draw": draw, "lam": lam,
                                        "dotted": dotted},
-            {"k": _k_label(k), "t": t}, residual, max(1.0, abs(factor)),
-            tol_fact))
+            {"k": _k_label(k), "t": t}, residual, max(1.0, abs(factor))))
     catalog = build_catalog((1.0, 2.0, 3.0), 1, radial, config.c)
     violations = 0
     labels = [member.label for member in catalog.members]
@@ -803,25 +776,23 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
                            == (member.wave.lam == 0))
         if not (dotted_ok and omitted_ok and longitudinal_ok):
             violations += 1
-    records.append(make_record(
+    records.append(config.record(
         "assembly_filter", {"k": _k_label((1, 2, 3))},
-        {"members": len(catalog.members)}, float(violations), 1.0,
-        tol_filter))
+        {"members": len(catalog.members)}, float(violations), 1.0))
     norm = math.hypot(1.0, 2.0, 3.0)
-    records.append(make_record(
+    records.append(config.record(
         "transversality", {"k": _k_label((1, 2, 3)), "kind": "evidence"},
         {"expected": norm},
-        abs(catalog.member("psi_0").transversality - norm), max(1.0, norm),
-        config.tolerance("transversality")))
+        abs(catalog.member("psi_0").transversality - norm), max(1.0, norm)))
     for member in catalog.members:
         terms = [member.wave.translation_term3()]
         equation = member.wave.translation_equation()
         point, t = _generic_point_for((1.0, 2.0, 3.0))
-        records.append(make_record(
+        records.append(config.record(
             "assembly_dirac", {"member": member.label, "equation": equation},
             {"x": _k_label(point), "t": t},
             dirac_form_residual(terms, equation, point, t, config.c),
-            dirac_form_scale(terms, config.c), tol_dirac))
+            dirac_form_scale(terms, config.c)))
     real_radial = RadialSolution(l=1, C=0.8, Cdot=0.8, variant=config.variant)
     for draw in range(5):
         rotation_only = make_angles(
@@ -841,9 +812,9 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
                 config.c).value(x, t, r, rotation_only)
             worst = max(worst,
                         float(np.abs(dotted - undotted.conjugate()).max()))
-        records.append(make_record(
+        records.append(config.record(
             "assembly_conjugation", {"draw": draw}, {"r": r, "t": t},
-            worst, 1.0, tol_conj))
+            worst, 1.0))
     return records
 
 

@@ -165,7 +165,7 @@ def test_criterion_04_casimir_residuals():
     angles = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
     for dotted in (False, True):
         idx = HarmonicIndex(1, 1, -1, dotted=dotted)
-        order = casimir_convergence_order(idx, angles, dotted=dotted)
+        order = casimir_convergence_order(idx, angles)
         assert abs(order - 2.0) <= 0.3, order
     report(4, f"{checked['x2']}+{checked['y2']} generic points within 1e-6; "
               "stencil order 2 +- 0.3 for both operators")

@@ -148,6 +148,8 @@ class TestEval:
           "--tau", "0.5"], "l=60"),
         (["--l", "3", "--m", "0", "--n", "0", "--theta", "1",
           "--tau", "800"], "tau=800.0"),
+        (["--l", "500000", "--m", "0", "--n", "0", "--theta", "1",
+          "--tau", "0"], "l=500000"),
     ])
     def test_overflow_is_one_line_domain_error(self, runner, args, parameter):
         result = invoke(runner, ["eval", "z", *args], expect=2)
@@ -176,6 +178,23 @@ class TestEval:
         assert result.stderr.startswith("Error: epsilon=")
         assert "vareps=" in result.stderr
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args, option", [
+        (["planewave", "--k", "1,2,3", "--lam", "1", "--x", "0,0,0",
+          "--t", "nan"], "t"),
+        (["planewave", "--k", "1,2,3", "--lam", "1", "--x", "inf,0,0",
+          "--t", "0"], "x"),
+        (["radial", "--l", "1", "--r", "nan,0"], "r"),
+        (["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
+          "--x", "0,0,0", "--t", "inf", "--r", "1",
+          "--angles", "0,0,1,0,0,0"], "t"),
+    ])
+    def test_non_finite_point_is_one_line_domain_error(self, runner, args,
+                                                       option):
+        result = invoke(runner, ["eval", *args], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"Error: --{option} must be finite")
 
 
 class TestVerify:

@@ -185,5 +185,5 @@ class TestConvergenceOrder:
 
     def test_second_order_y2(self):
         order = casimir_convergence_order(
-            HarmonicIndex(1, 1, 0, dotted=True), GENERIC_ANGLES, dotted=True)
+            HarmonicIndex(1, 1, 0, dotted=True), GENERIC_ANGLES)
         assert 1.7 <= order <= 2.3, order

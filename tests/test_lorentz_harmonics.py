@@ -395,6 +395,18 @@ class TestOutOfRange:
                                              r"for l=1[07]"):
             evaluate()
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda: su2_factor_p(20000, 0, 0, 1.0),
+        lambda: z_sum(HarmonicIndex(1e6, 0, 0), 1.0, 0.0),
+    ])
+    def test_huge_weight_refused_before_any_factorial(self, evaluate):
+        with pytest.raises(ValueError, match="is out of range: l must not "
+                                             "exceed 1000$"):
+            evaluate()
+
+    def test_largest_weight_still_evaluates(self):
+        assert su2_factor_p(1000, 1000, 1000, 1.0) == 3.766776944324367e-114
+
     def test_tangent_forms_at_pi_inside_the_bound(self):
         # l = 9 is the largest integer weight whose tangent sums fit at pi.
         l, tau = 9, 0.2

@@ -12,6 +12,7 @@ from poincarewaves.lorentz_harmonics import (
     z_2f1,
     z_sum,
 )
+from poincarewaves.lorentz_sector import VARIANTS
 from poincarewaves.suites import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
@@ -170,6 +171,41 @@ class TestControls:
                                    tolerances={"casimir": 0.0}))
         assert report["summary"]["failed"] > 0
         assert report_exit_code(report) == 1
+
+
+#: The smallest grid on which every check name still makes a record.
+SMALL = {"lmax": 1, "grid_density": 2, "seed": 11}
+
+
+class TestToleranceByName:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("corrected_lambda", [True, False])
+    def test_records_carry_their_own_tolerance(self, variant,
+                                               corrected_lambda):
+        config = SuiteConfig(variant=variant, corrected_lambda=corrected_lambda)
+        for record in build_report("all", config)["records"]:
+            assert record["tolerance"] == config.tolerance(record["name"])
+
+    def test_record_names_are_the_tolerance_names(self):
+        names = {record["name"]
+                 for variant in VARIANTS for corrected_lambda in (True, False)
+                 for record in build_report("all", SuiteConfig(
+                     variant=variant, corrected_lambda=corrected_lambda,
+                     **SMALL))["records"]}
+        assert names == set(DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_TOLERANCES))
+    def test_override_moves_only_its_own_records(self, name):
+        # 0.125 is no default tolerance, so a record judged by the override
+        # under another name shows up.
+        variant = "paper" if name == "radial_discrepancy" else "corrected"
+        config = SuiteConfig(variant=variant, tolerances={name: 0.125}, **SMALL)
+        records = build_report("all", config)["records"]
+        assert any(record["name"] == name for record in records)
+        for record in records:
+            expected = (0.125 if record["name"] == name
+                        else DEFAULT_TOLERANCES[record["name"]])
+            assert record["tolerance"] == expected, record
 
 
 def scalar_cross_formula(idx, theta, tau):
