@@ -60,7 +60,7 @@ for member in catalog.members:
     equation = wave.translation_equation()
     residual = dirac_form_residual([wave.translation_term3()], equation, X, T)
     print(f"{member.label:>10}: solves {equation}, residual = {residual:.2e}"
-          f"   (omega = {wave.omega:+.4f})")
+          f"   (omega = {wave.plane.omega:+.4f})")
 
 print()
 print("Conjugation bridge: dotted member == conjugate of undotted member")

@@ -142,7 +142,7 @@ def _parse_angles(token: str) -> ComplexEulerAngles:
     try:
         return make_angles(*values)
     except ValueError as error:
-        raise click.UsageError(f"invalid --angles: {error}") from None
+        raise _DomainError(f"invalid --angles: {error}") from None
 
 
 def _parse_grid(spec: str, name: str) -> list[float]:

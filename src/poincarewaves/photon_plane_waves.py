@@ -39,7 +39,7 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -344,8 +344,11 @@ class PlaneWaveTerm:
         object.__setattr__(self, "omega", float(self.omega))
 
     def phase(self, x, t: float) -> complex:
-        return complex(np.exp(1j * (self.kvec @ np.asarray(x, dtype=float)
-                                    - self.omega * t)))
+        """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
+        angle = self.kvec @ np.asarray(x, dtype=float) - self.omega * t
+        if not math.isfinite(angle):
+            raise ValueError(f"phase k.x - omega t is not finite at x={x!r}, t={t!r}")
+        return complex(np.exp(1j * angle))
 
     def conjugate(self) -> "PlaneWaveTerm":
         """Term representing the complex conjugate of this term's value."""
@@ -394,12 +397,14 @@ class PhotonPlaneWave:
 
     value(x, t) = N (eps_lam; eps_lam) exp[i(k.x - omega t)] with
     N = {2 (2 pi)^3}^(-1/2), omega = c|k| for lam = +-1; the longitudinal
-    mode carries no time dependence (omega = 0).
+    mode carries no time dependence (omega = 0).  ``term`` holds that column,
+    built once; its arrays are read-only because every caller shares them.
     """
 
     k: WaveVector
     lam: int
     c: float = 1.0
+    term: PlaneWaveTerm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _as_wavevector(self.k))
@@ -407,24 +412,25 @@ class PhotonPlaneWave:
         object.__setattr__(self, "c", _check_c(self.c))
         if self.k.magnitude == 0.0:
             raise ValueError("wavevector must be non-zero")
+        eps = polarization_vectors(self.k).select(self.lam)
+        omega = self.k.omega(self.c) if self.lam else 0.0
+        term = PlaneWaveTerm(NORMALIZATION * np.concatenate([eps, eps]),
+                             self.k.array, omega)
+        term.amplitude.setflags(write=False)
+        term.kvec.setflags(write=False)
+        object.__setattr__(self, "term", term)
 
     @property
     def omega(self) -> float:
-        return self.k.omega(self.c) if self.lam else 0.0
-
-    def displayed_term(self) -> PlaneWaveTerm:
-        eps = polarization_vectors(self.k).select(self.lam)
-        amplitude = NORMALIZATION * np.concatenate([eps, eps])
-        return PlaneWaveTerm(amplitude, self.k.array, self.omega)
+        return self.term.omega
 
     def value(self, x, t: float) -> np.ndarray:
-        term = self.displayed_term()
-        return term.amplitude * term.phase(x, t)
+        return self.term.amplitude * self.term.phase(x, t)
 
 
 def plane_wave(k, lam: int, x, t: float, c: float = 1.0) -> np.ndarray:
     """Value of the displayed 6-component plane-wave column at (x, t)."""
-    return PhotonPlaneWave(_as_wavevector(k), lam, c).value(x, t)
+    return PhotonPlaneWave(k, lam, c).value(x, t)
 
 
 def me1_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
@@ -432,17 +438,11 @@ def me1_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
 
     lam=+1: eps_+ e^{i(k.x - wt)}; lam=-1: the conjugate of the ME2-solving
     eps_- e^{i(k.x - wt)}; lam=0: the static eps_0 e^{i k.x}.  Amplitudes carry
-    the plane-wave normalization.
+    the plane-wave normalization: the upper block of the displayed column.
     """
-    kv = _as_wavevector(k)
-    lam = _check_helicity(lam)
-    c = _check_c(c)
-    eps = polarization_vectors(kv).select(lam)
-    omega = kv.omega(c) if lam else 0.0
-    direct = PlaneWaveTerm(NORMALIZATION * eps, kv.array, omega)
-    if lam == -1:
-        return [direct.conjugate()]
-    return [direct]
+    term = PhotonPlaneWave(k, lam, c).term
+    direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
+    return [direct.conjugate()] if lam == -1 else [direct]
 
 
 def me2_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:

@@ -23,7 +23,7 @@ space; no constraint ties r to x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from .group_kinematics import ComplexEulerAngles
 from .lorentz_harmonics import generalized_m_values
 from .lorentz_sector import angular_order
 from .photon_plane_waves import (
-    NORMALIZATION,
     PhotonPlaneWave,
     PlaneWaveTerm,
     WaveVector,
-    polarization_vectors,
     transversality_residual,
 )
 
@@ -65,26 +63,24 @@ class PoincareWaveFunction:
     radial: object
     dotted: bool = False
     c: float = 1.0
+    plane: PhotonPlaneWave = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        wave = PhotonPlaneWave(self.k, self.lam, self.c)  # validates k, lam, c
-        object.__setattr__(self, "k", wave.k)
+        plane = PhotonPlaneWave(self.k, self.lam, self.c)  # validates k, lam, c
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "k", plane.k)
         object.__setattr__(self, "l", angular_order(self.l))
         object.__setattr__(self, "dotted", bool(self.dotted))
 
-    @property
-    def omega(self) -> float:
-        return self.k.omega(self.c) if self.lam else 0.0
-
     def translation_value(self, x, t: float) -> np.ndarray:
         """The 6-component plane-wave factor (conjugated on the dotted branch)."""
-        base = PhotonPlaneWave(self.k, self.lam, self.c).value(x, t)
+        base = self.plane.value(x, t)
         return base.conjugate() if self.dotted else base
 
     def translation_term3(self) -> PlaneWaveTerm:
         """The 3-vector exponential term carried by the translation factor."""
-        eps = polarization_vectors(self.k).select(self.lam)
-        term = PlaneWaveTerm(NORMALIZATION * eps, self.k.array, self.omega)
+        column = self.plane.term
+        term = PlaneWaveTerm(column.amplitude[:3], column.kvec, column.omega)
         return term.conjugate() if self.dotted else term
 
     def translation_equation(self) -> str:

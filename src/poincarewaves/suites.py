@@ -512,9 +512,10 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
              "div_e": div_e, "div_b": div_b},
             _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
+            column = me6_column(k, lam, c)
             for equation, terms in (("ME1", me1_member(k, lam, c)),
                                     ("ME2", me2_member(k, lam, c)),
-                                    ("ME6", me6_column(k, lam, c))):
+                                    ("ME6", column)):
                 scale = dirac_form_scale(terms, c)
                 records.append(config.record(
                     "dirac_form", {"k": _k_label(k), "lam": lam,
@@ -522,13 +523,16 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                     {"x": _k_label(point), "t": t},
                     dirac_form_residual(terms, equation, point, t, c),
                     scale))
-            column = me6_column(k, lam, c)
             records.append(config.record(
                 "dirac_form", {"k": _k_label(k), "lam": lam,
                                "equation": "ANTI"},
                 {"x": _k_label(point), "t": t},
                 anti_equation_residual(column, point, t, c),
                 dirac_form_scale(column, c)))
+            records.append(config.record(
+                "lagrangian", {"k": _k_label(k), "lam": lam},
+                {"x": _k_label(point), "t": t},
+                abs(lagrangian_density_translation(column, point, t, c)), 1.0))
         omega = c * norm
         amplitude = rng.normal(size=3) + 1j * rng.normal(size=3)
         random_terms = [PlaneWaveTerm(amplitude, np.asarray(k, dtype=float),
@@ -553,12 +557,6 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         records.append(config.record(
             "energy", {"k": _k_label(k), "kind": "constancy"},
             {"reference": reference}, drift, max(1.0, reference)))
-        for lam in (1, 0, -1):
-            column = me6_column(k, lam, c)
-            value = abs(lagrangian_density_translation(column, point, t, c))
-            records.append(config.record(
-                "lagrangian", {"k": _k_label(k), "lam": lam},
-                {"x": _k_label(point), "t": t}, value, 1.0))
         off_amplitude = rng.normal(size=6) + 1j * rng.normal(size=6)
         off_terms = [PlaneWaveTerm(off_amplitude, np.asarray(k, dtype=float),
                                    omega)]

@@ -197,6 +197,26 @@ class TestEval:
         assert result.stderr.startswith(f"Error: --{option} must be finite")
 
 
+    def test_phase_overflow_is_one_line_domain_error(self, runner, recwarn):
+        result = invoke(runner, ["eval", "planewave", "--k", "1,2,3",
+                                 "--lam", "1", "--x", "0,0,0",
+                                 "--t", "1e308"], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: phase k.x - omega t is not finite")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("angles", ["0,nan,1,0,0,0", "0,0,4,0,0,0"])
+    def test_invalid_angles_is_one_line_domain_error(self, runner, angles):
+        result = invoke(runner, ["eval", "assemble", "--k", "1,2,3",
+                                 "--lam", "1", "--l", "1", "--x", "0,0,0",
+                                 "--t", "0", "--r", "1", "--angles", angles],
+                        expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: invalid --angles: ")
+
+
 class TestVerify:
     def test_default_json_schema(self, runner):
         result = invoke(runner, ["verify", "transversality"])

@@ -316,6 +316,26 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="non-zero"):
             plane_wave((0, 0, 0), 1, (0, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("x, t", [((0.0, 0.0, 0.0), 1e308),
+                                      ((0.0, 0.0, 0.0), -math.inf),
+                                      ((0.0, math.nan, 0.0), 0.0)])
+    def test_non_finite_phase_is_a_domain_error(self, x, t):
+        wave = PhotonPlaneWave(WaveVector(1.0, 2.0, 3.0), +1)
+        with pytest.raises(ValueError, match="not finite"):
+            wave.term.phase(x, t)
+        with pytest.raises(ValueError, match="not finite"):
+            plane_wave((1.0, 2.0, 3.0), 1, x, t)
+
+    def test_term_is_the_displayed_column_and_read_only(self):
+        wave = PhotonPlaneWave(WaveVector(1.0, 2.0, 3.0), -1, c=2.0)
+        eps = polarization_vectors((1.0, 2.0, 3.0)).eps_minus
+        assert np.array_equal(wave.term.amplitude,
+                              NORMALIZATION * np.concatenate([eps, eps]))
+        assert wave.term.omega == wave.omega == 2.0 * math.hypot(1.0, 2.0, 3.0)
+        for array in (wave.term.amplitude, wave.term.kvec):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
 
 POINTS = [((0.0, 0.0, 0.0), 0.0), ((0.3, -0.7, 1.1), 0.45),
           ((-1.2, 0.8, 0.05), -2.3)]
@@ -377,7 +397,7 @@ class TestDiracFormResidual:
         # The equal-block display (eps; eps) e^{i phi} leaves the upper rows
         # of the 6x6 system nonzero; only the conjugate-paired column solves.
         wave = PhotonPlaneWave(WaveVector(1.0, 2.0, 3.0), +1)
-        terms = [wave.displayed_term()]
+        terms = [wave.term]
         scale = dirac_form_scale(terms)
         assert dirac_form_residual(terms, "ME6") > 0.1 * scale
 

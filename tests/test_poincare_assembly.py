@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from poincarewaves import photon_plane_waves
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_sector import RadialSolution, separated_psi
 from poincarewaves.photon_plane_waves import (
@@ -127,6 +128,22 @@ class TestAssemble:
         with pytest.raises(ValueError, match="non-zero"):
             PoincareWaveFunction((0.0, 0.0, 0.0), 1, 1, radial).value(
                 (0, 0, 0), 0.0, 1.0, GENERIC_ANGLES)
+
+    @pytest.mark.parametrize("dotted", [False, True])
+    def test_plane_wave_column_is_built_once(self, monkeypatch, dotted):
+        member = PoincareWaveFunction(K_GENERIC, 1, 1, RadialSolution(l=1),
+                                      dotted)
+        calls = []
+        original = photon_plane_waves.polarization_vectors
+        monkeypatch.setattr(photon_plane_waves, "polarization_vectors",
+                            lambda k: calls.append(k) or original(k))
+        for _ in range(10):
+            member.value((0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j, GENERIC_ANGLES)
+            member.translation_value((0.3, -0.7, 1.1), 0.45)
+            member.translation_term3()
+        assert calls == []
+        with pytest.raises(ValueError, match="read-only"):
+            member.plane.term.amplitude[0] = 0.0
 
 
 class TestCatalog:
