@@ -257,11 +257,19 @@ def cmd_eval(function, l, m, n, dotted, theta, tau, phi, epsilon, chi, vareps,
              light_speed, fmt):
     """Evaluate FUNCTION at one parameter point."""
     try:
-        values = _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon,
-                           chi, vareps, kvec, lam, xvec, t, rvalue, cconst,
-                           cdot, variant, angles, light_speed)
+        # Overflow surfaces as a non-finite value or a ValueError, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _evaluate(function, l, m, n, dotted, theta, tau, phi,
+                               epsilon, chi, vareps, kvec, lam, xvec, t,
+                               rvalue, cconst, cdot, variant, angles,
+                               light_speed)
     except ValueError as error:
         raise _DomainError(str(error)) from None
+    for name, value in values.items():
+        parts = value if isinstance(value, list) else [value]
+        if not all(cmath.isfinite(v) for v in parts):
+            raise _DomainError(f"{name} is not finite at this point: the "
+                               "value leaves the float range")
     _render_eval(function, values, fmt)
 
 

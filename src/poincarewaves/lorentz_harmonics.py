@@ -478,7 +478,7 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     undotted value at the same six-tuple.  |Z| is at most e^(l |tau|), so the
     value is refused when the weight times that bound leaves the float range.
     """
-    L, M, N = HarmonicIndex(l, m, n).doubled
+    L, M, N = _doubled_triple(l, m, n)
     tau = _validate_tau(tau, L)
     decay = m * epsilon + n * vareps
     if L / 2 * abs(tau) - decay > _MAX_LOG:

@@ -141,6 +141,12 @@ def build_matrices(c11: complex = 1.0, corrected: bool = True) -> LambdaMatrices
     return LambdaMatrices(lambda1, lambda2, lambda3, upsilons, c11, corrected)
 
 
+#: The evaluator name of each (projection, dotted) slot.
+_EVALUATORS = {(1, False): "f_plus", (0, False): "f_zero",
+               (-1, False): "f_minus", (1, True): "fdot_plus",
+               (0, True): "fdot_zero", (-1, True): "fdot_minus"}
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     """Closed-form solutions of the radial system at angular order l.
@@ -219,14 +225,8 @@ class RadialSolution:
 
     def select(self, lam: int, dotted: bool = False):
         """The radial evaluator for projection lam in {+1, 0, -1}."""
-        table = {
-            (1, False): self.f_plus, (0, False): self.f_zero,
-            (-1, False): self.f_minus,
-            (1, True): self.fdot_plus, (0, True): self.fdot_zero,
-            (-1, True): self.fdot_minus,
-        }
         try:
-            return table[(lam, dotted)]
+            return getattr(self, _EVALUATORS[(lam, dotted)])
         except KeyError:
             raise ValueError(
                 f"projection label must be +1, 0, or -1, got {lam!r}") from None

@@ -38,6 +38,7 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -348,7 +349,7 @@ class PlaneWaveTerm:
         angle = self.kvec @ np.asarray(x, dtype=float) - self.omega * t
         if not math.isfinite(angle):
             raise ValueError(f"phase k.x - omega t is not finite at x={x!r}, t={t!r}")
-        return complex(np.exp(1j * angle))
+        return cmath.exp(1j * float(angle))
 
     def conjugate(self) -> "PlaneWaveTerm":
         """Term representing the complex conjugate of this term's value."""

@@ -14,8 +14,8 @@ functions at r*, and the dotted (conjugated) angular functions.
 The full catalog for one wavevector has six members
 [psi_+1, psi_0, psi_-1, psi_dot_+1, psi_dot_0, psi_dot_-1]; the physical
 subset is exactly {psi_+1, psi_-1}: dotted members are tagged negative-energy
-and omitted, longitudinal members are tagged excluded-by-transversality with
-|k . eps_lam| recorded as evidence.
+and omitted, longitudinal members are tagged excluded-by-transversality, and
+each member's ``transversality`` computes |k . eps_lam| as evidence when read.
 
 r and the spacetime point are independent coordinates of the configuration
 space; no constraint ties r to x.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group_kinematics import ComplexEulerAngles
-from .lorentz_harmonics import generalized_m_values
+from .lorentz_harmonics import HarmonicIndex, generalized_m_values
 from .lorentz_sector import angular_order
 from .photon_plane_waves import (
     PhotonPlaneWave,
@@ -64,13 +64,20 @@ class PoincareWaveFunction:
     dotted: bool = False
     c: float = 1.0
     plane: PhotonPlaneWave = field(init=False, repr=False, compare=False)
+    index: HarmonicIndex = field(init=False, repr=False, compare=False)  # (l, lam, 0)
 
     def __post_init__(self) -> None:
         plane = PhotonPlaneWave(self.k, self.lam, self.c)  # validates k, lam, c
         object.__setattr__(self, "plane", plane)
         object.__setattr__(self, "k", plane.k)
         object.__setattr__(self, "l", angular_order(self.l))
+        if self.radial.l != self.l:
+            raise ValueError(
+                f"the radial solution has order l={self.radial.l!r}, but the "
+                f"member has order l={self.l!r}: they must match")
         object.__setattr__(self, "dotted", bool(self.dotted))
+        object.__setattr__(self, "index",
+                           HarmonicIndex(self.l, self.lam, 0.0, self.dotted))
 
     def translation_value(self, x, t: float) -> np.ndarray:
         """The 6-component plane-wave factor (conjugated on the dotted branch)."""
@@ -102,9 +109,10 @@ class PoincareWaveFunction:
         radius = complex(r)
         if self.dotted:
             radius = radius.conjugate()
+        idx = self.index
         angular = generalized_m_values(
-            self.l, self.lam, 0.0, angles.phi, angles.epsilon,
-            angles.theta, angles.tau, 0.0, 0.0, dotted=self.dotted)
+            idx.l, idx.m, idx.n, angles.phi, angles.epsilon,
+            angles.theta, angles.tau, 0.0, 0.0, dotted=idx.dotted)
         return self.radial.select(self.lam, dotted=self.dotted)(radius) * angular
 
     def value(self, x, t: float, r: complex,
@@ -119,11 +127,15 @@ class CatalogMember:
     label: str
     wave: PoincareWaveFunction
     tags: tuple[str, ...]
-    transversality: float
 
     @property
     def is_physical(self) -> bool:
         return not self.tags
+
+    @property
+    def transversality(self) -> float:
+        """|k . eps_lam|, the evidence behind the transversality tag."""
+        return transversality_residual(self.wave.k, self.wave.lam)
 
 
 @dataclass(frozen=True)
@@ -152,8 +164,8 @@ def build_catalog(k, l: int, radial, c: float = 1.0) -> SolutionCatalog:
     """All six members [psi_+1, psi_0, psi_-1, psi_dot_+1, psi_dot_0, psi_dot_-1].
 
     Dotted members carry the negative-energy/omitted tags; longitudinal
-    members carry the transversality-exclusion tag with |k . eps_0| (= |k|)
-    recorded as evidence.
+    members carry the transversality-exclusion tag, whose evidence
+    |k . eps_0| (= |k|) each member's ``transversality`` computes when read.
     """
     kv = k if isinstance(k, WaveVector) else WaveVector(*map(float, k))
     members = []
@@ -168,7 +180,6 @@ def build_catalog(k, l: int, radial, c: float = 1.0) -> SolutionCatalog:
                 label=_LABELS[(lam, dotted)],
                 wave=PoincareWaveFunction(kv, lam, l, radial, dotted, c),
                 tags=tuple(tags),
-                transversality=transversality_residual(kv, lam),
             ))
     return SolutionCatalog(tuple(members))
 

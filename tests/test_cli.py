@@ -206,6 +206,23 @@ class TestEval:
         assert result.stderr.startswith("Error: phase k.x - omega t is not finite")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("args, message", [
+        (["planewave", "--k", "1,2,3", "--lam", "1",
+          "--x", "1e308,1e308,1e308", "--t", "0"],
+         "phase k.x - omega t is not finite"),
+        (["radial", "--l", "1", "--r", "1e308"], "f_plus is not finite"),
+        (["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
+          "--x", "0,0,0", "--t", "0", "--r", "1e308",
+          "--angles", "0,0,1,0,0,0"], "psi is not finite"),
+    ])
+    def test_overflowing_value_is_one_line_domain_error(self, runner, recwarn,
+                                                         args, message):
+        result = invoke(runner, ["eval", *args], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"Error: {message}")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("angles", ["0,nan,1,0,0,0", "0,0,4,0,0,0"])
     def test_invalid_angles_is_one_line_domain_error(self, runner, angles):
         result = invoke(runner, ["eval", "assemble", "--k", "1,2,3",

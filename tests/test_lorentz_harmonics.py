@@ -311,6 +311,15 @@ class TestSharedTables:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 qu2_factor_jacobi(l, m, k, 0.5)
 
+    @pytest.mark.parametrize("l, m, n", [(1, 0.5, 0), (1, 0, 2), (-1, 0, 0)])
+    def test_generalized_m_values_raises_index_error(self, l, m, n):
+        with pytest.raises(ValueError) as expected:
+            HarmonicIndex(l, m, n)
+        message = re.escape(str(expected.value))
+        for _ in range(2):  # a rejected triple is not cached as valid
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                generalized_m_values(l, m, n, 0.3, 0.1, 0.5, 0.2, 0.0, 0.0)
+
     @pytest.mark.parametrize("l", [6, 6.5])
     def test_routes_agree_at_high_weight(self, l):
         # All (m, n) pairs, so m < k (the ak < 0 unfolded fallback) is covered.

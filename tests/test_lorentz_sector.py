@@ -210,8 +210,11 @@ class TestRadialSolution:
         assert radial.select(0)(r) == radial.f_zero(r)
         assert radial.select(-1)(r) == radial.f_minus(r)
         assert radial.select(+1, dotted=True)(r) == radial.fdot_plus(r)
-        with pytest.raises(ValueError, match="projection"):
+        assert radial.select(0, dotted=True)(r) == radial.fdot_zero(r)
+        assert radial.select(-1, dotted=True)(r) == radial.fdot_minus(r)
+        with pytest.raises(ValueError) as error:
             radial.select(2)
+        assert str(error.value) == "projection label must be +1, 0, or -1, got 2"
 
 
 GENERIC_ANGLES = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)

@@ -326,6 +326,18 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="not finite"):
             plane_wave((1.0, 2.0, 3.0), 1, x, t)
 
+    def test_phase_matches_numpy_complex_exp(self):
+        # cmath.exp and numpy's complex exp share this platform's libm; a
+        # libm on which they disagree fails here by name.
+        rng = np.random.default_rng(20261017)
+        for _ in range(10_000):
+            k = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 2)
+            x = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 4)
+            t = float(rng.normal() * 10.0 ** rng.uniform(-2, 4))
+            term = PlaneWaveTerm(np.ones(3), k, float(np.linalg.norm(k)))
+            expected = complex(np.exp(1j * (term.kvec @ x - term.omega * t)))
+            assert term.phase(x, t) == expected, (k, x, t)
+
     def test_term_is_the_displayed_column_and_read_only(self):
         wave = PhotonPlaneWave(WaveVector(1.0, 2.0, 3.0), -1, c=2.0)
         eps = polarization_vectors((1.0, 2.0, 3.0)).eps_minus

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from poincarewaves import photon_plane_waves
+from poincarewaves import lorentz_harmonics, photon_plane_waves
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_sector import RadialSolution, separated_psi
 from poincarewaves.photon_plane_waves import (
@@ -17,6 +17,7 @@ from poincarewaves.photon_plane_waves import (
     maxwell_residuals,
     plane_wave,
     polarization_vectors,
+    transversality_residual,
 )
 from poincarewaves.poincare_assembly import (
     TAG_LONGITUDINAL,
@@ -145,6 +146,23 @@ class TestAssemble:
         with pytest.raises(ValueError, match="read-only"):
             member.plane.term.amplitude[0] = 0.0
 
+    def test_value_builds_no_index_per_call(self, monkeypatch):
+        member = PoincareWaveFunction(K_GENERIC, 1, 1, RadialSolution(l=1))
+        assert member.index == lorentz_harmonics.HarmonicIndex(1, 1, 0)
+        built = []
+        index_class = lorentz_harmonics.HarmonicIndex
+        original = index_class.__post_init__
+        monkeypatch.setattr(index_class, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        lorentz_harmonics._doubled_triple.cache_clear()
+        for _ in range(100):
+            member.value((0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j, GENERIC_ANGLES)
+        assert len(built) <= 1
+
+    def test_radial_solution_of_another_order_rejected(self):
+        with pytest.raises(ValueError, match="l=1.*l=2"):
+            PoincareWaveFunction(K_GENERIC, 1, 2, RadialSolution(l=1))
+
 
 class TestCatalog:
     def setup_method(self):
@@ -182,6 +200,20 @@ class TestCatalog:
     def test_transverse_evidence_vanishes(self):
         for label in ("psi_+1", "psi_-1", "psi_dot_+1", "psi_dot_-1"):
             assert self.catalog.member(label).transversality < 1e-12
+
+    def test_evidence_is_the_transversality_residual(self):
+        for member in self.catalog.members:
+            assert member.transversality == transversality_residual(
+                K_GENERIC, member.wave.lam)
+
+    def test_catalog_builds_one_polarization_triple_per_member(
+            self, monkeypatch):
+        calls = []
+        original = photon_plane_waves.polarization_vectors
+        monkeypatch.setattr(photon_plane_waves, "polarization_vectors",
+                            lambda k: calls.append(k) or original(k))
+        build_catalog(K_GENERIC, 1, self.radial)
+        assert len(calls) == 6
 
     def test_longitudinal_evidence_example(self):
         catalog = build_catalog((0.0, 0.0, 2.0), 1, self.radial)
