@@ -35,7 +35,6 @@ __all__ = [
     "SL2CElement",
     "make_angles",
     "angles_to_sl2c",
-    "sphere_invariant",
     "sl2c_to_complex_rotation",
 ]
 
@@ -143,11 +142,6 @@ class ComplexSpherePoint:
     def r(self) -> complex:
         """Principal-branch complex radius sqrt(r_sq)."""
         return cmath.sqrt(self.r_sq)
-
-
-def sphere_invariant(z: ComplexSpherePoint) -> complex:
-    """Squared complex radius z.z = x.x - y.y + 2i x.y."""
-    return z.r_sq
 
 
 @dataclass(frozen=True)

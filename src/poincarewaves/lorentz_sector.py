@@ -61,11 +61,21 @@ __all__ = [
 VARIANTS = ("paper", "corrected")
 
 
+def _whole_number(value) -> int | None:
+    """value as an int if it is a finite whole number, else None."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        return None
+    return whole if whole == value else None
+
+
 def angular_order(l) -> int:
     """l as an int, validated: the radial system needs an integer l >= 1."""
-    if l != int(l) or int(l) < 1:
+    order = _whole_number(l)
+    if order is None or order < 1:
         raise ValueError(f"l must be an integer >= 1, got {l!r}")
-    return int(l)
+    return order
 
 
 def radial_ladder(l: int) -> float:

@@ -63,6 +63,7 @@ __all__ = [
     "me1_member",
     "me2_member",
     "me6_column",
+    "mode_field_terms",
     "evaluate_terms",
     "dirac_form_residual",
     "dirac_form_scale",

@@ -54,6 +54,7 @@ from .lorentz_harmonics import (
 from .lorentz_sector import (
     VARIANTS,
     RadialSolution,
+    _whole_number,
     build_matrices,
     radial_ladder,
     radial_residual,
@@ -146,16 +147,19 @@ class SuiteConfig:
     corrected_lambda: bool = True
 
     def __post_init__(self) -> None:
-        if self.lmax != int(self.lmax) or not 0 <= int(self.lmax) <= 6:
+        lmax = _whole_number(self.lmax)
+        if lmax is None or not 0 <= lmax <= 6:
             raise ValueError(f"lmax must be an integer in [0, 6], got {self.lmax!r}")
-        object.__setattr__(self, "lmax", int(self.lmax))
-        if self.grid_density != int(self.grid_density) or int(self.grid_density) < 2:
+        object.__setattr__(self, "lmax", lmax)
+        grid_density = _whole_number(self.grid_density)
+        if grid_density is None or grid_density < 2:
             raise ValueError(
                 f"grid_density must be an integer >= 2, got {self.grid_density!r}")
-        object.__setattr__(self, "grid_density", int(self.grid_density))
-        if self.seed != int(self.seed) or int(self.seed) < 0:
+        object.__setattr__(self, "grid_density", grid_density)
+        seed = _whole_number(self.seed)
+        if seed is None or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be a positive finite constant, got {self.c!r}")
         if self.variant not in VARIANTS:

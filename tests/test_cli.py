@@ -233,6 +233,19 @@ class TestEval:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: invalid --angles: ")
 
+    @pytest.mark.parametrize("order", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("args", [
+        ["radial", "--r", "1"],
+        ["assemble", "--k", "1,2,3", "--lam", "1", "--x", "0,0,0", "--t", "0",
+         "--r", "1", "--angles", "0,0,1,0,0,0"],
+    ])
+    def test_non_finite_order_is_one_line_domain_error(self, runner, args,
+                                                       order):
+        result = invoke(runner, ["eval", *args, "--l", order], expect=2)
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"Error: l must be an integer >= 1, got {float(order)!r}"]
+
 
 class TestVerify:
     def test_default_json_schema(self, runner):

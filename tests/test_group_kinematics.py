@@ -13,7 +13,6 @@ from poincarewaves.group_kinematics import (
     angles_to_sl2c,
     make_angles,
     sl2c_to_complex_rotation,
-    sphere_invariant,
 )
 from poincarewaves.lorentz_harmonics import generalized_m_values
 
@@ -62,10 +61,10 @@ class TestMakeAngles:
 
 class TestComplexSphere:
     def test_real_unit_vector(self):
-        assert sphere_invariant(ComplexSpherePoint(1, 0, 0)) == 1
+        assert ComplexSpherePoint(1, 0, 0).r_sq == 1
 
     def test_null_vector(self):
-        assert sphere_invariant(ComplexSpherePoint(1j, 1, 0)) == 0
+        assert ComplexSpherePoint(1j, 1, 0).r_sq == 0
 
     def test_dual_formula(self):
         point = ComplexSpherePoint(1 + 1j, 2, 0)

@@ -205,6 +205,25 @@ class TestCrossFormula:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
+class TestAccuracyEnvelope:
+    """Both Z routes against the 60-digit reference, up to the weight l = 20
+    where they still hold 1e-10; README gives the measured errors and where
+    the envelope ends."""
+
+    @pytest.mark.parametrize("l", [6, 12, 20])
+    def test_routes_match_reference(self, l):
+        theta, tau = 1.1, 0.7
+        projections = [-l, -l / 2, 0, l / 2, l]
+        worst = {z_sum: 0.0, z_2f1: 0.0}
+        for m in projections:
+            for n in projections:
+                ref = z_reference(l, m, n, theta, tau, dps=60)
+                for route in worst:
+                    error = abs(route(HarmonicIndex(l, m, n), theta, tau) - ref)
+                    worst[route] = max(worst[route], error / max(1.0, abs(ref)))
+        assert max(worst.values()) <= 1e-10, (l, worst)
+
+
 class TestSU2Reduction:
     def test_magnitude_matches_wigner_d(self):
         for doubled_l in range(0, 9):

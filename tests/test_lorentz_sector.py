@@ -15,6 +15,7 @@ from poincarewaves.lorentz_harmonics import (
 )
 from poincarewaves.lorentz_sector import (
     RadialSolution,
+    angular_order,
     build_matrices,
     radial_ladder,
     radial_residual,
@@ -194,6 +195,17 @@ class TestRadialSolution:
             RadialSolution(l=bad_l)
         with pytest.raises(ValueError, match="l must be"):
             radial_residual(bad_l, RadialSolution(l=1), 1.0)
+
+    @pytest.mark.parametrize("bad_l", [math.inf, -math.inf, math.nan,
+                                       np.float64("nan")])
+    def test_non_finite_order_names_the_field(self, bad_l):
+        message = f"l must be an integer >= 1, got {bad_l!r}"
+        for call in (lambda: angular_order(bad_l),
+                     lambda: RadialSolution(l=bad_l),
+                     lambda: radial_residual(bad_l, RadialSolution(l=1), 1.0)):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == message
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

@@ -1,7 +1,9 @@
 """Tests for the verification-suite registry and report assembly."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from poincarewaves import suites
@@ -44,6 +46,19 @@ class TestSuiteConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       np.float64("nan")])
+    @pytest.mark.parametrize("field, message", [
+        ("lmax", "lmax must be an integer in [0, 6]"),
+        ("grid_density", "grid_density must be an integer >= 2"),
+        ("seed", "seed must be a non-negative integer"),
+    ])
+    def test_non_finite_integer_field_names_the_field(self, field, message,
+                                                      value):
+        with pytest.raises(ValueError) as error:
+            SuiteConfig(**{field: value})
+        assert str(error.value) == f"{message}, got {value!r}"
 
     def test_tolerance_override(self):
         config = SuiteConfig(tolerances={"casimir": 1e-3})
