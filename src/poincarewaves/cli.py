@@ -473,26 +473,34 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
         else:
             idx = HarmonicIndex(l, 0.0, 0.0)
         grid = z_sum_grid([idx], thetas, taus)[0]
-        rows = [(th, ta, v) for th, row in zip(thetas, grid)
-                for ta, v in zip(taus, row)]
     except ValueError as error:
         raise _DomainError(str(error)) from None
+    # Text and CSV format each grid coordinate once and echo the table once.
     if fmt == "json":
         payload = {"function": function,
                    "rows": [{"theta": th, "tau": ta,
                              "value": _complex_json(v)}
-                            for th, ta, v in rows]}
+                            for th, row in zip(thetas, grid)
+                            for ta, v in zip(taus, row)]}
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
     elif fmt == "text":
-        click.echo(f"{'theta':>24s} {'tau':>24s} value")
-        for th, ta, v in rows:
-            click.echo(f"{th:>24.17g} {ta:>24.17g} {format_complex(v)}")
+        tau_cells = [f"{ta:>24.17g}" for ta in taus]
+        lines = [f"{'theta':>24s} {'tau':>24s} value\n"]
+        for th, row in zip(thetas, grid):
+            theta_cell = f"{th:>24.17g}"
+            lines += [f"{theta_cell} {ta} {format_complex(v)}\n"
+                      for ta, v in zip(tau_cells, row)]
+        click.echo("".join(lines), nl=False)
     else:
-        table = [["theta", "tau", "value_re", "value_im"]]
-        table.extend([repr(float(th)), repr(float(ta)),
-                      repr(complex(v).real), repr(complex(v).imag)]
-                     for th, ta, v in rows)
-        _echo_csv(table)
+        # Every cell is a float repr or a header name, so none needs RFC-4180
+        # quoting and these lines are exactly what csv.writer would write.
+        tau_cells = [repr(ta) for ta in taus]
+        lines = ["theta,tau,value_re,value_im\r\n"]
+        for th, row in zip(thetas, grid):
+            theta_cell = repr(th)
+            lines += [f"{theta_cell},{ta},{v.real!r},{v.imag!r}\r\n"
+                      for ta, v in zip(tau_cells, row)]
+        click.echo("".join(lines), nl=False)
 
 
 if __name__ == "__main__":

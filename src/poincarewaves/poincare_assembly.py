@@ -23,6 +23,7 @@ space; no constraint ties r to x.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,14 @@ class PoincareWaveFunction:
         object.__setattr__(self, "dotted", bool(self.dotted))
         object.__setattr__(self, "index",
                            HarmonicIndex(self.l, self.lam, 0.0, self.dotted))
+
+    def dotted_twin(self) -> "PoincareWaveFunction":
+        """This member on the dotted branch, sharing its undotted plane wave."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "dotted", True)
+        object.__setattr__(twin, "index",
+                           HarmonicIndex(self.l, self.lam, 0.0, True))
+        return twin
 
     def translation_value(self, x, t: float) -> np.ndarray:
         """The 6-component plane-wave factor (conjugated on the dotted branch)."""
@@ -168,19 +177,18 @@ def build_catalog(k, l: int, radial, c: float = 1.0) -> SolutionCatalog:
     |k . eps_0| (= |k|) each member's ``transversality`` computes when read.
     """
     kv = k if isinstance(k, WaveVector) else WaveVector(*map(float, k))
+    waves = [PoincareWaveFunction(kv, lam, l, radial, False, c)
+             for lam in (1, 0, -1)]
+    waves += [wave.dotted_twin() for wave in waves]
     members = []
-    for dotted in (False, True):
-        for lam in (1, 0, -1):
-            tags = []
-            if dotted:
-                tags += [TAG_NEGATIVE_ENERGY, TAG_OMITTED]
-            if lam == 0:
-                tags.append(TAG_LONGITUDINAL)
-            members.append(CatalogMember(
-                label=_LABELS[(lam, dotted)],
-                wave=PoincareWaveFunction(kv, lam, l, radial, dotted, c),
-                tags=tuple(tags),
-            ))
+    for wave in waves:
+        tags = []
+        if wave.dotted:
+            tags += [TAG_NEGATIVE_ENERGY, TAG_OMITTED]
+        if wave.lam == 0:
+            tags.append(TAG_LONGITUDINAL)
+        members.append(CatalogMember(label=_LABELS[(wave.lam, wave.dotted)],
+                                     wave=wave, tags=tuple(tags)))
     return SolutionCatalog(tuple(members))
 
 

@@ -806,12 +806,10 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         r = float(rng.uniform(0.2, 3.0))
         worst = 0.0
         for lam in (1, 0, -1):
-            undotted = PoincareWaveFunction(
-                WaveVector(1.0, 2.0, 3.0), lam, 1, real_radial, False,
-                config.c).value(x, t, r, rotation_only)
-            dotted = PoincareWaveFunction(
-                WaveVector(1.0, 2.0, 3.0), lam, 1, real_radial, True,
-                config.c).value(x, t, r, rotation_only)
+            wave = PoincareWaveFunction(WaveVector(1.0, 2.0, 3.0), lam, 1,
+                                        real_radial, False, config.c)
+            undotted = wave.value(x, t, r, rotation_only)
+            dotted = wave.dotted_twin().value(x, t, r, rotation_only)
             worst = max(worst,
                         float(np.abs(dotted - undotted.conjugate()).max()))
         records.append(config.record(

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -358,6 +359,58 @@ class TestTable:
         payload = json.loads(result.output)
         assert len(payload["rows"]) == 3
         assert set(payload["rows"][0]) == {"theta", "tau", "value"}
+
+    # (index options, HarmonicIndex, theta grid spec, its thetas, tau grid
+    # spec, its taus) for the golden-bytes tests below.
+    GOLDEN_GRIDS = {
+        "dotted-half-integer": (
+            ["--l", "2.5", "--m", "0.5", "--n", "-1.5", "--dotted"],
+            HarmonicIndex(2.5, 0.5, -1.5, dotted=True),
+            "0:pi:37", np.linspace(0.0, math.pi, 37), "-3:3:41",
+            np.linspace(-3.0, 3.0, 41)),
+        "zero-angles": (
+            ["--l", "1", "--m", "1", "--n", "0", "--dotted"],
+            HarmonicIndex(1, 1, 0, dotted=True),
+            "0:1:3", np.linspace(0.0, 1.0, 3), "-1:1:3",
+            np.linspace(-1.0, 1.0, 3)),
+        "single-point": (
+            ["--l", "2", "--m", "1", "--n", "-1"], HarmonicIndex(2, 1, -1),
+            "0.7", [0.7], "0.3", [0.3]),
+        "one-by-n": (
+            ["--l", "1.5", "--m", "-0.5", "--n", "1.5"],
+            HarmonicIndex(1.5, -0.5, 1.5),
+            "1.1", [1.1], "-2:2:9", np.linspace(-2.0, 2.0, 9)),
+    }
+
+    def _golden_points(self, case):
+        options, idx, theta, thetas, tau, taus = self.GOLDEN_GRIDS[case]
+        args = ["table", "z", *options, "--theta", theta, "--tau", tau]
+        points = [(float(th), float(ta), z_sum(idx, float(th), float(ta)))
+                  for th in thetas for ta in taus]
+        return args, points
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GRIDS))
+    def test_csv_golden_bytes(self, runner, case):
+        args, points = self._golden_points(case)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(["theta", "tau", "value_re", "value_im"])
+        writer.writerows([repr(th), repr(ta), repr(v.real), repr(v.imag)]
+                         for th, ta, v in points)
+        expected = buffer.getvalue()
+        if case == "zero-angles":
+            assert ",0.0,0.0,-0.0\r\n" in expected
+        assert invoke(runner, args).stdout_bytes == expected.encode()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GRIDS))
+    def test_text_golden_bytes(self, runner, case):
+        args, points = self._golden_points(case)
+        lines = [f"{'theta':>24s} {'tau':>24s} value"]
+        lines += [f"{th:>24.17g} {ta:>24.17g} {format_complex(v)}"
+                  for th, ta, v in points]
+        expected = "".join(line + "\n" for line in lines)
+        result = invoke(runner, args + ["--format", "text"])
+        assert result.stdout_bytes == expected.encode()
 
     @pytest.mark.parametrize("args", [
         ["table", "z", "--l", "1", "--m", "1", "--n", "0",

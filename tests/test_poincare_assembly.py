@@ -212,8 +212,24 @@ class TestCatalog:
         original = photon_plane_waves.polarization_vectors
         monkeypatch.setattr(photon_plane_waves, "polarization_vectors",
                             lambda k: calls.append(k) or original(k))
-        build_catalog(K_GENERIC, 1, self.radial)
-        assert len(calls) == 6
+        catalog = build_catalog(K_GENERIC, 1, self.radial)
+        # One triple per undotted member; each dotted twin shares its plane.
+        assert len(calls) == 3
+        for lam in ("+1", "0", "-1"):
+            assert (catalog.member(f"psi_dot_{lam}").wave.plane
+                    is catalog.member(f"psi_{lam}").wave.plane)
+
+    def test_dotted_twin_is_the_dotted_member(self):
+        x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
+        for lam in (1, 0, -1):
+            wave = PoincareWaveFunction(K_GENERIC, lam, 1, self.radial)
+            twin = wave.dotted_twin()
+            built = PoincareWaveFunction(K_GENERIC, lam, 1, self.radial,
+                                         dotted=True)
+            assert twin == built and twin.index == built.index
+            assert not wave.dotted and wave.index.dotted is False
+            assert np.array_equal(twin.value(x, t, r, GENERIC_ANGLES),
+                                  built.value(x, t, r, GENERIC_ANGLES))
 
     def test_longitudinal_evidence_example(self):
         catalog = build_catalog((0.0, 0.0, 2.0), 1, self.radial)
