@@ -32,10 +32,12 @@ check compares genuinely different floating-point evaluations.
 ``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
 indices over a whole theta x tau grid.  The summand's rotation side depends
 only on (m, k, theta) and its rapidity side only on (k, n, tau), so each side
-is evaluated once per grid angle; the k sum at every point then repeats the
-scalar route's own expression in ascending k, so every grid value is
-bit-identical to ``z_sum`` / ``z_2f1`` at that point, and an out-of-range
-point raises the error the scalar routes would raise first.
+is evaluated once per grid angle, in Python (libm ``pow``, whose bits numpy's
+power does not reproduce); the k sum is one numpy operation per weight and k.
+Every grid value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under
+the same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
+can flip the scalar routes' signed zeros), and an out-of-range point raises
+the error the scalar routes would raise first.
 
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
@@ -58,6 +60,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .group_kinematics import ComplexEulerAngles
 
 __all__ = [
@@ -75,8 +79,9 @@ __all__ = [
     "zonal_z",
 ]
 
-#: i**n for n mod 4, exact.
+#: i**n for n mod 4, exact; as an array for the grid engine.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+_PHASES = np.array(_I_POW)
 
 #: Log of the largest float, less a margin for rounding.
 _MAX_LOG = 709.0
@@ -381,34 +386,38 @@ def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
 
     rotation_side(L, M, K) returns one side's values over thetas and
     rapidity_side(L, N, K) over taus; each runs once per distinct (L, a, K).
-    At every point the K sum starts from 0j and adds in ascending K with the
-    scalar route's own expression: _I_POW[(m - k) mod 4] * (rotation *
-    rapidity) when ``phased`` (z_sum), rotation * rapidity otherwise (z_2f1,
-    whose rotation side carries the phase); dotted indices are conjugated.
+    Per weight and ascending K, the sides are gathered into R (indices x
+    thetas) and Q (indices x taus), and one array operation adds to every
+    point's sum, which starts from 0j, the scalar route's own expression:
+    _I_POW[(m - k) mod 4] * (rotation * rapidity) when ``phased`` (z_sum),
+    rotation * rapidity otherwise (z_2f1, whose rotation side carries the
+    phase).  One factor of each complex product is real, so numpy rounds
+    each component as Python does.  Dotted indices are conjugated.
     """
-    width = len(taus)
-    # Side values spread over the row-major points of the grid.
-    rotations, rapidities = {}, {}
-    grids = []
-    for idx in indices:
-        L, M, N = idx.doubled
-        values = [0j] * (len(thetas) * width)
+    grids = [None] * len(indices)
+    weights = {}
+    for position, idx in enumerate(indices):
+        weights.setdefault(idx.doubled[0], []).append(position)
+    for L, positions in weights.items():
+        members = [indices[i] for i in positions]
+        M = [idx.doubled[1] for idx in members]
+        N = [idx.doubled[2] for idx in members]
+        # Distinct projections, and each member's row among them.
+        ms, ns = sorted(set(M)), sorted(set(N))
+        m_rows, n_rows = [ms.index(a) for a in M], [ns.index(a) for a in N]
+        total = np.zeros((len(members), len(thetas), len(taus)), complex)
         for K in range(-L, L + 1, 2):
-            if (L, M, K) not in rotations:
-                rotations[L, M, K] = [v for v in rotation_side(L, M, K)
-                                      for _ in taus]
-            if (L, N, K) not in rapidities:
-                rapidities[L, N, K] = rapidity_side(L, N, K) * len(thetas)
-            points = zip(values, rotations[L, M, K], rapidities[L, N, K])
+            R = np.array([rotation_side(L, a, K) for a in ms])[m_rows]
+            Q = np.array([rapidity_side(L, a, K) for a in ns])[n_rows]
+            product = R[:, :, None] * Q[:, None, :]
             if phased:
-                phase = _I_POW[((M - K) // 2) % 4]
-                values = [t + phase * (r * q) for t, r, q in points]
-            else:
-                values = [t + r * q for t, r, q in points]
-        if idx.dotted:
-            values = [v.conjugate() for v in values]
-        grids.append([values[i * width:(i + 1) * width]
-                      for i in range(len(thetas))])
+                phase = _PHASES[[(a - K) // 2 % 4 for a in M]]
+                product = phase[:, None, None] * product
+            total += product
+        dotted = np.array([idx.dotted for idx in members])
+        total[dotted] = total[dotted].conj()
+        for position, rows in zip(positions, total.tolist()):
+            grids[position] = rows
     return grids
 
 

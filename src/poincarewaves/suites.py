@@ -45,6 +45,7 @@ from .differential_checks import (
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
+    _grid_values,
     qu2_factor_jacobi,
     su2_factor_p,
     z_2f1_grid,
@@ -323,25 +324,22 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
 def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
     thetas, taus = _theta_grid(config), _tau_grid(config)
+
+    # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), summed by the grid engine.
+    def rotation(L, M, K):
+        return [su2_factor_p(L / 2, M / 2, K / 2, theta) for theta in thetas]
+
+    def rapidity(L, N, K):
+        return [qu2_factor_jacobi(L / 2, K / 2, N / 2, tau) for tau in taus]
+
     for l in _l_values(config.lmax):
-        projections = _projections(l)
         indices = _harmonic_indices(l)
-        # Each half once per grid angle, spread over the row-major points.
-        rotation = {}
-        for m in projections:
-            for k in projections:
-                halves = [su2_factor_p(l, m, k, theta) for theta in thetas]
-                rotation[m, k] = [p for p in halves for _ in taus]
-        rapidity = {(k, n): [qu2_factor_jacobi(l, k, n, tau) for tau in taus]
-                    * len(thetas)
-                    for k in projections for n in projections}
-        for idx, direct_grid in zip(indices, z_sum_grid(indices, thetas, taus)):
-            totals = [0.0 + 0.0j] * (len(thetas) * len(taus))
-            for k in projections:
-                totals = [total + p * q for total, p, q in zip(
-                    totals, rotation[idx.m, k], rapidity[k, idx.n])]
-            pairs = [(abs(total - direct), abs(direct))
-                     for total, direct in zip(totals, _flat(direct_grid))]
+        for idx, direct_grid, factor_grid in zip(
+                indices, z_sum_grid(indices, thetas, taus),
+                _grid_values(indices, thetas, taus, rotation, rapidity,
+                             phased=False)):
+            pairs = [(abs(total - direct), abs(direct)) for total, direct
+                     in zip(_flat(factor_grid), _flat(direct_grid))]
             records.append(_worst_grid_record(
                 config, "factorization", idx, thetas, taus, pairs))
     return records

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -506,12 +507,42 @@ class TestGrids:
 
     @pytest.mark.parametrize("grid, route", GRID_ROUTES)
     def test_mixed_weights_in_one_call(self, grid, route):
+        # Interleaved weights: the grid sums one weight at a time and must
+        # hand the rows back in this order.
         indices = [HarmonicIndex(2, 1, -2), HarmonicIndex(0.5, -0.5, 0.5, True),
-                   HarmonicIndex(2, 1, -2), HarmonicIndex(6, 0, 3)]
-        rows = grid(indices, [0.3, 2.2], [-0.4, 0.9, 0.0])
-        for idx, values in zip(indices, rows):
-            assert values == [[route(idx, theta, tau) for tau in (-0.4, 0.9, 0.0)]
-                              for theta in (0.3, 2.2)]
+                   HarmonicIndex(2, 1, -2), HarmonicIndex(6, 0, 3),
+                   HarmonicIndex(0.5, 0.5, -0.5), HarmonicIndex(0, 0, 0)]
+        thetas, taus = [0.0, 0.3, 2.2], [-0.4, -0.0, 0.0, 0.9]
+        grids = grid(indices, thetas, taus)
+        assert len(grids) == len(indices)
+        for idx, rows in zip(indices, grids):
+            assert [[repr(value) for value in row] for row in rows] == [
+                [repr(route(idx, theta, tau)) for tau in taus] for theta in thetas]
+        # Equal indices get rows of their own: mutating one leaves the other.
+        assert grids[0] is not grids[2]
+        assert all(a is not b for a, b in zip(grids[0], grids[2]))
+        grids[0][0][0] = None
+        assert grids[2][0][0] == route(indices[2], thetas[0], taus[0])
+
+    @pytest.mark.parametrize("theta", [1.1, math.pi])
+    @pytest.mark.parametrize("l, tau", [
+        (10, 70.9), (10, -70.9), (0.5, 1417.0), (0.5, -1417.0)])
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_largest_accepted_tau_is_warning_free(self, grid, route, l, tau,
+                                                 theta):
+        projections = all_projections(l)
+        indices = [HarmonicIndex(l, m, n) for m in projections for n in projections]
+        message = first_scalar_error(route, indices, [theta], [tau])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is not None:
+                # z_2f1's tangent form refuses theta = pi at l = 10.
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    grid(indices, [theta], [tau])
+                return
+            grids = grid(indices, [theta], [tau])
+        for idx, rows in zip(indices, grids):
+            assert repr(rows[0][0]) == repr(route(idx, theta, tau)), idx
 
     @pytest.mark.parametrize("grid, route", GRID_ROUTES)
     def test_empty_grids(self, grid, route):

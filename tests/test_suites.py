@@ -262,8 +262,8 @@ class TestGridRecords:
                 entry for entry in scan
                 if entry[1] / max(1.0, entry[2]) == worst)
             assert (record.point["theta"], record.point["tau"]) == point
-            assert record.residual == residual
-            assert record.scale == scale
+            assert repr(record.residual) == repr(residual)
+            assert repr(record.scale) == repr(scale)
 
     def test_factor_halves_once_per_grid_angle(self, monkeypatch):
         calls = {"su2_factor_p": 0, "qu2_factor_jacobi": 0}
