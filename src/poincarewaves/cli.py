@@ -41,7 +41,8 @@ from .lorentz_harmonics import (
 from .lorentz_sector import VARIANTS, RadialSolution
 from .photon_plane_waves import WaveVector, plane_wave, polarization_vectors
 from .poincare_assembly import PoincareWaveFunction
-from .suites import SUITE_NAMES, SuiteConfig, build_report, report_exit_code
+from .suites import (SUITE_NAMES, SuiteConfig, _report_json, build_report,
+                     report_exit_code)
 
 _FORMATS = ("text", "json", "csv")
 _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",
@@ -413,7 +414,7 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
     except ValueError as error:
         raise click.UsageError(str(error)) from None
     if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+        click.echo(_report_json(report))
     elif fmt == "csv":
         rows = [["suite", "name", "indices", "point", "residual", "scale",
                  "tolerance", "passed", "flagged"]]

@@ -6,7 +6,17 @@ derives from ``numpy.random.default_rng([config.seed, suite_offset])`` with a
 fixed per-suite offset, so each suite's stream is reproducible in isolation
 and the assembled report is byte-identical under a fixed seed regardless of
 which suites run or in what order.  Records are sorted by
-(suite, check name, indices, point).
+(suite, check name, indices, point), where indices and point compare as their
+compact sort_keys JSON text; each record's JSON maps and their keys are built
+once per report.
+
+REPORT BYTES
+    ``verify --format json`` writes ``_report_json(report)``, whose text is
+    exactly ``json.dumps(report, sort_keys=True, indent=2)``: it writes one
+    string per record of the fixed schema (floats by ``float.__repr__`` or
+    NaN / Infinity / -Infinity, strings by ``encode_basestring_ascii``), so
+    the pure-Python indent encoder runs only on the config and summary.
+    ``tests/test_suites.py::TestReportJson`` pins the equality.
 
 NEGATIVE CONTROLS
     Failure-expected checks are encoded in one of two ways so that the record
@@ -29,6 +39,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -49,7 +60,7 @@ from .lorentz_harmonics import (
     qu2_factor_jacobi,
     su2_factor_p,
     z_2f1_grid,
-    z_sum,
+    z_sum,  # no suite calls it; perfbench's tracer wraps suites.z_sum
     z_sum_grid,
 )
 from .lorentz_sector import (
@@ -291,25 +302,26 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
     thetas, taus = _theta_grid(config), _tau_grid(config)
     for l in _l_values(config.lmax):
         indices = _harmonic_indices(l)
-        identity_worst = 0.0
+        # One direct grid per weight: row 0 is theta = 0 and the last column
+        # tau = 0, so it also holds Z(0, 0) and the rotations Z(theta, 0).
+        direct = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
         for idx, direct_grid, series_grid in zip(
-                indices, z_sum_grid(indices, thetas, taus),
-                z_2f1_grid(indices, thetas, taus)):
-            pairs = [(abs(direct - series), abs(direct)) for direct, series
-                     in zip(_flat(direct_grid), _flat(series_grid))]
+                indices, direct, z_2f1_grid(indices, thetas, taus)):
+            inner = _flat(row[:-1] for row in direct_grid[1:])
+            pairs = [(abs(value - series), abs(value)) for value, series
+                     in zip(inner, _flat(series_grid))]
             records.append(_worst_grid_record(
                 config, "cross_formula", idx, thetas, taus, pairs))
-            delta = 1.0 if idx.m == idx.n else 0.0
-            identity_worst = max(identity_worst,
-                                 abs(z_sum(idx, 0.0, 0.0) - delta))
+        identity_worst = max(
+            abs(grid[0][-1] - (1.0 if idx.m == idx.n else 0.0))
+            for idx, grid in zip(indices, direct))
         records.append(config.record(
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
             identity_worst, 1.0))
         dimension = len(_projections(l))
-        rotations = z_sum_grid(indices, thetas, (0.0,))
         worst_unitary = (-1.0, thetas[0])
-        for i, theta in enumerate(thetas):
-            matrix = np.array([grid[i][0] for grid in rotations]
+        for i, theta in enumerate(thetas, start=1):
+            matrix = np.array([grid[i][-1] for grid in direct]
                               ).reshape(dimension, dimension)
             deviation = float(np.abs(matrix @ matrix.conj().T
                                      - np.eye(dimension)).max())
@@ -856,16 +868,13 @@ _SUITE_BUILDERS: dict[str, Callable[[SuiteConfig], list[ResidualRecord]]] = {
 SUITE_NAMES: tuple[str, ...] = tuple(sorted(_SUITE_BUILDERS))
 
 
-def _sort_key(pair: tuple[str, ResidualRecord]):
-    suite, record = pair
-    return (suite, record.check_name,
-            json.dumps(_json_map(record.indices), sort_keys=True),
-            json.dumps(_json_map(record.point), sort_keys=True))
+def _sorted_entries(name: str, config: SuiteConfig) -> list[tuple]:
+    """(suite, record, indices map, point map) of one suite (or 'all').
 
-
-def run_suite(name: str, config: SuiteConfig
-              ) -> list[tuple[str, ResidualRecord]]:
-    """Run one suite (or 'all') and return sorted (suite, record) pairs."""
+    Each record's JSON maps are built once; the entries are sorted on
+    (suite, check name, indices, point), the maps compared as their compact
+    sort_keys JSON text, which the sort builds once per entry.
+    """
     if name == "all":
         names: Iterable[str] = SUITE_NAMES
     elif name in _SUITE_BUILDERS:
@@ -873,28 +882,36 @@ def run_suite(name: str, config: SuiteConfig
     else:
         raise ValueError(
             f"unknown suite {name!r}; valid: all, {', '.join(SUITE_NAMES)}")
-    pairs = []
-    for suite_name in names:
-        pairs.extend((suite_name, record)
-                     for record in _SUITE_BUILDERS[suite_name](config))
-    pairs.sort(key=_sort_key)
-    return pairs
+    entries = [(suite_name, record, _json_map(record.indices),
+                _json_map(record.point))
+               for suite_name in names
+               for record in _SUITE_BUILDERS[suite_name](config)]
+    text = json.JSONEncoder(sort_keys=True).encode
+    entries.sort(key=lambda entry: (entry[0], entry[1].check_name,
+                                    text(entry[2]), text(entry[3])))
+    return entries
+
+
+def run_suite(name: str, config: SuiteConfig
+              ) -> list[tuple[str, ResidualRecord]]:
+    """Run one suite (or 'all') and return sorted (suite, record) pairs."""
+    return [(suite, record)
+            for suite, record, _, _ in _sorted_entries(name, config)]
 
 
 def build_report(name: str, config: SuiteConfig) -> dict:
     """JSON-ready verification report for one suite (or 'all')."""
-    pairs = run_suite(name, config)
     records = [{
         "suite": suite,
         "name": record.check_name,
-        "indices": _json_map(record.indices),
-        "point": _json_map(record.point),
+        "indices": indices,
+        "point": point,
         "residual": float(record.residual),
         "scale": float(record.scale),
         "tolerance": float(record.tolerance),
         "passed": bool(record.passed),
         "flagged": bool(record.flagged),
-    } for suite, record in pairs]
+    } for suite, record, indices, point in _sorted_entries(name, config)]
     summary = {
         "passed": sum(1 for r in records if r["passed"]),
         "failed": sum(1 for r in records if not r["passed"]),
@@ -914,6 +931,52 @@ def build_report(name: str, config: SuiteConfig) -> dict:
         "records": records,
         "summary": summary,
     }
+
+
+_RECORD_JSON = (
+    '    {{\n      "flagged": {},\n      "indices": {},\n      "name": {},\n'
+    '      "passed": {},\n      "point": {},\n      "residual": {},\n'
+    '      "scale": {},\n      "suite": {},\n      "tolerance": {}\n    }}')
+
+
+_BOOL_JSON = {False: "false", True: "true"}
+
+
+def _float_json(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: A record map's sort_keys JSON, one entry per line of the indented report.
+_ENTRIES_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",\n        ", ": ")).encode
+
+
+def _map_json(mapping: Mapping[str, object]) -> str:
+    if not mapping:
+        return "{}"
+    return f"{{\n        {_ENTRIES_JSON(mapping)[1:-1]}\n      }}"
+
+
+def _report_json(report: dict) -> str:
+    """The text of json.dumps(report, sort_keys=True, indent=2), one string
+    per record; the small config and summary sections go through json."""
+    def section(value) -> str:
+        # JSON escapes newlines in strings, so each newline is a line break.
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    records = ",\n".join(_RECORD_JSON.format(
+        _BOOL_JSON[r["flagged"]], _map_json(r["indices"]),
+        encode_basestring_ascii(r["name"]), _BOOL_JSON[r["passed"]],
+        _map_json(r["point"]), _float_json(r["residual"]),
+        _float_json(r["scale"]), encode_basestring_ascii(r["suite"]),
+        _float_json(r["tolerance"])) for r in report["records"])
+    records = f"[\n{records}\n  ]" if records else "[]"
+    return (f'{{\n  "config": {section(report["config"])},\n'
+            f'  "records": {records},\n'
+            f'  "suite": {encode_basestring_ascii(report["suite"])},\n'
+            f'  "summary": {section(report["summary"])}\n}}')
 
 
 def report_exit_code(report: dict) -> int:

@@ -137,6 +137,46 @@ class TestReportShape:
         assert report_exit_code(report) == 0
 
 
+def _indented_json(report):
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+class TestReportJson:
+    """The verify report's text is exactly json.dumps(sort_keys, indent=2)."""
+
+    @pytest.mark.parametrize("name, kwargs, exit_code", [
+        ("all", {}, 0),
+        ("all", {"variant": "paper"}, 0),
+        ("all", {"corrected_lambda": False}, 0),
+        ("all", {"tolerances": {"cross_formula": 0.0, "casimir": 1e-12}}, 1),
+        ("radial", {"seed": 5}, 0),
+    ])
+    def test_built_reports(self, name, kwargs, exit_code):
+        report = build_report(name, SuiteConfig(**kwargs))
+        assert report_exit_code(report) == exit_code
+        assert suites._report_json(report) == _indented_json(report)
+
+    def test_hand_built_report(self):
+        escapes = 'q"uote \\ back, "slash"\n é中'
+        record = {
+            "suite": escapes, "name": "casimir",
+            "indices": {"draw": 3, "l": -0.0, "dotted": True, escapes: "x"},
+            "point": {}, "residual": math.nan, "scale": math.inf,
+            "tolerance": 1e-12, "passed": False, "flagged": True,
+        }
+        other = dict(record, indices={}, point={"theta": 1.5e300, "k": escapes},
+                     residual=0.0, scale=-math.inf, passed=True, flagged=False)
+        report = {
+            "suite": escapes,
+            "config": {"lmax": 0, "c": math.nan, "tolerances": {"a": 0.0}},
+            "records": [record, other],
+            "summary": {"passed": 1, "failed": 1, "flagged": 1},
+        }
+        assert suites._report_json(report) == _indented_json(report)
+        empty = dict(report, records=[])
+        assert suites._report_json(empty) == _indented_json(empty)
+
+
 class TestFlaggedVariants:
     def test_paper_radial_fails_flagged_exit_zero(self):
         report = build_report("radial", SuiteConfig(seed=5, variant="paper"))
@@ -223,47 +263,103 @@ class TestToleranceByName:
             assert record["tolerance"] == expected, record
 
 
-def scalar_cross_formula(idx, theta, tau):
-    direct = z_sum(idx, theta, tau)
-    return abs(direct - z_2f1(idx, theta, tau)), abs(direct)
+def _weights(config):
+    return [d / 2 for d in range(2 * config.lmax + 1)]
 
 
-def scalar_factorization(idx, theta, tau):
-    total = 0.0 + 0.0j
-    for j in range(int(round(2 * idx.l)) + 1):
-        k = -idx.l + j
-        total += (su2_factor_p(idx.l, idx.m, k, theta)
-                  * qu2_factor_jacobi(idx.l, k, idx.n, tau))
-    direct = z_sum(idx, theta, tau)
-    return abs(total - direct), abs(direct)
+def _projections(l):
+    return [-l + j for j in range(int(round(2 * l)) + 1)]
+
+
+def _worst_points(config, residual_and_scale):
+    """Per index, (point, residual, scale) at its worst theta x tau point."""
+    points = [(theta, tau) for theta in _theta_grid(config)
+              for tau in _tau_grid(config)]
+    expected = {}
+    for l in _weights(config):
+        for m in _projections(l):
+            for n in _projections(l):
+                idx = HarmonicIndex(l, m, n)
+                scan = [(point, *residual_and_scale(idx, *point))
+                        for point in points]
+                worst = max(residual / max(1.0, scale)
+                            for _, residual, scale in scan)
+                expected[(l, m, n)] = next(
+                    entry for entry in scan
+                    if entry[1] / max(1.0, entry[2]) == worst)
+    return expected
+
+
+def scalar_cross_formula(config):
+    def residual_and_scale(idx, theta, tau):
+        direct = z_sum(idx, theta, tau)
+        return abs(direct - z_2f1(idx, theta, tau)), abs(direct)
+    return _worst_points(config, residual_and_scale)
+
+
+def scalar_factorization(config):
+    def residual_and_scale(idx, theta, tau):
+        total = 0.0 + 0.0j
+        for k in _projections(idx.l):
+            total += (su2_factor_p(idx.l, idx.m, k, theta)
+                      * qu2_factor_jacobi(idx.l, k, idx.n, tau))
+        direct = z_sum(idx, theta, tau)
+        return abs(total - direct), abs(direct)
+    return _worst_points(config, residual_and_scale)
+
+
+def _scalar_matrix(l, theta, tau):
+    return np.array([[z_sum(HarmonicIndex(l, m, n), theta, tau)
+                      for n in _projections(l)] for m in _projections(l)])
+
+
+def scalar_identity(config):
+    expected = {}
+    for l in _weights(config):
+        expected[(l,)] = ((0.0, 0.0), max(
+            abs(z_sum(HarmonicIndex(l, m, n), 0.0, 0.0)
+                - (1.0 if m == n else 0.0))
+            for m in _projections(l) for n in _projections(l)), 1.0)
+    return expected
+
+
+def scalar_unitarity(config):
+    expected = {}
+    for l in _weights(config):
+        worst = (-1.0, None)
+        for theta in _theta_grid(config):
+            matrix = _scalar_matrix(l, theta, 0.0)
+            deviation = float(np.abs(matrix @ matrix.conj().T
+                                     - np.eye(len(matrix))).max())
+            if deviation > worst[0]:
+                worst = (deviation, theta)
+        expected[(l,)] = ((worst[1], 0.0), worst[0], 1.0)
+    return expected
 
 
 class TestGridRecords:
     @pytest.mark.parametrize("grid_density", [3, 4])  # 3 puts tau = 0 on the grid
     @pytest.mark.parametrize("suite, check, compare", [
         ("hypergeom", "cross_formula", scalar_cross_formula),
+        ("hypergeom", "identity", scalar_identity),
+        ("hypergeom", "unitarity", scalar_unitarity),
         ("factorization", "factorization", scalar_factorization),
     ])
     def test_records_match_a_scalar_rescan(self, grid_density, suite, check,
                                            compare):
+        # Every record of the check, rebuilt from scalar z_sum loops: same
+        # indices, and point, residual and scale with the same repr.
         config = SuiteConfig(lmax=2, grid_density=grid_density)
-        points = [(theta, tau) for theta in _theta_grid(config)
-                  for tau in _tau_grid(config)]
         assert (0.0 in _tau_grid(config)) == (grid_density % 2 == 1)
         records = [record for _, record in run_suite(suite, config)
                    if record.check_name == check]
-        assert len(records) == sum((d + 1) ** 2 for d in range(5))
-        for record in records:
-            idx = HarmonicIndex(record.indices["l"], record.indices["m"],
-                                record.indices["n"])
-            scan = [(point, *compare(idx, *point)) for point in points]
-            worst = max(residual / max(1.0, scale) for _, residual, scale in scan)
-            point, residual, scale = next(
-                entry for entry in scan
-                if entry[1] / max(1.0, entry[2]) == worst)
-            assert (record.point["theta"], record.point["tau"]) == point
-            assert repr(record.residual) == repr(residual)
-            assert repr(record.scale) == repr(scale)
+        found = {tuple(record.indices.values()): (
+            repr((record.point["theta"], record.point["tau"])),
+            repr(record.residual), repr(record.scale)) for record in records}
+        assert len(found) == len(records)
+        assert found == {
+            key: (repr(point), repr(residual), repr(scale))
+            for key, (point, residual, scale) in compare(config).items()}
 
     def test_factor_halves_once_per_grid_angle(self, monkeypatch):
         calls = {"su2_factor_p": 0, "qu2_factor_jacobi": 0}
