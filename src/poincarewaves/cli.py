@@ -111,8 +111,10 @@ def _parse_complex(token: str, name: str) -> complex:
         except ValueError:
             raise click.UsageError(
                 f"cannot parse --{name} value {token!r}") from None
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
-        return complex(text.replace("i", "j"))
+        return complex(text)
     except ValueError:
         raise click.UsageError(f"cannot parse --{name} value {token!r}") from None
 

@@ -99,6 +99,10 @@ def _doubled(name: str, value: float) -> int:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if abs(value) > _MAX_WEIGHT:
+        bound = name if value > 0 else f"|{name}|"
+        raise ValueError(f"{name}={value:g} is out of range: {bound} must not "
+                         f"exceed {_MAX_WEIGHT}")
     doubled = round(2 * value)
     if abs(2 * value - doubled) > 1e-9:
         raise ValueError(f"{name} must be an integer or half-integer, got {value!r}")
@@ -125,9 +129,6 @@ class HarmonicIndex:
         N = _doubled("n", self.n)
         if L < 0:
             raise ValueError(f"l must be non-negative, got {self.l!r}")
-        if L > 2 * _MAX_WEIGHT:
-            raise ValueError(f"l={L / 2:g} is out of range: l must not exceed "
-                             f"{_MAX_WEIGHT}")
         for name, D in (("m", M), ("n", N)):
             if abs(D) > L:
                 raise ValueError(f"|{name}| must not exceed l, got {name}="
@@ -139,6 +140,7 @@ class HarmonicIndex:
         object.__setattr__(self, "l", L / 2)
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
+        object.__setattr__(self, "dotted", bool(self.dotted))
 
     @property
     def doubled(self) -> tuple[int, int, int]:

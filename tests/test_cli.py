@@ -151,6 +151,8 @@ class TestEval:
           "--tau", "800"], "tau=800.0"),
         (["--l", "500000", "--m", "0", "--n", "0", "--theta", "1",
           "--tau", "0"], "l=500000"),
+        (["--l", "1e308", "--m", "0", "--n", "0", "--theta", "1",
+          "--tau", "0"], "l=1e+308"),
     ])
     def test_overflow_is_one_line_domain_error(self, runner, args, parameter):
         result = invoke(runner, ["eval", "z", *args], expect=2)
@@ -186,6 +188,8 @@ class TestEval:
         (["planewave", "--k", "1,2,3", "--lam", "1", "--x", "inf,0,0",
           "--t", "0"], "x"),
         (["radial", "--l", "1", "--r", "nan,0"], "r"),
+        (["radial", "--l", "1", "--r", "inf"], "r"),
+        (["radial", "--l", "1", "--r", "-inf"], "r"),
         (["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
           "--x", "0,0,0", "--t", "inf", "--r", "1",
           "--angles", "0,0,1,0,0,0"], "t"),

@@ -1,4 +1,4 @@
-"""Tests for complex Euler angles, the complex sphere, and the rotation action."""
+"""Tests for complex Euler angles and the SL(2,C) covering map."""
 
 import math
 
@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarewaves.group_kinematics import (
-    ComplexSpherePoint,
-    SL2CElement,
     angles_to_sl2c,
     make_angles,
     sl2c_to_complex_rotation,
@@ -59,51 +57,42 @@ class TestMakeAngles:
         assert angles.theta_c == complex(params[2], -params[3])
 
 
-class TestComplexSphere:
-    def test_real_unit_vector(self):
-        assert ComplexSpherePoint(1, 0, 0).r_sq == 1
-
-    def test_null_vector(self):
-        assert ComplexSpherePoint(1j, 1, 0).r_sq == 0
-
-    def test_dual_formula(self):
-        point = ComplexSpherePoint(1 + 1j, 2, 0)
-        x = np.array([1.0, 2.0, 0.0])
-        y = np.array([1.0, 0.0, 0.0])
-        expected = x @ x - y @ y + 2j * (x @ y)
-        assert abs(point.r_sq - expected) < 1e-14
-        assert point.r_sq_conj == point.r_sq.conjugate()
-
-    @given(
-        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=6, max_size=6)
-    )
-    def test_dual_formula_property(self, reals):
-        x, y = tuple(reals[:3]), tuple(reals[3:])
-        point = ComplexSpherePoint.from_xy(x, y)
-        xv, yv = np.array(x), np.array(y)
-        expected = xv @ xv - yv @ yv + 2j * (xv @ yv)
-        # The real part cancels x.x against y.y, so rounding error scales
-        # with the summand magnitudes, not with the (possibly tiny) result.
-        scale = max(1.0, xv @ xv + yv @ yv)
-        assert abs(point.r_sq - expected) <= 1e-14 * scale
-
-
-def _random_unimodular(rng: np.random.Generator) -> SL2CElement:
+def _random_unimodular(rng: np.random.Generator) -> np.ndarray:
     # Draw three entries freely and solve for the fourth so that det = 1.
     while True:
         a, b, c = (complex(*rng.normal(size=2)) for _ in range(3))
         if abs(a) > 0.1:
-            return SL2CElement(a, b, c, (1 + b * c) / a)
+            return np.array([[a, b], [c, (1 + b * c) / a]])
+
+
+def _random_angles(rng: np.random.Generator):
+    return make_angles(
+        rng.uniform(0, 2 * math.pi - 1e-9),
+        rng.normal(),
+        rng.uniform(0, math.pi),
+        rng.normal(),
+        rng.uniform(-2 * math.pi, 2 * math.pi - 1e-9),
+        rng.normal(),
+    )
+
+
+def _weighted_element(l, angles, dotted):
+    # [M^l_mn] with m and n in ascending order.
+    params = (angles.phi, angles.epsilon, angles.theta, angles.tau,
+              angles.chi, angles.vareps)
+    projections = [k - l for k in range(round(2 * l) + 1)]
+    return np.array([[generalized_m_values(l, m, n, *params, dotted=dotted)
+                      for n in projections] for m in projections])
 
 
 class TestRotationAction:
     def test_identity(self):
-        rotation = sl2c_to_complex_rotation(SL2CElement.identity())
+        rotation = sl2c_to_complex_rotation(np.eye(2))
         assert np.allclose(rotation, np.eye(3), atol=1e-15)
 
     def test_diagonal_element_rotates_z1_z2_plane(self):
         phi = 0.7
-        g = SL2CElement(np.exp(1j * phi / 2), 0, 0, np.exp(-1j * phi / 2))
+        g = np.diag([np.exp(1j * phi / 2), np.exp(-1j * phi / 2)])
         rotation = sl2c_to_complex_rotation(g)
         assert abs(rotation[2, 2] - 1) < 1e-12
         assert abs(rotation[0, 2]) < 1e-12 and abs(rotation[2, 0]) < 1e-12
@@ -111,10 +100,6 @@ class TestRotationAction:
         assert abs(rotation[1, 1] - math.cos(phi)) < 1e-12
         assert abs(abs(rotation[0, 1]) - abs(math.sin(phi))) < 1e-12
         assert abs(rotation[0, 1] + rotation[1, 0]) < 1e-12
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            SL2CElement(2, 0, 0, 1)
 
     def test_invariance_orthogonality_homomorphism(self):
         rng = np.random.default_rng(20240817)
@@ -127,7 +112,7 @@ class TestRotationAction:
             # complex orthogonality (no conjugation)
             assert np.abs(r1.T @ r1 - np.eye(3)).max() < 1e-10 * scale
             # homomorphism
-            r12 = sl2c_to_complex_rotation(g1.compose(g2))
+            r12 = sl2c_to_complex_rotation(g1 @ g2)
             assert np.abs(r12 - r1 @ r2).max() < 1e-10 * max(
                 1.0, float(np.abs(r12).max())
             )
@@ -139,15 +124,8 @@ class TestRotationAction:
     def test_euler_parametrization_lands_in_group(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            angles = make_angles(
-                rng.uniform(0, 2 * math.pi - 1e-9),
-                rng.normal(),
-                rng.uniform(0, math.pi),
-                rng.normal(),
-                rng.uniform(-2 * math.pi, 2 * math.pi - 1e-9),
-                rng.normal(),
-            )
-            g = angles_to_sl2c(angles)  # constructor revalidates det = 1
+            g = angles_to_sl2c(_random_angles(rng))
+            assert abs(np.linalg.det(g) - 1) <= 1e-12
             rotation = sl2c_to_complex_rotation(g)
             assert np.abs(rotation.T @ rotation - np.eye(3)).max() < 1e-9 * max(
                 1.0, float(np.abs(rotation).max()) ** 2
@@ -160,22 +138,35 @@ class TestSpinHalfElement:
         # reversed; the dotted series gives its complex conjugate.
         rng = np.random.default_rng(20261017)
         sigma3 = np.diag([1.0, -1.0])
-        half = (-0.5, 0.5)
         for _ in range(500):
-            angles = make_angles(
-                rng.uniform(0, 2 * math.pi - 1e-9),
-                rng.normal(),
-                rng.uniform(0, math.pi),
-                rng.normal(),
-                rng.uniform(-2 * math.pi, 2 * math.pi - 1e-9),
-                rng.normal(),
-            )
-            params = (angles.phi, angles.epsilon, angles.theta, angles.tau,
-                      angles.chi, angles.vareps)
-            want = (sigma3 @ angles_to_sl2c(angles).matrix() @ sigma3)[::-1, ::-1]
+            angles = _random_angles(rng)
+            want = (sigma3 @ angles_to_sl2c(angles) @ sigma3)[::-1, ::-1]
             bound = 1e-13 * float(np.abs(want).max())
             for dotted, expected in ((False, want), (True, want.conj())):
-                got = np.array([[generalized_m_values(0.5, m, n, *params,
-                                                      dotted=dotted)
-                                 for n in half] for m in half])
+                got = _weighted_element(0.5, angles, dotted)
                 assert np.abs(got - expected).max() <= bound
+
+
+#: Spherical basis (-1, -i, 0)/sqrt2, (0, 0, 1), (1, -i, 0)/sqrt2 as rows.
+SPHERICAL_BASIS = np.array([[-1, -1j, 0], [0, 0, math.sqrt(2)],
+                            [1, -1j, 0]]) / math.sqrt(2)
+
+
+class TestSpinOneElement:
+    def test_weighted_element_is_the_complex_rotation(self):
+        # The covering map makes R(g) an independent reference for the
+        # weighted element at l = 1: [M^1_mn](g) U = U R(g), m and n
+        # ascending.  The dotted series obeys M-bar conj(U) = conj(U R(g)),
+        # checked here in its exactly conjugated form conj(M-bar) U = U R(g).
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            angles = _random_angles(rng)
+            rotation = sl2c_to_complex_rotation(angles_to_sl2c(angles))
+            want = SPHERICAL_BASIS @ rotation
+            for dotted in (False, True):
+                element = _weighted_element(1, angles, dotted)
+                if dotted:
+                    element = element.conj()
+                bound = 1e-13 * float(np.abs(element).max()
+                                      * np.abs(rotation).max())
+                assert np.abs(element @ SPHERICAL_BASIS - want).max() <= bound

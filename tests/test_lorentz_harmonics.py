@@ -427,6 +427,7 @@ class TestOutOfRange:
     @pytest.mark.parametrize("evaluate", [
         lambda: su2_factor_p(20000, 0, 0, 1.0),
         lambda: z_sum(HarmonicIndex(1e6, 0, 0), 1.0, 0.0),
+        lambda: HarmonicIndex(1e308, 0, 0),
     ])
     def test_huge_weight_refused_before_any_factorial(self, evaluate):
         with pytest.raises(ValueError, match="is out of range: l must not "
@@ -508,10 +509,15 @@ class TestGrids:
     @pytest.mark.parametrize("grid, route", GRID_ROUTES)
     def test_mixed_weights_in_one_call(self, grid, route):
         # Interleaved weights: the grid sums one weight at a time and must
-        # hand the rows back in this order.
+        # hand the rows back in this order.  Int dotted flags are stored as
+        # bools, so the grid masks the dotted members rather than indexing.
         indices = [HarmonicIndex(2, 1, -2), HarmonicIndex(0.5, -0.5, 0.5, True),
                    HarmonicIndex(2, 1, -2), HarmonicIndex(6, 0, 3),
-                   HarmonicIndex(0.5, 0.5, -0.5), HarmonicIndex(0, 0, 0)]
+                   HarmonicIndex(0.5, 0.5, -0.5), HarmonicIndex(0, 0, 0),
+                   HarmonicIndex(1, 1, 0, dotted=0),
+                   HarmonicIndex(1, 0, 1, dotted=0),
+                   HarmonicIndex(1, 1, 1, dotted=1)]
+        assert indices[-1].dotted is True and indices[-2].dotted is False
         thetas, taus = [0.0, 0.3, 2.2], [-0.4, -0.0, 0.0, 0.9]
         grids = grid(indices, thetas, taus)
         assert len(grids) == len(indices)
