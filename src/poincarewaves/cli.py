@@ -49,6 +49,9 @@ _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",
                    "planewave", "radial", "assemble")
 _TABLE_FUNCTIONS = ("z", "zonal")
 
+#: Most theta x tau points in a table, which is held whole until written.
+_MAX_TABLE_POINTS = 1_000_000
+
 
 class _DomainError(click.ClickException):
     """An input outside a function's domain: one-line message, exit status 2."""
@@ -148,11 +151,11 @@ def _parse_angles(token: str) -> ComplexEulerAngles:
         raise _DomainError(f"invalid --angles: {error}") from None
 
 
-def _parse_grid(spec: str, name: str) -> list[float]:
-    """Parse a grid spec: a single value or start:stop:count (count >= 1)."""
+def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
+    """Parse start:stop:count (count >= 1), or a value v as v:v:1."""
     parts = spec.split(":")
     if len(parts) == 1:
-        return [_parse_number(parts[0], name)]
+        parts = [spec, spec, "1"]
     if len(parts) != 3:
         raise click.UsageError(
             f"--{name} grid must be a value or start:stop:count, got {spec!r}")
@@ -166,6 +169,10 @@ def _parse_grid(spec: str, name: str) -> list[float]:
     if count < 1:
         raise click.UsageError(
             f"--{name} grid is empty: count must be >= 1, got {count}")
+    return start, stop, count
+
+
+def _grid_axis(start: float, stop: float, count: int) -> list[float]:
     if count == 1:
         return [start]
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -255,17 +262,12 @@ def _format_option(default: str):
 @click.option("--c", "light_speed", type=float, default=1.0,
               show_default=True, help="Propagation speed constant.")
 @_format_option("text")
-def cmd_eval(function, l, m, n, dotted, theta, tau, phi, epsilon, chi, vareps,
-             kvec, lam, xvec, t, rvalue, cconst, cdot, variant, angles,
-             light_speed, fmt):
+def cmd_eval(function, fmt, **options):
     """Evaluate FUNCTION at one parameter point."""
     try:
         # Overflow surfaces as a non-finite value or a ValueError, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _evaluate(function, l, m, n, dotted, theta, tau, phi,
-                               epsilon, chi, vareps, kvec, lam, xvec, t,
-                               rvalue, cconst, cdot, variant, angles,
-                               light_speed)
+            values = _evaluate(function, **options)
     except ValueError as error:
         raise _DomainError(str(error)) from None
     for name, value in values.items():
@@ -467,15 +469,18 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
 @_format_option("csv")
 def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
     """Tabulate FUNCTION over the (theta, tau) grid, row-major in theta."""
-    thetas = _parse_grid(theta, "theta")
-    taus = _parse_grid(tau, "tau")
+    theta_spec, tau_spec = _parse_grid(theta, "theta"), _parse_grid(tau, "tau")
+    if (points := theta_spec[2] * tau_spec[2]) > _MAX_TABLE_POINTS:
+        raise _DomainError(f"the theta x tau grid has {points} points; a table"
+                           f" holds at most {_MAX_TABLE_POINTS}")
+    thetas, taus = _grid_axis(*theta_spec), _grid_axis(*tau_spec)
     try:
         if function == "z":
             _require(function, m=m, n=n)
             idx = HarmonicIndex(l, m, n, dotted=dotted)
         else:
             idx = HarmonicIndex(l, 0.0, 0.0)
-        grid = z_sum_grid([idx], thetas, taus)[0]
+        grid = z_sum_grid([idx], thetas, taus)[0].tolist()
     except ValueError as error:
         raise _DomainError(str(error)) from None
     # Text and CSV format each grid coordinate once and echo the table once.

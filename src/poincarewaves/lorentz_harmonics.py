@@ -30,7 +30,8 @@ coefficient tables in the unfolded tangent-power form, so the factorization
 check compares genuinely different floating-point evaluations.
 
 ``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
-indices over a whole theta x tau grid.  The summand's rotation side depends
+indices over a whole theta x tau grid, as one complex128 array of shape
+(len(indices), len(thetas), len(taus)).  The summand's rotation side depends
 only on (m, k, theta) and its rapidity side only on (k, n, tau), so each side
 is evaluated once per grid angle, in Python (libm ``pow``, whose bits numpy's
 power does not reproduce); the k sum is one numpy operation per weight and k.
@@ -383,8 +384,8 @@ def _folded_side(terms, halves) -> list[float]:
 
 
 def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
-                 phased: bool) -> list[list[list[complex]]]:
-    """Per index, rows over thetas of sum_K rotation * rapidity over taus.
+                 phased: bool) -> np.ndarray:
+    """sum_K rotation * rapidity, shaped (len(indices), len(thetas), len(taus)).
 
     rotation_side(L, M, K) returns one side's values over thetas and
     rapidity_side(L, N, K) over taus; each runs once per distinct (L, a, K).
@@ -396,7 +397,7 @@ def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
     phase).  One factor of each complex product is real, so numpy rounds
     each component as Python does.  Dotted indices are conjugated.
     """
-    grids = [None] * len(indices)
+    grids = np.empty((len(indices), len(thetas), len(taus)), complex)
     weights = {}
     for position, idx in enumerate(indices):
         weights.setdefault(idx.doubled[0], []).append(position)
@@ -418,8 +419,7 @@ def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
             total += product
         dotted = np.array([idx.dotted for idx in members])
         total[dotted] = total[dotted].conj()
-        for position, rows in zip(positions, total.tolist()):
-            grids[position] = rows
+        grids[positions] = total
     return grids
 
 
@@ -443,12 +443,12 @@ def _on_grid(route, indices, thetas, taus, evaluate):
         raise
 
 
-def z_sum_grid(indices, thetas, taus) -> list[list[list[complex]]]:
+def z_sum_grid(indices, thetas, taus) -> np.ndarray:
     """z_sum(idx, theta, tau) for each index over the theta x tau grid.
 
-    Returns, per index, one row per theta of the values at each tau, each
-    bit-identical to z_sum at that point.  Each side of the summand is
-    evaluated once per grid angle and (l, m or n, k).
+    Returns a complex128 array shaped (len(indices), len(thetas), len(taus)),
+    each value bit-identical to z_sum at its point.  Each side of the summand
+    is evaluated once per grid angle and (l, m or n, k).
     """
     def evaluate(indices, thetas, taus):
         halves = [(math.sin(t / 2), math.cos(t / 2)) for t in thetas]
@@ -461,10 +461,10 @@ def z_sum_grid(indices, thetas, taus) -> list[list[list[complex]]]:
     return _on_grid(z_sum, indices, thetas, taus, evaluate)
 
 
-def z_2f1_grid(indices, thetas, taus) -> list[list[list[complex]]]:
+def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     """z_2f1(idx, theta, tau) for each index over the theta x tau grid.
 
-    Same layout and contract as ``z_sum_grid``: bit-identical to z_2f1, with
+    Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1, with
     each hypergeometric side evaluated once per grid angle and (l, m or n, k).
     """
     def evaluate(indices, thetas, taus):

@@ -245,27 +245,28 @@ def _harmonic_indices(l: float) -> list[HarmonicIndex]:
     return [HarmonicIndex(l, m, n) for m in projections for n in projections]
 
 
-def _worst_grid_record(config: SuiteConfig, check: str, idx: HarmonicIndex,
-                       thetas, taus, pairs) -> ResidualRecord:
-    """Record at the theta x tau point with the largest residual / max(1, scale).
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|values| by libm hypot, as Python's abs(complex): np.abs rounds many
+    moduli differently in the last bit, and records must match a scalar rescan."""
+    return np.hypot(values.real, values.imag)
 
-    pairs holds (residual, scale) at each point in row-major order (theta
-    outer); ties keep the first point.
+
+def _worst_grid_records(config: SuiteConfig, check: str, indices, thetas, taus,
+                        residual: np.ndarray, scale: np.ndarray
+                        ) -> list[ResidualRecord]:
+    """Per index, the record at the point of largest residual / max(1, scale).
+
+    residual and scale are shaped (len(indices), len(thetas), len(taus));
+    ties keep the first point in row-major order (theta outer).
     """
-    worst = (-1.0, thetas[0], taus[0], 0.0, 0.0)
-    points = ((theta, tau) for theta in thetas for tau in taus)
-    for (theta, tau), (residual, scale) in zip(points, pairs):
-        ratio = residual / max(1.0, scale)
-        if ratio > worst[0]:
-            worst = (ratio, theta, tau, residual, scale)
-    _, theta, tau, residual, scale = worst
-    return config.record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
-                         {"theta": theta, "tau": tau}, residual, scale)
-
-
-def _flat(grid) -> list:
-    """Row-major values of one index's theta x tau grid."""
-    return [value for row in grid for value in row]
+    residual = residual.reshape(len(indices), -1)
+    scale = scale.reshape(len(indices), -1)
+    worst = (residual / np.maximum(1.0, scale)).argmax(axis=1).tolist()
+    return [config.record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
+                          {"theta": thetas[point // len(taus)],
+                           "tau": taus[point % len(taus)]},
+                          residual[i, point], scale[i, point])
+            for i, (idx, point) in enumerate(zip(indices, worst))]
 
 
 def _ring_points() -> list[complex]:
@@ -305,24 +306,18 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
         # One direct grid per weight: row 0 is theta = 0 and the last column
         # tau = 0, so it also holds Z(0, 0) and the rotations Z(theta, 0).
         direct = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
-        for idx, direct_grid, series_grid in zip(
-                indices, direct, z_2f1_grid(indices, thetas, taus)):
-            inner = _flat(row[:-1] for row in direct_grid[1:])
-            pairs = [(abs(value - series), abs(value)) for value, series
-                     in zip(inner, _flat(series_grid))]
-            records.append(_worst_grid_record(
-                config, "cross_formula", idx, thetas, taus, pairs))
-        identity_worst = max(
-            abs(grid[0][-1] - (1.0 if idx.m == idx.n else 0.0))
-            for idx, grid in zip(indices, direct))
+        inner = direct[:, 1:, :-1]
+        records += _worst_grid_records(
+            config, "cross_formula", indices, thetas, taus,
+            _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
+        dimension = len(_projections(l))
+        identity = direct[:, 0, -1].reshape(dimension, dimension)
         records.append(config.record(
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
-            identity_worst, 1.0))
-        dimension = len(_projections(l))
+            _modulus(identity - np.eye(dimension)).max(), 1.0))
         worst_unitary = (-1.0, thetas[0])
         for i, theta in enumerate(thetas, start=1):
-            matrix = np.array([grid[i][-1] for grid in direct]
-                              ).reshape(dimension, dimension)
+            matrix = direct[:, i, -1].reshape(dimension, dimension)
             deviation = float(np.abs(matrix @ matrix.conj().T
                                      - np.eye(dimension)).max())
             if deviation > worst_unitary[0]:
@@ -346,14 +341,12 @@ def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
 
     for l in _l_values(config.lmax):
         indices = _harmonic_indices(l)
-        for idx, direct_grid, factor_grid in zip(
-                indices, z_sum_grid(indices, thetas, taus),
-                _grid_values(indices, thetas, taus, rotation, rapidity,
-                             phased=False)):
-            pairs = [(abs(total - direct), abs(direct)) for total, direct
-                     in zip(_flat(factor_grid), _flat(direct_grid))]
-            records.append(_worst_grid_record(
-                config, "factorization", idx, thetas, taus, pairs))
+        direct = z_sum_grid(indices, thetas, taus)
+        factored = _grid_values(indices, thetas, taus, rotation, rapidity,
+                                phased=False)
+        records += _worst_grid_records(
+            config, "factorization", indices, thetas, taus,
+            _modulus(factored - direct), _modulus(direct))
     return records
 
 

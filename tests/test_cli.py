@@ -428,3 +428,14 @@ class TestTable:
     ])
     def test_usage_errors_exit_two(self, runner, args):
         invoke(runner, args, expect=2)
+
+    @pytest.mark.parametrize("theta, tau", [
+        ("0:3:1001", "-1:1:1000"), ("0:3:10000000000", "0")])
+    def test_oversized_grid_is_one_line_domain_error(self, runner, theta, tau):
+        # Refused from the parsed counts, before either axis is allocated.
+        result = invoke(runner, ["table", "z", "--l", "4", "--m", "1",
+                                 "--n", "-3", "--theta", theta, "--tau", tau],
+                        expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -496,11 +497,11 @@ class TestGrids:
             indices = [HarmonicIndex(doubled_l / 2, m, n, dotted=dotted)
                        for m in projections for n in projections]
             grids = grid(indices, GRID_THETAS, GRID_TAUS)
-            assert len(grids) == len(indices)
-            for idx, rows in zip(indices, grids):
-                assert len(rows) == len(GRID_THETAS)
+            assert grids.dtype == np.complex128
+            assert grids.shape == (len(indices), len(GRID_THETAS),
+                                   len(GRID_TAUS))
+            for idx, rows in zip(indices, grids.tolist()):
                 for theta, row in zip(GRID_THETAS, rows):
-                    assert len(row) == len(GRID_TAUS)
                     for tau, value in zip(GRID_TAUS, row):
                         # repr tells signed zeros apart, as table CSV does.
                         assert repr(value) == repr(route(idx, theta, tau)), (
@@ -520,15 +521,13 @@ class TestGrids:
         assert indices[-1].dotted is True and indices[-2].dotted is False
         thetas, taus = [0.0, 0.3, 2.2], [-0.4, -0.0, 0.0, 0.9]
         grids = grid(indices, thetas, taus)
-        assert len(grids) == len(indices)
-        for idx, rows in zip(indices, grids):
+        assert grids.shape == (len(indices), len(thetas), len(taus))
+        for idx, rows in zip(indices, grids.tolist()):
             assert [[repr(value) for value in row] for row in rows] == [
                 [repr(route(idx, theta, tau)) for tau in taus] for theta in thetas]
-        # Equal indices get rows of their own: mutating one leaves the other.
-        assert grids[0] is not grids[2]
-        assert all(a is not b for a, b in zip(grids[0], grids[2]))
-        grids[0][0][0] = None
-        assert grids[2][0][0] == route(indices[2], thetas[0], taus[0])
+        # Equal indices get entries of their own: writing one leaves the other.
+        grids[0, 0, 0] = 12345.0
+        assert grids[2, 0, 0] == route(indices[2], thetas[0], taus[0])
 
     @pytest.mark.parametrize("theta", [1.1, math.pi])
     @pytest.mark.parametrize("l, tau", [
@@ -547,15 +546,17 @@ class TestGrids:
                     grid(indices, [theta], [tau])
                 return
             grids = grid(indices, [theta], [tau])
-        for idx, rows in zip(indices, grids):
+        for idx, rows in zip(indices, grids.tolist()):
             assert repr(rows[0][0]) == repr(route(idx, theta, tau)), idx
 
     @pytest.mark.parametrize("grid, route", GRID_ROUTES)
     def test_empty_grids(self, grid, route):
         idx = HarmonicIndex(1, 0, 1)
-        assert grid([], [0.1], [0.2]) == []
-        assert grid([idx], [], [0.2]) == [[]]
-        assert grid([idx], [0.1, 0.2], []) == [[[], []]]
+        for indices, thetas, taus, shape in [
+                ([], [0.1], [0.2], (0, 1, 1)), ([idx], [], [0.2], (1, 0, 1)),
+                ([idx], [0.1, 0.2], [], (1, 2, 0))]:
+            grids = grid(indices, thetas, taus)
+            assert grids.shape == shape and grids.dtype == np.complex128
 
     @pytest.mark.parametrize("thetas, taus", [
         ([4.0, 0.1], [0.2, NAN]),
