@@ -10,7 +10,7 @@ with a cross-verification harness exposed both as a library and as the
 Module map
     group_kinematics     complex Euler angles, SL(2, C) parametrization
     lorentz_harmonics    hyperspherical matrix elements Z, M and their factors
-    differential_checks  finite-difference residual records (Casimir, etc.)
+    differential_checks  finite-difference residuals (Casimir, etc.)
     photon_plane_waves   spin matrices, polarization triple, 6-component waves
     lorentz_sector       spin-block matrices, radial system, separated columns
     poincare_assembly    full wavefunctions and the six-member solution catalog

@@ -159,8 +159,8 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise click.UsageError(
             f"--{name} grid must be a value or start:stop:count, got {spec!r}")
-    start = _parse_number(parts[0], name)
-    stop = _parse_number(parts[1], name)
+    start = _finite(name, _parse_number(parts[0], name))
+    stop = _finite(name, _parse_number(parts[1], name))
     try:
         count = int(parts[2])
     except ValueError:

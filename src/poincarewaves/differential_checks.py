@@ -16,21 +16,22 @@ complex-angle derivative, so plain central differences in (theta, phi, chi)
 realize d/d(theta_c), d/d(phi_c), d/d(chi_c) for the undotted series and
 d/d(theta_c_dot), ... for the dotted one.
 
-Each check returns a ResidualRecord carrying the measured residual, the scale
-of the terms that had to cancel, the tolerance in force, and the pass verdict
-(residual <= tolerance * max(1, scale)).  Central differences are second-order;
-Richardson extrapolation (one level per halving of the step) sharpens them to
-the rounding floor.  The defaults (step 1e-3, two levels) leave residuals
-around 1e-9 relative for weights l <= 4.
+Each check measures and returns a (residual, scale) pair: the residual and the
+scale of the terms that had to cancel.  It does not judge it; the suites
+build one ResidualRecord per measurement, whose verdict is
+residual <= tolerance * max(1, scale) at the tolerance of its check name.
+Central differences are second-order; Richardson extrapolation (one level per
+halving of the step) sharpens them to the rounding floor.  The step 1e-3 and
+two levels leave residuals around 1e-9 relative for weights l <= 4.
 
 The Legendre check verifies the single-variable second-order equation satisfied
 by Z^l_mn as a function of z = cos(theta_c), and the holomorphy check measures
-the Cauchy-Riemann defect d/d(tau) + i d/d(theta); the latter is *flagged*:
-reported, but never allowed to fail a verification run, since the underlying
-smoothness assumption is checked rather than proven.
+the Cauchy-Riemann defect d/d(tau) + i d/d(theta); the suites flag the
+latter's records: reported, but never allowed to fail a verification run,
+since the underlying smoothness assumption is checked rather than proven.
 
 Everything here is pure and deterministic: identical inputs produce
-bit-identical records.
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .lorentz_harmonics import HarmonicIndex, generalized_m_values
 from .group_kinematics import ComplexEulerAngles
 
 __all__ = [
-    "FDScheme",
     "ResidualRecord",
     "make_record",
     "casimir_x2_residual",
@@ -52,31 +52,14 @@ __all__ = [
     "legendre_residual",
     "holomorphy_residual",
     "casimir_convergence_order",
-    "DEFAULT_SCHEME",
 ]
 
 #: Exclusion zone around the coordinate singularities theta = 0, pi (radians).
 SINGULARITY_MARGIN = 0.1
 #: Exclusion zone for the Legendre variable: require |1 - z^2| above this.
 LEGENDRE_MARGIN = 1e-3
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Central-difference step and Richardson depth for the residual checks."""
-
-    step: float = 1e-3
-    richardson_levels: int = 2
-
-    def __post_init__(self) -> None:
-        if not (1e-6 <= self.step <= 1e-1):
-            raise ValueError(f"step must lie in [1e-6, 1e-1], got {self.step!r}")
-        if not (1 <= int(self.richardson_levels) <= 4):
-            raise ValueError(
-                f"richardson_levels must lie in [1, 4], got {self.richardson_levels!r}")
-
-
-DEFAULT_SCHEME = FDScheme()
+#: Central-difference step and Richardson depth of every check.
+_STEP, _LEVELS = 1e-3, 2
 
 
 @dataclass(frozen=True)
@@ -131,17 +114,8 @@ def _richardson(estimate: Callable[[float], complex], step: float,
     return table[levels - 1][levels - 1]
 
 
-def _index_map(idx: HarmonicIndex) -> dict:
-    return {"l": idx.l, "m": idx.m, "n": idx.n, "dotted": idx.dotted}
-
-
-def _angle_map(angles: ComplexEulerAngles) -> dict:
-    return {"phi": angles.phi, "epsilon": angles.epsilon, "theta": angles.theta,
-            "tau": angles.tau, "chi": angles.chi, "vareps": angles.vareps}
-
-
-def _casimir_record(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                    scheme: FDScheme, tolerance: float) -> ResidualRecord:
+def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
+             levels: int) -> tuple[float, float]:
     """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx)."""
     phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
     if not (SINGULARITY_MARGIN < theta0 < math.pi - SINGULARITY_MARGIN):
@@ -176,37 +150,32 @@ def _casimir_record(idx: HarmonicIndex, angles: ComplexEulerAngles,
         return (d2_theta + (cos_c / sin_c) * d_theta
                 + (d2_phi - 2 * cos_c * d_phi_chi + d2_chi) / (sin_c * sin_c))
 
-    operator = _richardson(estimate, scheme.step, int(scheme.richardson_levels))
+    operator = _richardson(estimate, step, levels)
     eigenvalue = idx.eigenvalue
-    residual = abs(operator + eigenvalue * f0)
-    scale = max(1.0, eigenvalue) * abs(f0)
-    return make_record("casimir_y2" if idx.dotted else "casimir_x2",
-                       _index_map(idx), _angle_map(angles), residual, scale,
-                       tolerance)
+    return (abs(operator + eigenvalue * f0),
+            max(1.0, eigenvalue) * abs(f0))
 
 
-def casimir_x2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                        scheme: FDScheme = DEFAULT_SCHEME,
-                        tolerance: float = 1e-6) -> ResidualRecord:
-    """Residual of [X2 + l(l+1)] applied to the undotted weighted element."""
+def casimir_x2_residual(idx: HarmonicIndex,
+                        angles: ComplexEulerAngles) -> tuple[float, float]:
+    """(residual, scale) of [X2 + l(l+1)] on the undotted weighted element."""
     if idx.dotted:
         raise ValueError("casimir_x2_residual checks the undotted series; "
                          "use casimir_y2_residual for a dotted index")
-    return _casimir_record(idx, angles, scheme, tolerance)
+    return _casimir(idx, angles, _STEP, _LEVELS)
 
 
-def casimir_y2_residual(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                        scheme: FDScheme = DEFAULT_SCHEME,
-                        tolerance: float = 1e-6) -> ResidualRecord:
-    """Residual of [Y2 + l(l+1)] applied to the dotted (conjugate) element."""
+def casimir_y2_residual(idx: HarmonicIndex,
+                        angles: ComplexEulerAngles) -> tuple[float, float]:
+    """(residual, scale) of [Y2 + l(l+1)] on the dotted (conjugate) element."""
     if not idx.dotted:
         raise ValueError("casimir_y2_residual checks the dotted series; "
                          "construct the index with dotted=True")
-    return _casimir_record(idx, angles, scheme, tolerance)
+    return _casimir(idx, angles, _STEP, _LEVELS)
 
 
-def _z_line_derivatives(idx: HarmonicIndex, theta: float, tau: float,
-                        scheme: FDScheme) -> tuple[complex, complex, complex]:
+def _z_line_derivatives(idx: HarmonicIndex, theta: float,
+                        tau: float) -> tuple[complex, complex, complex]:
     """(value, d/dtheta, d^2/dtheta^2) of the (possibly dotted) Z at fixed tau."""
 
     def g(th: float) -> complex:
@@ -221,15 +190,13 @@ def _z_line_derivatives(idx: HarmonicIndex, theta: float, tau: float,
     def second(h: float) -> complex:
         return (g(theta + h) - 2 * g0 + g(theta - h)) / (h * h)
 
-    levels = int(scheme.richardson_levels)
-    return (g0, _richardson(first, scheme.step, levels),
-            _richardson(second, scheme.step, levels))
+    return (g0, _richardson(first, _STEP, _LEVELS),
+            _richardson(second, _STEP, _LEVELS))
 
 
-def legendre_residual(idx: HarmonicIndex, theta: float, tau: float,
-                      scheme: FDScheme = DEFAULT_SCHEME,
-                      tolerance: float = 1e-6) -> ResidualRecord:
-    """Residual of the second-order equation in z = cos(theta_c) satisfied by Z.
+def legendre_residual(idx: HarmonicIndex, theta: float,
+                      tau: float) -> tuple[float, float]:
+    """(residual, scale) of the second-order equation in z = cos(theta_c).
 
     Checks (1-z^2) Z'' - 2z Z' - (m^2 + n^2 - 2mnz)/(1-z^2) Z + l(l+1) Z = 0,
     with derivatives taken along the real theta direction and converted by the
@@ -244,7 +211,7 @@ def legendre_residual(idx: HarmonicIndex, theta: float, tau: float,
         raise ValueError(
             f"evaluation point too close to the equation's singular locus: "
             f"|1 - z^2| = {abs(one_minus_z2)!r} <= {LEGENDRE_MARGIN}")
-    g0, d1, d2 = _z_line_derivatives(idx, theta, tau, scheme)
+    g0, d1, d2 = _z_line_derivatives(idx, theta, tau)
     z_prime = -d1 / sin_c
     z_second = d2 / (sin_c * sin_c) - cmath.cos(theta_c) * d1 / sin_c**3
     m, n = idx.m, idx.n
@@ -254,23 +221,19 @@ def legendre_residual(idx: HarmonicIndex, theta: float, tau: float,
         -((m * m + n * n - 2 * m * n * z) / one_minus_z2) * g0,
         idx.eigenvalue * g0,
     )
-    residual = abs(sum(terms))
-    scale = max(abs(term) for term in terms)
-    return make_record("legendre", _index_map(idx),
-                       {"theta": theta, "tau": tau}, residual, scale, tolerance)
+    return abs(sum(terms)), max(abs(term) for term in terms)
 
 
-def holomorphy_residual(idx: HarmonicIndex, theta: float, tau: float,
-                        scheme: FDScheme = DEFAULT_SCHEME,
-                        tolerance: float = 1e-6) -> ResidualRecord:
-    """Cauchy-Riemann defect of Z in the complex rotation angle (flagged).
+def holomorphy_residual(idx: HarmonicIndex, theta: float,
+                        tau: float) -> tuple[float, float]:
+    """(defect, scale) of the Cauchy-Riemann relation in the rotation angle.
 
     For the undotted series Z = F(theta - i tau), smoothness demands
     dZ/dtau + i dZ/dtheta = 0; the dotted series satisfies the conjugate
-    relation dZ/dtau - i dZ/dtheta = 0.  The record is flagged: it reports the
-    measured defect but is excluded from hard pass/fail aggregation.
+    relation dZ/dtau - i dZ/dtheta = 0.  The scale is |dZ/dtheta|.  The suites
+    flag its record: it reports the measured defect but is excluded from hard
+    pass/fail aggregation.
     """
-    levels = int(scheme.richardson_levels)
 
     def value(th: float, ta: float) -> complex:
         return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, th, ta,
@@ -282,24 +245,21 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float, tau: float,
     def d_tau(h: float) -> complex:
         return (value(theta, tau + h) - value(theta, tau - h)) / (2 * h)
 
-    dt = _richardson(d_theta, scheme.step, levels)
-    dtau = _richardson(d_tau, scheme.step, levels)
+    dt = _richardson(d_theta, _STEP, _LEVELS)
+    dtau = _richardson(d_tau, _STEP, _LEVELS)
     defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
-    return make_record("holomorphy", _index_map(idx),
-                       {"theta": theta, "tau": tau}, abs(defect), abs(dt),
-                       tolerance, flagged=True)
+    return abs(defect), abs(dt)
 
 
-def casimir_convergence_order(idx: HarmonicIndex, angles: ComplexEulerAngles,
-                              coarse_step: float = 2e-2) -> float:
+def casimir_convergence_order(idx: HarmonicIndex,
+                              angles: ComplexEulerAngles) -> float:
     """Measured order log2(residual(2h)/residual(h)) of the raw FD residual.
 
     Checks Y2 for a dotted idx and X2 otherwise, with single-level
-    (unextrapolated) estimates at coarse_step and coarse_step/2, where
-    truncation error dominates rounding; a second-order stencil should
-    measure close to 2.
+    (unextrapolated) estimates at h = 1e-2 and 2h = 2e-2, where truncation
+    error dominates rounding; a second-order stencil should measure close
+    to 2.
     """
-    check = casimir_y2_residual if idx.dotted else casimir_x2_residual
-    coarse = check(idx, angles, FDScheme(coarse_step, 1))
-    fine = check(idx, angles, FDScheme(coarse_step / 2, 1))
-    return math.log2(coarse.residual / fine.residual)
+    coarse, _ = _casimir(idx, angles, 2e-2, 1)
+    fine, _ = _casimir(idx, angles, 1e-2, 1)
+    return math.log2(coarse / fine)

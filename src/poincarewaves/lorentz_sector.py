@@ -2,13 +2,13 @@
 separated solutions on the complex two-sphere.
 
 CONTENTS
-    * ``build_matrices`` -- the 3x3 spin-block matrices Lambda_1..3 (scaled by
-      a constant c11) and the six 6x6 block matrices Upsilon built from them.
+    * ``build_matrices`` -- the 3x3 spin-block matrices Lambda_1..3 and the
+      six 6x6 block matrices Upsilon built from them.
       Two variants ship: the verbatim printed form, whose Lambda_1 is missing
       its (2,3) entry and consequently violates the spin-1 algebra, and the
       corrected ladder-symmetric form (the default), which satisfies
       [Lambda_i, Lambda_j] = +i eps_ijk Lambda_k and
-      Lambda_1^2 + Lambda_2^2 + Lambda_3^2 = 2 * identity at c11 = 1.
+      Lambda_1^2 + Lambda_2^2 + Lambda_3^2 = 2 * identity.
     * ``RadialSolution`` / ``radial_residual`` -- the first-order radial
       system at angular order l in r-multiplied form,
 
@@ -96,7 +96,6 @@ class LambdaMatrices:
     lambda2: np.ndarray
     lambda3: np.ndarray
     upsilons: tuple[np.ndarray, ...]
-    c11: complex
     corrected: bool
 
     @property
@@ -104,26 +103,25 @@ class LambdaMatrices:
         return self.lambda1, self.lambda2, self.lambda3
 
     def casimir(self) -> np.ndarray:
-        """Lambda_1^2 + Lambda_2^2 + Lambda_3^2 (equals 2 c11^2 I if corrected)."""
+        """Lambda_1^2 + Lambda_2^2 + Lambda_3^2 (equals 2 I if corrected)."""
         return sum(lam @ lam for lam in self.lambdas)
 
     def casimir_defect(self) -> float:
-        """Max-entry distance of the Casimir sum from 2 c11^2 * identity."""
-        target = 2.0 * self.c11 * self.c11 * np.eye(3)
-        return float(np.abs(self.casimir() - target).max())
+        """Max-entry distance of the Casimir sum from 2 * identity."""
+        return float(np.abs(self.casimir() - 2.0 * np.eye(3)).max())
 
     def commutator_sign(self) -> int:
-        """Global sign s in [Lambda_i, Lambda_j] = s i c11 eps_ijk Lambda_k.
+        """Global sign s in [Lambda_i, Lambda_j] = s i eps_ijk Lambda_k.
 
         Measured numerically; +1 for the corrected variant.  Raises
         AssertionError if the commutators are not proportional to the
         generators (as happens for the verbatim printed variant).
         """
-        return commutator_sign([lam / self.c11 for lam in self.lambdas], 1e-12)
+        return commutator_sign(self.lambdas, 1e-12)
 
 
-def build_matrices(c11: complex = 1.0, corrected: bool = True) -> LambdaMatrices:
-    """Construct the Lambda and Upsilon matrices at overall scale c11.
+def build_matrices(corrected: bool = True) -> LambdaMatrices:
+    """Construct the Lambda and Upsilon matrices.
 
     corrected=False reproduces the printed arrays verbatim, including the
     Lambda_1 whose second row is missing its (2,3) entry; that variant fails
@@ -131,24 +129,19 @@ def build_matrices(c11: complex = 1.0, corrected: bool = True) -> LambdaMatrices
     as a documented negative control.  corrected=True (default) restores the
     ladder-symmetric (2,3) entry.
     """
-    c11 = complex(c11)
-    if c11 == 0:
-        raise ValueError("c11 must be non-zero")
-    if not (math.isfinite(c11.real) and math.isfinite(c11.imag)):
-        raise ValueError(f"c11 must be finite, got {c11!r}")
-    over_sqrt2 = c11 / math.sqrt(2.0)
+    over_sqrt2 = 1 / math.sqrt(2.0)
     row2_end = 1.0 if corrected else 0.0
     lambda1 = over_sqrt2 * np.array([[0, 1, 0], [1, 0, row2_end], [0, 1, 0]],
                                     dtype=complex)
     lambda2 = over_sqrt2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
-    lambda3 = c11 * np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
+    lambda3 = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
     lambdas = (lambda1, lambda2, lambda3)
     zero = np.zeros((3, 3), dtype=complex)
     upsilons = tuple(
         np.block([[zero, factor * lam.conj()], [factor * lam, zero]])
         for factor in (1.0, 1j) for lam in lambdas
     )
-    return LambdaMatrices(lambda1, lambda2, lambda3, upsilons, c11, corrected)
+    return LambdaMatrices(lambda1, lambda2, lambda3, upsilons, corrected)
 
 
 #: The evaluator name of each (projection, dotted) slot.

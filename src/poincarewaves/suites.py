@@ -367,15 +367,18 @@ def _suite_casimir(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
     for position, idx in enumerate(_casimir_index_sample(config, rng, per_l=3)):
         angles = _random_angles(rng)
-        record = casimir_x2_residual(idx, angles)
-        records.append(config.record(
-            "casimir", {**record.indices, "operator": "x2", "draw": position},
-            record.point, record.residual, record.scale))
+        point = {"phi": angles.phi, "epsilon": angles.epsilon,
+                 "theta": angles.theta, "tau": angles.tau, "chi": angles.chi,
+                 "vareps": angles.vareps}
         dotted = HarmonicIndex(idx.l, idx.m, idx.n, dotted=True)
-        record = casimir_y2_residual(dotted, angles)
-        records.append(config.record(
-            "casimir", {**record.indices, "operator": "y2", "draw": position},
-            record.point, record.residual, record.scale))
+        for operator, checked, check in (("x2", idx, casimir_x2_residual),
+                                         ("y2", dotted, casimir_y2_residual)):
+            residual, scale = check(checked, angles)
+            records.append(config.record(
+                "casimir", {"l": idx.l, "m": idx.m, "n": idx.n,
+                            "dotted": checked.dotted, "operator": operator,
+                            "draw": position},
+                point, residual, scale))
     order_angles = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
     for operator, dotted in (("x2", False), ("y2", True)):
         idx = HarmonicIndex(1, 1, -1, dotted=dotted)
@@ -399,10 +402,11 @@ def _suite_legendre(config: SuiteConfig) -> list[ResidualRecord]:
             tau = float(rng.normal() * 0.4)
             for dotted in (False, True):
                 idx = HarmonicIndex(l, m, n, dotted=dotted)
-                record = legendre_residual(idx, theta, tau)
+                residual, scale = legendre_residual(idx, theta, tau)
                 records.append(config.record(
-                    "legendre", {**record.indices, "draw": draw},
-                    record.point, record.residual, record.scale))
+                    "legendre", {"l": idx.l, "m": idx.m, "n": idx.n,
+                                 "dotted": dotted, "draw": draw},
+                    {"theta": theta, "tau": tau}, residual, scale))
     return records
 
 
@@ -419,10 +423,11 @@ def _suite_holomorphy(config: SuiteConfig) -> list[ResidualRecord]:
         tau = float(rng.normal() * 0.4)
         for dotted in (False, True):
             idx = HarmonicIndex(l, m, n, dotted=dotted)
-            record = holomorphy_residual(idx, theta, tau)
+            residual, scale = holomorphy_residual(idx, theta, tau)
             records.append(config.record(
-                "holomorphy", record.indices, record.point,
-                record.residual, record.scale, flagged=True))
+                "holomorphy", {"l": idx.l, "m": idx.m, "n": idx.n,
+                               "dotted": dotted},
+                {"theta": theta, "tau": tau}, residual, scale, flagged=True))
     return records
 
 
@@ -691,7 +696,7 @@ def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
     records.append(config.record(
         "commutator", {"family": "gamma", "kind": "involution"}, {},
         float(np.abs(mats.gamma0 @ mats.gamma0 - np.eye(6)).max()), 1.0))
-    lambdas = build_matrices(1.0, corrected=config.corrected_lambda)
+    lambdas = build_matrices(corrected=config.corrected_lambda)
     flagged = not config.corrected_lambda
     if config.corrected_lambda:
         lam_sign = lambdas.commutator_sign()
@@ -709,7 +714,7 @@ def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
     records.append(config.record(
         "lambda_casimir", {"corrected": config.corrected_lambda},
         {"target": 2.0}, lambdas.casimir_defect(), 1.0, flagged=flagged))
-    printed_defect = build_matrices(1.0, corrected=False).casimir_defect()
+    printed_defect = build_matrices(corrected=False).casimir_defect()
     records.append(config.record(
         "lambda_control", {"variant": "printed"},
         {"observed": printed_defect, "threshold": 0.1},

@@ -153,13 +153,13 @@ def test_criterion_04_casimir_residuals():
                 float(rng.normal() * 0.5),
                 float(rng.uniform(-2 * math.pi, 2 * math.pi - 1e-9)),
                 float(rng.normal() * 0.5))
-            record = casimir_x2_residual(HarmonicIndex(l, m, n), angles,
-                                         tolerance=1e-6)
-            assert record.passed, (l, m, n, record.residual)
+            residual, scale = casimir_x2_residual(HarmonicIndex(l, m, n),
+                                                  angles)
+            assert residual <= 1e-6 * max(1.0, scale), (l, m, n, residual)
             checked["x2"] += 1
-            record = casimir_y2_residual(
-                HarmonicIndex(l, m, n, dotted=True), angles, tolerance=1e-6)
-            assert record.passed, (l, m, n, record.residual)
+            residual, scale = casimir_y2_residual(
+                HarmonicIndex(l, m, n, dotted=True), angles)
+            assert residual <= 1e-6 * max(1.0, scale), (l, m, n, residual)
             checked["y2"] += 1
     assert checked["x2"] >= 20 and checked["y2"] >= 20, checked
     angles = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
@@ -183,10 +183,10 @@ def test_criterion_05_legendre_residuals():
             theta = float(rng.uniform(0.25, math.pi - 0.25))
             tau = float(rng.normal() * 0.4)
             for dotted in (False, True):
-                record = legendre_residual(
-                    HarmonicIndex(l, m, n, dotted=dotted), theta, tau,
-                    tolerance=1e-6)
-                assert record.passed, (l, m, n, dotted, record.residual)
+                residual, scale = legendre_residual(
+                    HarmonicIndex(l, m, n, dotted=dotted), theta, tau)
+                assert residual <= 1e-6 * max(1.0, scale), (
+                    l, m, n, dotted, residual)
                 count += 1
     report(5, f"{count} evaluations of the second-order equation within 1e-6")
 

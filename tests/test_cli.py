@@ -153,6 +153,8 @@ class TestEval:
           "--tau", "0"], "l=500000"),
         (["--l", "1e308", "--m", "0", "--n", "0", "--theta", "1",
           "--tau", "0"], "l=1e+308"),
+        (["--l", "21", "--m", "0", "--n", "0", "--theta", "1",
+          "--tau", "0"], "l=21"),
     ])
     def test_overflow_is_one_line_domain_error(self, runner, args, parameter):
         result = invoke(runner, ["eval", "z", *args], expect=2)
@@ -439,3 +441,17 @@ class TestTable:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: ")
+
+    @pytest.mark.parametrize("option, spec, given", [
+        ("theta", "0:inf:3", "inf"), ("theta", "nan:1:2", "nan"),
+        ("theta", "-inf:1:2", "-inf"), ("tau", "0:-inf:2", "-inf")])
+    def test_non_finite_endpoint_is_one_line_domain_error(
+            self, runner, recwarn, option, spec, given):
+        grids = {"theta": "1", "tau": "0", option: spec}
+        result = invoke(runner, ["table", "z", "--l", "1", "--m", "0",
+                                 "--n", "0", "--theta", grids["theta"],
+                                 "--tau", grids["tau"]], expect=2)
+        assert result.stdout == ""
+        assert result.stderr == (f"Error: --{option} must be finite, "
+                                 f"got {given}\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -376,15 +376,6 @@ class TestSharedTables:
         assert sum(info[0] for info in after.values()) > sum(
             info[0] for info in before.values())
 
-    def test_failed_table_build_is_not_cached(self):
-        sizes = {name: cache.cache_info().currsize
-                 for name, cache in coefficient_caches().items()}
-        for _ in range(2):
-            with pytest.raises(ValueError, match="l=60 is out of range"):
-                z_sum(HarmonicIndex(60, 0, 0), 1.0, 0.5)
-        assert {name: cache.cache_info().currsize
-                for name, cache in coefficient_caches().items()} == sizes
-
 
 class TestOutOfRange:
     @pytest.mark.parametrize("evaluate", [
@@ -429,14 +420,23 @@ class TestOutOfRange:
         lambda: su2_factor_p(20000, 0, 0, 1.0),
         lambda: z_sum(HarmonicIndex(1e6, 0, 0), 1.0, 0.0),
         lambda: HarmonicIndex(1e308, 0, 0),
+        lambda: z_2f1(HarmonicIndex(21, 0, 0), 1.0, 0.5),
+        lambda: qu2_factor_jacobi(21, 0, 0, 0.5),
+        lambda: zonal_z(21, 1.0, 0.5),
+        lambda: generalized_m_values(21, 0, 0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0),
+        lambda: associated_m(21, 0, make_angles(0.0, 0.0, 1.0, 0.5, 0.0, 0.0)),
     ])
     def test_huge_weight_refused_before_any_factorial(self, evaluate):
         with pytest.raises(ValueError, match="is out of range: l must not "
-                                             "exceed 1000$"):
+                                             "exceed 20$"):
             evaluate()
 
     def test_largest_weight_still_evaluates(self):
-        assert su2_factor_p(1000, 1000, 1000, 1.0) == 3.766776944324367e-114
+        # P^l_ll(cos theta) = cos^(2l)(theta/2)
+        assert su2_factor_p(20, 20, 20, 1.0) == 0.005389139158073683
+        with pytest.raises(ValueError, match="^l=20.5 is out of range: l must "
+                                             "not exceed 20$"):
+            su2_factor_p(20.5, 20.5, 20.5, 1.0)
 
     def test_tangent_forms_at_pi_inside_the_bound(self):
         # l = 9 is the largest integer weight whose tangent sums fit at pi.
@@ -580,16 +580,6 @@ class TestGrids:
         assert message is not None
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid(indices, thetas, taus)
-
-    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
-    def test_factorial_overflow_raises_the_scalar_loops_first_error(
-            self, grid, route):
-        indices = [HarmonicIndex(60, 0, 0)]
-        for taus in ([0.5], [0.5, 30.0]):
-            message = first_scalar_error(route, indices, [1.0], taus)
-            assert message.startswith("l=60 is out of range")
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                grid(indices, [1.0], taus)
 
 
 class TestGeneralizedM:

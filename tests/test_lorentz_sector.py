@@ -25,27 +25,27 @@ from poincarewaves.lorentz_sector import (
 
 class TestBuildMatrices:
     def test_lambda3_diagonal(self):
-        mats = build_matrices(1.0, corrected=True)
+        mats = build_matrices(corrected=True)
         assert np.array_equal(mats.lambda3, np.diag([1.0, 0.0, -1.0]))
 
     def test_corrected_casimir_is_two_identity(self):
-        mats = build_matrices(1.0, corrected=True)
+        mats = build_matrices(corrected=True)
         assert np.abs(mats.casimir() - 2.0 * np.eye(3)).max() < 1e-12
         assert mats.casimir_defect() < 1e-12
 
     def test_corrected_commutator_sign_plus_one(self):
-        assert build_matrices(1.0, corrected=True).commutator_sign() == 1
+        assert build_matrices(corrected=True).commutator_sign() == 1
 
     def test_corrected_commutators_close(self):
-        mats = build_matrices(1.0, corrected=True)
+        mats = build_matrices(corrected=True)
         lams = mats.lambdas
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             lhs = lams[i] @ lams[j] - lams[j] @ lams[i]
             assert np.abs(lhs - 1j * lams[k]).max() < 1e-12
 
     def test_printed_lambda1_missing_entry(self):
-        printed = build_matrices(1.0, corrected=False)
-        corrected = build_matrices(1.0, corrected=True)
+        printed = build_matrices(corrected=False)
+        corrected = build_matrices(corrected=True)
         assert printed.lambda1[1, 2] == 0.0
         assert abs(corrected.lambda1[1, 2] - 1 / math.sqrt(2)) < 1e-15
         # The other two matrices agree between the variants.
@@ -53,29 +53,17 @@ class TestBuildMatrices:
         assert np.array_equal(printed.lambda3, corrected.lambda3)
 
     def test_printed_variant_fails_casimir(self):
-        printed = build_matrices(1.0, corrected=False)
+        printed = build_matrices(corrected=False)
         assert printed.casimir_defect() > 0.1
         assert abs(printed.casimir_defect() - 0.5) < 1e-12
 
     def test_printed_variant_breaks_algebra(self):
-        printed = build_matrices(1.0, corrected=False)
+        printed = build_matrices(corrected=False)
         with pytest.raises(AssertionError):
             printed.commutator_sign()
 
-    def test_zero_c11_rejected(self):
-        with pytest.raises(ValueError, match="c11"):
-            build_matrices(0.0)
-
-    def test_c11_scales_uniformly(self):
-        base = build_matrices(1.0)
-        scaled = build_matrices(2.0 - 1.0j)
-        for lam_base, lam_scaled in zip(base.lambdas, scaled.lambdas):
-            assert np.abs(lam_scaled - (2.0 - 1.0j) * lam_base).max() < 1e-15
-        assert scaled.commutator_sign() == 1
-        assert scaled.casimir_defect() < 1e-12
-
     def test_upsilon_block_structure(self):
-        mats = build_matrices(0.7 + 0.3j)
+        mats = build_matrices()
         assert len(mats.upsilons) == 6
         for position, upsilon in enumerate(mats.upsilons):
             lam = mats.lambdas[position % 3]

@@ -136,6 +136,23 @@ class TestReportShape:
         assert all(r["flagged"] for r in report["records"])
         assert report_exit_code(report) == 0
 
+    def test_finite_difference_map_key_order(self):
+        # The CSV and text formats print indices and point in insertion order.
+        expected = {
+            "casimir": (["l", "m", "n", "dotted", "operator", "draw"],
+                        ["phi", "epsilon", "theta", "tau", "chi", "vareps"]),
+            "legendre": (["l", "m", "n", "dotted", "draw"], ["theta", "tau"]),
+            "holomorphy": (["l", "m", "n", "dotted"], ["theta", "tau"]),
+        }
+        seen = set()
+        for record in build_report("all", FAST)["records"]:
+            if record["name"] in expected:
+                indices, point = expected[record["name"]]
+                assert list(record["indices"]) == indices, record
+                assert list(record["point"]) == point, record
+                seen.add(record["name"])
+        assert seen == set(expected)
+
 
 def _indented_json(report):
     return json.dumps(report, sort_keys=True, indent=2)
