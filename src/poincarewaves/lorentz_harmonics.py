@@ -31,12 +31,15 @@ check compares genuinely different floating-point evaluations.
 
 ``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
 indices over a whole theta x tau grid, as one complex128 array of shape
-(len(indices), len(thetas), len(taus)).  The summand's rotation side depends
-only on (m, k, theta) and its rapidity side only on (k, n, tau), so each side
-is evaluated once per grid angle, in Python (libm ``pow``, whose bits numpy's
-power does not reproduce); the k sum is one numpy operation per weight and k.
-Every grid value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under
-the same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
+(len(indices), len(thetas), len(taus)).  Each side of the summand is one
+array block per weight over the (m or n, k) the indices use and every angle,
+summed from one zero-padded coefficient block per weight and side over power
+tables filled by Python's own ``**`` (libm ``pow``, whose bits numpy's power
+does not reproduce); the k sum is one numpy operation per weight and k,
+ascending.  Long axes go a bounded chunk of angles at a time.  The
+factorization check sums the halves through the same engine.  Every
+grid value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under the
+same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
 can flip the scalar routes' signed zeros), and an out-of-range point raises
 the error the scalar routes would raise first.
 
@@ -112,6 +115,27 @@ def _doubled(name: str, value: float) -> int:
     return int(doubled)
 
 
+def _validated_doubled(l: float, m: float, n: float) -> tuple[int, int, int]:
+    """(2l, 2m, 2n) of a valid index; ValueError names the first broken rule."""
+    L, M, N = _doubled("l", l), _doubled("m", m), _doubled("n", n)
+    if L < 0:
+        raise ValueError(f"l must be non-negative, got {l!r}")
+    for name, value, D in (("m", m, M), ("n", n, N)):
+        if abs(D) > L:
+            raise ValueError(f"|{name}| must not exceed l, got {name}="
+                             f"{value!r} with l={l!r}")
+        if (L - D) % 2:
+            raise ValueError(f"l - {name} must be an integer, got l={l!r}, "
+                             f"{name}={value!r}")
+    return L, M, N
+
+
+#: Validation for the routes that take a raw (l, m, n); invalid triples raise
+#: and are not cached.  It builds no HarmonicIndex, so a cache miss does not
+#: change how many indices an operation constructs.
+_doubled_triple = lru_cache(maxsize=None)(_validated_doubled)
+
+
 @dataclass(frozen=True)
 class HarmonicIndex:
     """Weight l and projections m, n of a representation matrix element.
@@ -127,27 +151,18 @@ class HarmonicIndex:
     dotted: bool = False
 
     def __post_init__(self) -> None:
-        L = _doubled("l", self.l)
-        M = _doubled("m", self.m)
-        N = _doubled("n", self.n)
-        if L < 0:
-            raise ValueError(f"l must be non-negative, got {self.l!r}")
-        for name, D in (("m", M), ("n", N)):
-            if abs(D) > L:
-                raise ValueError(f"|{name}| must not exceed l, got {name}="
-                                 f"{getattr(self, name)!r} with l={self.l!r}")
-            if (L - D) % 2:
-                raise ValueError(
-                    f"l - {name} must be an integer, got l={self.l!r}, "
-                    f"{name}={getattr(self, name)!r}")
+        L, M, N = _validated_doubled(self.l, self.m, self.n)
         object.__setattr__(self, "l", L / 2)
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
         object.__setattr__(self, "dotted", bool(self.dotted))
+        # Not a field: equality, hash and repr stay those of (l, m, n, dotted).
+        object.__setattr__(self, "_doubled", (L, M, N))
 
     @property
     def doubled(self) -> tuple[int, int, int]:
-        return int(round(2 * self.l)), int(round(2 * self.m)), int(round(2 * self.n))
+        """(2l, 2m, 2n) as exact integers."""
+        return self._doubled
 
     @property
     def eigenvalue(self) -> float:
@@ -308,12 +323,6 @@ def _tau_inner_unfolded(L: int, N: int, K: int, tau: float) -> float:
     return math.cosh(tau / 2) ** L * acc
 
 
-@lru_cache(maxsize=None)
-def _doubled_triple(l: float, m: float, k: float) -> tuple[int, int, int]:
-    """Validated doubled (l, m, k); invalid triples raise and are not cached."""
-    return HarmonicIndex(l, m, k).doubled
-
-
 def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
     """Rotation-angle half P^l_mk(cos theta) of the Z summand.
 
@@ -370,30 +379,122 @@ def z_2f1(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     return total.conjugate() if idx.dotted else total
 
 
-def _folded_side(terms, halves) -> list[float]:
-    """sum coeff * odd**p * even**cp over one coefficient table, per (odd, even)."""
-    values = []
-    for odd, even in halves:
-        acc = 0.0
-        for p, cp, coeff in terms:
-            acc += coeff * odd**p * even**cp
-        values.append(acc)
-    return values
+def _powers(values, L: int) -> np.ndarray:
+    """values[i] ** p for p = 0..L, shaped (L + 1, len(values)), by Python's
+    own ``**`` as the scalar routes: np.power rounds some powers differently."""
+    return np.array([[v ** p for v in values] for p in range(L + 1)])
 
 
-def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
-                 phased: bool) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _side_block(L: int, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, odd powers) of every ``_angular_terms`` table of weight L.
+
+    Each is shaped (terms, L + 1 projections, L + 1 K), both ascending; shorter
+    tables are padded at the end with coefficient 0 and power 0.
+    """
+    tables = [_angular_terms(L, A, K, alternating)
+              for A in range(-L, L + 1, 2) for K in range(-L, L + 1, 2)]
+    width = max(map(len, tables))
+    block = np.array([terms + ((0, L, 0.0),) * (width - len(terms))
+                      for terms in tables]).T.reshape(3, width, L + 1, L + 1)
+    coefficients, powers = block[2], block[0].astype(int)
+    coefficients.flags.writeable = powers.flags.writeable = False  # cached
+    return coefficients, powers
+
+
+@lru_cache(maxsize=None)
+def _series_block(L: int) -> np.ndarray:
+    """``terminating_2f1``'s term ratios for every (a, K) of weight L.
+
+    Shaped (L, L + 1 projections, L + 1 K); 0 past each series' order and
+    where a < k, whose lower parameter reaches a pole (the tangent fallback).
+    """
+    ratios = np.zeros((L, L + 1, L + 1))
+    for a, A in enumerate(range(-L, L + 1, 2)):
+        for k, K in enumerate(range(-L, L + 1, 2)):
+            upper, lower, c = (A - L) / 2, -(L + K) / 2, (A - K) // 2 + 1
+            for j in range(min((L - A) // 2, (L + K) // 2) if A >= K else 0):
+                ratios[j, a, k] = (upper + j) * (lower + j) / ((c + j) * (j + 1))
+    ratios.flags.writeable = False  # cached
+    return ratios
+
+
+def _tangents(L: int, rotation: bool, angles) -> list[float]:
+    """tan(theta/2), range-checked, or tanh(tau/2) at each angle."""
+    if rotation:
+        return [_tangent(theta, L) for theta in angles]
+    return [math.tanh(tau / 2) for tau in angles]
+
+
+# Each side form below returns a real block shaped (len(rows), L + 1 K,
+# len(angles)) for the projection rows asked for (row a is projection
+# 2a - L), adding the table entries to every point in the scalar order.
+
+def _folded_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
+    """z_sum's side: sum coeff * odd^p * even^(L - p), from +0.0."""
+    odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
+    coefficients, powers = _side_block(L, rotation)
+    odd_pow = _powers([odd(x / 2) for x in angles], L)
+    even_pow = _powers([even(x / 2) for x in angles], L)
+    total = np.zeros((len(rows), L + 1, len(angles)))
+    for c, p in zip(coefficients[:, rows], powers[:, rows]):
+        total += (c[..., None] * odd_pow[p]) * even_pow[L - p]
+    return total
+
+
+def _tangent_block(L: int, rotation: bool, rows, angles,
+                   tangents=None) -> np.ndarray:
+    """The unfolded side even^L * sum coeff * tangent^p: su2_factor_p (less
+    its phase) and qu2_factor_jacobi.  ``tangents`` are ``_tangents``'."""
+    even = math.cos if rotation else math.cosh
+    coefficients, powers = _side_block(L, rotation)
+    if tangents is None:
+        tangents = _tangents(L, rotation, angles)
+    tangent_pow = _powers(tangents, L)
+    total = np.zeros((len(rows), L + 1, len(angles)))
+    for c, p in zip(coefficients[:, rows], powers[:, rows]):
+        total += c[..., None] * tangent_pow[p]
+    return np.array([even(x / 2) ** L for x in angles]) * total
+
+
+def _hypergeometric_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
+    """z_2f1's side (less its phase): the leading term times the Gauss series,
+    or the tangent form where a < k."""
+    odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
+    coefficients, powers = _side_block(L, rotation)
+    tangents = _tangents(L, rotation, angles)
+    sign = -1.0 if rotation else 1.0
+    x = np.array([sign * t ** 2 for t in tangents])
+    series = term = np.ones((len(rows), L + 1, len(angles)))
+    for ratio in _series_block(L)[:, rows]:
+        term = term * (ratio[..., None] * x)
+        series = series + term
+    c, p = coefficients[0, rows, :, None], powers[0, rows]
+    odd_pow = _powers([odd(t / 2) for t in angles], L)
+    even_pow = _powers([even(t / 2) for t in angles], L)
+    return np.where(np.less.outer(rows, range(L + 1))[..., None],
+                    _tangent_block(L, rotation, rows, angles, tangents),
+                    (c * odd_pow[p]) * even_pow[L - p] * series)
+
+
+#: Largest side block, in floats, that one grid chunk builds: grids with
+#: longer axes are evaluated a chunk of angles at a time, so memory stays
+#: bounded whatever the axis lengths.
+_BLOCK_SIZE = 1 << 16
+
+
+def _grid_values(indices, thetas, taus, side, phased: bool) -> np.ndarray:
     """sum_K rotation * rapidity, shaped (len(indices), len(thetas), len(taus)).
 
-    rotation_side(L, M, K) returns one side's values over thetas and
-    rapidity_side(L, N, K) over taus; each runs once per distinct (L, a, K).
-    Per weight and ascending K, the sides are gathered into R (indices x
-    thetas) and Q (indices x taus), and one array operation adds to every
-    point's sum, which starts from 0j, the scalar route's own expression:
-    _I_POW[(m - k) mod 4] * (rotation * rapidity) when ``phased`` (z_sum),
-    rotation * rapidity otherwise (z_2f1, whose rotation side carries the
-    phase).  One factor of each complex product is real, so numpy rounds
-    each component as Python does.  Dotted indices are conjugated.
+    side(L, rotation, rows, angles) is one of the side forms above, run once
+    per weight and side for the distinct rows of m (or n) that the indices
+    use, over chunks of at most ``_BLOCK_SIZE`` block entries.  Per
+    ascending K, one array operation adds to every point's sum, which starts
+    from 0j, the scalar route's own expression: i^(m - k) * (rotation *
+    rapidity) when ``phased`` (z_sum), rotation * rapidity otherwise (z_2f1
+    and the factor halves, whose rotation side carries the phase).  One
+    factor of each complex product is real, so numpy rounds each component
+    as Python does.  Dotted indices are conjugated.
     """
     grids = np.empty((len(indices), len(thetas), len(taus)), complex)
     weights = {}
@@ -401,28 +502,35 @@ def _grid_values(indices, thetas, taus, rotation_side, rapidity_side,
         weights.setdefault(idx.doubled[0], []).append(position)
     for L, positions in weights.items():
         members = [indices[i] for i in positions]
-        M = [idx.doubled[1] for idx in members]
-        N = [idx.doubled[2] for idx in members]
-        # Distinct projections, and each member's row among them.
+        M = [(idx.doubled[1] + L) // 2 for idx in members]
+        N = [(idx.doubled[2] + L) // 2 for idx in members]
+        # Distinct projection rows, and each member's place among them.
         ms, ns = sorted(set(M)), sorted(set(N))
-        m_rows, n_rows = [ms.index(a) for a in M], [ns.index(a) for a in N]
-        total = np.zeros((len(members), len(thetas), len(taus)), complex)
-        for K in range(-L, L + 1, 2):
-            R = np.array([rotation_side(L, a, K) for a in ms])[m_rows]
-            Q = np.array([rapidity_side(L, a, K) for a in ns])[n_rows]
-            product = R[:, :, None] * Q[:, None, :]
-            if phased:
-                phase = _PHASES[[(a - K) // 2 % 4 for a in M]]
-                product = phase[:, None, None] * product
-            total += product
+        m_at = np.array([ms.index(a) for a in M])
+        n_at = np.array([ns.index(a) for a in N])
+        phases = _PHASES[np.subtract.outer(ms, range(L + 1)) % 4]
         dotted = np.array([idx.dotted for idx in members])
-        total[dotted] = total[dotted].conj()
-        grids[positions] = total
+        step = max(1, _BLOCK_SIZE // ((L + 1) * max(len(ms), len(ns))))
+        for i in range(0, len(thetas), step):
+            rotation = side(L, True, ms, thetas[i:i + step])
+            if not phased:
+                rotation = phases[..., None] * rotation
+            for j in range(0, len(taus), step):
+                rapidity = side(L, False, ns, taus[j:j + step])
+                total = np.zeros((len(members), rotation.shape[2],
+                                  rapidity.shape[2]), complex)
+                for k in range(L + 1):
+                    product = rotation[m_at, k, :, None] * rapidity[n_at, k, None, :]
+                    if phased:
+                        product = phases[m_at, k, None, None] * product
+                    total += product
+                total[dotted] = total[dotted].conj()
+                grids[positions, i:i + step, j:j + step] = total
     return grids
 
 
-def _on_grid(route, indices, thetas, taus, evaluate):
-    """Validate the grid, then evaluate(indices, thetas, taus).
+def _on_grid(route, indices, thetas, taus, side, phased: bool) -> np.ndarray:
+    """Validate the grid, then return its ``_grid_values``.
 
     On a domain error, raise the error that route(idx, theta, tau) meets
     first in a loop over indices, then thetas, then taus: the grid's first
@@ -431,8 +539,8 @@ def _on_grid(route, indices, thetas, taus, evaluate):
     indices, thetas, taus = list(indices), list(thetas), list(taus)
     L = max((idx.doubled[0] for idx in indices), default=0)
     try:
-        return evaluate(indices, [_validate_theta(t) for t in thetas],
-                        [_validate_tau(t, L) for t in taus])
+        return _grid_values(indices, [_validate_theta(t) for t in thetas],
+                            [_validate_tau(t, L) for t in taus], side, phased)
     except ValueError:
         for idx in indices:
             for theta in thetas:
@@ -446,32 +554,19 @@ def z_sum_grid(indices, thetas, taus) -> np.ndarray:
 
     Returns a complex128 array shaped (len(indices), len(thetas), len(taus)),
     each value bit-identical to z_sum at its point.  Each side of the summand
-    is evaluated once per grid angle and (l, m or n, k).
+    is one block per weight.
     """
-    def evaluate(indices, thetas, taus):
-        halves = [(math.sin(t / 2), math.cos(t / 2)) for t in thetas]
-        boosts = [(math.sinh(t / 2), math.cosh(t / 2)) for t in taus]
-        return _grid_values(
-            indices, thetas, taus,
-            lambda L, M, K: _folded_side(_angular_terms(L, M, K, True), halves),
-            lambda L, N, K: _folded_side(_angular_terms(L, N, K, False), boosts),
-            phased=True)
-    return _on_grid(z_sum, indices, thetas, taus, evaluate)
+    return _on_grid(z_sum, indices, thetas, taus, _folded_block, phased=True)
 
 
 def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     """z_2f1(idx, theta, tau) for each index over the theta x tau grid.
 
-    Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1, with
-    each hypergeometric side evaluated once per grid angle and (l, m or n, k).
+    Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1,
+    with each hypergeometric side one block per weight.
     """
-    def evaluate(indices, thetas, taus):
-        return _grid_values(
-            indices, thetas, taus,
-            lambda L, M, K: [_theta_factor_2f1(L, M, K, t) for t in thetas],
-            lambda L, N, K: [_tau_factor_2f1(L, N, K, t) for t in taus],
-            phased=False)
-    return _on_grid(z_2f1, indices, thetas, taus, evaluate)
+    return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block,
+                    phased=False)
 
 
 def generalized_m_values(l: float, m: float, n: float, phi: float,

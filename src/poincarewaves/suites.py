@@ -36,6 +36,7 @@ NEGATIVE CONTROLS
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,8 +58,7 @@ from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
     _grid_values,
-    qu2_factor_jacobi,
-    su2_factor_p,
+    _tangent_block,
     z_2f1_grid,
     z_sum,  # no suite calls it; perfbench's tracer wraps suites.z_sum
     z_sum_grid,
@@ -298,26 +298,41 @@ def _deficit(threshold: float, observed: float) -> float:
 # Suite builders
 # ---------------------------------------------------------------------------
 
-def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
+def _direct_grids(config: SuiteConfig
+                  ) -> Callable[[float], tuple[list[HarmonicIndex], np.ndarray]]:
+    """Per weight l, its indices and z_sum grid, built on first use.
+
+    The grid spans (0, *thetas) x (*taus, 0): row 0 is theta = 0 and the last
+    column tau = 0, so it also holds Z(0, 0) and the rotations Z(theta, 0).
+    Each report makes one, shared by its Z grid suites in either order.
+    """
+    thetas, taus = (0.0, *_theta_grid(config)), (*_tau_grid(config), 0.0)
+
+    @functools.cache
+    def direct(l: float) -> tuple[list[HarmonicIndex], np.ndarray]:
+        indices = _harmonic_indices(l)
+        return indices, z_sum_grid(indices, thetas, taus)
+
+    return direct
+
+
+def _suite_hypergeom(config: SuiteConfig, direct) -> list[ResidualRecord]:
     records = []
     thetas, taus = _theta_grid(config), _tau_grid(config)
     for l in _l_values(config.lmax):
-        indices = _harmonic_indices(l)
-        # One direct grid per weight: row 0 is theta = 0 and the last column
-        # tau = 0, so it also holds Z(0, 0) and the rotations Z(theta, 0).
-        direct = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
-        inner = direct[:, 1:, :-1]
+        indices, grid = direct(l)
+        inner = grid[:, 1:, :-1]
         records += _worst_grid_records(
             config, "cross_formula", indices, thetas, taus,
             _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
         dimension = len(_projections(l))
-        identity = direct[:, 0, -1].reshape(dimension, dimension)
+        identity = grid[:, 0, -1].reshape(dimension, dimension)
         records.append(config.record(
             "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
             _modulus(identity - np.eye(dimension)).max(), 1.0))
         worst_unitary = (-1.0, thetas[0])
         for i, theta in enumerate(thetas, start=1):
-            matrix = direct[:, i, -1].reshape(dimension, dimension)
+            matrix = grid[:, i, -1].reshape(dimension, dimension)
             deviation = float(np.abs(matrix @ matrix.conj().T
                                      - np.eye(dimension)).max())
             if deviation > worst_unitary[0]:
@@ -328,25 +343,18 @@ def _suite_hypergeom(config: SuiteConfig) -> list[ResidualRecord]:
     return records
 
 
-def _suite_factorization(config: SuiteConfig) -> list[ResidualRecord]:
+def _suite_factorization(config: SuiteConfig, direct) -> list[ResidualRecord]:
     records = []
     thetas, taus = _theta_grid(config), _tau_grid(config)
-
-    # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), summed by the grid engine.
-    def rotation(L, M, K):
-        return [su2_factor_p(L / 2, M / 2, K / 2, theta) for theta in thetas]
-
-    def rapidity(L, N, K):
-        return [qu2_factor_jacobi(L / 2, K / 2, N / 2, tau) for tau in taus]
-
     for l in _l_values(config.lmax):
-        indices = _harmonic_indices(l)
-        direct = z_sum_grid(indices, thetas, taus)
-        factored = _grid_values(indices, thetas, taus, rotation, rapidity,
+        indices, grid = direct(l)
+        inner = grid[:, 1:, :-1]
+        # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
+        factored = _grid_values(indices, thetas, taus, _tangent_block,
                                 phased=False)
         records += _worst_grid_records(
             config, "factorization", indices, thetas, taus,
-            _modulus(factored - direct), _modulus(direct))
+            _modulus(factored - inner), _modulus(inner))
     return records
 
 
@@ -849,7 +857,9 @@ def _json_map(mapping: Mapping[str, object]) -> dict:
     return {str(key): _json_value(value) for key, value in mapping.items()}
 
 
-_SUITE_BUILDERS: dict[str, Callable[[SuiteConfig], list[ResidualRecord]]] = {
+#: The Z grid suites' builders also take the report's ``_direct_grids``,
+#: which ``_sorted_entries`` binds.
+_SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
     "hypergeom": _suite_hypergeom,
     "factorization": _suite_factorization,
     "casimir": _suite_casimir,
@@ -880,10 +890,15 @@ def _sorted_entries(name: str, config: SuiteConfig) -> list[tuple]:
     else:
         raise ValueError(
             f"unknown suite {name!r}; valid: all, {', '.join(SUITE_NAMES)}")
+    direct = _direct_grids(config)
+    builders = {**_SUITE_BUILDERS,
+                "hypergeom": functools.partial(_suite_hypergeom, direct=direct),
+                "factorization": functools.partial(_suite_factorization,
+                                                   direct=direct)}
     entries = [(suite_name, record, _json_map(record.indices),
                 _json_map(record.point))
                for suite_name in names
-               for record in _SUITE_BUILDERS[suite_name](config)]
+               for record in builders[suite_name](config)]
     text = json.JSONEncoder(sort_keys=True).encode
     entries.sort(key=lambda entry: (entry[0], entry[1].check_name,
                                     text(entry[2]), text(entry[3])))

@@ -1,8 +1,10 @@
 """Tests for the representation matrix elements and their cross-formula oracles."""
 
 import cmath
+import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from poincarewaves.lorentz_harmonics import (
     z_sum_grid,
     zonal_z,
 )
+from poincarewaves.suites import SuiteConfig, _tau_grid, _theta_grid
 
 # Values frozen from the 40-digit mpmath reference implementation in oracles.py.
 FROZEN_REFERENCE = [
@@ -580,6 +583,114 @@ class TestGrids:
         assert message is not None
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid(indices, thetas, taus)
+
+
+def factor_halves_grid(indices, thetas, taus):
+    """sum_k P^l_mk Q^l_kn over a grid, as the factorization suite sums it."""
+    return lorentz_harmonics._grid_values(
+        indices, thetas, taus, lorentz_harmonics._tangent_block, phased=False)
+
+
+# Each half is reused by every index and point that shares it.
+cached_su2_factor_p = functools.lru_cache(maxsize=None)(su2_factor_p)
+cached_qu2_factor_jacobi = functools.lru_cache(maxsize=None)(qu2_factor_jacobi)
+
+
+def scalar_factor_halves(idx, theta, tau):
+    """sum_k su2_factor_p * qu2_factor_jacobi in ascending k, from 0j,
+    conjugated for a dotted index."""
+    total = 0j
+    for k in all_projections(idx.l):
+        total += (cached_su2_factor_p(idx.l, idx.m, k, theta)
+                  * cached_qu2_factor_jacobi(idx.l, k, idx.n, tau))
+    return total.conjugate() if idx.dotted else total
+
+
+ENGINE_ROUTES = GRID_ROUTES + [(factor_halves_grid, scalar_factor_halves)]
+
+
+class TestEngineOnVerifyGrids:
+    """The grid engine against the scalar routes on the grids verify uses.
+
+    Each weight is evaluated on the config grid and on (0, *thetas) x
+    (*taus, 0), the shared direct grid of the Z grid suites.
+    """
+
+    @pytest.mark.parametrize("density", [3, 4, 10])
+    @pytest.mark.parametrize("grid, route", ENGINE_ROUTES)
+    def test_repr_identical_to_the_scalar_routes(self, grid, route, density):
+        config = SuiteConfig(lmax=6, grid_density=density)
+        thetas, taus = _theta_grid(config), _tau_grid(config)
+        wide_thetas, wide_taus = (0.0, *thetas), (*taus, 0.0)
+        # Wide-grid points (i, j); plain-grid point (i - 1, j) where it
+        # exists.  At density 10 the two diagonals that meet every angle of
+        # both grids keep the scalar loop short.
+        points = [(i, j) for i in range(len(wide_thetas))
+                  for j in range(len(wide_taus))
+                  if density < 10 or i - j in (0, 1)]
+        for doubled_l in range(13):
+            projections = all_projections(doubled_l / 2)
+            indices = [HarmonicIndex(doubled_l / 2, m, n)
+                       for m in projections for n in projections]
+            wide = grid(indices, wide_thetas, wide_taus).tolist()
+            plain = grid(indices, thetas, taus).tolist()
+            for idx, wide_rows, plain_rows in zip(indices, wide, plain):
+                for i, j in points:
+                    want = repr(route(idx, wide_thetas[i], wide_taus[j]))
+                    assert repr(wide_rows[i][j]) == want, (idx, i, j)
+                    if i > 0 and j < len(taus):
+                        assert repr(plain_rows[i - 1][j]) == want, (idx, i, j)
+
+    @pytest.mark.parametrize("grid, route", ENGINE_ROUTES)
+    def test_repr_identical_at_the_largest_weight(self, grid, route):
+        projections = all_projections(20)[::5]
+        indices = [HarmonicIndex(20, m, n) for m in projections
+                   for n in projections]
+        thetas, taus = [0.0, 0.7, 2.9], [-1.0, 0.0, 0.35]
+        for idx, rows in zip(indices, grid(indices, thetas, taus).tolist()):
+            assert [[repr(value) for value in row] for row in rows] == [
+                [repr(route(idx, theta, tau)) for tau in taus]
+                for theta in thetas], idx
+
+
+class TestGridChunks:
+    """Long axes are summed a chunk of angles at a time."""
+
+    @pytest.mark.parametrize("grid, route", ENGINE_ROUTES)
+    def test_chunks_repr_identical_to_the_scalar_routes(self, grid, route,
+                                                        monkeypatch):
+        # Chunks of 2 to 4 angles at l = 2 and 3: chunk edges fall inside
+        # both axes.
+        monkeypatch.setattr(lorentz_harmonics, "_BLOCK_SIZE", 30)
+        indices = [HarmonicIndex(2, 1, -2), HarmonicIndex(0.5, -0.5, 0.5, True),
+                   HarmonicIndex(2, 0, 2, True), HarmonicIndex(3, -3, 1)]
+        thetas = [0.0, 0.3, 0.9, 1.4, 2.2, 2.9, 3.0]
+        taus = [-1.1, -0.0, 0.0, 0.4, 0.8, 1.7]
+        for idx, rows in zip(indices, grid(indices, thetas, taus).tolist()):
+            assert [[repr(value) for value in row] for row in rows] == [
+                [repr(route(idx, theta, tau)) for tau in taus]
+                for theta in thetas], idx
+
+    @pytest.mark.parametrize("grid, route", ENGINE_ROUTES)
+    def test_peak_memory_does_not_grow_with_an_axis(self, grid, route,
+                                                    monkeypatch):
+        # Chunks of 100 angles at l = 10.  Blocks over the whole axis would
+        # add over 0.5 MB from 300 to 1500 angles; the grid itself adds 19 kB.
+        monkeypatch.setattr(lorentz_harmonics, "_BLOCK_SIZE", 21 * 100)
+        indices = [HarmonicIndex(10, 1, -3)]
+
+        def peak(n):
+            axis = np.linspace(0.0, 3.0, n).tolist()
+            tracemalloc.start()
+            try:
+                grid(indices, axis, [0.0])
+                grid(indices, [1.0], axis)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # fill the coefficient caches
+        assert peak(1500) - peak(300) < 256 * 1024
 
 
 class TestGeneralizedM:

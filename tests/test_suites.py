@@ -378,16 +378,34 @@ class TestGridRecords:
             key: (repr(point), repr(residual), repr(scale))
             for key, (point, residual, scale) in compare(config).items()}
 
-    def test_factor_halves_once_per_grid_angle(self, monkeypatch):
-        calls = {"su2_factor_p": 0, "qu2_factor_jacobi": 0}
+    def test_each_block_once_per_weight_and_side(self, monkeypatch):
+        # One report builds each weight's direct grid once, for both Z grid
+        # suites, and the factorization halves once per weight and side.
+        calls = {"z_sum_grid": [], "_tangent_block": []}
         for name in calls:
             route = getattr(suites, name)
 
             def counted(*args, name=name, route=route):
-                calls[name] += 1
+                calls[name].append(args[0] if name == "z_sum_grid"
+                                   else args[:2])
                 return route(*args)
 
             monkeypatch.setattr(suites, name, counted)
-        run_suite("factorization", SuiteConfig(lmax=2, grid_density=3))
-        pairs = sum((d + 1) ** 2 for d in range(5))  # (m, k) or (k, n) pairs
-        assert calls == {"su2_factor_p": 3 * pairs, "qu2_factor_jacobi": 3 * pairs}
+        run_suite("all", SuiteConfig(lmax=2, grid_density=3))
+        assert [len(indices) for indices in calls["z_sum_grid"]] == [
+            (d + 1) ** 2 for d in range(5)]
+        assert sorted(calls["_tangent_block"]) == [
+            (L, rotation) for L in range(5) for rotation in (False, True)]
+
+    @pytest.mark.parametrize("grid_density", [3, 4])
+    def test_grid_suites_alone_match_all(self, grid_density):
+        # factorization runs before hypergeom in "all"; either alone builds
+        # the shared direct grid itself, to the same records.
+        config = SuiteConfig(lmax=2, grid_density=grid_density)
+        everything = [(suite, repr(record))
+                      for suite, record in run_suite("all", config)]
+        for name in ("factorization", "hypergeom"):
+            alone = [(suite, repr(record))
+                     for suite, record in run_suite(name, config)]
+            assert alone and alone == [
+                entry for entry in everything if entry[0] == name]
