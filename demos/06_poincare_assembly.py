@@ -11,14 +11,15 @@ factor solves.
 import numpy as np
 
 from poincarewaves import (
+    HarmonicIndex,
     PhotonPlaneWave,
     RadialSolution,
     WaveVector,
     build_catalog,
     dirac_form_residual,
+    generalized_m,
     make_angles,
     physical_filter,
-    separated_psi,
 )
 
 K = WaveVector(1.0, 2.0, 3.0)
@@ -30,15 +31,18 @@ catalog = build_catalog(K, l=2, radial=RADIAL)
 
 print("Factorization: value == (plane-wave column) * (scalar factor)")
 print("--------------------------------------------------------------")
-slots = {1: 0, 0: 1, -1: 2}
+# M^lam_2 at n = 0: the factor reads no chi and no vareps.
+ZEROED = make_angles(ANGLES.phi, ANGLES.epsilon, ANGLES.theta, ANGLES.tau,
+                     0.0, 0.0)
 for member in catalog.members:
     wave = member.wave
     plane = PhotonPlaneWave(K, wave.lam).value(X, T)
+    radius = R
     if wave.dotted:
-        plane = plane.conjugate()
-    separated = separated_psi(2, RADIAL, R, ANGLES)
-    triple = separated.psi_dot if wave.dotted else separated.psi
-    recomposed = plane * triple[slots[wave.lam]]
+        plane, radius = plane.conjugate(), R.conjugate()
+    radial = RADIAL.select(wave.lam, wave.dotted)(radius)
+    angular = generalized_m(HarmonicIndex(2, wave.lam, 0, wave.dotted), ZEROED)
+    recomposed = plane * (radial * angular)
     gap = np.abs(wave.value(X, T, R, ANGLES) - recomposed).max()
     print(f"{member.label:>10}: max |direct - recomposed| = {gap:.2e}")
 

@@ -12,7 +12,7 @@ Module map
     lorentz_harmonics    hyperspherical matrix elements Z, M and their factors
     differential_checks  finite-difference residuals (Casimir, etc.)
     photon_plane_waves   spin matrices, polarization triple, 6-component waves
-    lorentz_sector       spin-block matrices, radial system, separated columns
+    lorentz_sector       spin-block matrices, the radial system and its solutions
     poincare_assembly    full wavefunctions and the six-member solution catalog
     suites               the verification-suite registry behind ``verify``
     cli                  the ``poincarewaves`` command-line entry point

@@ -39,7 +39,7 @@ from .lorentz_harmonics import (
     zonal_z,
 )
 from .lorentz_sector import VARIANTS, RadialSolution
-from .photon_plane_waves import WaveVector, plane_wave, polarization_vectors
+from .photon_plane_waves import PhotonPlaneWave, WaveVector, polarization_vectors
 from .poincare_assembly import PoincareWaveFunction
 from .suites import (SUITE_NAMES, SuiteConfig, _report_json, build_report,
                      report_exit_code)
@@ -315,10 +315,12 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
                 "eps_zero": list(triple.eps_zero)}
     if function == "planewave":
         _require(function, k=kvec, lam=lam, x=xvec, t=t)
-        value = plane_wave(_parse_vector3(kvec, "k"), lam,
-                           _finite("x", _parse_vector3(xvec, "x")),
-                           _finite("t", t), light_speed)
-        return {"psi": list(value)}
+        # k, x and t are checked before the wave is built, so their errors
+        # come first.
+        k = _parse_vector3(kvec, "k")
+        x = _finite("x", _parse_vector3(xvec, "x"))
+        t = _finite("t", t)
+        return {"psi": list(PhotonPlaneWave(k, lam, light_speed).value(x, t))}
     if function == "radial":
         _require(function, l=l, r=rvalue)
         radial = _radial_solution(l, cconst, cdot, variant)

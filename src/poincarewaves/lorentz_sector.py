@@ -1,5 +1,5 @@
-"""Boost-rotation sector: spin-block matrices, the radial system, and
-separated solutions on the complex two-sphere.
+"""Boost-rotation sector: spin-block matrices and the radial system on the
+complex two-sphere.
 
 CONTENTS
     * ``build_matrices`` -- the 3x3 spin-block matrices Lambda_1..3 and the
@@ -22,10 +22,6 @@ CONTENTS
       sqrt(2l(l+1)), which leaves residual (sqrt(2l(l+1)) - 2l(l+1)) r in the
       first equation (kept as a documented, flagged discrepancy); the
       "corrected" variant uses 2l(l+1), which zeroes all four residuals.
-    * ``separated_psi`` -- the angular-times-radial solution triple
-      psi_1 = f_{1,+1}(r) M^{+1}_l,  psi_2 = f_{1,0}(r) Z^l_00,
-      psi_3 = f_{1,-1}(r) M^{-1}_l, with the dotted triple built from the
-      conjugated radius and the conjugated (dotted) angular functions.
 
 CONVENTIONS
     Square roots of complex r use the principal branch (cut along the
@@ -41,19 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_kinematics import ComplexEulerAngles
-from .lorentz_harmonics import generalized_m_values
 from .photon_plane_waves import commutator_sign
 
 __all__ = [
     "VARIANTS",
     "LambdaMatrices",
     "RadialSolution",
-    "SeparatedSolution",
     "build_matrices",
     "radial_residual",
     "radial_ladder",
-    "separated_psi",
     "angular_order",
 ]
 
@@ -96,7 +88,6 @@ class LambdaMatrices:
     lambda2: np.ndarray
     lambda3: np.ndarray
     upsilons: tuple[np.ndarray, ...]
-    corrected: bool
 
     @property
     def lambdas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,7 +132,7 @@ def build_matrices(corrected: bool = True) -> LambdaMatrices:
         np.block([[zero, factor * lam.conj()], [factor * lam, zero]])
         for factor in (1.0, 1j) for lam in lambdas
     )
-    return LambdaMatrices(lambda1, lambda2, lambda3, upsilons, corrected)
+    return LambdaMatrices(lambda1, lambda2, lambda3, upsilons)
 
 
 #: The evaluator name of each (projection, dotted) slot.
@@ -262,43 +253,3 @@ def radial_residual(l: int, radial, r: complex
     eq4 = (-2.0 * r_star * radial.fdot_minus_prime(r_star)
            + radial.fdot_minus(r_star) + ladder * radial.fdot_zero(r_star))
     return eq1, eq2, eq3, eq4
-
-
-@dataclass(frozen=True)
-class SeparatedSolution:
-    """Angular-times-radial triple (psi_1, psi_2, psi_3) and its dotted twin."""
-
-    l: int
-    r: complex
-    psi: tuple[complex, complex, complex]
-    psi_dot: tuple[complex, complex, complex]
-
-
-def separated_psi(l: int, radial, r: complex,
-                  angles: ComplexEulerAngles) -> SeparatedSolution:
-    """Separated solution triple at radius r and group angles.
-
-    psi_1 = f_{1,+1}(r) M^{+1}_l(phi, eps, theta, tau, 0, 0),
-    psi_2 = f_{1,0}(r)  Z^l_00(theta, tau),
-    psi_3 = f_{1,-1}(r) M^{-1}_l(phi, eps, theta, tau, 0, 0),
-
-    where M^{m}_l is the associated (n = 0) exponentially weighted matrix
-    element.  The dotted triple uses the dotted radial functions at r* and the
-    dotted (conjugated) angular functions at the same real parameters.
-    """
-    l = angular_order(l)
-    r = complex(r)
-
-    def angular(m: int, dotted: bool) -> complex:
-        return generalized_m_values(l, m, 0.0, angles.phi, angles.epsilon,
-                                    angles.theta, angles.tau, 0.0, 0.0,
-                                    dotted=dotted)
-
-    psi = (radial.f_plus(r) * angular(+1, False),
-           radial.f_zero(r) * angular(0, False),
-           radial.f_minus(r) * angular(-1, False))
-    r_star = r.conjugate()
-    psi_dot = (radial.fdot_plus(r_star) * angular(+1, True),
-               radial.fdot_zero(r_star) * angular(0, True),
-               radial.fdot_minus(r_star) * angular(-1, True))
-    return SeparatedSolution(l, r, psi, psi_dot)

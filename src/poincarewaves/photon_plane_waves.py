@@ -59,7 +59,6 @@ __all__ = [
     "eigenstructure",
     "polarization_vectors",
     "transversality_residual",
-    "plane_wave",
     "me1_member",
     "me2_member",
     "me6_column",
@@ -428,11 +427,6 @@ class PhotonPlaneWave:
 
     def value(self, x, t: float) -> np.ndarray:
         return self.term.amplitude * self.term.phase(x, t)
-
-
-def plane_wave(k, lam: int, x, t: float, c: float = 1.0) -> np.ndarray:
-    """Value of the displayed 6-component plane-wave column at (x, t)."""
-    return PhotonPlaneWave(k, lam, c).value(x, t)
 
 
 def me1_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:

@@ -24,6 +24,7 @@ from poincarewaves.differential_checks import (
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
+    generalized_m,
     qu2_factor_jacobi,
     su2_factor_p,
     z_2f1,
@@ -33,11 +34,11 @@ from poincarewaves.lorentz_sector import (
     RadialSolution,
     radial_ladder,
     radial_residual,
-    separated_psi,
 )
 from poincarewaves.photon_plane_waves import (
     NORMALIZATION,
     FieldPair,
+    PhotonPlaneWave,
     WaveVector,
     dirac_form_residual,
     dirac_form_scale,
@@ -47,7 +48,6 @@ from poincarewaves.photon_plane_waves import (
     me1_member,
     me2_member,
     me6_column,
-    plane_wave,
     polarization_vectors,
 )
 from poincarewaves.poincare_assembly import (
@@ -316,7 +316,6 @@ def test_criterion_10_assembly_factorization():
     the physical filter keeps exactly the two transverse solutions."""
     rng = np.random.default_rng(20260823)
     radial = RadialSolution(l=1, C=0.6 + 0.2j, Cdot=-0.4 + 1.0j)
-    slots = {1: 0, 0: 1, -1: 2}
     for _ in range(100):
         k = rng.normal(size=3)
         while float(np.linalg.norm(k)) < 1e-2:
@@ -338,12 +337,14 @@ def test_criterion_10_assembly_factorization():
         wave = PoincareWaveFunction(WaveVector(*(float(v) for v in k)),
                                     lam, 1, radial, dotted)
         value = wave.value(x, t, r, angles)
-        translation = plane_wave(tuple(k), lam, x, t)
+        translation = PhotonPlaneWave(tuple(k), lam).value(x, t)
+        radius = r
         if dotted:
-            translation = translation.conjugate()
-        separated = separated_psi(1, radial, r, angles)
-        factor = (separated.psi_dot if dotted else separated.psi)[slots[lam]]
-        recomposed = translation * factor
+            translation, radius = translation.conjugate(), r.conjugate()
+        zeroed = make_angles(angles.phi, angles.epsilon, angles.theta,
+                             angles.tau, 0.0, 0.0)
+        angular = generalized_m(HarmonicIndex(1, lam, 0, dotted), zeroed)
+        recomposed = translation * (radial.select(lam, dotted)(radius) * angular)
         magnitude = float(np.abs(recomposed).max())
         assert np.abs(value - recomposed).max() <= 1e-12 * max(1.0, magnitude)
     catalog = build_catalog((1.0, 2.0, 3.0), 1, radial)

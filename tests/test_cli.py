@@ -189,6 +189,8 @@ class TestEval:
           "--t", "nan"], "t"),
         (["planewave", "--k", "1,2,3", "--lam", "1", "--x", "inf,0,0",
           "--t", "0"], "x"),
+        (["planewave", "--k", "0,0,0", "--lam", "1", "--x", "0,0,0",
+          "--t", "nan"], "t"),
         (["radial", "--l", "1", "--r", "nan,0"], "r"),
         (["radial", "--l", "1", "--r", "inf"], "r"),
         (["radial", "--l", "1", "--r", "-inf"], "r"),

@@ -1,5 +1,6 @@
 """Tests for the boost-rotation sector: spin-block matrices, the radial
-system and its closed-form solutions, and separated solution triples."""
+system and its closed-form solutions, and the boost-rotation factors
+f^l_{1,lam}(r) M^lam_l of the assembled catalog members."""
 
 import cmath
 import math
@@ -19,8 +20,8 @@ from poincarewaves.lorentz_sector import (
     build_matrices,
     radial_ladder,
     radial_residual,
-    separated_psi,
 )
+from poincarewaves.poincare_assembly import build_catalog
 
 
 class TestBuildMatrices:
@@ -220,45 +221,55 @@ class TestRadialSolution:
 GENERIC_ANGLES = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
 
 
-class TestSeparatedPsi:
+K = (1.0, 2.0, 3.0)
+
+
+def lorentz_factors(l, radial, r, angles):
+    """The (+1, 0, -1) factors of the undotted and of the dotted members."""
+    factors = [member.wave.lorentz_factor(r, angles)
+               for member in build_catalog(K, l, radial).members]
+    return factors[:3], factors[3:]
+
+
+class TestLorentzFactor:
     def test_identity_angles_kill_off_diagonal(self):
         radial = RadialSolution(l=1, C=0.5)
         identity = make_angles(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         r = 1.7 + 0.2j
-        solution = separated_psi(1, radial, r, identity)
-        assert solution.psi[0] == 0.0
-        assert solution.psi[2] == 0.0
-        assert abs(solution.psi[1] - radial.f_zero(r)) < 1e-15
-        assert solution.psi_dot[0] == 0.0
-        assert solution.psi_dot[2] == 0.0
+        psi, psi_dot = lorentz_factors(1, radial, r, identity)
+        assert psi[0] == 0.0
+        assert psi[2] == 0.0
+        assert abs(psi[1] - radial.f_zero(r)) < 1e-15
+        assert psi_dot[0] == 0.0
+        assert psi_dot[2] == 0.0
 
     def test_factor_by_factor_composition(self):
         radial = RadialSolution(l=2, C=0.3 - 0.8j, Cdot=1.1 + 0.2j)
         r = 0.9 - 0.4j
-        solution = separated_psi(2, radial, r, GENERIC_ANGLES)
+        psi, psi_dot = lorentz_factors(2, radial, r, GENERIC_ANGLES)
         zeroed = make_angles(GENERIC_ANGLES.phi, GENERIC_ANGLES.epsilon,
                              GENERIC_ANGLES.theta, GENERIC_ANGLES.tau,
                              0.0, 0.0)
         for slot, m in ((0, 1), (2, -1)):
             factor = generalized_m(HarmonicIndex(2, m, 0), zeroed)
             expected = radial.select(m)(r) * factor
-            assert abs(solution.psi[slot] - expected) < 1e-13 * max(1, abs(expected))
+            assert abs(psi[slot] - expected) < 1e-13 * max(1, abs(expected))
             dotted_factor = generalized_m(HarmonicIndex(2, m, 0, dotted=True),
                                           zeroed)
             expected_dot = radial.select(m, dotted=True)(r.conjugate()) * dotted_factor
-            assert abs(solution.psi_dot[slot] - expected_dot) \
+            assert abs(psi_dot[slot] - expected_dot) \
                 < 1e-13 * max(1, abs(expected_dot))
         zonal = zonal_z(2, GENERIC_ANGLES.theta, GENERIC_ANGLES.tau)
-        assert abs(solution.psi[1] - radial.f_zero(r) * zonal) < 1e-13
-        assert abs(solution.psi_dot[1]
+        assert abs(psi[1] - radial.f_zero(r) * zonal) < 1e-13
+        assert abs(psi_dot[1]
                    - radial.fdot_zero(r.conjugate()) * zonal.conjugate()) < 1e-13
 
     def test_ratio_is_radius_independent(self):
         radial = RadialSolution(l=1, C=0.7 + 0.4j)
         ratios = []
         for r in (0.8 + 0.3j, 2.4 - 1.9j):
-            solution = separated_psi(1, radial, r, GENERIC_ANGLES)
-            ratios.append(solution.psi[0] / solution.psi[2])
+            psi, _ = lorentz_factors(1, radial, r, GENERIC_ANGLES)
+            ratios.append(psi[0] / psi[2])
         assert abs(ratios[0] - ratios[1]) < 1e-12 * max(1, abs(ratios[0]))
         weight = cmath.exp(-2.0 * complex(GENERIC_ANGLES.epsilon,
                                           GENERIC_ANGLES.phi))
@@ -271,13 +282,13 @@ class TestSeparatedPsi:
 
     def test_dotted_triple_conjugates_real_rotations(self):
         # With tau = epsilon = 0, a real radius, and equal real constants the
-        # dotted triple is the componentwise conjugate of the undotted one.
+        # dotted factors are the componentwise conjugates of the undotted ones.
         radial = RadialSolution(l=1, C=0.6, Cdot=0.6)
         rotation_only = make_angles(1.2, 0.0, 0.8, 0.0, 0.0, 0.0)
-        solution = separated_psi(1, radial, 2.5, rotation_only)
-        for undotted, dotted in zip(solution.psi, solution.psi_dot):
+        psi, psi_dot = lorentz_factors(1, radial, 2.5, rotation_only)
+        for undotted, dotted in zip(psi, psi_dot):
             assert abs(dotted - undotted.conjugate()) < 1e-13
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError, match="l must be"):
-            separated_psi(0, RadialSolution(l=1), 1.0, GENERIC_ANGLES)
+            build_catalog(K, 0, RadialSolution(l=1))

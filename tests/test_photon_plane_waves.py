@@ -30,7 +30,6 @@ from poincarewaves.photon_plane_waves import (
     me2_member,
     me6_column,
     mode_field_terms,
-    plane_wave,
     polarization_vectors,
     spin_matrices,
     transversality_residual,
@@ -284,19 +283,20 @@ class TestPlaneWave:
     def test_value_at_origin(self):
         k = (1.0, 2.0, 3.0)
         pol = polarization_vectors(k)
-        value = plane_wave(k, +1, (0, 0, 0), 0.0)
+        value = PhotonPlaneWave(k, +1).value((0, 0, 0), 0.0)
         expected = NORMALIZATION * np.concatenate([pol.eps_plus, pol.eps_plus])
         assert np.abs(value - expected).max() < 1e-15
 
     def test_equal_upper_and_lower_blocks(self):
-        value = plane_wave((0.5, -1.0, 2.0), -1, (0.3, 0.1, -0.2), 0.7)
+        wave = PhotonPlaneWave((0.5, -1.0, 2.0), -1)
+        value = wave.value((0.3, 0.1, -0.2), 0.7)
         assert np.abs(value[:3] - value[3:]).max() == 0.0
 
     def test_longitudinal_time_independent(self):
         k = (1.0, 1.0, 1.0)
         x = (0.2, -0.4, 0.9)
-        a = plane_wave(k, 0, x, 0.0)
-        b = plane_wave(k, 0, x, 17.3)
+        a = PhotonPlaneWave(k, 0).value(x, 0.0)
+        b = PhotonPlaneWave(k, 0).value(x, 17.3)
         assert np.abs(a - b).max() == 0.0
 
     def test_phase_advance_law(self):
@@ -310,11 +310,11 @@ class TestPlaneWave:
 
     def test_invalid_helicity_rejected(self):
         with pytest.raises(ValueError, match="helicity"):
-            plane_wave((0, 0, 1), 2, (0, 0, 0), 0.0)
+            PhotonPlaneWave((0, 0, 1), 2)
 
     def test_zero_wavevector_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
-            plane_wave((0, 0, 0), 1, (0, 0, 0), 0.0)
+            PhotonPlaneWave((0, 0, 0), 1)
 
     @pytest.mark.parametrize("x, t", [((0.0, 0.0, 0.0), 1e308),
                                       ((0.0, 0.0, 0.0), -math.inf),
@@ -324,7 +324,7 @@ class TestPlaneWave:
         with pytest.raises(ValueError, match="not finite"):
             wave.term.phase(x, t)
         with pytest.raises(ValueError, match="not finite"):
-            plane_wave((1.0, 2.0, 3.0), 1, x, t)
+            PhotonPlaneWave((1.0, 2.0, 3.0), 1).value(x, t)
 
     def test_phase_matches_numpy_complex_exp(self):
         # cmath.exp and numpy's complex exp share this platform's libm; a

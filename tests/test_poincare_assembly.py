@@ -1,6 +1,7 @@
 """Tests for assembled wavefunctions: exact factorization, the conjugate
 branch, the six-member catalog, and the physical-photon filter."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 
 from poincarewaves import lorentz_harmonics, photon_plane_waves
 from poincarewaves.group_kinematics import make_angles
-from poincarewaves.lorentz_sector import RadialSolution, separated_psi
+from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_2f1
+from poincarewaves.lorentz_sector import RadialSolution
 from poincarewaves.photon_plane_waves import (
     NORMALIZATION,
+    PhotonPlaneWave,
     WaveVector,
     dirac_form_residual,
     dirac_form_scale,
     maxwell_residuals,
-    plane_wave,
     polarization_vectors,
     transversality_residual,
 )
@@ -30,6 +32,17 @@ from poincarewaves.poincare_assembly import (
 
 GENERIC_ANGLES = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
 K_GENERIC = (1.0, 2.0, 3.0)
+
+
+def recomposed(k, lam, l, radial, dotted, x, t, r, angles):
+    """Plane wave x radial function x M^lam_l, each from its own module."""
+    translation = PhotonPlaneWave(k, lam).value(x, t)
+    if dotted:
+        translation, r = translation.conjugate(), r.conjugate()
+    zeroed = make_angles(angles.phi, angles.epsilon, angles.theta, angles.tau,
+                         0.0, 0.0)
+    angular = generalized_m(HarmonicIndex(l, lam, 0, dotted), zeroed)
+    return translation * (radial.select(lam, dotted)(r) * angular)
 
 
 def random_angles(rng):
@@ -55,29 +68,51 @@ class TestAssemble:
                     * radial.f_zero(r))
         assert np.abs(value - expected).max() < 1e-15
 
-    @pytest.mark.parametrize("lam,slot", [(1, 0), (0, 1), (-1, 2)])
-    def test_equals_plane_wave_times_separated_component(self, lam, slot):
+    @pytest.mark.parametrize("lam", [1, 0, -1])
+    def test_equals_plane_wave_times_radial_and_angular_factors(self, lam):
         radial = RadialSolution(l=2, C=0.3 - 0.8j, Cdot=1.1 + 0.2j)
         x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
         value = PoincareWaveFunction(K_GENERIC, lam, 2, radial).value(
             x, t, r, GENERIC_ANGLES)
-        separated = separated_psi(2, radial, r, GENERIC_ANGLES)
-        expected = plane_wave(K_GENERIC, lam, x, t) * separated.psi[slot]
+        expected = recomposed(K_GENERIC, lam, 2, radial, False, x, t, r,
+                              GENERIC_ANGLES)
         assert np.abs(value - expected).max() < 1e-15 * max(
             1.0, np.abs(expected).max())
 
-    @pytest.mark.parametrize("lam,slot", [(1, 0), (0, 1), (-1, 2)])
-    def test_dotted_equals_conjugate_plane_wave_times_dotted_component(
-            self, lam, slot):
+    @pytest.mark.parametrize("lam", [1, 0, -1])
+    def test_dotted_equals_conjugate_plane_wave_times_dotted_factors(self, lam):
         radial = RadialSolution(l=1, C=0.3 - 0.8j, Cdot=1.1 + 0.2j)
         x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
         value = PoincareWaveFunction(K_GENERIC, lam, 1, radial,
                                      dotted=True).value(x, t, r, GENERIC_ANGLES)
-        separated = separated_psi(1, radial, r, GENERIC_ANGLES)
-        expected = (plane_wave(K_GENERIC, lam, x, t).conjugate()
-                    * separated.psi_dot[slot])
+        expected = recomposed(K_GENERIC, lam, 1, radial, True, x, t, r,
+                              GENERIC_ANGLES)
         assert np.abs(value - expected).max() < 1e-15 * max(
             1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_lorentz_factor_matches_the_2f1_route(self, l):
+        # z_2f1 sums Gauss series, not the folded double sum that
+        # generalized_m reads, so this is an independent reference.
+        rng = np.random.default_rng(20261018 + l)
+        for _ in range(40):
+            radial = RadialSolution(l, complex(*rng.normal(size=2)),
+                                    complex(*rng.normal(size=2)))
+            r = complex(rng.uniform(0.1, 3.0), rng.normal())
+            angles = random_angles(rng)
+            for member in build_catalog(K_GENERIC, l, radial).members:
+                wave = member.wave
+                angular = (cmath.exp(-wave.lam * complex(angles.epsilon,
+                                                         angles.phi))
+                           * z_2f1(HarmonicIndex(l, wave.lam, 0),
+                                   angles.theta, angles.tau))
+                if wave.dotted:
+                    angular, radius = angular.conjugate(), r.conjugate()
+                else:
+                    radius = r
+                reference = radial.select(wave.lam, wave.dotted)(radius) * angular
+                assert abs(wave.lorentz_factor(r, angles) - reference) \
+                    <= 1e-13 * max(1.0, abs(reference))
 
     def test_dotted_conjugates_undotted_for_real_rotations(self):
         radial = RadialSolution(l=1, C=0.8, Cdot=0.8)
