@@ -16,6 +16,15 @@ Output contract
       rounded everywhere, can move the last bits of the matrix elements);
     * exit status: 0 success, 1 verification failure (non-flagged), 2 usage
       or domain error (a one-line ``Error:`` message on stderr).
+
+REPORT BYTES
+    ``verify`` renders the report that ``suites.build_report`` returns.
+    ``--format json`` writes ``_report_json(report)``, whose text is exactly
+    ``json.dumps(report, sort_keys=True, indent=2)``: it writes one string per
+    record of the fixed schema (floats by ``float.__repr__`` or NaN /
+    Infinity / -Infinity, strings by ``encode_basestring_ascii``), so the
+    pure-Python indent encoder runs only on the config and summary.
+    ``tests/test_suites.py::TestReportJson`` pins the equality.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -41,8 +51,7 @@ from .lorentz_harmonics import (
 from .lorentz_sector import VARIANTS, RadialSolution
 from .photon_plane_waves import PhotonPlaneWave, WaveVector, polarization_vectors
 from .poincare_assembly import PoincareWaveFunction
-from .suites import (SUITE_NAMES, SuiteConfig, _report_json, build_report,
-                     report_exit_code)
+from .suites import SUITE_NAMES, SuiteConfig, build_report, report_exit_code
 
 _FORMATS = ("text", "json", "csv")
 _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",
@@ -386,6 +395,53 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+#: One record of the indented report, its keys in sorted order.
+_RECORD_JSON = (
+    '    {{\n      "flagged": {},\n      "indices": {},\n      "name": {},\n'
+    '      "passed": {},\n      "point": {},\n      "residual": {},\n'
+    '      "scale": {},\n      "suite": {},\n      "tolerance": {}\n    }}')
+
+
+_BOOL_JSON = {False: "false", True: "true"}
+
+
+def _float_json(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: A record map's sort_keys JSON, one entry per line of the indented report.
+_ENTRIES_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",\n        ", ": ")).encode
+
+
+def _map_json(mapping: dict) -> str:
+    if not mapping:
+        return "{}"
+    return f"{{\n        {_ENTRIES_JSON(mapping)[1:-1]}\n      }}"
+
+
+def _report_json(report: dict) -> str:
+    """The text of json.dumps(report, sort_keys=True, indent=2), one string
+    per record; the small config and summary sections go through json."""
+    def section(value) -> str:
+        # JSON escapes newlines in strings, so each newline is a line break.
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    records = ",\n".join(_RECORD_JSON.format(
+        _BOOL_JSON[r["flagged"]], _map_json(r["indices"]),
+        encode_basestring_ascii(r["name"]), _BOOL_JSON[r["passed"]],
+        _map_json(r["point"]), _float_json(r["residual"]),
+        _float_json(r["scale"]), encode_basestring_ascii(r["suite"]),
+        _float_json(r["tolerance"])) for r in report["records"])
+    records = f"[\n{records}\n  ]" if records else "[]"
+    return (f'{{\n  "config": {section(report["config"])},\n'
+            f'  "records": {records},\n'
+            f'  "suite": {encode_basestring_ascii(report["suite"])},\n'
+            f'  "summary": {section(report["summary"])}\n}}')
+
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(("all",) + SUITE_NAMES))

@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .lorentz_harmonics import HarmonicIndex, generalized_m_values
 from .group_kinematics import ComplexEulerAngles
 
@@ -64,7 +66,11 @@ _STEP, _LEVELS = 1e-3, 2
 
 @dataclass(frozen=True)
 class ResidualRecord:
-    """One verification measurement: what was checked, where, and how it went."""
+    """One verification measurement: what was checked, where, and how it went.
+
+    The verdict is derived, never stored, so it cannot disagree with the
+    measurement: passed is residual <= tolerance * max(1, scale).
+    """
 
     check_name: str
     indices: Mapping[str, object]
@@ -72,34 +78,42 @@ class ResidualRecord:
     residual: float
     scale: float
     tolerance: float
-    passed: bool
     flagged: bool = False
 
     def __post_init__(self) -> None:
         if not (self.residual >= 0 and self.scale >= 0):
-            raise ValueError("residual and scale must be non-negative")
-        expected = self.residual <= self.tolerance * max(1.0, self.scale)
-        if self.passed != expected:
             raise ValueError(
-                "inconsistent record: passed must equal "
-                "(residual <= tolerance * max(1, scale))")
+                "residual and scale must be non-negative numbers, got "
+                f"residual={self.residual!r}, scale={self.scale!r}")
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance * max(1.0, self.scale)
+
+
+def _json_value(value):
+    """Coerce one indices/point entry to a JSON-native scalar."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"record entry {value!r} is not JSON-representable")
 
 
 def make_record(check_name: str, indices: Mapping[str, object],
                 point: Mapping[str, object], residual: float, scale: float,
                 tolerance: float, flagged: bool = False) -> ResidualRecord:
-    """Build a ResidualRecord, deriving the pass verdict from the invariant."""
-    residual, scale = float(residual), float(scale)
-    return ResidualRecord(
-        check_name=check_name,
-        indices=dict(indices),
-        point=dict(point),
-        residual=residual,
-        scale=scale,
-        tolerance=float(tolerance),
-        passed=residual <= tolerance * max(1.0, scale),
-        flagged=flagged,
-    )
+    """A ResidualRecord in the report's own form: float measurements and
+    indices / point maps with str keys and JSON-native values."""
+    indices, point = ({str(key): _json_value(value)
+                       for key, value in mapping.items()}
+                      for mapping in (indices, point))
+    return ResidualRecord(check_name, indices, point, float(residual),
+                          float(scale), float(tolerance), bool(flagged))
 
 
 def _richardson(estimate: Callable[[float], complex], step: float,

@@ -35,6 +35,7 @@ from .photon_plane_waves import (
     PhotonPlaneWave,
     PlaneWaveTerm,
     WaveVector,
+    _as_wavevector,
     transversality_residual,
 )
 
@@ -176,7 +177,7 @@ def build_catalog(k, l: int, radial, c: float = 1.0) -> SolutionCatalog:
     members carry the transversality-exclusion tag, whose evidence
     |k . eps_0| (= |k|) each member's ``transversality`` computes when read.
     """
-    kv = k if isinstance(k, WaveVector) else WaveVector(*map(float, k))
+    kv = _as_wavevector(k)
     waves = [PoincareWaveFunction(kv, lam, l, radial, False, c)
              for lam in (1, 0, -1)]
     waves += [wave.dotted_twin() for wave in waves]

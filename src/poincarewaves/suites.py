@@ -1,26 +1,19 @@
 """Verification suites: every residual family as sorted record lists.
 
-Each suite builder takes a SuiteConfig and returns (suite_name, record) pairs
-ready for the report renderers.  Determinism contract: all randomized sampling
-derives from ``numpy.random.default_rng([config.seed, suite_offset])`` with a
-fixed per-suite offset, so each suite's stream is reproducible in isolation
-and the assembled report is byte-identical under a fixed seed regardless of
-which suites run or in what order.  Records are sorted by
-(suite, check name, indices, point), where indices and point compare as their
-compact sort_keys JSON text; each record's JSON maps and their keys are built
-once per report.
-
-REPORT BYTES
-    ``verify --format json`` writes ``_report_json(report)``, whose text is
-    exactly ``json.dumps(report, sort_keys=True, indent=2)``: it writes one
-    string per record of the fixed schema (floats by ``float.__repr__`` or
-    NaN / Infinity / -Infinity, strings by ``encode_basestring_ascii``), so
-    the pure-Python indent encoder runs only on the config and summary.
-    ``tests/test_suites.py::TestReportJson`` pins the equality.
+Each suite builder takes a SuiteConfig and returns its ResidualRecords, each
+already in the report's form (see make_record).  Determinism contract: all
+randomized sampling derives from ``numpy.random.default_rng([config.seed,
+suite_offset])`` with a fixed per-suite offset, so each suite's stream is
+reproducible in isolation and the assembled report is byte-identical under a
+fixed seed regardless of which suites run or in what order.  Records are
+sorted by (suite, check name, indices, point), where indices and point
+compare as their compact sort_keys JSON text.  This module builds data only;
+the cli renders it.
 
 NEGATIVE CONTROLS
-    Failure-expected checks are encoded in one of two ways so that the record
-    invariant (passed == residual <= tolerance * max(1, scale)) always holds:
+    A record's verdict is derived from its measurement, so the invariant
+    passed == (residual <= tolerance * max(1, scale)) holds by construction.
+    Failure-expected checks are encoded in one of two ways to fit it:
 
     * controls that must MISBEHAVE (a random amplitude must not solve the
       equations; the longitudinal mode must violate the divergence equations)
@@ -40,7 +33,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -185,7 +177,9 @@ class SuiteConfig:
                     f"valid names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
             value = float(value)
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"tolerance {name} must be >= 0, got {value!r}")
+                raise ValueError(
+                    f"tolerance {name} must be a finite number >= 0, "
+                    f"got {value!r}")
             resolved[name] = value
         object.__setattr__(self, "tolerances", resolved)
         object.__setattr__(self, "corrected_lambda", bool(self.corrected_lambda))
@@ -838,27 +832,8 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
 # Registry, runner, and report assembly
 # ---------------------------------------------------------------------------
 
-def _json_value(value):
-    """Coerce one indices/point entry to a JSON-native scalar."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"record entry {value!r} is not JSON-representable")
-
-
-def _json_map(mapping: Mapping[str, object]) -> dict:
-    return {str(key): _json_value(value) for key, value in mapping.items()}
-
-
 #: The Z grid suites' builders also take the report's ``_direct_grids``,
-#: which ``_sorted_entries`` binds.
+#: which ``run_suite`` binds.
 _SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
     "hypergeom": _suite_hypergeom,
     "factorization": _suite_factorization,
@@ -876,12 +851,12 @@ _SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
 SUITE_NAMES: tuple[str, ...] = tuple(sorted(_SUITE_BUILDERS))
 
 
-def _sorted_entries(name: str, config: SuiteConfig) -> list[tuple]:
-    """(suite, record, indices map, point map) of one suite (or 'all').
+def run_suite(name: str, config: SuiteConfig
+              ) -> list[tuple[str, ResidualRecord]]:
+    """Run one suite (or 'all') and return sorted (suite, record) pairs.
 
-    Each record's JSON maps are built once; the entries are sorted on
-    (suite, check name, indices, point), the maps compared as their compact
-    sort_keys JSON text, which the sort builds once per entry.
+    The pairs are sorted on (suite, check name, indices, point), the maps
+    compared as their compact sort_keys JSON text.
     """
     if name == "all":
         names: Iterable[str] = SUITE_NAMES
@@ -895,21 +870,12 @@ def _sorted_entries(name: str, config: SuiteConfig) -> list[tuple]:
                 "hypergeom": functools.partial(_suite_hypergeom, direct=direct),
                 "factorization": functools.partial(_suite_factorization,
                                                    direct=direct)}
-    entries = [(suite_name, record, _json_map(record.indices),
-                _json_map(record.point))
-               for suite_name in names
-               for record in builders[suite_name](config)]
+    pairs = [(suite_name, record) for suite_name in names
+             for record in builders[suite_name](config)]
     text = json.JSONEncoder(sort_keys=True).encode
-    entries.sort(key=lambda entry: (entry[0], entry[1].check_name,
-                                    text(entry[2]), text(entry[3])))
-    return entries
-
-
-def run_suite(name: str, config: SuiteConfig
-              ) -> list[tuple[str, ResidualRecord]]:
-    """Run one suite (or 'all') and return sorted (suite, record) pairs."""
-    return [(suite, record)
-            for suite, record, _, _ in _sorted_entries(name, config)]
+    pairs.sort(key=lambda pair: (pair[0], pair[1].check_name,
+                                 text(pair[1].indices), text(pair[1].point)))
+    return pairs
 
 
 def build_report(name: str, config: SuiteConfig) -> dict:
@@ -917,14 +883,14 @@ def build_report(name: str, config: SuiteConfig) -> dict:
     records = [{
         "suite": suite,
         "name": record.check_name,
-        "indices": indices,
-        "point": point,
-        "residual": float(record.residual),
-        "scale": float(record.scale),
-        "tolerance": float(record.tolerance),
-        "passed": bool(record.passed),
-        "flagged": bool(record.flagged),
-    } for suite, record, indices, point in _sorted_entries(name, config)]
+        "indices": record.indices,
+        "point": record.point,
+        "residual": record.residual,
+        "scale": record.scale,
+        "tolerance": record.tolerance,
+        "passed": record.passed,
+        "flagged": record.flagged,
+    } for suite, record in run_suite(name, config)]
     summary = {
         "passed": sum(1 for r in records if r["passed"]),
         "failed": sum(1 for r in records if not r["passed"]),
@@ -944,52 +910,6 @@ def build_report(name: str, config: SuiteConfig) -> dict:
         "records": records,
         "summary": summary,
     }
-
-
-_RECORD_JSON = (
-    '    {{\n      "flagged": {},\n      "indices": {},\n      "name": {},\n'
-    '      "passed": {},\n      "point": {},\n      "residual": {},\n'
-    '      "scale": {},\n      "suite": {},\n      "tolerance": {}\n    }}')
-
-
-_BOOL_JSON = {False: "false", True: "true"}
-
-
-def _float_json(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-#: A record map's sort_keys JSON, one entry per line of the indented report.
-_ENTRIES_JSON = json.JSONEncoder(
-    sort_keys=True, separators=(",\n        ", ": ")).encode
-
-
-def _map_json(mapping: Mapping[str, object]) -> str:
-    if not mapping:
-        return "{}"
-    return f"{{\n        {_ENTRIES_JSON(mapping)[1:-1]}\n      }}"
-
-
-def _report_json(report: dict) -> str:
-    """The text of json.dumps(report, sort_keys=True, indent=2), one string
-    per record; the small config and summary sections go through json."""
-    def section(value) -> str:
-        # JSON escapes newlines in strings, so each newline is a line break.
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-    records = ",\n".join(_RECORD_JSON.format(
-        _BOOL_JSON[r["flagged"]], _map_json(r["indices"]),
-        encode_basestring_ascii(r["name"]), _BOOL_JSON[r["passed"]],
-        _map_json(r["point"]), _float_json(r["residual"]),
-        _float_json(r["scale"]), encode_basestring_ascii(r["suite"]),
-        _float_json(r["tolerance"])) for r in report["records"])
-    records = f"[\n{records}\n  ]" if records else "[]"
-    return (f'{{\n  "config": {section(report["config"])},\n'
-            f'  "records": {records},\n'
-            f'  "suite": {encode_basestring_ascii(report["suite"])},\n'
-            f'  "summary": {section(report["summary"])}\n}}')
 
 
 def report_exit_code(report: dict) -> int:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from poincarewaves.cli import format_complex, main
 from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_sum
 from poincarewaves.group_kinematics import make_angles
+from poincarewaves.suites import SuiteConfig, build_report
 
 
 @pytest.fixture()
@@ -300,6 +301,7 @@ class TestVerify:
         ["verify", "nosuch"],
         ["verify", "casimir", "--tol", "nosuchname=1"],
         ["verify", "casimir", "--tol", "casimir"],
+        ["verify", "casimir", "--tol", "casimir=inf"],
         ["verify", "casimir", "--lmax", "9"],
         ["verify", "casimir", "--seed", "-1"],
     ])
@@ -323,6 +325,49 @@ class TestVerify:
         lines = result.output.strip().split("\n")
         assert lines[-1].startswith("summary: ")
         assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
+
+    def test_csv_and_text_bytes(self, runner):
+        # A small run with flagged records, rendered here independently of
+        # the cli's own helpers.
+        options = ["--lmax", "1", "--variant", "paper",
+                   "--corrected-lambda", "false", "--seed", "3"]
+        report = build_report("all", SuiteConfig(
+            lmax=1, variant="paper", corrected_lambda=False, seed=3))
+        records = report["records"]
+        assert any(r["flagged"] and not r["passed"] for r in records)
+
+        def cell(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+        def entries(mapping):
+            return ";".join(f"{key}={cell(value)}"
+                            for key, value in mapping.items())
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(["suite", "name", "indices", "point", "residual",
+                         "scale", "tolerance", "passed", "flagged"])
+        writer.writerows(
+            [r["suite"], r["name"], entries(r["indices"]),
+             entries(r["point"]), repr(r["residual"]), repr(r["scale"]),
+             repr(r["tolerance"]), cell(r["passed"]), cell(r["flagged"])]
+            for r in records)
+        result = invoke(runner, ["verify", "all", "--format", "csv", *options])
+        assert result.stdout_bytes == buffer.getvalue().encode()
+
+        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['suite']}:{r['name']}"
+                 f" {entries(r['indices'])} {entries(r['point'])}"
+                 f" residual={r['residual']:.3e} scale={r['scale']:.3g}"
+                 f" tol={r['tolerance']:g}"
+                 f"{' [flagged]' if r['flagged'] else ''}\n" for r in records]
+        summary = report["summary"]
+        lines.append(f"summary: {summary['passed']} passed, {summary['failed']}"
+                     f" failed, {summary['flagged']} flagged\n")
+        result = invoke(runner, ["verify", "all", "--format", "text",
+                                 *options])
+        assert result.stdout_bytes == "".join(lines).encode()
 
     def test_seed_changes_report(self, runner):
         one = invoke(runner, ["verify", "casimir", "--seed", "1"])

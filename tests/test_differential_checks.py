@@ -1,7 +1,9 @@
 """Tests for the finite-difference Casimir, Legendre, and holomorphy checks."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from poincarewaves.differential_checks import (
@@ -30,15 +32,49 @@ class TestRecordInvariant:
                              tolerance=1e-6)
         assert not record.passed  # 3e-6 > 1e-6 * 2
 
-    def test_inconsistent_record_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ResidualRecord("demo", {}, {}, residual=1.0, scale=0.0,
-                           tolerance=1e-6, passed=True)
+    def test_verdict_is_derived_not_stored(self):
+        record = ResidualRecord("demo", {}, {}, residual=1.0, scale=0.0,
+                                tolerance=1e-6)
+        assert not record.passed
+        assert "passed" not in {f.name for f in dataclasses.fields(record)}
 
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             ResidualRecord("demo", {}, {}, residual=-1.0, scale=0.0,
-                           tolerance=1e-6, passed=True)
+                           tolerance=1e-6)
+
+    def test_nan_residual_names_the_values(self):
+        with pytest.raises(ValueError,
+                           match=r"got residual=nan, scale=1\.0$"):
+            ResidualRecord("demo", {}, {}, residual=math.nan, scale=1.0,
+                           tolerance=1e-6)
+
+
+class TestMakeRecordJsonNative:
+    """make_record stores the report's own form: JSON-native maps, floats."""
+
+    def test_numpy_scalars_become_python_scalars(self):
+        record = make_record(
+            "demo", {"draw": np.int64(3), "dotted": np.bool_(True)},
+            {"theta": np.float64(0.5), "label": "k"},
+            residual=np.float64(1e-9), scale=np.int64(2), tolerance=1e-6,
+            flagged=np.bool_(False))
+        assert record.indices == {"draw": 3, "dotted": True}
+        assert record.point == {"theta": 0.5, "label": "k"}
+        assert [type(v) for v in record.indices.values()] == [int, bool]
+        assert [type(v) for v in record.point.values()] == [float, str]
+        assert type(record.residual) is float and type(record.scale) is float
+        assert record.flagged is False
+
+    def test_maps_are_copied(self):
+        indices = {"l": 1.0}
+        record = make_record("demo", indices, {}, 0.0, 1.0, 1e-6)
+        indices["l"] = 2.0
+        assert record.indices == {"l": 1.0}
+
+    def test_list_entry_rejected(self):
+        with pytest.raises(TypeError, match="not JSON-representable"):
+            make_record("demo", {"k": [1.0, 2.0]}, {}, 0.0, 1.0, 1e-6)
 
 
 @pytest.mark.parametrize("check, args", [

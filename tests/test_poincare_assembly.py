@@ -204,6 +204,12 @@ class TestCatalog:
         self.radial = RadialSolution(l=1, C=0.5, Cdot=0.5)
         self.catalog = build_catalog(K_GENERIC, 1, self.radial)
 
+    @pytest.mark.parametrize("k", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_wrong_length_k_rejected(self, k):
+        # The same ValueError as PhotonPlaneWave and PoincareWaveFunction.
+        with pytest.raises(ValueError):
+            build_catalog(k, 1, self.radial)
+
     def test_six_members_fixed_order(self):
         labels = [member.label for member in self.catalog.members]
         assert labels == ["psi_+1", "psi_0", "psi_-1",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poincarewaves import suites
+from poincarewaves.cli import _report_json
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
@@ -59,6 +60,13 @@ class TestSuiteConfig:
         with pytest.raises(ValueError) as error:
             SuiteConfig(**{field: value})
         assert str(error.value) == f"{message}, got {value!r}"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_bad_tolerance_names_the_fault(self, value):
+        with pytest.raises(ValueError) as error:
+            SuiteConfig(tolerances={"casimir": value})
+        assert str(error.value) == (
+            f"tolerance casimir must be a finite number >= 0, got {value!r}")
 
     def test_tolerance_override(self):
         config = SuiteConfig(tolerances={"casimir": 1e-3})
@@ -171,7 +179,7 @@ class TestReportJson:
     def test_built_reports(self, name, kwargs, exit_code):
         report = build_report(name, SuiteConfig(**kwargs))
         assert report_exit_code(report) == exit_code
-        assert suites._report_json(report) == _indented_json(report)
+        assert _report_json(report) == _indented_json(report)
 
     def test_hand_built_report(self):
         escapes = 'q"uote \\ back, "slash"\n é中'
@@ -189,9 +197,9 @@ class TestReportJson:
             "records": [record, other],
             "summary": {"passed": 1, "failed": 1, "flagged": 1},
         }
-        assert suites._report_json(report) == _indented_json(report)
+        assert _report_json(report) == _indented_json(report)
         empty = dict(report, records=[])
-        assert suites._report_json(empty) == _indented_json(empty)
+        assert _report_json(empty) == _indented_json(empty)
 
 
 class TestFlaggedVariants:
