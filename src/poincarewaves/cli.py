@@ -1,4 +1,4 @@
-"""Command-line harness: point evaluation, verification suites, value tables.
+r"""Command-line harness: point evaluation, verification suites, value tables.
 
 Subcommands
     eval FUNCTION    evaluate one special function / wave at a point
@@ -20,10 +20,10 @@ Output contract
 REPORT BYTES
     ``verify`` renders the report that ``suites.build_report`` returns.
     ``--format json`` writes ``_report_json(report)``, whose text is exactly
-    ``json.dumps(report, sort_keys=True, indent=2)``: it writes one string per
-    record of the fixed schema (floats by ``float.__repr__`` or NaN /
-    Infinity / -Infinity, strings by ``encode_basestring_ascii``), so the
-    pure-Python indent encoder runs only on the config and summary.
+    ``json.dumps(report, sort_keys=True, indent=2)``.  One C-encoder call
+    writes every record map (``json_entries``) and one every other record
+    value, the items split by a raw "\0" (JSON escapes it inside strings);
+    the indent encoder runs only on the config and summary.
     ``tests/test_suites.py::TestReportJson`` pins the equality.
 """
 
@@ -34,11 +34,11 @@ import csv
 import io
 import json
 import math
-from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
 
+from .differential_checks import json_entries
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
@@ -202,6 +202,8 @@ def _parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
         if not separator or not name:
             raise click.UsageError(
                 f"--tol expects NAME=VALUE, got {entry!r}")
+        if name in overrides:
+            raise click.UsageError(f"--tol {name} is given more than once")
         try:
             overrides[name] = float(text)
         except ValueError:
@@ -396,50 +398,43 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-#: One record of the indented report, its keys in sorted order.
+#: One record of the indented report, its keys in sorted order: fields 0-6
+#: are its _RECORD_VALUES, 7 and 8 its indices and point maps.
 _RECORD_JSON = (
-    '    {{\n      "flagged": {},\n      "indices": {},\n      "name": {},\n'
-    '      "passed": {},\n      "point": {},\n      "residual": {},\n'
-    '      "scale": {},\n      "suite": {},\n      "tolerance": {}\n    }}')
+    '    {{\n      "flagged": {0},\n      "indices": {7},\n      "name": {1},\n'
+    '      "passed": {2},\n      "point": {8},\n      "residual": {3},\n'
+    '      "scale": {4},\n      "suite": {5},\n      "tolerance": {6}\n    }}')
+_RECORD_VALUES = ("flagged", "name", "passed", "residual", "scale", "suite",
+                  "tolerance")
+#: Every raw "\0" in its text is a separator (see json_entries).
+_NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
 
 
-_BOOL_JSON = {False: "false", True: "true"}
-
-
-def _float_json(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-#: A record map's sort_keys JSON, one entry per line of the indented report.
-_ENTRIES_JSON = json.JSONEncoder(
-    sort_keys=True, separators=(",\n        ", ": ")).encode
-
-
-def _map_json(mapping: dict) -> str:
-    if not mapping:
-        return "{}"
-    return f"{{\n        {_ENTRIES_JSON(mapping)[1:-1]}\n      }}"
+def _records_json(records: list) -> str:
+    maps = ["{\n        " + entries.replace("\0", ",\n        ") + "\n      }"
+            if entries else "{}" for entries in json_entries(
+                [r[key] for r in records for key in ("indices", "point")])]
+    values = _NUL_JSON([r[key] for r in records
+                        for key in _RECORD_VALUES])[1:-1].split("\0")
+    rows = list(map(_RECORD_JSON.format, *(values[k::7] for k in range(7)),
+                    maps[::2], maps[1::2]))
+    del maps, values  # before the join, so the report is not held twice
+    return ",\n".join(rows)
 
 
 def _report_json(report: dict) -> str:
-    """The text of json.dumps(report, sort_keys=True, indent=2), one string
-    per record; the small config and summary sections go through json."""
+    """The text of json.dumps(report, sort_keys=True, indent=2): one encode
+    gives every record map and one every other record value; the small
+    config and summary sections go through json."""
     def section(value) -> str:
         # JSON escapes newlines in strings, so each newline is a line break.
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
-    records = ",\n".join(_RECORD_JSON.format(
-        _BOOL_JSON[r["flagged"]], _map_json(r["indices"]),
-        encode_basestring_ascii(r["name"]), _BOOL_JSON[r["passed"]],
-        _map_json(r["point"]), _float_json(r["residual"]),
-        _float_json(r["scale"]), encode_basestring_ascii(r["suite"]),
-        _float_json(r["tolerance"])) for r in report["records"])
+    records = _records_json(report["records"])
     records = f"[\n{records}\n  ]" if records else "[]"
     return (f'{{\n  "config": {section(report["config"])},\n'
             f'  "records": {records},\n'
-            f'  "suite": {encode_basestring_ascii(report["suite"])},\n'
+            f'  "suite": {json.dumps(report["suite"])},\n'
             f'  "summary": {section(report["summary"])}\n}}')
 
 
@@ -452,7 +447,7 @@ def _report_json(report: dict) -> str:
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True, help="Root seed for randomized sampling.")
 @click.option("--tol", "tolerances", multiple=True, metavar="NAME=VALUE",
-              help="Override one check tolerance (repeatable).")
+              help="Override one check tolerance (each NAME at most once).")
 @click.option("--c", "light_speed", type=float, default=1.0,
               show_default=True, help="Propagation speed constant.")
 @click.option("--variant", type=click.Choice(VARIANTS),

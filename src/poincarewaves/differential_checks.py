@@ -37,9 +37,10 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .group_kinematics import ComplexEulerAngles
 __all__ = [
     "ResidualRecord",
     "make_record",
+    "json_entries",
     "casimir_x2_residual",
     "casimir_y2_residual",
     "legendre_residual",
@@ -62,6 +64,10 @@ SINGULARITY_MARGIN = 0.1
 LEGENDRE_MARGIN = 1e-3
 #: Central-difference step and Richardson depth of every check.
 _STEP, _LEVELS = 1e-3, 2
+#: The record-map entry types that _json_value keeps as they are.
+_JSON_NATIVE = frozenset((bool, int, float, str))
+#: Every raw "\0" in its text is a separator: JSON escapes control characters.
+_NUL_JSON = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,8 @@ class ResidualRecord:
 
 def _json_value(value):
     """Coerce one indices/point entry to a JSON-native scalar."""
+    if type(value) in _JSON_NATIVE:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -100,7 +108,7 @@ def _json_value(value):
     if isinstance(value, (float, np.floating)):
         return float(value)
     if isinstance(value, str):
-        return value
+        return str(value)
     raise TypeError(f"record entry {value!r} is not JSON-representable")
 
 
@@ -109,11 +117,18 @@ def make_record(check_name: str, indices: Mapping[str, object],
                 tolerance: float, flagged: bool = False) -> ResidualRecord:
     """A ResidualRecord in the report's own form: float measurements and
     indices / point maps with str keys and JSON-native values."""
-    indices, point = ({str(key): _json_value(value)
-                       for key, value in mapping.items()}
-                      for mapping in (indices, point))
+    indices = {str(key): _json_value(value) for key, value in indices.items()}
+    point = {str(key): _json_value(value) for key, value in point.items()}
     return ResidualRecord(check_name, indices, point, float(residual),
                           float(scale), float(tolerance), bool(flagged))
+
+
+def json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
+    r"""Each flat map's sort_keys JSON entries joined by "\0", from one encode.
+    "}\0{" falls only between maps of scalars; a map's compact sort_keys JSON
+    text is "{" + entries.replace("\0", ", ") + "}"."""
+    text = _NUL_JSON(maps)
+    return text[2:-2].split("}\0{") if text != "[]" else []
 
 
 def _richardson(estimate: Callable[[float], complex], step: float,

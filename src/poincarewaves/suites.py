@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -42,6 +41,7 @@ from .differential_checks import (
     casimir_x2_residual,
     casimir_y2_residual,
     holomorphy_residual,
+    json_entries,
     legendre_residual,
     make_record,
     ResidualRecord,
@@ -855,8 +855,10 @@ def run_suite(name: str, config: SuiteConfig
               ) -> list[tuple[str, ResidualRecord]]:
     """Run one suite (or 'all') and return sorted (suite, record) pairs.
 
-    The pairs are sorted on (suite, check name, indices, point), the maps
-    compared as their compact sort_keys JSON text.
+    The pairs are sorted stably on (suite, check name, indices, point), the
+    maps compared as their compact sort_keys JSON text
+    (``json.JSONEncoder(sort_keys=True).encode``), which one json_entries
+    call gives for every map of the run.
     """
     if name == "all":
         names: Iterable[str] = SUITE_NAMES
@@ -872,10 +874,11 @@ def run_suite(name: str, config: SuiteConfig
                                                    direct=direct)}
     pairs = [(suite_name, record) for suite_name in names
              for record in builders[suite_name](config)]
-    text = json.JSONEncoder(sort_keys=True).encode
-    pairs.sort(key=lambda pair: (pair[0], pair[1].check_name,
-                                 text(pair[1].indices), text(pair[1].point)))
-    return pairs
+    texts = ["{" + entries.replace("\0", ", ") + "}" for entries in json_entries(
+        [m for _, record in pairs for m in (record.indices, record.point)])]
+    keys = [(suite_name, record.check_name, *texts[2 * i:2 * i + 2])
+            for i, (suite_name, record) in enumerate(pairs)]
+    return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
 
 
 def build_report(name: str, config: SuiteConfig) -> dict:

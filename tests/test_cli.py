@@ -308,6 +308,20 @@ class TestVerify:
     def test_usage_errors_exit_two(self, runner, args):
         invoke(runner, args, expect=2)
 
+    @pytest.mark.parametrize("tolerances", [
+        ["casimir=1e-9", "casimir=1e-8"],
+        ["casimir=1e-9", "legendre=0.5", "casimir=1e-9"],
+    ])
+    def test_repeated_tolerance_name_refused(self, runner, tolerances):
+        args = ["verify", "casimir"]
+        for entry in tolerances:
+            args += ["--tol", entry]
+        result = invoke(runner, args, expect=2)
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == ["Error: --tol casimir is given more than once"]
+
     def test_csv_format_is_rfc4180(self, runner):
         result = invoke(runner, ["verify", "transversality",
                                  "--format", "csv"])

@@ -56,13 +56,13 @@ class TestMakeRecordJsonNative:
     def test_numpy_scalars_become_python_scalars(self):
         record = make_record(
             "demo", {"draw": np.int64(3), "dotted": np.bool_(True)},
-            {"theta": np.float64(0.5), "label": "k"},
+            {"theta": np.float64(0.5), "label": "k", "case": np.str_("kx")},
             residual=np.float64(1e-9), scale=np.int64(2), tolerance=1e-6,
             flagged=np.bool_(False))
         assert record.indices == {"draw": 3, "dotted": True}
-        assert record.point == {"theta": 0.5, "label": "k"}
+        assert record.point == {"theta": 0.5, "label": "k", "case": "kx"}
         assert [type(v) for v in record.indices.values()] == [int, bool]
-        assert [type(v) for v in record.point.values()] == [float, str]
+        assert [type(v) for v in record.point.values()] == [float, str, str]
         assert type(record.residual) is float and type(record.scale) is float
         assert record.flagged is False
 

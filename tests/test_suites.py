@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincarewaves import suites
 from poincarewaves.cli import _report_json
+from poincarewaves.differential_checks import make_record
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
@@ -115,6 +118,77 @@ class TestRunSuite:
         assert one["records"] != two["records"]
 
 
+def _reference_key(pair):
+    suite, record = pair
+    text = json.JSONEncoder(sort_keys=True).encode
+    return suite, record.check_name, text(record.indices), text(record.point)
+
+
+def _run_recording_builds(monkeypatch, name, config):
+    """run_suite(name, config) and the (suite, record) pairs in build order."""
+    built = []
+
+    def recording(suite, builder):
+        def build(config, **kwargs):
+            records = builder(config, **kwargs)
+            built.extend((suite, record) for record in records)
+            return records
+        return build
+
+    for suite in SUITE_NAMES:
+        if suite in ("hypergeom", "factorization"):
+            # run_suite binds these two by module name, with the direct grid.
+            attribute = f"_suite_{suite}"
+            monkeypatch.setattr(suites, attribute,
+                                recording(suite, getattr(suites, attribute)))
+        else:
+            monkeypatch.setitem(suites._SUITE_BUILDERS, suite,
+                                recording(suite, suites._SUITE_BUILDERS[suite]))
+    return run_suite(name, config), built
+
+
+class TestRecordOrder:
+    """run_suite's order is a stable sort of the built records on (suite,
+    check name, compact sort_keys JSON of indices, the same of point)."""
+
+    @pytest.mark.parametrize("config", [
+        FAST, SuiteConfig(), SuiteConfig(lmax=6, grid_density=4)],
+        ids=["fast", "default", "lmax6-density4"])
+    def test_stable_sort_on_the_compact_json_key(self, monkeypatch, config):
+        ordered, built = _run_recording_builds(monkeypatch, "all", config)
+        expected = sorted(built, key=_reference_key)
+        assert len(ordered) == len(built) > 0
+        assert [suite for suite, _ in ordered] == [suite for suite, _ in expected]
+        assert all(got is want for (_, got), (_, want)
+                   in zip(ordered, expected))
+
+    def test_map_text_edge_cases(self, monkeypatch):
+        maps = [{"a": 10}, {"a": 1}, {}, {"a": 1, "b": 2}, {"a": "x, y"},
+                {"a": "x", "b": 1}, {"a": "x"}, {"a": 1.5}, {"a": "}\0{"},
+                {"a": "\0"}, {"b": 0}, {}, {"a": 1}]
+        records = [make_record(check, indices, {"p": draw}, 0.0, 1.0, 1e-6)
+                   for check in ("b", "a")
+                   for draw, indices in enumerate(maps)]
+        # Equal keys keep their build order.
+        records += [make_record("a", {"a": 1}, {"p": 0}, residual, 1.0, 1e-6)
+                    for residual in (0.3, 0.1, 0.2)]
+        monkeypatch.setitem(suites._SUITE_BUILDERS, "casimir",
+                            lambda config: records)
+        ordered = [record for _, record in run_suite("casimir", FAST)]
+        expected = [record for _, record in sorted(
+            (("casimir", record) for record in records), key=_reference_key)]
+        assert len(ordered) == len(expected)
+        assert all(got is want for got, want in zip(ordered, expected))
+        # {"a": 10} before {"a": 1} (compact "10}" < "1}"), {"a": 1} before
+        # {} ('"' < "}"), and a ", " inside a string sorts as text:
+        # '"x", "b"' < '"x"}' < '"x, y"}'.
+        first = [record.indices for record in ordered
+                 if record.check_name == "b"]
+        assert first.index({"a": 10}) < first.index({"a": 1}) < first.index({})
+        assert (first.index({"a": "x", "b": 1}) < first.index({"a": "x"})
+                < first.index({"a": "x, y"}))
+
+
 class TestReportShape:
     def test_schema_fields(self):
         report = build_report("transversality", FAST)
@@ -166,6 +240,36 @@ def _indented_json(report):
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+_TEXTS = st.lists(st.one_of(
+    st.sampled_from(["\0", "}\0{", "}", "{", ", ", '"', "\\", "\n", "é",
+                     "中", "\0{", "}\0", "\u2028"]),
+    st.text(max_size=4)), max_size=4).map("".join)
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                     1e300]), st.floats())
+_SCALARS = st.one_of(st.booleans(), st.integers(), _FLOATS, _TEXTS)
+_MAPS = st.dictionaries(_TEXTS, _SCALARS, max_size=4)
+
+
+def _report(maps):
+    """A hand-built report whose records carry maps in order, two each."""
+    maps = maps + [{}] * (len(maps) % 2)
+    records = [{"suite": "s", "name": "n", "indices": indices,
+                "point": point, "residual": 0.5, "scale": math.inf,
+                "tolerance": 1e-9, "passed": True, "flagged": False}
+               for indices, point in zip(maps[::2], maps[1::2])]
+    return {"suite": "s", "config": {"lmax": 1}, "records": records,
+            "summary": {"passed": len(records)}}
+
+
+_RECORDS = st.fixed_dictionaries({
+    "suite": _TEXTS, "name": _TEXTS, "indices": _MAPS, "point": _MAPS,
+    "residual": _FLOATS, "scale": _FLOATS, "tolerance": _FLOATS,
+    "passed": st.booleans(), "flagged": st.booleans()})
+_REPORTS = st.fixed_dictionaries({
+    "suite": _TEXTS, "config": _MAPS,
+    "records": st.lists(_RECORDS, max_size=5), "summary": _MAPS})
+
+
 class TestReportJson:
     """The verify report's text is exactly json.dumps(sort_keys, indent=2)."""
 
@@ -185,7 +289,8 @@ class TestReportJson:
         escapes = 'q"uote \\ back, "slash"\n é中'
         record = {
             "suite": escapes, "name": "casimir",
-            "indices": {"draw": 3, "l": -0.0, "dotted": True, escapes: "x"},
+            "indices": {"draw": 3, "l": -0.0, "dotted": True, escapes: "x",
+                        "}\x00{": "}\x00{"},
             "point": {}, "residual": math.nan, "scale": math.inf,
             "tolerance": 1e-12, "passed": False, "flagged": True,
         }
@@ -200,6 +305,15 @@ class TestReportJson:
         assert _report_json(report) == _indented_json(report)
         empty = dict(report, records=[])
         assert _report_json(empty) == _indented_json(empty)
+
+    @settings(max_examples=150, deadline=None)
+    @given(report=_REPORTS)
+    @example(report=_report([]))
+    @example(report=_report([{}, {"a": 1}, {"b": "}\0{"}]))
+    @example(report=_report([{"a": "\0"}, {}, {"}\0{": math.nan}]))
+    @example(report=_report([{"a": -0.0}, {"b": 1e300}, {}]))
+    def test_generated_reports(self, report):
+        assert _report_json(report) == _indented_json(report)
 
 
 class TestFlaggedVariants:
