@@ -19,12 +19,14 @@ Output contract
 
 REPORT BYTES
     ``verify`` renders the report that ``suites.build_report`` returns.
-    ``--format json`` writes ``_report_json(report)``, whose text is exactly
-    ``json.dumps(report, sort_keys=True, indent=2)``.  One C-encoder call
-    writes every record map (``json_entries``) and one every other record
-    value, the items split by a raw "\0" (JSON escapes it inside strings);
-    the indent encoder runs only on the config and summary.
-    ``tests/test_suites.py::TestReportJson`` pins the equality.
+    ``--format json`` writes ``_report_json(report, entries)``, whose text
+    is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The record
+    maps are encoded once per report: ``entries`` are the ``json_entries``
+    of the sort in ``build_report``, which hands them out in record order,
+    and the text re-lays the same strings.  One more C-encoder call writes
+    every other record value, the items split by a raw "\0" (JSON escapes
+    it inside strings); the indent encoder runs only on the config and
+    summary.  ``tests/test_suites.py::TestReportJson`` pins the equality.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 import click
 import numpy as np
 
-from .differential_checks import json_entries
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
@@ -410,10 +411,9 @@ _RECORD_VALUES = ("flagged", "name", "passed", "residual", "scale", "suite",
 _NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
 
 
-def _records_json(records: list) -> str:
-    maps = ["{\n        " + entries.replace("\0", ",\n        ") + "\n      }"
-            if entries else "{}" for entries in json_entries(
-                [r[key] for r in records for key in ("indices", "point")])]
+def _records_json(records: list, entries: list[str]) -> str:
+    maps = ["{\n        " + text.replace("\0", ",\n        ") + "\n      }"
+            if text else "{}" for text in entries]
     values = _NUL_JSON([r[key] for r in records
                         for key in _RECORD_VALUES])[1:-1].split("\0")
     rows = list(map(_RECORD_JSON.format, *(values[k::7] for k in range(7)),
@@ -422,15 +422,18 @@ def _records_json(records: list) -> str:
     return ",\n".join(rows)
 
 
-def _report_json(report: dict) -> str:
-    """The text of json.dumps(report, sort_keys=True, indent=2): one encode
-    gives every record map and one every other record value; the small
-    config and summary sections go through json."""
+def _report_json(report: dict, entries: list[str]) -> str:
+    """The text of json.dumps(report, sort_keys=True, indent=2).
+
+    entries are the json_entries of every record's indices and point maps,
+    in record order (two per record); one more encode gives every other
+    record value, and the small config and summary sections go through
+    json."""
     def section(value) -> str:
         # JSON escapes newlines in strings, so each newline is a line break.
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
-    records = _records_json(report["records"])
+    records = _records_json(report["records"], entries)
     records = f"[\n{records}\n  ]" if records else "[]"
     return (f'{{\n  "config": {section(report["config"])},\n'
             f'  "records": {records},\n'
@@ -467,11 +470,12 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
             tolerances=_parse_tolerances(tolerances), seed=seed,
             c=light_speed, variant=variant,
             corrected_lambda=(corrected_lambda == "true"))
-        report = build_report(suite, config)
+        entries: list[str] = []
+        report = build_report(suite, config, _entries=entries)
     except ValueError as error:
         raise click.UsageError(str(error)) from None
     if fmt == "json":
-        click.echo(_report_json(report))
+        click.echo(_report_json(report, entries))
     elif fmt == "csv":
         rows = [["suite", "name", "indices", "point", "residual", "scale",
                  "tolerance", "passed", "flagged"]]

@@ -70,12 +70,14 @@ _JSON_NATIVE = frozenset((bool, int, float, str))
 _NUL_JSON = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResidualRecord:
     """One verification measurement: what was checked, where, and how it went.
 
     The verdict is derived, never stored, so it cannot disagree with the
-    measurement: passed is residual <= tolerance * max(1, scale).
+    measurement: passed is residual <= tolerance * max(1, scale).  Records
+    are slotted, not frozen (a frozen constructor costs ~4x as much, and
+    its maps made it unhashable anyway): treat them as read-only.
     """
 
     check_name: str

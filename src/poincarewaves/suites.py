@@ -851,15 +851,10 @@ _SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
 SUITE_NAMES: tuple[str, ...] = tuple(sorted(_SUITE_BUILDERS))
 
 
-def run_suite(name: str, config: SuiteConfig
-              ) -> list[tuple[str, ResidualRecord]]:
-    """Run one suite (or 'all') and return sorted (suite, record) pairs.
-
-    The pairs are sorted stably on (suite, check name, indices, point), the
-    maps compared as their compact sort_keys JSON text
-    (``json.JSONEncoder(sort_keys=True).encode``), which one json_entries
-    call gives for every map of the run.
-    """
+def _sorted_run(name: str, config: SuiteConfig
+                ) -> tuple[list[tuple[str, ResidualRecord]], list[str]]:
+    """run_suite's sorted pairs, and each record's indices and point
+    json_entries in the same order (two per record, from one encode)."""
     if name == "all":
         names: Iterable[str] = SUITE_NAMES
     elif name in _SUITE_BUILDERS:
@@ -874,15 +869,40 @@ def run_suite(name: str, config: SuiteConfig
                                                    direct=direct)}
     pairs = [(suite_name, record) for suite_name in names
              for record in builders[suite_name](config)]
-    texts = ["{" + entries.replace("\0", ", ") + "}" for entries in json_entries(
-        [m for _, record in pairs for m in (record.indices, record.point)])]
+    entries = json_entries(
+        [m for _, record in pairs for m in (record.indices, record.point)])
+    texts = ["{" + text.replace("\0", ", ") + "}" for text in entries]
     keys = [(suite_name, record.check_name, *texts[2 * i:2 * i + 2])
             for i, (suite_name, record) in enumerate(pairs)]
-    return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    return ([pairs[i] for i in order],
+            [entries[j] for i in order for j in (2 * i, 2 * i + 1)])
 
 
-def build_report(name: str, config: SuiteConfig) -> dict:
-    """JSON-ready verification report for one suite (or 'all')."""
+def run_suite(name: str, config: SuiteConfig
+              ) -> list[tuple[str, ResidualRecord]]:
+    """Run one suite (or 'all') and return sorted (suite, record) pairs.
+
+    The pairs are sorted stably on (suite, check name, indices, point), the
+    maps compared as their compact sort_keys JSON text
+    (``json.JSONEncoder(sort_keys=True).encode``), which one json_entries
+    call gives for every map of the run.
+    """
+    return _sorted_run(name, config)[0]
+
+
+def build_report(name: str, config: SuiteConfig, *,
+                 _entries: list[str] | None = None) -> dict:
+    """JSON-ready verification report for one suite (or 'all').
+
+    The records come from run_suite's one sort, whose single json_entries
+    call encodes every indices and point map once per report.  A list given
+    as ``_entries`` (the cli's JSON render) is filled with those entries in
+    record order, two per record, so the text reuses the sort's encode.
+    """
+    pairs, entries = _sorted_run(name, config)
+    if _entries is not None:
+        _entries[:] = entries
     records = [{
         "suite": suite,
         "name": record.check_name,
@@ -893,7 +913,7 @@ def build_report(name: str, config: SuiteConfig) -> dict:
         "tolerance": record.tolerance,
         "passed": record.passed,
         "flagged": record.flagged,
-    } for suite, record in run_suite(name, config)]
+    } for suite, record in pairs]
     summary = {
         "passed": sum(1 for r in records if r["passed"]),
         "failed": sum(1 for r in records if not r["passed"]),

@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from poincarewaves import differential_checks
 from poincarewaves.cli import format_complex, main
 from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_sum
 from poincarewaves.group_kinematics import make_angles
@@ -273,6 +275,26 @@ class TestVerify:
         first = invoke(runner, ["verify", "all", "--seed", "42"])
         second = invoke(runner, ["verify", "all", "--seed", "42"])
         assert first.stdout_bytes == second.stdout_bytes
+
+    def test_json_report_encodes_each_map_once(self, runner, monkeypatch):
+        # Counted under every name a package module binds json_entries to.
+        original = differential_checks.json_entries
+        calls = []
+
+        def counting(maps):
+            calls.append(len(maps))
+            return original(maps)
+
+        bound = [(module, key) for name, module in list(sys.modules.items())
+                 if name == "poincarewaves" or name.startswith("poincarewaves.")
+                 for key, value in vars(module).items() if value is original]
+        assert bound
+        for module, key in bound:
+            monkeypatch.setattr(module, key, counting)
+        result = invoke(runner, ["verify", "all", "--lmax", "1",
+                                 "--format", "json"])
+        records = json.loads(result.output)["records"]
+        assert calls == [2 * len(records)]
 
     def test_paper_variant_flagged_failures_exit_zero(self, runner):
         result = invoke(runner, ["verify", "radial", "--variant", "paper"])

@@ -38,6 +38,11 @@ class TestRecordInvariant:
         assert not record.passed
         assert "passed" not in {f.name for f in dataclasses.fields(record)}
 
+    def test_records_are_slotted(self):
+        record = make_record("demo", {}, {}, residual=0.0, scale=1.0,
+                             tolerance=1e-6)
+        assert not hasattr(record, "__dict__")
+
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             ResidualRecord("demo", {}, {}, residual=-1.0, scale=0.0,

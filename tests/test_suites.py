@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from poincarewaves import suites
 from poincarewaves.cli import _report_json
-from poincarewaves.differential_checks import make_record
+from poincarewaves.differential_checks import json_entries, make_record
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
@@ -240,6 +240,12 @@ def _indented_json(report):
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+def _own_report_json(report):
+    """_report_json of a hand-built report, fed json_entries of its maps."""
+    return _report_json(report, json_entries(
+        [r[key] for r in report["records"] for key in ("indices", "point")]))
+
+
 _TEXTS = st.lists(st.one_of(
     st.sampled_from(["\0", "}\0{", "}", "{", ", ", '"', "\\", "\n", "é",
                      "中", "\0{", "}\0", "\u2028"]),
@@ -278,12 +284,32 @@ class TestReportJson:
         ("all", {"variant": "paper"}, 0),
         ("all", {"corrected_lambda": False}, 0),
         ("all", {"tolerances": {"cross_formula": 0.0, "casimir": 1e-12}}, 1),
+        ("all", {"lmax": 6, "grid_density": 4}, 0),
         ("radial", {"seed": 5}, 0),
+        ("casimir", {}, 0),
     ])
     def test_built_reports(self, name, kwargs, exit_code):
-        report = build_report(name, SuiteConfig(**kwargs))
+        # The cli's own path: the entries of build_report's sort.
+        entries = []
+        report = build_report(name, SuiteConfig(**kwargs), _entries=entries)
         assert report_exit_code(report) == exit_code
-        assert _report_json(report) == _indented_json(report)
+        assert entries == json_entries([r[key] for r in report["records"]
+                                        for key in ("indices", "point")])
+        assert _report_json(report, entries) == _indented_json(report)
+
+    def test_entries_of_edge_case_maps_follow_the_sort(self, monkeypatch):
+        maps = [{"a": 10}, {"a": 1}, {}, {"a": "}\0{"}, {"a": "\0"},
+                {"a": "x, y"}, {"a": "x", "b": 1}, {"é\n": -0.0}]
+        records = [make_record("c", indices, point, 0.0, 1.0, 1e-6)
+                   for indices in maps for point in maps[::-1]]
+        monkeypatch.setitem(suites._SUITE_BUILDERS, "casimir",
+                            lambda config: records)
+        entries = ["stale"]
+        report = build_report("casimir", FAST, _entries=entries)
+        assert report == build_report("casimir", FAST)
+        assert entries == json_entries([r[key] for r in report["records"]
+                                        for key in ("indices", "point")])
+        assert _report_json(report, entries) == _indented_json(report)
 
     def test_hand_built_report(self):
         escapes = 'q"uote \\ back, "slash"\n é中'
@@ -302,9 +328,9 @@ class TestReportJson:
             "records": [record, other],
             "summary": {"passed": 1, "failed": 1, "flagged": 1},
         }
-        assert _report_json(report) == _indented_json(report)
+        assert _own_report_json(report) == _indented_json(report)
         empty = dict(report, records=[])
-        assert _report_json(empty) == _indented_json(empty)
+        assert _own_report_json(empty) == _indented_json(empty)
 
     @settings(max_examples=150, deadline=None)
     @given(report=_REPORTS)
@@ -313,7 +339,7 @@ class TestReportJson:
     @example(report=_report([{"a": "\0"}, {}, {"}\0{": math.nan}]))
     @example(report=_report([{"a": -0.0}, {"b": 1e300}, {}]))
     def test_generated_reports(self, report):
-        assert _report_json(report) == _indented_json(report)
+        assert _own_report_json(report) == _indented_json(report)
 
 
 class TestFlaggedVariants:
