@@ -30,8 +30,8 @@ print("Hermitian:", np.allclose(M, M.conj().T))
 print()
 print("Spectrum and closed-form eigenvectors")
 print("-------------------------------------")
-eig = eigenstructure(K)
-print("eigenvalues:", np.array_str(eig.eigenvalues, precision=10))
+eigenvalues, _ = eigenstructure(K)
+print("eigenvalues:", np.array_str(eigenvalues, precision=10))
 pol = polarization_vectors(K)
 for label, lam, eps in [("eps_plus ", 1, pol.eps_plus),
                         ("eps_zero ", 0, pol.eps_zero),

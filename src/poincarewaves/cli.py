@@ -443,11 +443,11 @@ def _report_json(report: dict, entries: list[str]) -> str:
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(("all",) + SUITE_NAMES))
-@click.option("--lmax", type=click.IntRange(0, 6), default=3,
+@click.option("--lmax", type=int, default=3,
               show_default=True, help="Largest representation weight.")
-@click.option("--grid-density", type=click.IntRange(min=2), default=5,
+@click.option("--grid-density", type=int, default=5,
               show_default=True, help="Points per angle-grid axis.")
-@click.option("--seed", type=click.IntRange(min=0), default=0,
+@click.option("--seed", type=int, default=0,
               show_default=True, help="Root seed for randomized sampling.")
 @click.option("--tol", "tolerances", multiple=True, metavar="NAME=VALUE",
               help="Override one check tolerance (each NAME at most once).")

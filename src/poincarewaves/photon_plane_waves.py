@@ -31,9 +31,12 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
       mode's ME2-solving member.
 
     Plane waves are represented exactly as lists of PlaneWaveTerm
-    (amplitude, wavevector, frequency) so that gradients and time derivatives
-    are algebraic: grad -> i k, d/dt -> -i omega.  All residuals are therefore
-    exact-arithmetic up to floating-point roundoff.
+    (amplitude, wavevector, frequency), and every operator acts on a term's
+    amplitude alone: grad -> i k, d/dt -> -i omega, curl -> i k x, div -> i k.
+    Each residual pairs those amplitudes with their terms and sums them in
+    one accumulator, so all residuals are exact up to floating-point roundoff.
+    The matrices are the read-only tuples ALPHA (alpha_1..alpha_3) and GAMMA
+    (Gamma_0..Gamma_3).
 """
 
 from __future__ import annotations
@@ -46,14 +49,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "SpinMatrices",
+    "ALPHA",
+    "GAMMA",
     "WaveVector",
     "PolarizationTriple",
     "PhotonPlaneWave",
     "PlaneWaveTerm",
     "FieldPair",
-    "Eigenstructure",
-    "spin_matrices",
     "commutator_sign",
     "curl_matrix",
     "eigenstructure",
@@ -93,50 +95,28 @@ _MIN_SQUARE = 2.0 ** -1000
 #: k / 2^e; not everywhere, for the reason given in ``WaveVector.magnitude``.
 _DIRECT_MIN, _DIRECT_MAX = 2.0 ** -6, 2.0 ** 250
 
-_ALPHA1 = np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex)
-_ALPHA2 = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
-_ALPHA3 = np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]], dtype=complex)
-_ALPHA = (_ALPHA1, _ALPHA2, _ALPHA3)
-
-_ID3 = np.eye(3, dtype=complex)
-_GAMMA0 = np.block([[np.zeros((3, 3)), _ID3], [_ID3, np.zeros((3, 3))]])
-_GAMMA = tuple(
-    np.block([[np.zeros((3, 3), dtype=complex), -alpha],
-              [alpha, np.zeros((3, 3), dtype=complex)]])
-    for alpha in _ALPHA
+#: The spin matrices alpha_1..alpha_3 (read-only).
+ALPHA = (
+    np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex),
+    np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
+    np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]], dtype=complex),
 )
 
-for _matrix in (*_ALPHA, _GAMMA0, *_GAMMA):
+_ID3 = np.eye(3, dtype=complex)
+#: The 6x6 block matrices Gamma_0..Gamma_3 built from them (read-only).
+GAMMA = (
+    np.block([[np.zeros((3, 3)), _ID3], [_ID3, np.zeros((3, 3))]]),
+    *(np.block([[np.zeros((3, 3), dtype=complex), -alpha],
+                [alpha, np.zeros((3, 3), dtype=complex)]])
+      for alpha in ALPHA),
+)
+
+for _matrix in (*ALPHA, *GAMMA):
     _matrix.setflags(write=False)
+_GAMMA_T = tuple(gamma.T for gamma in GAMMA)
 
 
-@dataclass(frozen=True)
-class SpinMatrices:
-    """The 3x3 spin matrices and the 6x6 block matrices built from them."""
-
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    alpha3: np.ndarray
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    gamma3: np.ndarray
-
-    @property
-    def alphas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.alpha1, self.alpha2, self.alpha3
-
-    @property
-    def gammas(self) -> tuple[np.ndarray, ...]:
-        return self.gamma0, self.gamma1, self.gamma2, self.gamma3
-
-
-def spin_matrices() -> SpinMatrices:
-    """Fresh copies of the alpha and Gamma matrices."""
-    return SpinMatrices(*(m.copy() for m in (*_ALPHA, _GAMMA0, *_GAMMA)))
-
-
-def commutator_sign(generators=_ALPHA, tolerance: float = 1e-14) -> int:
+def commutator_sign(generators=ALPHA, tolerance: float = 1e-14) -> int:
     """Global sign s in [g_i, g_j] = s i eps_ijk g_k, measured.
 
     The commutators must be proportional to the generators within tolerance
@@ -240,27 +220,20 @@ def curl_matrix(k, c: float = 1.0) -> np.ndarray:
     """
     kv = _as_wavevector(k)
     c = _check_c(c)
-    return -c * (kv.k1 * _ALPHA1 + kv.k2 * _ALPHA2 + kv.k3 * _ALPHA3)
+    return -c * (kv.k1 * ALPHA[0] + kv.k2 * ALPHA[1] + kv.k3 * ALPHA[2])
 
 
-@dataclass(frozen=True)
-class Eigenstructure:
-    """Spectral data of the curl matrix, eigenvalues ascending."""
+def eigenstructure(k, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the curl matrix, eigenvalues ascending.
 
-    eigenvalues: np.ndarray   # [-c|k|, 0, +c|k|]
-    eigenvectors: np.ndarray  # columns matching eigenvalues
-
-    def vector(self, position: int) -> np.ndarray:
-        return self.eigenvectors[:, position]
-
-
-def eigenstructure(k, c: float = 1.0) -> Eigenstructure:
-    """Eigen-decomposition of the curl matrix (Hermitian solver, ascending)."""
+    The Hermitian solver's pair: eigenvalues [-c|k|, 0, +c|k|] and the
+    matching eigenvectors as columns.
+    """
     kv = _as_wavevector(k)
     if kv.magnitude == 0.0:
         raise ValueError("wavevector must be non-zero for the eigenproblem")
     values, vectors = np.linalg.eigh(curl_matrix(kv, c))
-    return Eigenstructure(values, vectors)
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -356,15 +329,26 @@ class PlaneWaveTerm:
         return PlaneWaveTerm(self.amplitude.conjugate(), -self.kvec, -self.omega)
 
 
-def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float) -> np.ndarray:
-    """Sum of amplitude * phase over the terms at spacetime point (x, t)."""
-    terms = list(terms)
-    if not terms:
-        return np.zeros(0, dtype=complex)
-    total = np.zeros_like(terms[0].amplitude, dtype=complex)
-    for term in terms:
-        total = total + term.amplitude * term.phase(x, t)
+def _sum_at(pairs: Iterable[tuple[np.ndarray, PlaneWaveTerm]], x, t: float):
+    """Sum of amplitude * term.phase(x, t) over (amplitude, term) pairs, from
+    0j in order: every sum of plane waves in this module goes through here."""
+    total = 0j
+    for amplitude, term in pairs:
+        total = total + amplitude * term.phase(x, t)
     return total
+
+
+def _checked(terms: Iterable[PlaneWaveTerm], size: int,
+             label: str) -> list[PlaneWaveTerm]:
+    terms = list(terms)
+    if any(term.amplitude.shape != (size,) for term in terms):
+        raise ValueError(f"{label} needs {size}-component terms")
+    return terms
+
+
+def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float):
+    """Sum of amplitude * phase over the terms at (x, t); 0j for no terms."""
+    return _sum_at(((term.amplitude, term) for term in terms), x, t)
 
 
 @dataclass(frozen=True)
@@ -387,9 +371,6 @@ class FieldPair:
             raise ValueError("expected a 6-component value")
         upper, lower = psi6[:3], psi6[3:]
         return cls((upper + lower) / 2, 1j * (upper - lower) / 2)
-
-    def reconstruct(self) -> np.ndarray:
-        return np.concatenate([self.E - 1j * self.B, self.E + 1j * self.B])
 
 
 @dataclass(frozen=True)
@@ -457,32 +438,29 @@ def me6_column(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
     so the upper rows (the ME2 operator) and lower rows (the ME1 operator) of
     the 6x6 system vanish simultaneously.
     """
-    upper = me1_member(k, lam, c)
-    column = []
-    for term in upper:
-        column.append(PlaneWaveTerm(
-            np.concatenate([term.amplitude, np.zeros(3)]),
-            term.kvec, term.omega))
-        conj = term.conjugate()
-        column.append(PlaneWaveTerm(
-            np.concatenate([np.zeros(3), conj.amplitude]),
-            conj.kvec, conj.omega))
-    return column
+    [u] = me1_member(k, lam, c)
+    conj = u.conjugate()
+    return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
+                          u.kvec, u.omega),
+            PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
+                          conj.kvec, conj.omega)]
 
 
 def _me3_operator(term: PlaneWaveTerm, spatial_sign: float, c: float) -> np.ndarray:
     """(i/c) d/dt + spatial_sign * i (alpha . grad) applied to one 3-vector term."""
-    kdota = (term.kvec[0] * _ALPHA1 + term.kvec[1] * _ALPHA2
-             + term.kvec[2] * _ALPHA3)
+    kdota = (term.kvec[0] * ALPHA[0] + term.kvec[1] * ALPHA[1]
+             + term.kvec[2] * ALPHA[2])
     return (term.omega / c) * term.amplitude + spatial_sign * (
         -(kdota @ term.amplitude))
 
 
-def _me6_operator(term: PlaneWaveTerm, c: float) -> np.ndarray:
-    """[(i/c) d/dt Gamma_0 - i Gamma_j d/dx_j] applied to one 6-vector term."""
-    result = (term.omega / c) * (_GAMMA0 @ term.amplitude)
+def _me6_operator(amplitude: np.ndarray, term: PlaneWaveTerm, c: float,
+                  gammas=GAMMA) -> np.ndarray:
+    """[(i/c) d/dt Gamma_0 - i Gamma_j d/dx_j] applied to one 6-vector term,
+    as (omega/c) gammas[0] a + k_j gammas[j] a on its amplitude a."""
+    result = (term.omega / c) * (gammas[0] @ amplitude)
     for j in range(3):
-        result = result + term.kvec[j] * (_GAMMA[j] @ term.amplitude)
+        result = result + term.kvec[j] * (gammas[j + 1] @ amplitude)
     return result
 
 
@@ -499,21 +477,14 @@ def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
     equation = equation.upper()
     if equation not in ("ME1", "ME2", "ME6"):
         raise ValueError(f"equation must be ME1, ME2, or ME6, got {equation!r}")
-    total = None
-    for term in terms:
-        if equation == "ME6":
-            if term.amplitude.shape != (6,):
-                raise ValueError("ME6 residual needs 6-component terms")
-            applied = _me6_operator(term, c)
-        else:
-            if term.amplitude.shape != (3,):
-                raise ValueError(f"{equation} residual needs 3-component terms")
-            applied = _me3_operator(term, -1.0 if equation == "ME1" else 1.0, c)
-        contribution = applied * term.phase(x, t)
-        total = contribution if total is None else total + contribution
-    if total is None:
-        return 0.0
-    return float(np.linalg.norm(total))
+    if equation == "ME6":
+        terms = _checked(terms, 6, "ME6 residual")
+        pairs = ((_me6_operator(term.amplitude, term, c), term) for term in terms)
+    else:
+        terms = _checked(terms, 3, f"{equation} residual")
+        sign = -1.0 if equation == "ME1" else 1.0
+        pairs = ((_me3_operator(term, sign, c), term) for term in terms)
+    return float(np.linalg.norm(_sum_at(pairs, x, t)))
 
 
 def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
@@ -525,24 +496,8 @@ def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
         for term in terms))
 
 
-def _curl_of(terms: Sequence[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
-    return [PlaneWaveTerm(1j * np.cross(term.kvec, term.amplitude),
-                          term.kvec, term.omega) for term in terms]
-
-
-def _div_of(terms: Sequence[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
-    return [PlaneWaveTerm(np.array([1j * (term.kvec @ term.amplitude)]),
-                          term.kvec, term.omega) for term in terms]
-
-
-def _dt_of(terms: Sequence[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
-    return [PlaneWaveTerm(-1j * term.omega * term.amplitude,
-                          term.kvec, term.omega) for term in terms]
-
-
-def _scaled(terms: Sequence[PlaneWaveTerm], factor: complex) -> list[PlaneWaveTerm]:
-    return [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
-            for term in terms]
+def _dt(term: PlaneWaveTerm) -> np.ndarray:
+    return -1j * term.omega * term.amplitude
 
 
 def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
@@ -553,15 +508,22 @@ def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
 
     Returns (faraday, ampere, div_e, div_b) for
     curl E + (1/c) dB/dt, curl B - (1/c) dE/dt, div E, div B,
-    with all derivatives exact per term, evaluated at (x, t).
+    with all derivatives exact per term (curl -> i k x a, div -> i k . a),
+    evaluated at (x, t).
     """
     c = _check_c(c)
-    faraday = evaluate_terms([*_curl_of(e_terms), *_scaled(_dt_of(b_terms), 1 / c)], x, t)
-    ampere = evaluate_terms([*_curl_of(b_terms), *_scaled(_dt_of(e_terms), -1 / c)], x, t)
-    div_e = evaluate_terms(_div_of(e_terms), x, t)
-    div_b = evaluate_terms(_div_of(b_terms), x, t)
-    return (float(np.linalg.norm(faraday)), float(np.linalg.norm(ampere)),
-            float(np.linalg.norm(div_e)), float(np.linalg.norm(div_b)))
+
+    def curl(terms):
+        return [(1j * np.cross(term.kvec, term.amplitude), term) for term in terms]
+
+    def div(terms):
+        return [(np.array([1j * (term.kvec @ term.amplitude)]), term)
+                for term in terms]
+
+    faraday = [*curl(e_terms), *(((1 / c) * _dt(term), term) for term in b_terms)]
+    ampere = [*curl(b_terms), *(((-1 / c) * _dt(term), term) for term in e_terms)]
+    return tuple(float(np.linalg.norm(_sum_at(pairs, x, t)))
+                 for pairs in (faraday, ampere, div(e_terms), div(b_terms)))
 
 
 def mode_field_terms(k, lam: int, c: float = 1.0
@@ -571,9 +533,12 @@ def mode_field_terms(k, lam: int, c: float = 1.0
     w = the mode's ME2-solving member; E = Re(w) and B = -Im(w) expand into
     conjugate-paired exponential terms (so both fields are real-valued).
     """
-    w = me2_member(k, lam, c)
-    e_terms = [* _scaled(w, 0.5), *_scaled([t.conjugate() for t in w], 0.5)]
-    b_terms = [* _scaled(w, 0.5j), *_scaled([t.conjugate() for t in w], -0.5j)]
+    [w] = me2_member(k, lam, c)
+    carriers = (w, w.conjugate())
+    e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
+               for term in carriers]
+    b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
+               for factor, term in zip((0.5j, -0.5j), carriers)]
     return e_terms, b_terms
 
 
@@ -589,18 +554,22 @@ def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
     return maxwell_residuals_from_terms(e_terms, b_terms, x, t, c)
 
 
+def _energy_identity(psi6) -> tuple[float, float]:
+    """psi^dagger psi and its dual 2 (|E|^2 + |B|^2), E and B from FieldPair."""
+    psi6 = np.asarray(psi6, dtype=complex)
+    pair = FieldPair.from_value(psi6)  # refuses a value that is not 6-component
+    direct = float(np.real(psi6.conjugate() @ psi6))
+    dual = 2.0 * float(np.linalg.norm(pair.E) ** 2 + np.linalg.norm(pair.B) ** 2)
+    return direct, dual
+
+
 def energy_density(psi6) -> float:
     """psi-bar Gamma_0 psi = psi^dagger psi, cross-checked against the fields.
 
     Verifies the algebraic identity psi^dagger psi = 2 (|E|^2 + |B|^2) with
     E, B from FieldPair (Hermitian squared norms) before returning the value.
     """
-    psi6 = np.asarray(psi6, dtype=complex)
-    if psi6.shape != (6,):
-        raise ValueError("expected a 6-component value")
-    direct = float(np.real(psi6.conjugate() @ psi6))
-    pair = FieldPair.from_value(psi6)
-    dual = 2.0 * float(np.linalg.norm(pair.E) ** 2 + np.linalg.norm(pair.B) ** 2)
+    direct, dual = _energy_identity(psi6)
     if abs(direct - dual) > 1e-12 * max(1.0, abs(direct)):
         raise ArithmeticError(
             f"energy dual-formula identity violated: {direct!r} vs {dual!r}")
@@ -617,21 +586,24 @@ def lagrangian_density_translation(terms: Sequence[PlaneWaveTerm],
 
     with psi-bar = psi^dagger Gamma_0.  Vanishes identically on solutions of
     the 6x6 first-order system (both brackets vanish separately on-shell).
+    No terms is the zero wave, whose density is 0j.
     """
     c = _check_c(c)
+    terms = _checked(terms, 6, "Lagrangian density")
+    if not terms:
+        return 0j
     psi = evaluate_terms(terms, x, t)
-    dpsi_t = evaluate_terms(_dt_of(terms), x, t)
-    dpsi = [evaluate_terms(
-        [PlaneWaveTerm(1j * term.kvec[j] * term.amplitude, term.kvec,
-                       term.omega) for term in terms], x, t) for j in range(3)]
-    psi_bar = psi.conjugate() @ _GAMMA0
-    psi_bar_t = dpsi_t.conjugate() @ _GAMMA0
-    psi_bar_j = [d.conjugate() @ _GAMMA0 for d in dpsi]
-    forward = (psi_bar @ _GAMMA0 @ dpsi_t) / c
-    backward = (psi_bar_t @ _GAMMA0 @ psi) / c
+    dpsi_t = _sum_at(((_dt(term), term) for term in terms), x, t)
+    dpsi = [_sum_at(((1j * term.kvec[j] * term.amplitude, term)
+                     for term in terms), x, t) for j in range(3)]
+    psi_bar = psi.conjugate() @ GAMMA[0]
+    psi_bar_t = dpsi_t.conjugate() @ GAMMA[0]
+    psi_bar_j = [d.conjugate() @ GAMMA[0] for d in dpsi]
+    forward = (psi_bar @ GAMMA[0] @ dpsi_t) / c
+    backward = (psi_bar_t @ GAMMA[0] @ psi) / c
     for j in range(3):
-        forward = forward - psi_bar @ _GAMMA[j] @ dpsi[j]
-        backward = backward - psi_bar_j[j] @ _GAMMA[j] @ psi
+        forward = forward - psi_bar @ GAMMA[j + 1] @ dpsi[j]
+        backward = backward - psi_bar_j[j] @ GAMMA[j + 1] @ psi
     return complex(-(forward - backward) / 2)
 
 
@@ -646,14 +618,8 @@ def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
     on-shell; it is computed directly here so the identity is testable.
     """
     c = _check_c(c)
-    total = np.zeros(6, dtype=complex)
-    for term in terms:
-        if term.amplitude.shape != (6,):
-            raise ValueError("conjugate-field residual needs 6-component terms")
-        conj = term.conjugate()
-        bar_amplitude = _GAMMA0 @ conj.amplitude
-        applied = (conj.omega / c) * (_GAMMA0.T @ bar_amplitude)
-        for j in range(3):
-            applied = applied + conj.kvec[j] * (_GAMMA[j].T @ bar_amplitude)
-        total = total + applied * conj.phase(x, t)
-    return float(np.linalg.norm(total))
+    conjugates = [term.conjugate()
+                  for term in _checked(terms, 6, "conjugate-field residual")]
+    return float(np.linalg.norm(_sum_at(
+        ((_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T), conj)
+         for conj in conjugates), x, t)))

@@ -64,11 +64,13 @@ from .lorentz_sector import (
     radial_residual,
 )
 from .photon_plane_waves import (
+    ALPHA,
+    GAMMA,
     NORMALIZATION,
-    FieldPair,
     PhotonPlaneWave,
     PlaneWaveTerm,
     WaveVector,
+    _energy_identity,
     anti_equation_residual,
     commutator_sign,
     dirac_form_residual,
@@ -81,7 +83,6 @@ from .photon_plane_waves import (
     me2_member,
     me6_column,
     polarization_vectors,
-    spin_matrices,
     transversality_residual,
 )
 from .poincare_assembly import (
@@ -440,11 +441,11 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
     fixed_cases = {"axis": (0.0, 0.0, 1.0), "pythagorean": (3.0, 4.0, 0.0)}
     for case, k in sorted(fixed_cases.items()):
         norm = math.hypot(*k)
-        eig = eigenstructure(k, c)
+        values, _ = eigenstructure(k, c)
         expected = np.array([-c * norm, 0.0, c * norm])
         records.append(config.record(
             "eigen_spectrum", {"case": case}, {"k": _k_label(k)},
-            float(np.abs(eig.eigenvalues - expected).max()),
+            float(np.abs(values - expected).max()),
             max(1.0, c * norm)))
     draws = []
     while len(draws) < 100:
@@ -453,17 +454,17 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
             draws.append(k)
     for position, k in enumerate(draws):
         norm = float(np.linalg.norm(k))
-        eig = eigenstructure(k, c)
+        values, vectors = eigenstructure(k, c)
         expected = np.array([-c * norm, 0.0, c * norm])
         records.append(config.record(
             "eigen_spectrum", {"draw": position}, {"k": _k_label(k)},
-            float(np.abs(eig.eigenvalues - expected).max()),
+            float(np.abs(values - expected).max()),
             max(1.0, c * norm)))
         pol = polarization_vectors(k)
         alignment = max(
-            abs(abs(np.vdot(eig.vector(2), pol.eps_plus)) - 1.0),
-            abs(abs(np.vdot(eig.vector(0), pol.eps_minus)) - 1.0),
-            abs(abs(np.vdot(eig.vector(1), pol.eps_zero)) - 1.0),
+            abs(abs(np.vdot(vectors[:, 2], pol.eps_plus)) - 1.0),
+            abs(abs(np.vdot(vectors[:, 0], pol.eps_minus)) - 1.0),
+            abs(abs(np.vdot(vectors[:, 1], pol.eps_zero)) - 1.0),
         )
         records.append(config.record(
             "eigen_alignment", {"draw": position}, {"k": _k_label(k)},
@@ -581,10 +582,7 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             _deficit(1e-6, observed), 1.0))
     for draw in range(100):
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-        direct = float(np.real(psi.conjugate() @ psi))
-        pair = FieldPair.from_value(psi)
-        dual = 2.0 * float(np.linalg.norm(pair.E) ** 2
-                           + np.linalg.norm(pair.B) ** 2)
+        direct, dual = _energy_identity(psi)
         records.append(config.record(
             "energy", {"draw": draw, "kind": "dual"}, {},
             abs(direct - dual), max(1.0, direct)))
@@ -683,21 +681,19 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
 
 def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
-    mats = spin_matrices()
     sign = commutator_sign()
     records.append(config.record(
         "commutator", {"family": "alpha", "kind": "sign"},
         {"measured": sign}, abs(sign - (-1)), 1.0))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        closure = np.abs(mats.alphas[i] @ mats.alphas[j]
-                         - mats.alphas[j] @ mats.alphas[i]
-                         - sign * 1j * mats.alphas[k]).max()
+        closure = np.abs(ALPHA[i] @ ALPHA[j] - ALPHA[j] @ ALPHA[i]
+                         - sign * 1j * ALPHA[k]).max()
         records.append(config.record(
             "commutator", {"family": "alpha", "triple": f"{i+1}{j+1}-{k+1}"},
             {}, float(closure), 1.0))
     records.append(config.record(
         "commutator", {"family": "gamma", "kind": "involution"}, {},
-        float(np.abs(mats.gamma0 @ mats.gamma0 - np.eye(6)).max()), 1.0))
+        float(np.abs(GAMMA[0] @ GAMMA[0] - np.eye(6)).max()), 1.0))
     lambdas = build_matrices(corrected=config.corrected_lambda)
     flagged = not config.corrected_lambda
     if config.corrected_lambda:

@@ -325,10 +325,26 @@ class TestVerify:
         ["verify", "casimir", "--tol", "casimir"],
         ["verify", "casimir", "--tol", "casimir=inf"],
         ["verify", "casimir", "--lmax", "9"],
+        ["verify", "casimir", "--grid-density", "1"],
         ["verify", "casimir", "--seed", "-1"],
     ])
     def test_usage_errors_exit_two(self, runner, args):
         invoke(runner, args, expect=2)
+
+    @pytest.mark.parametrize("option, value", [
+        ("lmax", 9), ("lmax", -1), ("grid_density", 1), ("seed", -1)])
+    def test_range_errors_are_suite_config_messages(self, runner, option,
+                                                    value):
+        # SuiteConfig alone knows the ranges; the CLI prints its message.
+        with pytest.raises(ValueError) as refused:
+            SuiteConfig(**{option: value})
+        result = invoke(runner, ["verify", "casimir",
+                                 f"--{option.replace('_', '-')}", str(value)],
+                        expect=2)
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == [f"Error: {refused.value}"]
 
     @pytest.mark.parametrize("tolerances", [
         ["casimir=1e-9", "casimir=1e-8"],

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarewaves.photon_plane_waves import (
+    ALPHA,
+    GAMMA,
     NORMALIZATION,
     FieldPair,
     PhotonPlaneWave,
@@ -31,7 +33,6 @@ from poincarewaves.photon_plane_waves import (
     me6_column,
     mode_field_terms,
     polarization_vectors,
-    spin_matrices,
     transversality_residual,
 )
 
@@ -50,35 +51,39 @@ finite_k = st.tuples(
 
 
 class TestSpinMatrices:
+    def test_tuples_of_read_only_matrices(self):
+        assert isinstance(ALPHA, tuple) and isinstance(GAMMA, tuple)
+        assert [m.shape for m in ALPHA] == [(3, 3)] * 3
+        assert [m.shape for m in GAMMA] == [(6, 6)] * 4
+        for matrix in (*ALPHA, *GAMMA):
+            assert matrix.dtype == complex and not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
     def test_alphas_hermitian(self):
-        mats = spin_matrices()
-        for alpha in mats.alphas:
+        for alpha in ALPHA:
             assert np.array_equal(alpha, alpha.conj().T)
 
     def test_commutator_sign_is_minus_one(self):
         assert commutator_sign() == -1
 
     def test_commutators_close_with_measured_sign(self):
-        mats = spin_matrices()
         s = commutator_sign()
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            lhs = mats.alphas[i] @ mats.alphas[j] - mats.alphas[j] @ mats.alphas[i]
-            assert np.abs(lhs - s * 1j * mats.alphas[k]).max() == 0.0
+            lhs = ALPHA[i] @ ALPHA[j] - ALPHA[j] @ ALPHA[i]
+            assert np.abs(lhs - s * 1j * ALPHA[k]).max() == 0.0
 
     def test_gamma0_squares_to_identity(self):
-        mats = spin_matrices()
-        assert np.array_equal(mats.gamma0 @ mats.gamma0, np.eye(6))
+        assert np.array_equal(GAMMA[0] @ GAMMA[0], np.eye(6))
 
     def test_gamma_adjoint_relation(self):
         # Gamma_mu^dagger = Gamma_0 Gamma_mu Gamma_0 for all four matrices.
-        mats = spin_matrices()
-        for gamma in mats.gammas:
+        for gamma in GAMMA:
             assert np.abs(gamma.conj().T
-                          - mats.gamma0 @ gamma @ mats.gamma0).max() == 0.0
+                          - GAMMA[0] @ gamma @ GAMMA[0]).max() == 0.0
 
     def test_gammas_block_structure(self):
-        mats = spin_matrices()
-        for gamma in mats.gammas:
+        for gamma in GAMMA:
             assert np.abs(gamma[:3, :3]).max() == 0.0
             assert np.abs(gamma[3:, 3:]).max() == 0.0
 
@@ -92,12 +97,11 @@ class TestCurlMatrix:
         assert np.abs(curl_matrix((0, 0, 1)) - expected).max() == 0.0
 
     def test_matches_minus_c_k_dot_alpha(self):
-        mats = spin_matrices()
         rng = np.random.default_rng(11)
         for _ in range(20):
             k = rng.normal(size=3)
             c = float(rng.uniform(0.5, 3.0))
-            expected = -c * sum(k[i] * mats.alphas[i] for i in range(3))
+            expected = -c * sum(k[i] * ALPHA[i] for i in range(3))
             assert np.abs(curl_matrix(k, c) - expected).max() < 1e-15
 
     def test_action_is_i_c_cross_product(self):
@@ -119,17 +123,25 @@ class TestCurlMatrix:
 
 class TestEigenstructure:
     def test_unit_z_axis_eigenvalues(self):
-        eig = eigenstructure((0, 0, 1))
-        assert np.allclose(eig.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-12)
+        values, _ = eigenstructure((0, 0, 1))
+        assert np.allclose(values, [-1.0, 0.0, 1.0], atol=1e-12)
+
+    def test_returns_the_hermitian_solver_pair(self):
+        k = (1.3, -0.4, 2.2)
+        pair = eigenstructure(k, c=1.7)
+        assert type(pair) is tuple and len(pair) == 2
+        values, vectors = np.linalg.eigh(curl_matrix(k, 1.7))
+        assert np.array_equal(pair[0], values)
+        assert np.array_equal(pair[1], vectors)
 
     def test_three_four_zero_eigenvalues(self):
-        eig = eigenstructure((3, 4, 0))
-        assert np.allclose(eig.eigenvalues, [-5.0, 0.0, 5.0], atol=1e-12)
+        values, _ = eigenstructure((3, 4, 0))
+        assert np.allclose(values, [-5.0, 0.0, 5.0], atol=1e-12)
 
     def test_zero_eigenvector_parallel_to_k(self):
         k = np.array([1.0, 2.0, 3.0])
-        eig = eigenstructure(k)
-        v = eig.vector(1)
+        _, vectors = eigenstructure(k)
+        v = vectors[:, 1]
         overlap = abs(np.vdot(k / np.linalg.norm(k), v))
         assert abs(overlap - 1.0) < 1e-12
 
@@ -138,8 +150,8 @@ class TestEigenstructure:
             eigenstructure((0.0, 0.0, 0.0))
 
     def test_c_scales_spectrum(self):
-        eig = eigenstructure((0, 0, 2), c=3.0)
-        assert np.allclose(eig.eigenvalues, [-6.0, 0.0, 6.0], atol=1e-12)
+        values, _ = eigenstructure((0, 0, 2), c=3.0)
+        assert np.allclose(values, [-6.0, 0.0, 6.0], atol=1e-12)
 
     def test_random_spectral_completeness(self):
         rng = np.random.default_rng(2024)
@@ -148,12 +160,12 @@ class TestEigenstructure:
             norm = np.linalg.norm(k)
             if norm < 1e-3:
                 continue
-            eig = eigenstructure(k)
-            assert np.abs(eig.eigenvalues - np.array([-norm, 0.0, norm])).max() < 1e-10
+            values, vectors = eigenstructure(k)
+            assert np.abs(values - np.array([-norm, 0.0, norm])).max() < 1e-10
             pol = polarization_vectors(k)
             for position, eps in ((0, pol.eps_minus), (1, pol.eps_zero),
                                   (2, pol.eps_plus)):
-                overlap = abs(np.vdot(eig.vector(position), eps))
+                overlap = abs(np.vdot(vectors[:, position], eps))
                 assert abs(overlap - 1.0) < 1e-10
 
 
@@ -505,7 +517,8 @@ class TestEnergyDensity:
         rng = np.random.default_rng(48)
         for _ in range(50):
             psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-            back = FieldPair.from_value(psi).reconstruct()
+            pair = FieldPair.from_value(psi)
+            back = np.concatenate([pair.E - 1j * pair.B, pair.E + 1j * pair.B])
             assert np.abs(back - psi).max() < 1e-14
 
     def test_wrong_shape_rejected(self):
@@ -564,3 +577,35 @@ class TestConjugateFieldEquation:
             direct = dirac_form_residual(terms, "ME6", x, t)
             anti = anti_equation_residual(terms, x, t)
             assert abs(direct - anti) < 1e-12 * max(1.0, direct)
+
+
+_THREE = PlaneWaveTerm(np.ones(3), (1.0, 2.0, 3.0), 1.0)
+_SIX = PlaneWaveTerm(np.ones(6), (1.0, 2.0, 3.0), 1.0)
+_X, _T = (0.3, -0.7, 1.1), 0.45
+
+
+@pytest.mark.parametrize("function, zero, wrong, message", [
+    (lambda terms: dirac_form_residual(terms, "ME1", _X, _T), 0.0,
+     _SIX, "ME1 residual needs 3-component terms"),
+    (lambda terms: dirac_form_residual(terms, "ME2", _X, _T), 0.0,
+     _SIX, "ME2 residual needs 3-component terms"),
+    (lambda terms: dirac_form_residual(terms, "ME6", _X, _T), 0.0,
+     _THREE, "ME6 residual needs 6-component terms"),
+    (lambda terms: anti_equation_residual(terms, _X, _T), 0.0,
+     _THREE, "conjugate-field residual needs 6-component terms"),
+    (lambda terms: maxwell_residuals_from_terms(terms, terms, _X, _T),
+     (0.0, 0.0, 0.0, 0.0), None, None),
+    (lambda terms: lagrangian_density_translation(terms, _X, _T), 0j,
+     _THREE, "Lagrangian density needs 6-component terms"),
+    (lambda terms: evaluate_terms(terms, _X, _T), 0j, None, None),
+], ids=["ME1", "ME2", "ME6", "anti", "maxwell", "lagrangian", "evaluate"])
+def test_empty_term_list_is_the_zero_wave(function, zero, wrong, message):
+    result = function([])
+    assert result == zero and type(result) is type(zero)
+    if wrong is not None:
+        # A wrong-shape term is refused with a clear message, also after a
+        # right-shape one.
+        right = _SIX if wrong is _THREE else _THREE
+        for terms in ([wrong], [right, wrong]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                function(terms)
