@@ -17,9 +17,11 @@ realize d/d(theta_c), d/d(phi_c), d/d(chi_c) for the undotted series and
 d/d(theta_c_dot), ... for the dotted one.
 
 Each check measures and returns a (residual, scale) pair: the residual and the
-scale of the terms that had to cancel.  It does not judge it; the suites
-build one ResidualRecord per measurement, whose verdict is
-residual <= tolerance * max(1, scale) at the tolerance of its check name.
+scale of the terms that had to cancel.  Near the edge of the float range the
+stencil's values overflow, and a pair that is not finite raises ValueError.
+A check does not judge its pair; the suites build one ResidualRecord per
+measurement, whose verdict is residual <= tolerance * max(1, scale) at the
+tolerance of its check name.
 Central differences are second-order; Richardson extrapolation (one level per
 halving of the step) sharpens them to the rounding floor.  The step 1e-3 and
 two levels leave residuals around 1e-9 relative for weights l <= 4.
@@ -145,6 +147,15 @@ def _richardson(estimate: Callable[[float], complex], step: float,
     return table[levels - 1][levels - 1]
 
 
+def _finite(residual: float, scale: float) -> tuple[float, float]:
+    """(residual, scale), refused when the stencil's values left the floats."""
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise ValueError(
+            f"finite-difference residual={residual!r}, scale={scale!r} is not "
+            "finite: the stencil's values overflow near this point")
+    return residual, scale
+
+
 def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
              levels: int) -> tuple[float, float]:
     """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx)."""
@@ -183,8 +194,8 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
 
     operator = _richardson(estimate, step, levels)
     eigenvalue = idx.eigenvalue
-    return (abs(operator + eigenvalue * f0),
-            max(1.0, eigenvalue) * abs(f0))
+    return _finite(abs(operator + eigenvalue * f0),
+                   max(1.0, eigenvalue) * abs(f0))
 
 
 def casimir_x2_residual(idx: HarmonicIndex,
@@ -252,7 +263,7 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
         -((m * m + n * n - 2 * m * n * z) / one_minus_z2) * g0,
         idx.eigenvalue * g0,
     )
-    return abs(sum(terms)), max(abs(term) for term in terms)
+    return _finite(abs(sum(terms)), max(abs(term) for term in terms))
 
 
 def holomorphy_residual(idx: HarmonicIndex, theta: float,
@@ -279,7 +290,7 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float,
     dt = _richardson(d_theta, _STEP, _LEVELS)
     dtau = _richardson(d_tau, _STEP, _LEVELS)
     defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
-    return abs(defect), abs(dt)
+    return _finite(abs(defect), abs(dt))
 
 
 def casimir_convergence_order(idx: HarmonicIndex,
@@ -289,8 +300,12 @@ def casimir_convergence_order(idx: HarmonicIndex,
     Checks Y2 for a dotted idx and X2 otherwise, with single-level
     (unextrapolated) estimates at h = 1e-2 and 2h = 2e-2, where truncation
     error dominates rounding; a second-order stencil should measure close
-    to 2.
+    to 2.  An exactly zero residual (l = 0) has no order to measure.
     """
     coarse, _ = _casimir(idx, angles, 2e-2, 1)
     fine, _ = _casimir(idx, angles, 1e-2, 1)
+    if not (coarse > 0 and fine > 0):
+        raise ValueError(
+            f"raw residuals coarse={coarse!r}, fine={fine!r} at l={idx.l:g}: "
+            "an exactly zero residual has no convergence order to measure")
     return math.log2(coarse / fine)

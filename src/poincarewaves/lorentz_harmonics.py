@@ -37,11 +37,14 @@ summed from one zero-padded coefficient block per weight and side over power
 tables filled by Python's own ``**`` (libm ``pow``, whose bits numpy's power
 does not reproduce); the k sum is one numpy operation per weight and k,
 ascending.  Long axes go a bounded chunk of angles at a time.  The
-factorization check sums the halves through the same engine.  Every
-grid value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under the
-same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
-can flip the scalar routes' signed zeros), and an out-of-range point raises
-the error the scalar routes would raise first.
+factorization check sums the halves through the same engine.  Each side
+formula has one scalar and one block form, both taking a ``rotation`` flag
+that picks (sin, cos), the range-checked tan and the alternating coefficient
+table, or (sinh, cosh), tanh and the plain one.  Every grid value is
+bit-identical to ``z_sum`` / ``z_2f1`` at that point under the same
+interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639, can
+flip the scalar routes' signed zeros), and an out-of-range point raises the
+error the scalar routes would raise first.
 
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
@@ -176,8 +179,11 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     Requires a or b to be a non-positive integer so the series is a finite
     polynomial.  Raises ValueError if neither upper parameter terminates the
     series, or if c is a non-positive integer whose pole is reached before
-    termination.
+    termination, or if a, b or c is not finite.
     """
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     stops = [-int(round(v)) for v in (a, b)
              if v == round(v) and round(v) <= 0]
     if not stops:
@@ -270,15 +276,18 @@ def _validate_theta(theta: float) -> float:
     return theta
 
 
-def _tangent(theta: float, L: int) -> float:
-    """tan(theta/2) for the tangent forms, whose sums reach (2 tan(theta/2))^(2l).
+def _side_tangent(x: float, L: int, rotation: bool) -> float:
+    """tan(theta/2) or tanh(tau/2) for the tangent forms, whose sums reach
+    (2 tan(theta/2))^(2l) on the rotation side.
 
     A coefficient table sums to at most 2^(2l) in absolute value, so below the
     bound no term, partial sum or power of cos(theta/2) leaves the float range.
     """
-    t = math.tan(theta / 2)
+    if not rotation:
+        return math.tanh(x / 2)
+    t = math.tan(x / 2)
     if t > 1.0 and L * math.log(2 * t) > _MAX_LOG:
-        raise ValueError(f"theta={theta!r} is out of range for l={L / 2:g}: "
+        raise ValueError(f"theta={x!r} is out of range for l={L / 2:g}: "
                          "tan^(2l)(theta/2) overflows a float")
     return t
 
@@ -300,27 +309,21 @@ def z_sum(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     return value.conjugate() if idx.dotted else value
 
 
-def _theta_inner_unfolded(L: int, M: int, K: int, theta: float) -> complex:
-    """Rotation-side summand cos^L(theta/2) * sum coeff * tan^p(theta/2) * i^(m-k).
+def _unfolded(L: int, A: int, K: int, x: float, rotation: bool) -> complex:
+    """One side in the unfolded form even^L(x/2) * sum coeff * tangent^p(x/2).
 
-    Reads the rotation-side ``_angular_terms`` table.  Used as the fallback for
-    internal indices where the hypergeometric lower parameter is a non-positive
-    integer, and by ``su2_factor_p``.
+    Reads the side's ``_angular_terms`` table; the rotation side (a = m)
+    carries the phase i^(a - k) and is complex, the rapidity side (a = n) is a
+    real float.  Used by ``su2_factor_p`` and ``qu2_factor_jacobi``, and as
+    ``_factor_2f1``'s fallback where the series' lower parameter is a
+    non-positive integer.
     """
-    t = _tangent(theta, L)
+    t = _side_tangent(x, L, rotation)
     acc = 0.0
-    for p, _, coeff in _angular_terms(L, M, K, True):
+    for p, _, coeff in _angular_terms(L, A, K, rotation):
         acc += coeff * t ** p
-    return _I_POW[((M - K) // 2) % 4] * (math.cos(theta / 2) ** L * acc)
-
-
-def _tau_inner_unfolded(L: int, N: int, K: int, tau: float) -> float:
-    """Rapidity-side summand cosh^L(tau/2) * sum coeff * tanh^p(tau/2) (real)."""
-    t = math.tanh(tau / 2)
-    acc = 0.0
-    for p, _, coeff in _angular_terms(L, N, K, False):
-        acc += coeff * t ** p
-    return math.cosh(tau / 2) ** L * acc
+    value = (math.cos if rotation else math.cosh)(x / 2) ** L * acc
+    return _I_POW[((A - K) // 2) % 4] * value if rotation else value
 
 
 def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
@@ -329,7 +332,7 @@ def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
     Includes the i^(m-k) phase; at theta = 0 reduces to the Kronecker delta.
     """
     L, M, K = _doubled_triple(l, m, k)
-    return _theta_inner_unfolded(L, M, K, _validate_theta(theta))
+    return _unfolded(L, M, K, _validate_theta(theta), True)
 
 
 def qu2_factor_jacobi(l: float, k: float, n: float, tau: float) -> float:
@@ -338,35 +341,26 @@ def qu2_factor_jacobi(l: float, k: float, n: float, tau: float) -> float:
     At tau = 0 reduces to the Kronecker delta.
     """
     L, K, N = _doubled_triple(l, k, n)
-    return _tau_inner_unfolded(L, N, K, _validate_tau(tau, L))
+    return _unfolded(L, N, K, _validate_tau(tau, L), False)
 
 
-def _theta_factor_2f1(L: int, M: int, K: int, theta: float) -> complex:
-    """Rotation-side summand via the terminating Gauss series (with fallback).
+def _factor_2f1(L: int, A: int, K: int, x: float, rotation: bool) -> complex:
+    """One side via the terminating Gauss series, or ``_unfolded`` where a < k.
 
     The series is normalized to its leading term, so its square-root factorial
     prefactor is the j = 0 coefficient of the cached ``_angular_terms`` table.
+    Only the rotation side carries the phase i^(a - k).
     """
-    ak = (M - K) // 2
+    ak = (A - K) // 2
     if ak < 0:
-        return _theta_inner_unfolded(L, M, K, theta)
-    prefactor = _angular_terms(L, M, K, True)[0][2]
-    sh, ch = math.sin(theta / 2), math.cos(theta / 2)
-    x = -_tangent(theta, L) ** 2
-    series = terminating_2f1((M - L) / 2, -(L + K) / 2, ak + 1, x)
-    return _I_POW[ak % 4] * (prefactor * sh**ak * ch**(L - ak) * series)
-
-
-def _tau_factor_2f1(L: int, N: int, K: int, tau: float) -> float:
-    """Rapidity-side summand via the terminating Gauss series (with fallback)."""
-    ak = (N - K) // 2
-    if ak < 0:
-        return _tau_inner_unfolded(L, N, K, tau)
-    prefactor = _angular_terms(L, N, K, False)[0][2]
-    sb, cb = math.sinh(tau / 2), math.cosh(tau / 2)
-    x = math.tanh(tau / 2) ** 2
-    series = terminating_2f1((N - L) / 2, -(L + K) / 2, ak + 1, x)
-    return prefactor * sb**ak * cb**(L - ak) * series
+        return _unfolded(L, A, K, x, rotation)
+    prefactor = _angular_terms(L, A, K, rotation)[0][2]
+    odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
+    t = _side_tangent(x, L, rotation)
+    series = terminating_2f1((A - L) / 2, -(L + K) / 2, ak + 1,
+                             -t ** 2 if rotation else t ** 2)
+    value = prefactor * odd(x / 2)**ak * even(x / 2)**(L - ak) * series
+    return _I_POW[ak % 4] * value if rotation else value
 
 
 def z_2f1(idx: HarmonicIndex, theta: float, tau: float) -> complex:
@@ -375,7 +369,7 @@ def z_2f1(idx: HarmonicIndex, theta: float, tau: float) -> complex:
     theta, tau = _validate_theta(theta), _validate_tau(tau, L)
     total = 0j
     for K in range(-L, L + 1, 2):
-        total += _theta_factor_2f1(L, M, K, theta) * _tau_factor_2f1(L, N, K, tau)
+        total += _factor_2f1(L, M, K, theta, True) * _factor_2f1(L, N, K, tau, False)
     return total.conjugate() if idx.dotted else total
 
 
@@ -419,13 +413,6 @@ def _series_block(L: int) -> np.ndarray:
     return ratios
 
 
-def _tangents(L: int, rotation: bool, angles) -> list[float]:
-    """tan(theta/2), range-checked, or tanh(tau/2) at each angle."""
-    if rotation:
-        return [_tangent(theta, L) for theta in angles]
-    return [math.tanh(tau / 2) for tau in angles]
-
-
 # Each side form below returns a real block shaped (len(rows), L + 1 K,
 # len(angles)) for the projection rows asked for (row a is projection
 # 2a - L), adding the table entries to every point in the scalar order.
@@ -445,11 +432,11 @@ def _folded_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
 def _tangent_block(L: int, rotation: bool, rows, angles,
                    tangents=None) -> np.ndarray:
     """The unfolded side even^L * sum coeff * tangent^p: su2_factor_p (less
-    its phase) and qu2_factor_jacobi.  ``tangents`` are ``_tangents``'."""
+    its phase) and qu2_factor_jacobi.  ``tangents`` are ``_side_tangent``'s."""
     even = math.cos if rotation else math.cosh
     coefficients, powers = _side_block(L, rotation)
     if tangents is None:
-        tangents = _tangents(L, rotation, angles)
+        tangents = [_side_tangent(x, L, rotation) for x in angles]
     tangent_pow = _powers(tangents, L)
     total = np.zeros((len(rows), L + 1, len(angles)))
     for c, p in zip(coefficients[:, rows], powers[:, rows]):
@@ -462,7 +449,7 @@ def _hypergeometric_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
     or the tangent form where a < k."""
     odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
     coefficients, powers = _side_block(L, rotation)
-    tangents = _tangents(L, rotation, angles)
+    tangents = [_side_tangent(x, L, rotation) for x in angles]
     sign = -1.0 if rotation else 1.0
     x = np.array([sign * t ** 2 for t in tangents])
     series = term = np.ones((len(rows), L + 1, len(angles)))
@@ -483,17 +470,18 @@ def _hypergeometric_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
 _BLOCK_SIZE = 1 << 16
 
 
-def _grid_values(indices, thetas, taus, side, phased: bool) -> np.ndarray:
-    """sum_K rotation * rapidity, shaped (len(indices), len(thetas), len(taus)).
+def _grid_values(indices, thetas, taus, side) -> np.ndarray:
+    """sum_K (i^(m - k) * rotation) * rapidity over the theta x tau grid.
 
-    side(L, rotation, rows, angles) is one of the side forms above, run once
-    per weight and side for the distinct rows of m (or n) that the indices
-    use, over chunks of at most ``_BLOCK_SIZE`` block entries.  Per
-    ascending K, one array operation adds to every point's sum, which starts
-    from 0j, the scalar route's own expression: i^(m - k) * (rotation *
-    rapidity) when ``phased`` (z_sum), rotation * rapidity otherwise (z_2f1
-    and the factor halves, whose rotation side carries the phase).  One
-    factor of each complex product is real, so numpy rounds each component
+    Shaped (len(indices), len(thetas), len(taus)).  side(L, rotation, rows,
+    angles) is one of the side forms above, run once per weight and side for
+    the distinct rows of m (or n) that the indices use, over chunks of at
+    most ``_BLOCK_SIZE`` block entries.  Per ascending K, one array operation
+    adds that product to every point's sum, which starts from 0j: the order
+    of z_2f1 and the factor halves, whose rotation side carries the phase.
+    z_sum's i^(m - k) * (rotation * rapidity) has the same bits, since the
+    phase multiplies exactly and the sum from +0j turns every signed zero
+    into +0.0.  The rapidity factor is real, so numpy rounds each component
     as Python does.  Dotted indices are conjugated.
     """
     grids = np.empty((len(indices), len(thetas), len(taus)), complex)
@@ -512,24 +500,19 @@ def _grid_values(indices, thetas, taus, side, phased: bool) -> np.ndarray:
         dotted = np.array([idx.dotted for idx in members])
         step = max(1, _BLOCK_SIZE // ((L + 1) * max(len(ms), len(ns))))
         for i in range(0, len(thetas), step):
-            rotation = side(L, True, ms, thetas[i:i + step])
-            if not phased:
-                rotation = phases[..., None] * rotation
+            rotation = phases[..., None] * side(L, True, ms, thetas[i:i + step])
             for j in range(0, len(taus), step):
                 rapidity = side(L, False, ns, taus[j:j + step])
                 total = np.zeros((len(members), rotation.shape[2],
                                   rapidity.shape[2]), complex)
                 for k in range(L + 1):
-                    product = rotation[m_at, k, :, None] * rapidity[n_at, k, None, :]
-                    if phased:
-                        product = phases[m_at, k, None, None] * product
-                    total += product
+                    total += rotation[m_at, k, :, None] * rapidity[n_at, k, None, :]
                 total[dotted] = total[dotted].conj()
                 grids[positions, i:i + step, j:j + step] = total
     return grids
 
 
-def _on_grid(route, indices, thetas, taus, side, phased: bool) -> np.ndarray:
+def _on_grid(route, indices, thetas, taus, side) -> np.ndarray:
     """Validate the grid, then return its ``_grid_values``.
 
     On a domain error, raise the error that route(idx, theta, tau) meets
@@ -540,7 +523,7 @@ def _on_grid(route, indices, thetas, taus, side, phased: bool) -> np.ndarray:
     L = max((idx.doubled[0] for idx in indices), default=0)
     try:
         return _grid_values(indices, [_validate_theta(t) for t in thetas],
-                            [_validate_tau(t, L) for t in taus], side, phased)
+                            [_validate_tau(t, L) for t in taus], side)
     except ValueError:
         for idx in indices:
             for theta in thetas:
@@ -556,7 +539,7 @@ def z_sum_grid(indices, thetas, taus) -> np.ndarray:
     each value bit-identical to z_sum at its point.  Each side of the summand
     is one block per weight.
     """
-    return _on_grid(z_sum, indices, thetas, taus, _folded_block, phased=True)
+    return _on_grid(z_sum, indices, thetas, taus, _folded_block)
 
 
 def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
@@ -565,8 +548,7 @@ def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1,
     with each hypergeometric side one block per weight.
     """
-    return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block,
-                    phased=False)
+    return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block)
 
 
 def generalized_m_values(l: float, m: float, n: float, phi: float,

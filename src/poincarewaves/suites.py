@@ -345,30 +345,27 @@ def _suite_factorization(config: SuiteConfig, direct) -> list[ResidualRecord]:
         indices, grid = direct(l)
         inner = grid[:, 1:, :-1]
         # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
-        factored = _grid_values(indices, thetas, taus, _tangent_block,
-                                phased=False)
+        factored = _grid_values(indices, thetas, taus, _tangent_block)
         records += _worst_grid_records(
             config, "factorization", indices, thetas, taus,
             _modulus(factored - inner), _modulus(inner))
     return records
 
 
-def _casimir_index_sample(config: SuiteConfig, rng: np.random.Generator,
-                          per_l: int) -> list[HarmonicIndex]:
-    indices = []
-    for l in _l_values(min(config.lmax, 3)):
-        projections = _projections(l)
-        for _ in range(per_l):
-            m = projections[int(rng.integers(0, len(projections)))]
-            n = projections[int(rng.integers(0, len(projections)))]
-            indices.append(HarmonicIndex(l, m, n))
-    return indices
+def _draw_mn(rng: np.random.Generator, l: float) -> tuple[float, float]:
+    """Projections (m, n) of weight l, each drawn uniformly, m first."""
+    projections = _projections(l)
+    m = projections[int(rng.integers(0, len(projections)))]
+    n = projections[int(rng.integers(0, len(projections)))]
+    return m, n
 
 
 def _suite_casimir(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(2)
     records = []
-    for position, idx in enumerate(_casimir_index_sample(config, rng, per_l=3)):
+    sample = [HarmonicIndex(l, *_draw_mn(rng, l))
+              for l in _l_values(min(config.lmax, 3)) for _ in range(3)]
+    for position, idx in enumerate(sample):
         angles = _random_angles(rng)
         point = {"phi": angles.phi, "epsilon": angles.epsilon,
                  "theta": angles.theta, "tau": angles.tau, "chi": angles.chi,
@@ -397,10 +394,8 @@ def _suite_legendre(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(3)
     records = []
     for l in _l_values(min(config.lmax, 3)):
-        projections = _projections(l)
         for draw in range(2):
-            m = projections[int(rng.integers(0, len(projections)))]
-            n = projections[int(rng.integers(0, len(projections)))]
+            m, n = _draw_mn(rng, l)
             theta = float(rng.uniform(0.25, math.pi - 0.25))
             tau = float(rng.normal() * 0.4)
             for dotted in (False, True):
@@ -419,9 +414,7 @@ def _suite_holomorphy(config: SuiteConfig) -> list[ResidualRecord]:
     for l in _l_values(min(config.lmax, 3)):
         if l == 0:
             continue
-        projections = _projections(l)
-        m = projections[int(rng.integers(0, len(projections)))]
-        n = projections[int(rng.integers(0, len(projections)))]
+        m, n = _draw_mn(rng, l)
         theta = float(rng.uniform(0.3, math.pi - 0.3))
         tau = float(rng.normal() * 0.4)
         for dotted in (False, True):

@@ -228,3 +228,24 @@ class TestConvergenceOrder:
         order = casimir_convergence_order(
             HarmonicIndex(1, 1, 0, dotted=True), GENERIC_ANGLES)
         assert 1.7 <= order <= 2.3, order
+
+
+# Inside the accepted 2l|tau| <= 1418, yet the stencil's values overflow.
+EDGE_ANGLES = make_angles(0.1, 0.0, 1.0, 35.44, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (casimir_x2_residual, (HarmonicIndex(20, 0, 0), EDGE_ANGLES), "not finite"),
+    (casimir_y2_residual, (HarmonicIndex(20, 0, 0, dotted=True), EDGE_ANGLES),
+     "not finite"),
+    (legendre_residual, (HarmonicIndex(20, 0, 0), 1.0, 35.44), "not finite"),
+    (holomorphy_residual, (HarmonicIndex(20, 0, 0), 1.0, 35.44), "not finite"),
+    (casimir_convergence_order, (HarmonicIndex(20, 0, 0), EDGE_ANGLES),
+     "not finite"),
+    (casimir_convergence_order, (HarmonicIndex(0, 0, 0), GENERIC_ANGLES),
+     "no convergence order to measure"),
+])
+def test_unmeasurable_point_raises_value_error(check, args, message):
+    # Not a NaN or inf measurement, and not a ZeroDivisionError.
+    with pytest.raises(ValueError, match=message):
+        check(*args)

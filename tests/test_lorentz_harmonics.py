@@ -87,6 +87,15 @@ class TestTerminating2F1:
         with pytest.raises(ValueError, match="pole"):
             terminating_2f1(-3, -5, -2, 0.5)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, name, value):
+        # Neither an OverflowError nor "cannot convert float NaN to integer".
+        params = {"a": -2.0, "b": -1.0, "c": 2.0, name: value}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value!r}$"):
+            terminating_2f1(params["a"], params["b"], params["c"], 0.5)
+
     def test_pole_beyond_termination_allowed(self):
         value = terminating_2f1(-2, -5, -2, 0.25)
         assert math.isfinite(value)
@@ -588,7 +597,7 @@ class TestGrids:
 def factor_halves_grid(indices, thetas, taus):
     """sum_k P^l_mk Q^l_kn over a grid, as the factorization suite sums it."""
     return lorentz_harmonics._grid_values(
-        indices, thetas, taus, lorentz_harmonics._tangent_block, phased=False)
+        indices, thetas, taus, lorentz_harmonics._tangent_block)
 
 
 # Each half is reused by every index and point that shares it.
