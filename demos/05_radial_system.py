@@ -53,7 +53,7 @@ print()
 print("The l = 1, C = 0 case at r = 1")
 print("------------------------------")
 paper = RadialSolution(l=1, C=0.0, variant="paper")
-print(f"f_zero(1) = {paper.f_zero(1.0)}")
+print(f"f_zero(1) = {paper.f(0, 1.0)}")
 print(f"eq1(1)    = {radial_residual(1, paper, 1.0)[0]}"
       "   (= sqrt(2l(l+1)) - 2l(l+1) = 2 - 4)")
 corrected = RadialSolution(l=1, C=0.0)

@@ -338,11 +338,11 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
         radial = _radial_solution(l, cconst, cdot, variant)
         r = _finite("r", _parse_complex(rvalue, "r"))
         r_star = r.conjugate()
-        return {"f_plus": radial.f_plus(r), "f_zero": radial.f_zero(r),
-                "f_minus": radial.f_minus(r),
-                "fdot_plus": radial.fdot_plus(r_star),
-                "fdot_zero": radial.fdot_zero(r_star),
-                "fdot_minus": radial.fdot_minus(r_star)}
+        return {"f_plus": radial.f(1, r), "f_zero": radial.f(0, r),
+                "f_minus": radial.f(-1, r),
+                "fdot_plus": radial.f(1, r_star, True),
+                "fdot_zero": radial.f(0, r_star, True),
+                "fdot_minus": radial.f(-1, r_star, True)}
     if function == "assemble":
         _require(function, k=kvec, lam=lam, l=l, x=xvec, t=t, r=rvalue,
                  angles=angles)

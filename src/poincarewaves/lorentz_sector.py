@@ -22,6 +22,9 @@ CONTENTS
       sqrt(2l(l+1)), which leaves residual (sqrt(2l(l+1)) - 2l(l+1)) r in the
       first equation (kept as a documented, flagged discrepancy); the
       "corrected" variant uses 2l(l+1), which zeroes all four residuals.
+      One evaluator pair serves all six slots: ``f(lam, r, dotted)`` and
+      ``f_prime(lam, r, dotted)``, with ``select(lam, dotted)`` the same
+      evaluator bound to a validated slot.
 
 CONVENTIONS
     Square roots of complex r use the principal branch (cut along the
@@ -32,6 +35,7 @@ CONVENTIONS
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +55,11 @@ __all__ = [
 
 #: Radial linear-coefficient variants: the printed form and the corrected one.
 VARIANTS = ("paper", "corrected")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def _whole_number(value) -> int | None:
@@ -84,14 +93,8 @@ class LambdaMatrices:
     with an extra factor i on both corner blocks for i = 4..6.
     """
 
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray
+    lambdas: tuple[np.ndarray, np.ndarray, np.ndarray]
     upsilons: tuple[np.ndarray, ...]
-
-    @property
-    def lambdas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.lambda1, self.lambda2, self.lambda3
 
     def casimir(self) -> np.ndarray:
         """Lambda_1^2 + Lambda_2^2 + Lambda_3^2 (equals 2 I if corrected)."""
@@ -132,13 +135,7 @@ def build_matrices(corrected: bool = True) -> LambdaMatrices:
         np.block([[zero, factor * lam.conj()], [factor * lam, zero]])
         for factor in (1.0, 1j) for lam in lambdas
     )
-    return LambdaMatrices(lambda1, lambda2, lambda3, upsilons)
-
-
-#: The evaluator name of each (projection, dotted) slot.
-_EVALUATORS = {(1, False): "f_plus", (0, False): "f_zero",
-               (-1, False): "f_minus", (1, True): "fdot_plus",
-               (0, True): "fdot_zero", (-1, True): "fdot_minus"}
+    return LambdaMatrices(lambdas, upsilons)
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,10 @@ class RadialSolution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", angular_order(self.l))
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_variant(self.variant)
         for name in ("C", "Cdot"):
             value = complex(getattr(self, name))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
@@ -182,48 +177,31 @@ class RadialSolution:
             return self.ladder
         return 2.0 * self.l * (self.l + 1)
 
-    def _f(self, constant: complex, r: complex) -> complex:
+    # f_{1,-1} = f_{1,+1}; the dotted slots (integration constant Cdot) are
+    # evaluated at r* by callers, and the 0 slot has no integration constant.
+    def f(self, lam: int, r: complex, dotted: bool = False) -> complex:
+        """f_{1,lam}(r), or the dotted partner's value if dotted."""
+        if lam == 0:
+            return self.ladder * r
+        constant = self.Cdot if dotted else self.C
         return constant * cmath.sqrt(r) + self.linear_coefficient * r
 
-    def _f_prime(self, constant: complex, r: complex) -> complex:
+    def f_prime(self, lam: int, r: complex, dotted: bool = False) -> complex:
+        """The r-derivative of f(lam, r, dotted)."""
+        if lam == 0:
+            return complex(self.ladder)
+        constant = self.Cdot if dotted else self.C
         derivative = complex(self.linear_coefficient)
         if constant != 0:
             derivative += constant / (2.0 * cmath.sqrt(r))
         return derivative
 
-    # Undotted triple (integration constant C); f_{1,-1} = f_{1,+1}.
-    def f_plus(self, r: complex) -> complex:
-        return self._f(self.C, r)
-
-    def f_plus_prime(self, r: complex) -> complex:
-        return self._f_prime(self.C, r)
-
-    def f_zero(self, r: complex) -> complex:
-        return self.ladder * r
-
-    def f_zero_prime(self, r: complex) -> complex:
-        return complex(self.ladder)
-
-    f_minus, f_minus_prime = f_plus, f_plus_prime
-
-    # Dotted triple (integration constant Cdot), evaluated at r* by callers;
-    # the 0 slot has no integration constant, so it is the undotted one.
-    def fdot_plus(self, r_star: complex) -> complex:
-        return self._f(self.Cdot, r_star)
-
-    def fdot_plus_prime(self, r_star: complex) -> complex:
-        return self._f_prime(self.Cdot, r_star)
-
-    fdot_minus, fdot_minus_prime = fdot_plus, fdot_plus_prime
-    fdot_zero, fdot_zero_prime = f_zero, f_zero_prime
-
     def select(self, lam: int, dotted: bool = False):
-        """The radial evaluator for projection lam in {+1, 0, -1}."""
-        try:
-            return getattr(self, _EVALUATORS[(lam, dotted)])
-        except KeyError:
+        """The radial evaluator r -> f(lam, r, dotted), lam in {+1, 0, -1}."""
+        if lam not in (1, 0, -1):
             raise ValueError(
-                f"projection label must be +1, 0, or -1, got {lam!r}") from None
+                f"projection label must be +1, 0, or -1, got {lam!r}")
+        return functools.partial(self.f, lam, dotted=dotted)
 
 
 def radial_residual(l: int, radial, r: complex
@@ -236,20 +214,24 @@ def radial_residual(l: int, radial, r: complex
         eq2 = -2r f'_{1,-1}(r) + f_{1,-1}(r) + sqrt(2l(l+1)) f_{1,0}(r),
 
     with eq3/eq4 the dotted analogues at r* = conj(r).  ``radial`` may be any
-    object exposing the twelve evaluator methods of RadialSolution.
+    object with RadialSolution's ``f`` and ``f_prime``.  Raises ValueError at
+    r = 0, at a non-finite r, and where a residual overflows.
     """
     l = angular_order(l)
     r = complex(r)
     if r == 0:
         raise ValueError("r = 0 is a singular point of the radial system")
+    if not cmath.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
     ladder = radial_ladder(l)
-    eq1 = (2.0 * r * radial.f_plus_prime(r) - radial.f_plus(r)
-           - ladder * radial.f_zero(r))
-    eq2 = (-2.0 * r * radial.f_minus_prime(r) + radial.f_minus(r)
-           + ladder * radial.f_zero(r))
-    r_star = r.conjugate()
-    eq3 = (2.0 * r_star * radial.fdot_plus_prime(r_star)
-           - radial.fdot_plus(r_star) - ladder * radial.fdot_zero(r_star))
-    eq4 = (-2.0 * r_star * radial.fdot_minus_prime(r_star)
-           + radial.fdot_minus(r_star) + ladder * radial.fdot_zero(r_star))
-    return eq1, eq2, eq3, eq4
+    residuals = []
+    for rho, dotted in ((r, False), (r.conjugate(), True)):
+        f0 = radial.f(0, rho, dotted)
+        residuals.append(2.0 * rho * radial.f_prime(1, rho, dotted)
+                         - radial.f(1, rho, dotted) - ladder * f0)
+        residuals.append(-2.0 * rho * radial.f_prime(-1, rho, dotted)
+                         + radial.f(-1, rho, dotted) + ladder * f0)
+    if not all(cmath.isfinite(value) for value in residuals):
+        raise ValueError(f"radial residual is not finite at r={r!r}: the "
+                         "solution's values overflow near this point")
+    return tuple(residuals)

@@ -123,7 +123,7 @@ class PoincareWaveFunction:
         angular = generalized_m_values(
             idx.l, idx.m, idx.n, angles.phi, angles.epsilon,
             angles.theta, angles.tau, 0.0, 0.0, dotted=idx.dotted)
-        return self.radial.select(self.lam, dotted=self.dotted)(radius) * angular
+        return self.radial.f(self.lam, radius, self.dotted) * angular
 
     def value(self, x, t: float, r: complex,
               angles: ComplexEulerAngles) -> np.ndarray:

@@ -56,8 +56,8 @@ from .lorentz_harmonics import (
     z_sum_grid,
 )
 from .lorentz_sector import (
-    VARIANTS,
     RadialSolution,
+    _check_variant,
     _whole_number,
     build_matrices,
     radial_ladder,
@@ -70,6 +70,7 @@ from .photon_plane_waves import (
     PhotonPlaneWave,
     PlaneWaveTerm,
     WaveVector,
+    _check_c,
     _energy_identity,
     anti_equation_residual,
     commutator_sign,
@@ -165,11 +166,8 @@ class SuiteConfig:
         if seed is None or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be a positive finite constant, got {self.c!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        object.__setattr__(self, "c", _check_c(self.c))
+        _check_variant(self.variant)
         resolved = {}
         for name, value in dict(self.tolerances).items():
             if name not in DEFAULT_TOLERANCES:
@@ -597,28 +595,17 @@ def _suite_transversality(config: SuiteConfig) -> list[ResidualRecord]:
     return records
 
 
-class _HomogeneousTriple:
+class _Homogeneous:
     """f = C sqrt(r) in the +-1 slots and 0 in the 0 slot, for the exact check."""
 
     def __init__(self, constant: complex):
         self.constant = complex(constant)
 
-    def _f(self, r: complex) -> complex:
-        return self.constant * cmath.sqrt(r)
+    def f(self, lam: int, r: complex, dotted: bool = False) -> complex:
+        return self.constant * cmath.sqrt(r) if lam else 0.0
 
-    def _f_prime(self, r: complex) -> complex:
-        return self.constant / (2.0 * cmath.sqrt(r))
-
-    f_plus = f_minus = fdot_plus = fdot_minus = _f
-    f_plus_prime = f_minus_prime = fdot_plus_prime = fdot_minus_prime = _f_prime
-
-    @staticmethod
-    def f_zero(r: complex) -> complex:
-        return 0.0
-
-    f_zero_prime = f_zero
-    fdot_zero = f_zero
-    fdot_zero_prime = f_zero
+    def f_prime(self, lam: int, r: complex, dotted: bool = False) -> complex:
+        return self.constant / (2.0 * cmath.sqrt(r)) if lam else 0.0
 
 
 def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
@@ -631,7 +618,7 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
         rate = radial_ladder(l) - 2.0 * l * (l + 1)
         for position, r in enumerate(_ring_points()):
             residuals = radial_residual(l, radial, r)
-            scale = max(1.0, abs(radial.f_plus(r)))
+            scale = max(1.0, abs(radial.f(1, r)))
             point = {"r_re": r.real, "r_im": r.imag}
             if paper:
                 point["formula"] = "(sqrt(2l(l+1)) - 2l(l+1)) * r"
@@ -650,10 +637,10 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
                     {"r_re": r.real, "r_im": r.imag,
                      "expected_rate": rate},
                     deviation, max(1.0, abs(rate * r))))
-        homogeneous = _HomogeneousTriple(2.0 - 3.0j)
+        homogeneous = _Homogeneous(2.0 - 3.0j)
         worst = 0.0
         for r in _ring_points():
-            scale = max(1.0, abs(homogeneous.f_plus(r)))
+            scale = max(1.0, abs(homogeneous.f(1, r)))
             worst = max(worst, max(abs(value) for value in
                                    radial_residual(l, homogeneous, r)) / scale)
         records.append(config.record(
@@ -665,8 +652,8 @@ def _suite_radial(config: SuiteConfig) -> list[ResidualRecord]:
             if abs(r) < 1e-3:
                 continue
             symmetry = max(symmetry,
-                           abs(radial.f_minus(r) - radial.f_plus(r)),
-                           abs(radial.fdot_minus(r) - radial.fdot_plus(r)))
+                           abs(radial.f(-1, r) - radial.f(1, r)),
+                           abs(radial.f(-1, r, True) - radial.f(1, r, True)))
         records.append(config.record(
             "radial_symmetry", {"l": l}, {}, symmetry, 1.0))
     return records

@@ -27,7 +27,7 @@ from poincarewaves.poincare_assembly import build_catalog
 class TestBuildMatrices:
     def test_lambda3_diagonal(self):
         mats = build_matrices(corrected=True)
-        assert np.array_equal(mats.lambda3, np.diag([1.0, 0.0, -1.0]))
+        assert np.array_equal(mats.lambdas[2], np.diag([1.0, 0.0, -1.0]))
 
     def test_corrected_casimir_is_two_identity(self):
         mats = build_matrices(corrected=True)
@@ -47,11 +47,11 @@ class TestBuildMatrices:
     def test_printed_lambda1_missing_entry(self):
         printed = build_matrices(corrected=False)
         corrected = build_matrices(corrected=True)
-        assert printed.lambda1[1, 2] == 0.0
-        assert abs(corrected.lambda1[1, 2] - 1 / math.sqrt(2)) < 1e-15
+        assert printed.lambdas[0][1, 2] == 0.0
+        assert abs(corrected.lambdas[0][1, 2] - 1 / math.sqrt(2)) < 1e-15
         # The other two matrices agree between the variants.
-        assert np.array_equal(printed.lambda2, corrected.lambda2)
-        assert np.array_equal(printed.lambda3, corrected.lambda3)
+        assert np.array_equal(printed.lambdas[1], corrected.lambdas[1])
+        assert np.array_equal(printed.lambdas[2], corrected.lambdas[2])
 
     def test_printed_variant_fails_casimir(self):
         printed = build_matrices(corrected=False)
@@ -87,11 +87,11 @@ def ring_points():
 class TestRadialSolution:
     def test_paper_f_zero_at_unit_radius(self):
         radial = RadialSolution(l=1, C=0.0, variant="paper")
-        assert radial.f_zero(1.0) == 2.0
+        assert radial.f(0, 1.0) == 2.0
 
     def test_paper_homogeneous_vanishes_at_origin(self):
         radial = RadialSolution(l=1, C=1.0, variant="paper")
-        assert radial.f_plus(0.0) == 0.0
+        assert radial.f(1, 0.0) == 0.0
 
     def test_minus_equals_plus_everywhere(self):
         rng = np.random.default_rng(71)
@@ -102,15 +102,15 @@ class TestRadialSolution:
                 r = complex(rng.normal(), rng.normal())
                 if r.real < 0 and abs(r.imag) < 1e-3:
                     continue  # keep away from the branch cut
-                assert radial.f_minus(r) == radial.f_plus(r)
-                assert radial.fdot_minus(r) == radial.fdot_plus(r)
+                assert radial.f(-1, r) == radial.f(1, r)
+                assert radial.f(-1, r, True) == radial.f(1, r, True)
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_corrected_residuals_vanish_on_rings(self, l):
         radial = RadialSolution(l=l, C=1.3 - 0.4j, Cdot=0.25 + 2.0j,
                                 variant="corrected")
         for r in ring_points():
-            scale = max(1.0, abs(radial.f_plus(r)))
+            scale = max(1.0, abs(radial.f(1, r)))
             for residual in radial_residual(l, radial, r):
                 assert abs(residual) < 1e-12 * scale
 
@@ -137,39 +137,24 @@ class TestRadialSolution:
             def __init__(self, constant):
                 self.constant = constant
 
-            def f_plus(self, r):
-                return self.constant * cmath.sqrt(r)
+            def f(self, lam, r, dotted=False):
+                return self.constant * cmath.sqrt(r) if lam else 0.0
 
-            def f_plus_prime(self, r):
-                return self.constant / (2.0 * cmath.sqrt(r))
-
-            def f_zero(self, r):
-                return 0.0
-
-            def f_zero_prime(self, r):
-                return 0.0
-
-            f_minus = f_plus
-            f_minus_prime = f_plus_prime
-            fdot_plus = f_plus
-            fdot_plus_prime = f_plus_prime
-            fdot_zero = f_zero
-            fdot_zero_prime = f_zero_prime
-            fdot_minus = f_plus
-            fdot_minus_prime = f_plus_prime
+            def f_prime(self, lam, r, dotted=False):
+                return self.constant / (2.0 * cmath.sqrt(r)) if lam else 0.0
 
         triple = Homogeneous(2.0 - 3.0j)
         for r in ring_points():
-            scale = max(1.0, abs(triple.f_plus(r)))
+            scale = max(1.0, abs(triple.f(1, r)))
             for residual in radial_residual(1, triple, r):
                 assert abs(residual) < 1e-12 * scale
 
     def test_zero_triple_gives_zero_residuals(self):
         class Zero:
-            def __getattr__(self, name):
-                if name.startswith(("f_", "fdot_")):
-                    return lambda r: 0.0
-                raise AttributeError(name)
+            def f(self, lam, r, dotted=False):
+                return 0.0
+
+            f_prime = f
 
         assert radial_residual(1, Zero(), 0.5 + 0.5j) == (0, 0, 0, 0)
 
@@ -207,15 +192,38 @@ class TestRadialSolution:
     def test_select_maps_projections(self):
         radial = RadialSolution(l=1, C=1.0, Cdot=2.0)
         r = 0.3 + 0.6j
-        assert radial.select(+1)(r) == radial.f_plus(r)
-        assert radial.select(0)(r) == radial.f_zero(r)
-        assert radial.select(-1)(r) == radial.f_minus(r)
-        assert radial.select(+1, dotted=True)(r) == radial.fdot_plus(r)
-        assert radial.select(0, dotted=True)(r) == radial.fdot_zero(r)
-        assert radial.select(-1, dotted=True)(r) == radial.fdot_minus(r)
-        with pytest.raises(ValueError) as error:
-            radial.select(2)
-        assert str(error.value) == "projection label must be +1, 0, or -1, got 2"
+        for lam in (1, 0, -1):
+            assert radial.select(lam)(r) == radial.f(lam, r)
+            assert radial.select(lam, dotted=True)(r) == radial.f(lam, r, True)
+        assert radial.select(1, dotted=True)(r) != radial.select(1)(r)
+        assert radial.select(1, dotted=None)(r) == radial.f(1, r)
+        for bad in (2, None, "1"):
+            with pytest.raises(ValueError) as error:
+                radial.select(bad)
+            assert str(error.value) == (
+                f"projection label must be +1, 0, or -1, got {bad!r}")
+
+    @pytest.mark.parametrize("variant", ["paper", "corrected"])
+    def test_every_slot_evaluator_and_derivative(self, variant):
+        rng = np.random.default_rng(23)
+        radial = RadialSolution(l=2, C=0.7 - 1.2j, Cdot=-0.4 + 0.3j,
+                                variant=variant)
+        h = 1e-6
+        for _ in range(200):
+            r = complex(rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0))
+            for lam in (1, 0, -1):
+                for dotted in (False, True):
+                    value = radial.f(lam, r, dotted)
+                    assert radial.select(lam, dotted)(r) == value
+                    central = (radial.f(lam, r + h, dotted)
+                               - radial.f(lam, r - h, dotted)) / (2 * h)
+                    derivative = radial.f_prime(lam, r, dotted)
+                    assert abs(central - derivative) <= 1e-6 * abs(derivative)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 1e308])
+    def test_non_finite_residual_raises(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            radial_residual(1, RadialSolution(1, C=1), r)
 
 
 GENERIC_ANGLES = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
@@ -239,7 +247,7 @@ class TestLorentzFactor:
         psi, psi_dot = lorentz_factors(1, radial, r, identity)
         assert psi[0] == 0.0
         assert psi[2] == 0.0
-        assert abs(psi[1] - radial.f_zero(r)) < 1e-15
+        assert abs(psi[1] - radial.f(0, r)) < 1e-15
         assert psi_dot[0] == 0.0
         assert psi_dot[2] == 0.0
 
@@ -260,9 +268,9 @@ class TestLorentzFactor:
             assert abs(psi_dot[slot] - expected_dot) \
                 < 1e-13 * max(1, abs(expected_dot))
         zonal = zonal_z(2, GENERIC_ANGLES.theta, GENERIC_ANGLES.tau)
-        assert abs(psi[1] - radial.f_zero(r) * zonal) < 1e-13
+        assert abs(psi[1] - radial.f(0, r) * zonal) < 1e-13
         assert abs(psi_dot[1]
-                   - radial.fdot_zero(r.conjugate()) * zonal.conjugate()) < 1e-13
+                   - radial.f(0, r.conjugate(), True) * zonal.conjugate()) < 1e-13
 
     def test_ratio_is_radius_independent(self):
         radial = RadialSolution(l=1, C=0.7 + 0.4j)

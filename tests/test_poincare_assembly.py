@@ -65,7 +65,7 @@ class TestAssemble:
             (0, 0, 0), 0.0, r, identity)
         eps_zero = polarization_vectors(K_GENERIC).eps_zero
         expected = (NORMALIZATION * np.concatenate([eps_zero, eps_zero])
-                    * radial.f_zero(r))
+                    * radial.f(0, r))
         assert np.abs(value - expected).max() < 1e-15
 
     @pytest.mark.parametrize("lam", [1, 0, -1])
