@@ -470,10 +470,13 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
             tolerances=_parse_tolerances(tolerances), seed=seed,
             c=light_speed, variant=variant,
             corrected_lambda=(corrected_lambda == "true"))
-        entries: list[str] = []
-        report = build_report(suite, config, _entries=entries)
     except ValueError as error:
         raise click.UsageError(str(error)) from None
+    entries: list[str] = []
+    try:
+        report = build_report(suite, config, _entries=entries)
+    except ValueError as error:
+        raise _DomainError(str(error)) from None
     if fmt == "json":
         click.echo(_report_json(report, entries))
     elif fmt == "csv":

@@ -39,6 +39,7 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -216,24 +217,16 @@ def casimir_y2_residual(idx: HarmonicIndex,
     return _casimir(idx, angles, _STEP, _LEVELS)
 
 
-def _z_line_derivatives(idx: HarmonicIndex, theta: float,
-                        tau: float) -> tuple[complex, complex, complex]:
-    """(value, d/dtheta, d^2/dtheta^2) of the (possibly dotted) Z at fixed tau."""
+def _z(idx: HarmonicIndex, theta: float, tau: float) -> complex:
+    """The (possibly dotted) Z of idx at (theta, tau)."""
+    return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, theta, tau,
+                                0.0, 0.0, dotted=idx.dotted)
 
-    def g(th: float) -> complex:
-        return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, th, tau,
-                                    0.0, 0.0, dotted=idx.dotted)
 
-    g0 = g(theta)
-
-    def first(h: float) -> complex:
-        return (g(theta + h) - g(theta - h)) / (2 * h)
-
-    def second(h: float) -> complex:
-        return (g(theta + h) - 2 * g0 + g(theta - h)) / (h * h)
-
-    return (g0, _richardson(first, _STEP, _LEVELS),
-            _richardson(second, _STEP, _LEVELS))
+def _slope(g: Callable[[float], complex], x: float) -> complex:
+    """dg/dx at x: Richardson-extrapolated central differences."""
+    return _richardson(lambda h: (g(x + h) - g(x - h)) / (2 * h),
+                       _STEP, _LEVELS)
 
 
 def legendre_residual(idx: HarmonicIndex, theta: float,
@@ -253,9 +246,13 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
         raise ValueError(
             f"evaluation point too close to the equation's singular locus: "
             f"|1 - z^2| = {abs(one_minus_z2)!r} <= {LEGENDRE_MARGIN}")
-    g0, d1, d2 = _z_line_derivatives(idx, theta, tau)
+    g = functools.partial(_z, idx, tau=tau)
+    g0, d1 = g(theta), _slope(g, theta)
+    d2 = _richardson(
+        lambda h: (g(theta + h) - 2 * g0 + g(theta - h)) / (h * h),
+        _STEP, _LEVELS)
     z_prime = -d1 / sin_c
-    z_second = d2 / (sin_c * sin_c) - cmath.cos(theta_c) * d1 / sin_c**3
+    z_second = d2 / (sin_c * sin_c) - z * d1 / sin_c**3
     m, n = idx.m, idx.n
     terms = (
         one_minus_z2 * z_second,
@@ -276,19 +273,8 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float,
     flag its record: it reports the measured defect but is excluded from hard
     pass/fail aggregation.
     """
-
-    def value(th: float, ta: float) -> complex:
-        return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, th, ta,
-                                    0.0, 0.0, dotted=idx.dotted)
-
-    def d_theta(h: float) -> complex:
-        return (value(theta + h, tau) - value(theta - h, tau)) / (2 * h)
-
-    def d_tau(h: float) -> complex:
-        return (value(theta, tau + h) - value(theta, tau - h)) / (2 * h)
-
-    dt = _richardson(d_theta, _STEP, _LEVELS)
-    dtau = _richardson(d_tau, _STEP, _LEVELS)
+    dt = _slope(lambda th: _z(idx, th, tau), theta)
+    dtau = _slope(lambda ta: _z(idx, theta, ta), tau)
     defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
     return _finite(abs(defect), abs(dt))
 

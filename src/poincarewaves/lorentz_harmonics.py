@@ -177,20 +177,27 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     """Gauss hypergeometric sum 2F1(a, b; c; x) for terminating parameters.
 
     Requires a or b to be a non-positive integer so the series is a finite
-    polynomial.  Raises ValueError if neither upper parameter terminates the
-    series, or if c is a non-positive integer whose pole is reached before
-    termination, or if a, b or c is not finite.
+    polynomial, of order at most 2 * _MAX_WEIGHT = 40 (the largest order
+    any route sums, at l = 20).  Raises ValueError if neither upper
+    parameter terminates the series, if the series order exceeds 40, if c
+    is a non-positive integer whose pole is reached before termination, or
+    if a, b or c is not finite.
     """
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    stops = [-int(round(v)) for v in (a, b)
+    stops = [(-int(round(v)), name, v) for name, v in (("a", a), ("b", b))
              if v == round(v) and round(v) <= 0]
     if not stops:
         raise ValueError(
             f"series does not terminate: neither a={a!r} nor b={b!r} "
             "is a non-positive integer")
-    order = min(stops)
+    order, name, value = min(stops)
+    if order > 2 * _MAX_WEIGHT:
+        raise ValueError(
+            f"terminating parameter {name}={value!r} gives a series of order "
+            f"above {2 * _MAX_WEIGHT}, the longest summed for weights "
+            f"l <= {_MAX_WEIGHT}")
     if c == round(c) and round(c) <= 0 and -int(round(c)) < order:
         raise ValueError(
             f"lower parameter c={c!r} hits a pole before the series "

@@ -209,6 +209,8 @@ def _check_c(c: float) -> float:
     c = float(c)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be a positive finite constant, got {c!r}")
+    if not math.isfinite(1.0 / c):  # c below ~5.56e-309
+        raise ValueError(f"c must have a finite reciprocal 1/c, got {c!r}")
     return c
 
 

@@ -1,7 +1,9 @@
 """Verification suites: every residual family as sorted record lists.
 
 Each suite builder takes a SuiteConfig and returns its ResidualRecords, each
-already in the report's form (see make_record).  Determinism contract: all
+already in the report's form (see make_record); the two Z grid suites build
+theirs weight by weight from one direct grid per weight (see _grid_records).
+Determinism contract: all
 randomized sampling derives from ``numpy.random.default_rng([config.seed,
 suite_offset])`` with a fixed per-suite offset, so each suite's stream is
 reproducible in isolation and the assembled report is byte-identical under a
@@ -19,7 +21,8 @@ NEGATIVE CONTROLS
       equations; the longitudinal mode must violate the divergence equations)
       are reported as deficit records: residual = max(0, threshold - observed
       failure magnitude), which is 0 exactly when the control fails as
-      loudly as required;
+      loudly as required; an observation that is not finite (its values
+      overflowed) raises ValueError rather than pass as a deficit of 0;
     * documented discrepancies of the printed formulas (the variant="paper"
       radial solutions, the verbatim spin-block matrix, the holomorphy
       smoothness assumption) are reported as flagged records: their pass/fail
@@ -29,10 +32,9 @@ NEGATIVE CONTROLS
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -69,7 +71,6 @@ from .photon_plane_waves import (
     NORMALIZATION,
     PhotonPlaneWave,
     PlaneWaveTerm,
-    WaveVector,
     _check_c,
     _energy_identity,
     anti_equation_residual,
@@ -140,6 +141,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "assembly_dirac": 1e-12,
 }
 
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Configuration shared by all verification suites."""
@@ -153,19 +155,15 @@ class SuiteConfig:
     corrected_lambda: bool = True
 
     def __post_init__(self) -> None:
-        lmax = _whole_number(self.lmax)
-        if lmax is None or not 0 <= lmax <= 6:
-            raise ValueError(f"lmax must be an integer in [0, 6], got {self.lmax!r}")
-        object.__setattr__(self, "lmax", lmax)
-        grid_density = _whole_number(self.grid_density)
-        if grid_density is None or grid_density < 2:
-            raise ValueError(
-                f"grid_density must be an integer >= 2, got {self.grid_density!r}")
-        object.__setattr__(self, "grid_density", grid_density)
-        seed = _whole_number(self.seed)
-        if seed is None or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        for name, low, high, wording in (
+                ("lmax", 0, 6, "an integer in [0, 6]"),
+                ("grid_density", 2, math.inf, "an integer >= 2"),
+                ("seed", 0, math.inf, "a non-negative integer")):
+            value = _whole_number(getattr(self, name))
+            if value is None or not low <= value <= high:
+                raise ValueError(
+                    f"{name} must be {wording}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "c", _check_c(self.c))
         _check_variant(self.variant)
         resolved = {}
@@ -283,71 +281,87 @@ def _k_label(k) -> str:
 
 
 def _deficit(threshold: float, observed: float) -> float:
-    """Residual encoding for a control that must fail by at least threshold."""
+    """Residual encoding for a control that must fail by at least threshold.
+
+    A non-finite observation raises ValueError: max(0, threshold - nan) is
+    0, which would pass a control that measured nothing.
+    """
+    if not math.isfinite(observed):
+        raise ValueError(
+            f"negative control measured {observed!r}, which is not finite: "
+            "its values overflow at this configuration")
     return max(0.0, threshold - observed)
+
+
+def _draw_k(rng: np.random.Generator) -> np.ndarray:
+    """A normal wavevector, redrawn until |k| >= 1e-2."""
+    k = rng.normal(size=3)
+    while float(np.linalg.norm(k)) < 1e-2:
+        k = rng.normal(size=3)
+    return k
 
 
 # ---------------------------------------------------------------------------
 # Suite builders
 # ---------------------------------------------------------------------------
 
-def _direct_grids(config: SuiteConfig
-                  ) -> Callable[[float], tuple[list[HarmonicIndex], np.ndarray]]:
-    """Per weight l, its indices and z_sum grid, built on first use.
+def _hypergeom_records(config: SuiteConfig, l: float, indices, grid,
+                       thetas, taus) -> list[ResidualRecord]:
+    inner = grid[:, 1:, :-1]
+    records = _worst_grid_records(
+        config, "cross_formula", indices, thetas, taus,
+        _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
+    # Z(theta, 0) as (m, n) matrices, theta = 0 first.
+    dimension = len(_projections(l))
+    identity, *rotations = (grid[:, i, -1].reshape(dimension, dimension)
+                            for i in range(len(thetas) + 1))
+    records.append(config.record(
+        "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
+        _modulus(identity - np.eye(dimension)).max(), 1.0))
+    deviations = [float(np.abs(u @ u.conj().T - np.eye(dimension)).max())
+                  for u in rotations]
+    worst = int(np.argmax(deviations))
+    records.append(config.record(
+        "unitarity", {"l": float(l)}, {"theta": thetas[worst], "tau": 0.0},
+        deviations[worst], 1.0))
+    return records
 
-    The grid spans (0, *thetas) x (*taus, 0): row 0 is theta = 0 and the last
-    column tau = 0, so it also holds Z(0, 0) and the rotations Z(theta, 0).
-    Each report makes one, shared by its Z grid suites in either order.
+
+def _factorization_records(config: SuiteConfig, l: float, indices, grid,
+                           thetas, taus) -> list[ResidualRecord]:
+    inner = grid[:, 1:, :-1]
+    # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
+    factored = _grid_values(indices, thetas, taus, _tangent_block)
+    return _worst_grid_records(config, "factorization", indices, thetas, taus,
+                               _modulus(factored - inner), _modulus(inner))
+
+
+#: The Z grid suites: per weight l, records from its indices and direct grid.
+_GRID_SUITES: dict[str, Callable[..., list[ResidualRecord]]] = {
+    "hypergeom": _hypergeom_records,
+    "factorization": _factorization_records,
+}
+
+
+def _grid_records(config: SuiteConfig, names: list[str]
+                  ) -> list[tuple[str, ResidualRecord]]:
+    """(suite, record) pairs of the named Z grid suites, weight by weight.
+
+    Each weight's z_sum grid spans (0, *thetas) x (*taus, 0): row 0 is
+    theta = 0 and the last column tau = 0, so it also holds Z(0, 0) and the
+    rotations Z(theta, 0).  It is built once, read by every named suite and
+    dropped before the next weight.
     """
-    thetas, taus = (0.0, *_theta_grid(config)), (*_tau_grid(config), 0.0)
-
-    @functools.cache
-    def direct(l: float) -> tuple[list[HarmonicIndex], np.ndarray]:
+    thetas, taus = _theta_grid(config), _tau_grid(config)
+    pairs = []
+    for l in _l_values(config.lmax) if names else ():
         indices = _harmonic_indices(l)
-        return indices, z_sum_grid(indices, thetas, taus)
-
-    return direct
-
-
-def _suite_hypergeom(config: SuiteConfig, direct) -> list[ResidualRecord]:
-    records = []
-    thetas, taus = _theta_grid(config), _tau_grid(config)
-    for l in _l_values(config.lmax):
-        indices, grid = direct(l)
-        inner = grid[:, 1:, :-1]
-        records += _worst_grid_records(
-            config, "cross_formula", indices, thetas, taus,
-            _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
-        dimension = len(_projections(l))
-        identity = grid[:, 0, -1].reshape(dimension, dimension)
-        records.append(config.record(
-            "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
-            _modulus(identity - np.eye(dimension)).max(), 1.0))
-        worst_unitary = (-1.0, thetas[0])
-        for i, theta in enumerate(thetas, start=1):
-            matrix = grid[:, i, -1].reshape(dimension, dimension)
-            deviation = float(np.abs(matrix @ matrix.conj().T
-                                     - np.eye(dimension)).max())
-            if deviation > worst_unitary[0]:
-                worst_unitary = (deviation, theta)
-        records.append(config.record(
-            "unitarity", {"l": float(l)}, {"theta": worst_unitary[1], "tau": 0.0},
-            worst_unitary[0], 1.0))
-    return records
-
-
-def _suite_factorization(config: SuiteConfig, direct) -> list[ResidualRecord]:
-    records = []
-    thetas, taus = _theta_grid(config), _tau_grid(config)
-    for l in _l_values(config.lmax):
-        indices, grid = direct(l)
-        inner = grid[:, 1:, :-1]
-        # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
-        factored = _grid_values(indices, thetas, taus, _tangent_block)
-        records += _worst_grid_records(
-            config, "factorization", indices, thetas, taus,
-            _modulus(factored - inner), _modulus(inner))
-    return records
+        grid = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
+        for name in names:
+            records = _GRID_SUITES[name](config, l, indices, grid, thetas, taus)
+            pairs += [(name, record) for record in records]
+        del grid
+    return pairs
 
 
 def _draw_mn(rng: np.random.Generator, l: float) -> tuple[float, float]:
@@ -365,9 +379,7 @@ def _suite_casimir(config: SuiteConfig) -> list[ResidualRecord]:
               for l in _l_values(min(config.lmax, 3)) for _ in range(3)]
     for position, idx in enumerate(sample):
         angles = _random_angles(rng)
-        point = {"phi": angles.phi, "epsilon": angles.epsilon,
-                 "theta": angles.theta, "tau": angles.tau, "chi": angles.chi,
-                 "vareps": angles.vareps}
+        point = asdict(angles)
         dotted = HarmonicIndex(idx.l, idx.m, idx.n, dotted=True)
         for operator, checked, check in (("x2", idx, casimir_x2_residual),
                                          ("y2", dotted, casimir_y2_residual)):
@@ -429,28 +441,18 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
     rng = config.rng(5)
     records = []
     c = config.c
-    fixed_cases = {"axis": (0.0, 0.0, 1.0), "pythagorean": (3.0, 4.0, 0.0)}
-    for case, k in sorted(fixed_cases.items()):
-        norm = math.hypot(*k)
-        values, _ = eigenstructure(k, c)
-        expected = np.array([-c * norm, 0.0, c * norm])
-        records.append(config.record(
-            "eigen_spectrum", {"case": case}, {"k": _k_label(k)},
-            float(np.abs(values - expected).max()),
-            max(1.0, c * norm)))
-    draws = []
-    while len(draws) < 100:
-        k = rng.normal(size=3)
-        if float(np.linalg.norm(k)) >= 1e-2:
-            draws.append(k)
-    for position, k in enumerate(draws):
+    fixed = [({"case": "axis"}, (0.0, 0.0, 1.0)),
+             ({"case": "pythagorean"}, (3.0, 4.0, 0.0))]
+    draws = [({"draw": position}, _draw_k(rng)) for position in range(100)]
+    for indices, k in fixed + draws:
         norm = float(np.linalg.norm(k))
         values, vectors = eigenstructure(k, c)
         expected = np.array([-c * norm, 0.0, c * norm])
         records.append(config.record(
-            "eigen_spectrum", {"draw": position}, {"k": _k_label(k)},
-            float(np.abs(values - expected).max()),
-            max(1.0, c * norm)))
+            "eigen_spectrum", indices, {"k": _k_label(k)},
+            float(np.abs(values - expected).max()), max(1.0, c * norm)))
+        if "case" in indices:
+            continue
         pol = polarization_vectors(k)
         alignment = max(
             abs(abs(np.vdot(vectors[:, 2], pol.eps_plus)) - 1.0),
@@ -458,21 +460,19 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
             abs(abs(np.vdot(vectors[:, 1], pol.eps_zero)) - 1.0),
         )
         records.append(config.record(
-            "eigen_alignment", {"draw": position}, {"k": _k_label(k)},
+            "eigen_alignment", indices, {"k": _k_label(k)},
             float(alignment), 1.0))
-        if position < 20:
-            karr = np.asarray(k, dtype=float)
-            worst = 0.0
-            for eps in (pol.eps_plus, pol.eps_minus, pol.eps_zero):
-                worst = max(worst, abs(float(np.linalg.norm(eps)) - 1.0))
-            worst = max(worst,
-                        abs(karr @ pol.eps_plus) / max(1.0, norm),
-                        abs(karr @ pol.eps_minus) / max(1.0, norm),
+        if indices["draw"] < 20:
+            units = (pol.eps_plus, pol.eps_minus, pol.eps_zero)
+            worst = max(0.0, *(abs(float(np.linalg.norm(eps)) - 1.0)
+                               for eps in units),
+                        abs(k @ pol.eps_plus) / max(1.0, norm),
+                        abs(k @ pol.eps_minus) / max(1.0, norm),
                         abs(np.vdot(pol.eps_plus, pol.eps_minus)),
                         abs(np.vdot(pol.eps_plus, pol.eps_zero)),
                         abs(np.vdot(pol.eps_minus, pol.eps_zero)))
             records.append(config.record(
-                "polarization", {"draw": position}, {"k": _k_label(k)},
+                "polarization", indices, {"k": _k_label(k)},
                 float(worst), 1.0))
     near = polarization_vectors((1e-6, 0.0, 1.0))
     axis = polarization_vectors((0.0, 0.0, 1.0))
@@ -500,22 +500,20 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
     for k in _K_SET:
         norm = math.hypot(*k)
         point, t = _generic_point_for(k)
+        at = {"x": _k_label(point), "t": t}
         for lam in (1, -1):
             residuals = maxwell_residuals(k, lam, point, t, c)
             records.append(config.record(
-                "maxwell", {"k": _k_label(k), "lam": lam},
-                {"x": _k_label(point), "t": t},
+                "maxwell", {"k": _k_label(k), "lam": lam}, at,
                 max(residuals), max(1.0, norm)))
         faraday, ampere, div_e, div_b = maxwell_residuals(k, 0, point, t, c)
         records.append(config.record(
-            "maxwell", {"k": _k_label(k), "lam": 0, "part": "curl"},
-            {"x": _k_label(point), "t": t},
+            "maxwell", {"k": _k_label(k), "lam": 0, "part": "curl"}, at,
             max(faraday, ampere), max(1.0, norm)))
         threshold = 0.1 * NORMALIZATION * norm
         records.append(config.record(
             "maxwell_control", {"k": _k_label(k), "lam": 0},
-            {"x": _k_label(point), "t": t,
-             "div_e": div_e, "div_b": div_b},
+            {**at, "div_e": div_e, "div_b": div_b},
             _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
             column = me6_column(k, lam, c)
@@ -525,24 +523,20 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                 scale = dirac_form_scale(terms, c)
                 records.append(config.record(
                     "dirac_form", {"k": _k_label(k), "lam": lam,
-                                   "equation": equation},
-                    {"x": _k_label(point), "t": t},
+                                   "equation": equation}, at,
                     dirac_form_residual(terms, equation, point, t, c),
                     scale))
             records.append(config.record(
                 "dirac_form", {"k": _k_label(k), "lam": lam,
-                               "equation": "ANTI"},
-                {"x": _k_label(point), "t": t},
+                               "equation": "ANTI"}, at,
                 anti_equation_residual(column, point, t, c),
                 dirac_form_scale(column, c)))
             records.append(config.record(
-                "lagrangian", {"k": _k_label(k), "lam": lam},
-                {"x": _k_label(point), "t": t},
+                "lagrangian", {"k": _k_label(k), "lam": lam}, at,
                 abs(lagrangian_density_translation(column, point, t, c)), 1.0))
         omega = c * norm
         amplitude = rng.normal(size=3) + 1j * rng.normal(size=3)
-        random_terms = [PlaneWaveTerm(amplitude, np.asarray(k, dtype=float),
-                                      omega)]
+        random_terms = [PlaneWaveTerm(amplitude, k, omega)]
         scale = dirac_form_scale(random_terms, c)
         for equation in ("ME1", "ME2"):
             observed = dirac_form_residual(random_terms, equation, point, t, c)
@@ -553,10 +547,10 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         pair_terms = [*me1_member(k, 1, c), *me1_member(k, -1, c)]
         conjugated = [term.conjugate() for term in pair_terms]
         records.append(config.record(
-            "pairing", {"k": _k_label(k)}, {"x": _k_label(point), "t": t},
+            "pairing", {"k": _k_label(k)}, at,
             dirac_form_residual(conjugated, "ME2", point, t, c),
             dirac_form_scale(pair_terms, c)))
-        wave = PhotonPlaneWave(WaveVector(*k), 1, c)
+        wave = PhotonPlaneWave(k, 1, c)
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
                     for x, s in ((point, t), ((1.7, -0.3, 0.4), -2.0)))
@@ -564,8 +558,7 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             "energy", {"k": _k_label(k), "kind": "constancy"},
             {"reference": reference}, drift, max(1.0, reference)))
         off_amplitude = rng.normal(size=6) + 1j * rng.normal(size=6)
-        off_terms = [PlaneWaveTerm(off_amplitude, np.asarray(k, dtype=float),
-                                   omega)]
+        off_terms = [PlaneWaveTerm(off_amplitude, k, omega)]
         observed = abs(lagrangian_density_translation(off_terms, point, t, c))
         records.append(config.record(
             "lagrangian_control", {"k": _k_label(k)},
@@ -665,12 +658,6 @@ def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
     records.append(config.record(
         "commutator", {"family": "alpha", "kind": "sign"},
         {"measured": sign}, abs(sign - (-1)), 1.0))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        closure = np.abs(ALPHA[i] @ ALPHA[j] - ALPHA[j] @ ALPHA[i]
-                         - sign * 1j * ALPHA[k]).max()
-        records.append(config.record(
-            "commutator", {"family": "alpha", "triple": f"{i+1}{j+1}-{k+1}"},
-            {}, float(closure), 1.0))
     records.append(config.record(
         "commutator", {"family": "gamma", "kind": "involution"}, {},
         float(np.abs(GAMMA[0] @ GAMMA[0] - np.eye(6)).max()), 1.0))
@@ -681,14 +668,19 @@ def _suite_commutators(config: SuiteConfig) -> list[ResidualRecord]:
         records.append(config.record(
             "commutator", {"family": "lambda", "kind": "sign"},
             {"measured": lam_sign}, abs(lam_sign - 1), 1.0))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        closure = np.abs(lambdas.lambdas[i] @ lambdas.lambdas[j]
-                         - lambdas.lambdas[j] @ lambdas.lambdas[i]
-                         - 1j * lambdas.lambdas[k]).max()
-        records.append(config.record(
-            "commutator", {"family": "lambda", "triple": f"{i+1}{j+1}-{k+1}",
-                           "corrected": config.corrected_lambda},
-            {}, float(closure), 1.0, flagged=flagged))
+    # [X_i, X_j] = sign * i X_k: alpha at its measured sign, lambda at 1.
+    for family, matrices, closing, extra, flag in (
+            ("alpha", ALPHA, sign, {}, False),
+            ("lambda", lambdas.lambdas, 1,
+             {"corrected": config.corrected_lambda}, flagged)):
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            closure = np.abs(matrices[i] @ matrices[j]
+                             - matrices[j] @ matrices[i]
+                             - closing * 1j * matrices[k]).max()
+            records.append(config.record(
+                "commutator",
+                {"family": family, "triple": f"{i+1}{j+1}-{k+1}", **extra},
+                {}, float(closure), 1.0, flagged=flag))
     records.append(config.record(
         "lambda_casimir", {"corrected": config.corrected_lambda},
         {"target": 2.0}, lambdas.casimir_defect(), 1.0, flagged=flagged))
@@ -719,9 +711,7 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
     radial = RadialSolution(l=1, C=0.6 + 0.2j, Cdot=-0.4 + 1.0j,
                             variant=config.variant)
     for draw in range(100):
-        k = rng.normal(size=3)
-        while float(np.linalg.norm(k)) < 1e-2:
-            k = rng.normal(size=3)
+        k = _draw_k(rng)
         lam = int(rng.choice([-1, 0, 1]))
         dotted = bool(rng.integers(0, 2))
         x = tuple(float(v) for v in rng.normal(size=3))
@@ -730,8 +720,7 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         while abs(r) < 1e-3 or (r.real < 0 and abs(r.imag) < 1e-3):
             r = complex(rng.normal(), rng.normal())
         angles = _random_angles(rng)
-        wave = PoincareWaveFunction(WaveVector(*(float(v) for v in k)),
-                                    lam, 1, radial, dotted, config.c)
+        wave = PoincareWaveFunction(k, lam, 1, radial, dotted, config.c)
         value = wave.value(x, t, r, angles)
         translation = wave.translation_value(x, t)
         factor = wave.lorentz_factor(r, angles)
@@ -792,8 +781,8 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         r = float(rng.uniform(0.2, 3.0))
         worst = 0.0
         for lam in (1, 0, -1):
-            wave = PoincareWaveFunction(WaveVector(1.0, 2.0, 3.0), lam, 1,
-                                        real_radial, False, config.c)
+            wave = PoincareWaveFunction((1.0, 2.0, 3.0), lam, 1, real_radial,
+                                        False, config.c)
             undotted = wave.value(x, t, r, rotation_only)
             dotted = wave.dotted_twin().value(x, t, r, rotation_only)
             worst = max(worst,
@@ -808,11 +797,8 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
 # Registry, runner, and report assembly
 # ---------------------------------------------------------------------------
 
-#: The Z grid suites' builders also take the report's ``_direct_grids``,
-#: which ``run_suite`` binds.
-_SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
-    "hypergeom": _suite_hypergeom,
-    "factorization": _suite_factorization,
+#: Every other suite builds its records from the config alone.
+_SUITE_BUILDERS: dict[str, Callable[[SuiteConfig], list[ResidualRecord]]] = {
     "casimir": _suite_casimir,
     "legendre": _suite_legendre,
     "holomorphy": _suite_holomorphy,
@@ -824,27 +810,23 @@ _SUITE_BUILDERS: dict[str, Callable[..., list[ResidualRecord]]] = {
     "assembly": _suite_assembly,
 }
 
-SUITE_NAMES: tuple[str, ...] = tuple(sorted(_SUITE_BUILDERS))
+SUITE_NAMES: tuple[str, ...] = tuple(sorted([*_GRID_SUITES, *_SUITE_BUILDERS]))
 
 
 def _sorted_run(name: str, config: SuiteConfig
                 ) -> tuple[list[tuple[str, ResidualRecord]], list[str]]:
     """run_suite's sorted pairs, and each record's indices and point
     json_entries in the same order (two per record, from one encode)."""
-    if name == "all":
-        names: Iterable[str] = SUITE_NAMES
-    elif name in _SUITE_BUILDERS:
-        names = (name,)
-    else:
+    if name != "all" and name not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {name!r}; valid: all, {', '.join(SUITE_NAMES)}")
-    direct = _direct_grids(config)
-    builders = {**_SUITE_BUILDERS,
-                "hypergeom": functools.partial(_suite_hypergeom, direct=direct),
-                "factorization": functools.partial(_suite_factorization,
-                                                   direct=direct)}
-    pairs = [(suite_name, record) for suite_name in names
-             for record in builders[suite_name](config)]
+    names = SUITE_NAMES if name == "all" else (name,)
+    # The sort key starts with the suite, so the grid suites' pairs, built
+    # weight by weight, sort exactly as if each suite had run alone.
+    pairs = _grid_records(config, [n for n in names if n in _GRID_SUITES])
+    pairs += [(suite_name, record) for suite_name in names
+              if suite_name in _SUITE_BUILDERS
+              for record in _SUITE_BUILDERS[suite_name](config)]
     entries = json_entries(
         [m for _, record in pairs for m in (record.indices, record.point)])
     texts = ["{" + text.replace("\0", ", ") + "}" for text in entries]

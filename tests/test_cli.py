@@ -360,6 +360,42 @@ class TestVerify:
                   if line.startswith("Error:")]
         assert errors == ["Error: --tol casimir is given more than once"]
 
+    def test_overflowing_control_is_one_line_domain_error(self, runner):
+        # The off-shell Lagrangian overflows to nan at c = 1e307; its control
+        # is refused rather than passed as a deficit of 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = invoke(runner, ["verify", "maxwell", "--c", "1e307"],
+                            expect=2)
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "Error: negative control measured nan, which is not finite: "
+            "its values overflow at this configuration"]
+
+    def test_run_time_domain_error_is_one_line(self, runner):
+        # Raised while the suites run: one Error: line, no usage block.
+        result = invoke(runner, ["verify", "all", "--c", "1e308"], expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(
+            "Error: phase k.x - omega t is not finite")
+
+    @pytest.mark.parametrize("suite, c", [
+        ("maxwell", "1e-310"), ("eigen", "1e-320"), ("all", "5.5e-309")])
+    def test_c_with_an_infinite_reciprocal_refused(self, runner, recwarn,
+                                                   suite, c):
+        result = invoke(runner, ["verify", suite, "--c", c], expect=2)
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == [
+            f"Error: c must have a finite reciprocal 1/c, got {float(c)!r}"]
+        assert not [w for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
+
+    def test_smallest_c_with_a_finite_reciprocal_passes(self, runner):
+        invoke(runner, ["verify", "all", "--c", "5.6e-309", "--lmax", "1",
+                        "--grid-density", "2"])
+
     def test_csv_format_is_rfc4180(self, runner):
         result = invoke(runner, ["verify", "transversality",
                                  "--format", "csv"])

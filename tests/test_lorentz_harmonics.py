@@ -96,6 +96,24 @@ class TestTerminating2F1:
                            match=f"^{name} must be finite, got {value!r}$"):
             terminating_2f1(params["a"], params["b"], params["c"], 0.5)
 
+    def test_order_forty_accepted(self):
+        # 40 = 2 * 20, the longest series any route sums (l = 20).
+        got = terminating_2f1(-40, -45, 3, 0.25)
+        want = brute_2f1(-40, -45, 3, 0.25)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a, b, name, value", [
+        (-41, -45, "a", "-41"), (1.5, -41, "b", "-41"),
+        # Without the bound this one sums 1e300 terms and never returns.
+        (1.5, -1e300, "b", "-1e+300"),
+    ])
+    def test_order_above_forty_refused(self, a, b, name, value):
+        with pytest.raises(ValueError) as error:
+            terminating_2f1(a, b, 1, 0.5)
+        assert str(error.value) == (
+            f"terminating parameter {name}={value} gives a series of order "
+            "above 40, the longest summed for weights l <= 20")
+
     def test_pole_beyond_termination_allowed(self):
         value = terminating_2f1(-2, -5, -2, 0.25)
         assert math.isfinite(value)

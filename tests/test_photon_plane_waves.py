@@ -120,6 +120,27 @@ class TestCurlMatrix:
         with pytest.raises(ValueError):
             curl_matrix((0, 0, 1), c=0.0)
 
+    @pytest.mark.parametrize("c, message", [
+        (0.0, "c must be a positive finite constant, got 0.0"),
+        (-1.0, "c must be a positive finite constant, got -1.0"),
+        (math.inf, "c must be a positive finite constant, got inf"),
+        (math.nan, "c must be a positive finite constant, got nan"),
+        (1e-310, "c must have a finite reciprocal 1/c, got 1e-310"),
+        (5.5e-309, "c must have a finite reciprocal 1/c, got 5.5e-309"),
+        (5e-324, "c must have a finite reciprocal 1/c, got 5e-324"),
+    ])
+    def test_c_refusals_name_c(self, recwarn, c, message):
+        # Below ~5.56e-309, 1/c is inf: the residuals were (nan, nan, 0, ...)
+        # with numpy warnings rather than a refusal.
+        with pytest.raises(ValueError) as error:
+            maxwell_residuals((1, 2, 3), 1, c=c)
+        assert str(error.value) == message
+        assert not recwarn
+
+    def test_smallest_c_with_a_finite_reciprocal_accepted(self):
+        assert all(math.isfinite(value)
+                   for value in maxwell_residuals((1, 2, 3), 1, c=5.6e-309))
+
 
 class TestEigenstructure:
     def test_unit_z_axis_eigenvalues(self):

@@ -64,6 +64,13 @@ class TestSuiteConfig:
             SuiteConfig(**{field: value})
         assert str(error.value) == f"{message}, got {value!r}"
 
+    @pytest.mark.parametrize("c", [1e-310, 5e-324])
+    def test_c_with_an_infinite_reciprocal_refused(self, c):
+        with pytest.raises(ValueError) as error:
+            SuiteConfig(c=c)
+        assert str(error.value) == (
+            f"c must have a finite reciprocal 1/c, got {c!r}")
+
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     def test_bad_tolerance_names_the_fault(self, value):
         with pytest.raises(ValueError) as error:
@@ -129,21 +136,15 @@ def _run_recording_builds(monkeypatch, name, config):
     built = []
 
     def recording(suite, builder):
-        def build(config, **kwargs):
-            records = builder(config, **kwargs)
+        def build(*args):
+            records = builder(*args)
             built.extend((suite, record) for record in records)
             return records
         return build
 
-    for suite in SUITE_NAMES:
-        if suite in ("hypergeom", "factorization"):
-            # run_suite binds these two by module name, with the direct grid.
-            attribute = f"_suite_{suite}"
-            monkeypatch.setattr(suites, attribute,
-                                recording(suite, getattr(suites, attribute)))
-        else:
-            monkeypatch.setitem(suites._SUITE_BUILDERS, suite,
-                                recording(suite, suites._SUITE_BUILDERS[suite]))
+    for registry in (suites._GRID_SUITES, suites._SUITE_BUILDERS):
+        for suite, builder in registry.items():
+            monkeypatch.setitem(registry, suite, recording(suite, builder))
     return run_suite(name, config), built
 
 
@@ -225,14 +226,20 @@ class TestReportShape:
                         ["phi", "epsilon", "theta", "tau", "chi", "vareps"]),
             "legendre": (["l", "m", "n", "dotted", "draw"], ["theta", "tau"]),
             "holomorphy": (["l", "m", "n", "dotted"], ["theta", "tau"]),
+            # The two families' commutator closures share one loop.
+            "commutator alpha": (["family", "triple"], []),
+            "commutator lambda": (["family", "triple", "corrected"], []),
         }
         seen = set()
         for record in build_report("all", FAST)["records"]:
-            if record["name"] in expected:
-                indices, point = expected[record["name"]]
+            name = record["name"]
+            if name == "commutator" and "triple" in record["indices"]:
+                name += " " + record["indices"]["family"]
+            if name in expected:
+                indices, point = expected[name]
                 assert list(record["indices"]) == indices, record
                 assert list(record["point"]) == point, record
-                seen.add(record["name"])
+                seen.add(name)
         assert seen == set(expected)
 
 
@@ -384,6 +391,20 @@ class TestControls:
                 assert record["residual"] == 0.0, record
                 assert record["passed"]
         assert seen == control_names
+
+    @pytest.mark.parametrize("observed", [math.nan, math.inf, -math.inf])
+    def test_deficit_refuses_a_non_finite_observation(self, observed):
+        # max(0.0, threshold - nan) is 0.0: a passed control that measured
+        # nothing.
+        with pytest.raises(ValueError, match="not finite"):
+            suites._deficit(1e-6, observed)
+
+    def test_overflowing_control_is_refused(self):
+        # At c = 1e307 the off-shell Lagrangian overflows to nan.
+        config = SuiteConfig(c=1e307)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^negative control measured nan"):
+            build_report("maxwell", config)
 
     def test_tolerance_override_can_force_failure(self):
         report = build_report(
@@ -547,8 +568,8 @@ class TestGridRecords:
 
     @pytest.mark.parametrize("grid_density", [3, 4])
     def test_grid_suites_alone_match_all(self, grid_density):
-        # factorization runs before hypergeom in "all"; either alone builds
-        # the shared direct grid itself, to the same records.
+        # In "all" both read each weight's one direct grid; either alone
+        # builds that grid itself, to the same records.
         config = SuiteConfig(lmax=2, grid_density=grid_density)
         everything = [(suite, repr(record))
                       for suite, record in run_suite("all", config)]
