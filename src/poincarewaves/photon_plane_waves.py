@@ -33,8 +33,9 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
     Plane waves are represented exactly as lists of PlaneWaveTerm
     (amplitude, wavevector, frequency), and every operator acts on a term's
     amplitude alone: grad -> i k, d/dt -> -i omega, curl -> i k x, div -> i k.
-    Each residual pairs those amplitudes with their terms and sums them in
-    one accumulator, so all residuals are exact up to floating-point roundoff.
+    Each residual takes every term's phase once, pairs the amplitudes with
+    those phases and sums them in one accumulator, so all residuals are exact
+    up to floating-point roundoff.
     The matrices are the read-only tuples ALPHA (alpha_1..alpha_3) and GAMMA
     (Gamma_0..Gamma_3).
 """
@@ -214,27 +215,75 @@ def _check_c(c: float) -> float:
     return c
 
 
+def _norm(x) -> np.float64:
+    """np.linalg.norm of a vector, by the arithmetic numpy uses for it but
+    without its per-call dispatch: sqrt(x . x), or sqrt(Re x . Re x +
+    Im x . Im x) for complex x.  x may also be the empty sum, a Python 0j."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        real, imag = x.real, x.imag
+        return np.sqrt(real.dot(real) + imag.dot(imag))
+    return np.sqrt(x.dot(x))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) of a real 3-vector a and a real or complex 3-vector b:
+    the same products and differences, taken on numpy scalars.
+
+    numpy scalars, not Python numbers: from CPython 3.14 a Python float times
+    a Python complex no longer promotes the float to complex first, so its
+    signed zeros could differ from np.cross's.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _check_frequency(kv: WaveVector, c: float) -> None:
+    """ValueError where c |k|, the curl matrix's largest eigenvalue,
+    overflows a float."""
+    norm = kv.magnitude
+    if math.isinf(c * norm):
+        raise ValueError(f"c |k| overflows a float: c={c!r}, |k|={norm!r}")
+
+
+def _curl_matrices(ks: np.ndarray, c: float) -> np.ndarray:
+    """-c (k . alpha) for each row of an (n, 3) stack of checked wavevectors:
+    per row the same elementwise products as for one k."""
+    return -c * (ks[:, 0, None, None] * ALPHA[0] + ks[:, 1, None, None] * ALPHA[1]
+                 + ks[:, 2, None, None] * ALPHA[2])
+
+
 def curl_matrix(k, c: float = 1.0) -> np.ndarray:
     """The Hermitian matrix M(k) = -c (k . alpha) = i c [k x].
 
     Acting on an amplitude a, M a = i c k x a, so the plane-wave eigenproblem
-    of the first-order equations is M eps = omega eps.
+    of the first-order equations is M eps = omega eps.  ValueError where
+    c |k| overflows a float.
     """
     kv = _as_wavevector(k)
     c = _check_c(c)
-    return -c * (kv.k1 * ALPHA[0] + kv.k2 * ALPHA[1] + kv.k3 * ALPHA[2])
+    _check_frequency(kv, c)
+    return _curl_matrices(kv.array[np.newaxis], c)[0]
 
 
 def eigenstructure(k, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of the curl matrix, eigenvalues ascending.
 
     The Hermitian solver's pair: eigenvalues [-c|k|, 0, +c|k|] and the
-    matching eigenvectors as columns.
+    matching eigenvectors as columns.  k may also be an (n, 3) stack of
+    wavevectors: then the values are (n, 3) and the vectors (n, 3, 3), row i
+    the pair of k[i], each checked as a single k is.
     """
-    kv = _as_wavevector(k)
-    if kv.magnitude == 0.0:
+    stacked = np.ndim(k) == 2
+    kvs = [_as_wavevector(row) for row in (k if stacked else [k])]
+    if any(kv.magnitude == 0.0 for kv in kvs):
         raise ValueError("wavevector must be non-zero for the eigenproblem")
-    values, vectors = np.linalg.eigh(curl_matrix(kv, c))
+    c = _check_c(c)
+    for kv in kvs:
+        _check_frequency(kv, c)
+    matrices = _curl_matrices(np.array([kv.array for kv in kvs]).reshape(-1, 3), c)
+    values, vectors = np.linalg.eigh(matrices if stacked else matrices[0])
     return values, vectors
 
 
@@ -331,12 +380,17 @@ class PlaneWaveTerm:
         return PlaneWaveTerm(self.amplitude.conjugate(), -self.kvec, -self.omega)
 
 
-def _sum_at(pairs: Iterable[tuple[np.ndarray, PlaneWaveTerm]], x, t: float):
-    """Sum of amplitude * term.phase(x, t) over (amplitude, term) pairs, from
-    0j in order: every sum of plane waves in this module goes through here."""
+def _phases(terms: Sequence[PlaneWaveTerm], x, t: float) -> list[complex]:
+    """Each term's phase at (x, t), taken once for every sum that reads it."""
+    return [term.phase(x, t) for term in terms]
+
+
+def _sum_at(amplitudes: Iterable[np.ndarray], phases: Sequence[complex]):
+    """Sum of amplitude * phase over matching pairs, from 0j in order: every
+    sum of plane waves in this module goes through here."""
     total = 0j
-    for amplitude, term in pairs:
-        total = total + amplitude * term.phase(x, t)
+    for amplitude, phase in zip(amplitudes, phases):
+        total = total + amplitude * phase
     return total
 
 
@@ -350,7 +404,8 @@ def _checked(terms: Iterable[PlaneWaveTerm], size: int,
 
 def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float):
     """Sum of amplitude * phase over the terms at (x, t); 0j for no terms."""
-    return _sum_at(((term.amplitude, term) for term in terms), x, t)
+    terms = list(terms)
+    return _sum_at([term.amplitude for term in terms], _phases(terms, x, t))
 
 
 @dataclass(frozen=True)
@@ -391,18 +446,20 @@ class PhotonPlaneWave:
     term: PlaneWaveTerm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _as_wavevector(self.k))
-        object.__setattr__(self, "lam", _check_helicity(self.lam))
-        object.__setattr__(self, "c", _check_c(self.c))
-        if self.k.magnitude == 0.0:
+        k = _as_wavevector(self.k)
+        lam = _check_helicity(self.lam)
+        c = _check_c(self.c)
+        norm = k.magnitude
+        if norm == 0.0:
             raise ValueError("wavevector must be non-zero")
-        eps = polarization_vectors(self.k).select(self.lam)
-        omega = self.k.omega(self.c) if self.lam else 0.0
-        term = PlaneWaveTerm(NORMALIZATION * np.concatenate([eps, eps]),
-                             self.k.array, omega)
-        term.amplitude.setflags(write=False)
-        term.kvec.setflags(write=False)
-        object.__setattr__(self, "term", term)
+        eps = polarization_vectors(k).select(lam)
+        amplitude, kvec = NORMALIZATION * np.concatenate([eps, eps]), k.array
+        amplitude.setflags(write=False)
+        kvec.setflags(write=False)
+        # omega = c |k| as WaveVector.omega computes it, from the |k| above.
+        term = PlaneWaveTerm(amplitude, kvec, c * norm if lam else 0.0)
+        for name, value in (("k", k), ("lam", lam), ("c", c), ("term", term)):
+            object.__setattr__(self, name, value)
 
     @property
     def omega(self) -> float:
@@ -419,9 +476,40 @@ def me1_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
     eps_- e^{i(k.x - wt)}; lam=0: the static eps_0 e^{i k.x}.  Amplitudes carry
     the plane-wave normalization: the upper block of the displayed column.
     """
-    term = PhotonPlaneWave(k, lam, c).term
+    return _me1_of(PhotonPlaneWave(k, lam, c))
+
+
+# The member builders below take one built mode or member, so a caller that
+# needs several members of a mode builds the mode once.
+
+def _me1_of(wave: PhotonPlaneWave) -> list[PlaneWaveTerm]:
+    term = wave.term
     direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
-    return [direct.conjugate()] if lam == -1 else [direct]
+    return [direct.conjugate()] if wave.lam == -1 else [direct]
+
+
+def _conjugates(terms: Iterable[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
+    return [term.conjugate() for term in terms]
+
+
+def _column_of(me1: list[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
+    [u] = me1
+    conj = u.conjugate()
+    return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
+                          u.kvec, u.omega),
+            PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
+                          conj.kvec, conj.omega)]
+
+
+def _fields_of(me2: list[PlaneWaveTerm]
+               ) -> tuple[list[PlaneWaveTerm], list[PlaneWaveTerm]]:
+    [w] = me2
+    carriers = (w, w.conjugate())
+    e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
+               for term in carriers]
+    b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
+               for factor, term in zip((0.5j, -0.5j), carriers)]
+    return e_terms, b_terms
 
 
 def me2_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
@@ -430,7 +518,7 @@ def me2_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
     The conjugate of the ME1 member (conj(alpha) = -alpha swaps the two
     equations), i.e. the E - iB carrier of the classical Maxwell system.
     """
-    return [term.conjugate() for term in me1_member(k, lam, c)]
+    return _conjugates(me1_member(k, lam, c))
 
 
 def me6_column(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
@@ -440,12 +528,7 @@ def me6_column(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
     so the upper rows (the ME2 operator) and lower rows (the ME1 operator) of
     the 6x6 system vanish simultaneously.
     """
-    [u] = me1_member(k, lam, c)
-    conj = u.conjugate()
-    return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
-                          u.kvec, u.omega),
-            PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
-                          conj.kvec, conj.omega)]
+    return _column_of(me1_member(k, lam, c))
 
 
 def _me3_operator(term: PlaneWaveTerm, spatial_sign: float, c: float) -> np.ndarray:
@@ -481,20 +564,19 @@ def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
         raise ValueError(f"equation must be ME1, ME2, or ME6, got {equation!r}")
     if equation == "ME6":
         terms = _checked(terms, 6, "ME6 residual")
-        pairs = ((_me6_operator(term.amplitude, term, c), term) for term in terms)
+        amplitudes = [_me6_operator(term.amplitude, term, c) for term in terms]
     else:
         terms = _checked(terms, 3, f"{equation} residual")
         sign = -1.0 if equation == "ME1" else 1.0
-        pairs = ((_me3_operator(term, sign, c), term) for term in terms)
-    return float(np.linalg.norm(_sum_at(pairs, x, t)))
+        amplitudes = [_me3_operator(term, sign, c) for term in terms]
+    return float(_norm(_sum_at(amplitudes, _phases(terms, x, t))))
 
 
 def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
     """Natural magnitude of the operator terms: sum of |amp| (|w|/c + |k|)."""
     c = _check_c(c)
     return float(sum(
-        np.linalg.norm(term.amplitude)
-        * (abs(term.omega) / c + np.linalg.norm(term.kvec))
+        _norm(term.amplitude) * (abs(term.omega) / c + _norm(term.kvec))
         for term in terms))
 
 
@@ -514,18 +596,21 @@ def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
     evaluated at (x, t).
     """
     c = _check_c(c)
+    e_terms = _checked(e_terms, 3, "Maxwell residual")
+    b_terms = _checked(b_terms, 3, "Maxwell residual")
+    e_phases, b_phases = _phases(e_terms, x, t), _phases(b_terms, x, t)
 
     def curl(terms):
-        return [(1j * np.cross(term.kvec, term.amplitude), term) for term in terms]
+        return [1j * _cross(term.kvec, term.amplitude) for term in terms]
 
     def div(terms):
-        return [(np.array([1j * (term.kvec @ term.amplitude)]), term)
-                for term in terms]
+        return [np.array([1j * (term.kvec @ term.amplitude)]) for term in terms]
 
-    faraday = [*curl(e_terms), *(((1 / c) * _dt(term), term) for term in b_terms)]
-    ampere = [*curl(b_terms), *(((-1 / c) * _dt(term), term) for term in e_terms)]
-    return tuple(float(np.linalg.norm(_sum_at(pairs, x, t)))
-                 for pairs in (faraday, ampere, div(e_terms), div(b_terms)))
+    faraday = [*curl(e_terms), *((1 / c) * _dt(term) for term in b_terms)]
+    ampere = [*curl(b_terms), *((-1 / c) * _dt(term) for term in e_terms)]
+    return tuple(float(_norm(_sum_at(amplitudes, phases))) for amplitudes, phases in (
+        (faraday, e_phases + b_phases), (ampere, b_phases + e_phases),
+        (div(e_terms), e_phases), (div(b_terms), b_phases)))
 
 
 def mode_field_terms(k, lam: int, c: float = 1.0
@@ -535,13 +620,7 @@ def mode_field_terms(k, lam: int, c: float = 1.0
     w = the mode's ME2-solving member; E = Re(w) and B = -Im(w) expand into
     conjugate-paired exponential terms (so both fields are real-valued).
     """
-    [w] = me2_member(k, lam, c)
-    carriers = (w, w.conjugate())
-    e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
-               for term in carriers]
-    b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
-               for factor, term in zip((0.5j, -0.5j), carriers)]
-    return e_terms, b_terms
+    return _fields_of(me2_member(k, lam, c))
 
 
 def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
@@ -561,7 +640,7 @@ def _energy_identity(psi6) -> tuple[float, float]:
     psi6 = np.asarray(psi6, dtype=complex)
     pair = FieldPair.from_value(psi6)  # refuses a value that is not 6-component
     direct = float(np.real(psi6.conjugate() @ psi6))
-    dual = 2.0 * float(np.linalg.norm(pair.E) ** 2 + np.linalg.norm(pair.B) ** 2)
+    dual = 2.0 * float(_norm(pair.E) ** 2 + _norm(pair.B) ** 2)
     return direct, dual
 
 
@@ -588,25 +667,32 @@ def lagrangian_density_translation(terms: Sequence[PlaneWaveTerm],
 
     with psi-bar = psi^dagger Gamma_0.  Vanishes identically on solutions of
     the 6x6 first-order system (both brackets vanish separately on-shell).
-    No terms is the zero wave, whose density is 0j.
+    No terms is the zero wave, whose density is 0j.  ValueError where the
+    density overflows a float.
     """
     c = _check_c(c)
     terms = _checked(terms, 6, "Lagrangian density")
     if not terms:
         return 0j
-    psi = evaluate_terms(terms, x, t)
-    dpsi_t = _sum_at(((_dt(term), term) for term in terms), x, t)
-    dpsi = [_sum_at(((1j * term.kvec[j] * term.amplitude, term)
-                     for term in terms), x, t) for j in range(3)]
-    psi_bar = psi.conjugate() @ GAMMA[0]
-    psi_bar_t = dpsi_t.conjugate() @ GAMMA[0]
-    psi_bar_j = [d.conjugate() @ GAMMA[0] for d in dpsi]
-    forward = (psi_bar @ GAMMA[0] @ dpsi_t) / c
-    backward = (psi_bar_t @ GAMMA[0] @ psi) / c
-    for j in range(3):
-        forward = forward - psi_bar @ GAMMA[j + 1] @ dpsi[j]
-        backward = backward - psi_bar_j[j] @ GAMMA[j + 1] @ psi
-    return complex(-(forward - backward) / 2)
+    phases = _phases(terms, x, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = _sum_at([term.amplitude for term in terms], phases)
+        dpsi_t = _sum_at([_dt(term) for term in terms], phases)
+        dpsi = [_sum_at([1j * term.kvec[j] * term.amplitude for term in terms],
+                        phases) for j in range(3)]
+        psi_bar = psi.conjugate() @ GAMMA[0]
+        psi_bar_t = dpsi_t.conjugate() @ GAMMA[0]
+        psi_bar_j = [d.conjugate() @ GAMMA[0] for d in dpsi]
+        forward = (psi_bar @ GAMMA[0] @ dpsi_t) / c
+        backward = (psi_bar_t @ GAMMA[0] @ psi) / c
+        for j in range(3):
+            forward = forward - psi_bar @ GAMMA[j + 1] @ dpsi[j]
+            backward = backward - psi_bar_j[j] @ GAMMA[j + 1] @ psi
+        density = complex(-(forward - backward) / 2)
+    if not cmath.isfinite(density):
+        raise ValueError(
+            f"Lagrangian density overflows a float at x={x!r}, t={t!r}")
+    return density
 
 
 def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
@@ -622,6 +708,6 @@ def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
     c = _check_c(c)
     conjugates = [term.conjugate()
                   for term in _checked(terms, 6, "conjugate-field residual")]
-    return float(np.linalg.norm(_sum_at(
-        ((_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T), conj)
-         for conj in conjugates), x, t)))
+    return float(_norm(_sum_at(
+        [_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T)
+         for conj in conjugates], _phases(conjugates, x, t))))

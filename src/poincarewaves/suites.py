@@ -72,7 +72,12 @@ from .photon_plane_waves import (
     PhotonPlaneWave,
     PlaneWaveTerm,
     _check_c,
+    _column_of,
+    _conjugates,
     _energy_identity,
+    _fields_of,
+    _me1_of,
+    _norm,
     anti_equation_residual,
     commutator_sign,
     dirac_form_residual,
@@ -80,10 +85,7 @@ from .photon_plane_waves import (
     eigenstructure,
     energy_density,
     lagrangian_density_translation,
-    maxwell_residuals,
-    me1_member,
-    me2_member,
-    me6_column,
+    maxwell_residuals_from_terms,
     polarization_vectors,
     transversality_residual,
 )
@@ -296,7 +298,7 @@ def _deficit(threshold: float, observed: float) -> float:
 def _draw_k(rng: np.random.Generator) -> np.ndarray:
     """A normal wavevector, redrawn until |k| >= 1e-2."""
     k = rng.normal(size=3)
-    while float(np.linalg.norm(k)) < 1e-2:
+    while float(_norm(k)) < 1e-2:
         k = rng.normal(size=3)
     return k
 
@@ -444,9 +446,10 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
     fixed = [({"case": "axis"}, (0.0, 0.0, 1.0)),
              ({"case": "pythagorean"}, (3.0, 4.0, 0.0))]
     draws = [({"draw": position}, _draw_k(rng)) for position in range(100)]
-    for indices, k in fixed + draws:
-        norm = float(np.linalg.norm(k))
-        values, vectors = eigenstructure(k, c)
+    cases = fixed + draws
+    pairs = zip(*eigenstructure([k for _, k in cases], c))
+    for (indices, k), (values, vectors) in zip(cases, pairs):
+        norm = float(_norm(k))
         expected = np.array([-c * norm, 0.0, c * norm])
         records.append(config.record(
             "eigen_spectrum", indices, {"k": _k_label(k)},
@@ -464,7 +467,7 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
             float(alignment), 1.0))
         if indices["draw"] < 20:
             units = (pol.eps_plus, pol.eps_minus, pol.eps_zero)
-            worst = max(0.0, *(abs(float(np.linalg.norm(eps)) - 1.0)
+            worst = max(0.0, *(abs(float(_norm(eps)) - 1.0)
                                for eps in units),
                         abs(k @ pol.eps_plus) / max(1.0, norm),
                         abs(k @ pol.eps_minus) / max(1.0, norm),
@@ -501,12 +504,18 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         norm = math.hypot(*k)
         point, t = _generic_point_for(k)
         at = {"x": _k_label(point), "t": t}
+        # Each mode is built once, and its members from it.
+        waves = {lam: PhotonPlaneWave(k, lam, c) for lam in (1, 0, -1)}
+        me1 = {lam: _me1_of(wave) for lam, wave in waves.items()}
+        me2 = {lam: _conjugates(terms) for lam, terms in me1.items()}
         for lam in (1, -1):
-            residuals = maxwell_residuals(k, lam, point, t, c)
+            residuals = maxwell_residuals_from_terms(
+                *_fields_of(me2[lam]), point, t, c)
             records.append(config.record(
                 "maxwell", {"k": _k_label(k), "lam": lam}, at,
                 max(residuals), max(1.0, norm)))
-        faraday, ampere, div_e, div_b = maxwell_residuals(k, 0, point, t, c)
+        faraday, ampere, div_e, div_b = maxwell_residuals_from_terms(
+            *_fields_of(me2[0]), point, t, c)
         records.append(config.record(
             "maxwell", {"k": _k_label(k), "lam": 0, "part": "curl"}, at,
             max(faraday, ampere), max(1.0, norm)))
@@ -516,9 +525,8 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             {**at, "div_e": div_e, "div_b": div_b},
             _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
-            column = me6_column(k, lam, c)
-            for equation, terms in (("ME1", me1_member(k, lam, c)),
-                                    ("ME2", me2_member(k, lam, c)),
+            column = _column_of(me1[lam])
+            for equation, terms in (("ME1", me1[lam]), ("ME2", me2[lam]),
                                     ("ME6", column)):
                 scale = dirac_form_scale(terms, c)
                 records.append(config.record(
@@ -544,13 +552,13 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                 "dirac_control", {"k": _k_label(k), "equation": equation},
                 {"observed": observed, "threshold": 0.1 * scale},
                 _deficit(0.1 * scale, observed), 1.0))
-        pair_terms = [*me1_member(k, 1, c), *me1_member(k, -1, c)]
-        conjugated = [term.conjugate() for term in pair_terms]
+        pair_terms = [*me1[1], *me1[-1]]
+        conjugated = _conjugates(pair_terms)
         records.append(config.record(
             "pairing", {"k": _k_label(k)}, at,
             dirac_form_residual(conjugated, "ME2", point, t, c),
             dirac_form_scale(pair_terms, c)))
-        wave = PhotonPlaneWave(k, 1, c)
+        wave = waves[1]
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
                     for x, s in ((point, t), ((1.7, -0.3, 0.4), -2.0)))
@@ -712,7 +720,7 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
                             variant=config.variant)
     for draw in range(100):
         k = _draw_k(rng)
-        lam = int(rng.choice([-1, 0, 1]))
+        lam = (-1, 0, 1)[int(rng.integers(0, 3))]
         dotted = bool(rng.integers(0, 2))
         x = tuple(float(v) for v in rng.normal(size=3))
         t = float(rng.normal())
@@ -724,7 +732,8 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         value = wave.value(x, t, r, angles)
         translation = wave.translation_value(x, t)
         factor = wave.lorentz_factor(r, angles)
-        mask = np.abs(translation) > 1e-6
+        magnitude = np.abs(translation)
+        mask = magnitude > 1e-6
         residual = 0.0
         if mask.any():
             residual = float(np.abs(value[mask] / translation[mask]
@@ -732,7 +741,7 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         if abs(factor) > 1e-6:
             residual = max(residual,
                            float(np.abs(value / factor - translation).max())
-                           / max(1.0, float(np.abs(translation).max())))
+                           / max(1.0, float(magnitude.max())))
         records.append(config.record(
             "assembly_factorization", {"draw": draw, "lam": lam,
                                        "dotted": dotted},

@@ -360,16 +360,17 @@ class TestVerify:
                   if line.startswith("Error:")]
         assert errors == ["Error: --tol casimir is given more than once"]
 
-    def test_overflowing_control_is_one_line_domain_error(self, runner):
-        # The off-shell Lagrangian overflows to nan at c = 1e307; its control
-        # is refused rather than passed as a deficit of 0.
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = invoke(runner, ["verify", "maxwell", "--c", "1e307"],
-                            expect=2)
+    def test_overflowing_control_is_one_line_domain_error(self, runner,
+                                                          recwarn):
+        # The Lagrangian overflows a float at c = 1e307: refused with one
+        # Error: line and no numpy warning, not passed as a deficit of 0.
+        result = invoke(runner, ["verify", "maxwell", "--c", "1e307"],
+                        expect=2)
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
-            "Error: negative control measured nan, which is not finite: "
-            "its values overflow at this configuration"]
+            "Error: Lagrangian density overflows a float at "
+            "x=(0.08399999999999999, 0.11199999999999999, 0.0), t=0.3"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_run_time_domain_error_is_one_line(self, runner):
         # Raised while the suites run: one Error: line, no usage block.

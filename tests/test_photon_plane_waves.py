@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poincarewaves import photon_plane_waves
 from poincarewaves.photon_plane_waves import (
     ALPHA,
     GAMMA,
@@ -141,6 +142,24 @@ class TestCurlMatrix:
         assert all(math.isfinite(value)
                    for value in maxwell_residuals((1, 2, 3), 1, c=5.6e-309))
 
+    @pytest.mark.parametrize("function, k", [
+        (curl_matrix, (1e300, 0.0, 1.0)),
+        (eigenstructure, (1e300, 0.0, 1.0)),
+        (eigenstructure, [(1.0, 0.0, 0.0), (1e300, 0.0, 1.0)]),
+    ], ids=["curl", "eigen", "eigen-stack"])
+    def test_overflowing_c_k_refused(self, recwarn, function, k):
+        # c |k| = 1e310 overflows: one ValueError naming both, no warning.
+        with pytest.raises(ValueError) as error:
+            function(k, 1e10)
+        assert str(error.value) == (
+            "c |k| overflows a float: c=10000000000.0, |k|=1e+300")
+        assert not recwarn
+
+    def test_largest_finite_c_k_solved(self):
+        c = 1e308 / math.sqrt(2.0)
+        values, _ = eigenstructure((1.0, 1.0, 0.0), c)
+        assert np.isfinite(values).all() and values[2] > 9.9e307
+
 
 class TestEigenstructure:
     def test_unit_z_axis_eigenvalues(self):
@@ -173,6 +192,27 @@ class TestEigenstructure:
     def test_c_scales_spectrum(self):
         values, _ = eigenstructure((0, 0, 2), c=3.0)
         assert np.allclose(values, [-6.0, 0.0, 6.0], atol=1e-12)
+
+    def test_stack_is_bit_identical_to_per_k_calls(self):
+        # One (n, 3) stack gives row for row the bytes of one call per k.
+        rng = np.random.default_rng(31)
+        ks = np.vstack([[(0.0, 0.0, 1.0), (3.0, 4.0, 0.0), (-0.0, 0.0, -2.0)],
+                        rng.normal(size=(100, 3))])
+        for c in (1.0, 2.5, 3e-5):
+            values, vectors = eigenstructure(ks, c)
+            assert values.shape == (103, 3) and vectors.shape == (103, 3, 3)
+            for k, row_values, row_vectors in zip(ks, values, vectors):
+                single_values, single_vectors = eigenstructure(k, c)
+                assert row_values.tobytes() == single_values.tobytes()
+                assert row_vectors.tobytes() == single_vectors.tobytes()
+
+    def test_stack_checks_every_wavevector(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            eigenstructure([(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="k3 must be finite"):
+            eigenstructure([(1.0, 2.0, 3.0), (1.0, 0.0, math.nan)])
+        values, vectors = eigenstructure(np.empty((0, 3)))
+        assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
 
     def test_random_spectral_completeness(self):
         rng = np.random.default_rng(2024)
@@ -567,6 +607,18 @@ class TestLagrangianDensity:
         terms = [PlaneWaveTerm(amplitude, k, omega)]
         assert abs(lagrangian_density_translation(terms, (0.2, 0.3, 0.4), 0.5)) > 1e-3
 
+    def test_overflow_is_a_domain_error(self, recwarn):
+        # At c = 1e307 the products of psi-bar and d psi / dt overflow: a
+        # ValueError, not nan with numpy warnings.
+        rng = np.random.default_rng(53)
+        k = np.array([3.0, 4.0, 0.0])
+        terms = [PlaneWaveTerm(rng.normal(size=6) + 1j * rng.normal(size=6),
+                               k, 1e307 * 5.0)]
+        with pytest.raises(ValueError, match="^Lagrangian density overflows "
+                           r"a float at x=\(0.2, 0.3, 0.4\), t=0.5$"):
+            lagrangian_density_translation(terms, (0.2, 0.3, 0.4), 0.5, 1e307)
+        assert not recwarn
+
     def test_value_is_purely_imaginary(self):
         rng = np.random.default_rng(54)
         k = np.array([0.4, -1.1, 0.9])
@@ -615,7 +667,7 @@ _X, _T = (0.3, -0.7, 1.1), 0.45
     (lambda terms: anti_equation_residual(terms, _X, _T), 0.0,
      _THREE, "conjugate-field residual needs 6-component terms"),
     (lambda terms: maxwell_residuals_from_terms(terms, terms, _X, _T),
-     (0.0, 0.0, 0.0, 0.0), None, None),
+     (0.0, 0.0, 0.0, 0.0), _SIX, "Maxwell residual needs 3-component terms"),
     (lambda terms: lagrangian_density_translation(terms, _X, _T), 0j,
      _THREE, "Lagrangian density needs 6-component terms"),
     (lambda terms: evaluate_terms(terms, _X, _T), 0j, None, None),
@@ -630,3 +682,38 @@ def test_empty_term_list_is_the_zero_wave(function, zero, wrong, message):
         for terms in ([wrong], [right, wrong]):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 function(terms)
+
+
+def _seeded_vectors(seed: int, complex_values: bool):
+    """Seeded 3-vectors, some components set to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        vector = rng.normal(size=3) * 10.0 ** rng.integers(-5, 6, size=3)
+        if complex_values:
+            vector = vector + 1j * rng.normal(size=3)
+        for signed_zero in (0.0, -0.0):
+            vector.real[rng.random(3) < 0.2] = signed_zero
+            if complex_values:
+                vector.imag[rng.random(3) < 0.2] = signed_zero
+        yield vector
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_norm_is_bit_identical_to_numpy(complex_values):
+    vectors = [*_seeded_vectors(41, complex_values), np.zeros(3), -np.zeros(3),
+               np.array([1.0 + 0j])]
+    for vector in vectors:
+        ours, numpys = photon_plane_waves._norm(vector), np.linalg.norm(vector)
+        assert type(ours) is type(numpys) is np.float64
+        assert ours.tobytes() == numpys.tobytes(), vector
+    # The empty sum of plane waves is a Python 0j, not an array.
+    assert photon_plane_waves._norm(0j).tobytes() == np.linalg.norm(0j).tobytes()
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_cross_is_bit_identical_to_numpy(complex_values):
+    reals = _seeded_vectors(42, False)
+    for a, b in zip(reals, _seeded_vectors(43, complex_values)):
+        ours, numpys = photon_plane_waves._cross(a, b), np.cross(a, b)
+        assert ours.dtype == numpys.dtype
+        assert ours.tobytes() == numpys.tobytes(), (a, b)

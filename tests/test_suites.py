@@ -19,6 +19,7 @@ from poincarewaves.lorentz_harmonics import (
     z_sum,
 )
 from poincarewaves.lorentz_sector import VARIANTS
+from poincarewaves.photon_plane_waves import eigenstructure, polarization_vectors
 from poincarewaves.suites import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
@@ -399,12 +400,14 @@ class TestControls:
         with pytest.raises(ValueError, match="not finite"):
             suites._deficit(1e-6, observed)
 
-    def test_overflowing_control_is_refused(self):
-        # At c = 1e307 the off-shell Lagrangian overflows to nan.
+    def test_overflowing_control_is_refused(self, recwarn):
+        # At c = 1e307 the Lagrangian overflows a float: a ValueError, with
+        # no numpy warning before it.
         config = SuiteConfig(c=1e307)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match="^negative control measured nan"):
+        with pytest.raises(ValueError,
+                           match="^Lagrangian density overflows a float at "):
             build_report("maxwell", config)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_tolerance_override_can_force_failure(self):
         report = build_report(
@@ -578,3 +581,44 @@ class TestGridRecords:
                      for suite, record in run_suite(name, config)]
             assert alone and alone == [
                 entry for entry in everything if entry[0] == name]
+
+
+def per_k_eigen_records(config):
+    """(check, indices, k) -> (residual, scale) reprs of the eigen_spectrum
+    and eigen_alignment records, from one eigenstructure call per k."""
+    rng, c = config.rng(5), config.c
+    cases = [({"case": "axis"}, (0.0, 0.0, 1.0)),
+             ({"case": "pythagorean"}, (3.0, 4.0, 0.0)),
+             *(({"draw": draw}, suites._draw_k(rng)) for draw in range(100))]
+    expected = {}
+    for indices, k in cases:
+        key = (tuple(indices.items()), ",".join(repr(float(v)) for v in k))
+        norm = float(np.linalg.norm(k))
+        values, vectors = eigenstructure(k, c)
+        expected["eigen_spectrum", *key] = (
+            float(np.abs(values - np.array([-c * norm, 0.0, c * norm])).max()),
+            max(1.0, c * norm))
+        if "draw" in indices:
+            pol = polarization_vectors(k)
+            expected["eigen_alignment", *key] = (float(max(
+                abs(abs(np.vdot(vectors[:, 2], pol.eps_plus)) - 1.0),
+                abs(abs(np.vdot(vectors[:, 0], pol.eps_minus)) - 1.0),
+                abs(abs(np.vdot(vectors[:, 1], pol.eps_zero)) - 1.0))), 1.0)
+    return {key: (repr(residual), repr(scale))
+            for key, (residual, scale) in expected.items()}
+
+
+class TestEigenRecords:
+    @pytest.mark.parametrize("seed, c", [(0, 1.0), (7, 1.0), (2024, 2.5),
+                                         (3, 3e-5)])
+    def test_records_match_a_per_k_rescan(self, seed, c):
+        # The suite's one stacked eigensolve gives the records that one
+        # eigenstructure call per wavevector gives.
+        config = SuiteConfig(seed=seed, c=c)
+        found = {
+            (record.check_name, tuple(record.indices.items()),
+             record.point["k"]): (repr(record.residual), repr(record.scale))
+            for _, record in run_suite("eigen", config)
+            if record.check_name in ("eigen_spectrum", "eigen_alignment")}
+        assert len(found) == 202
+        assert found == per_k_eigen_records(config)
