@@ -39,7 +39,6 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -47,7 +46,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lorentz_harmonics import HarmonicIndex, generalized_m_values
+from .lorentz_harmonics import (
+    HarmonicIndex,
+    _weight_bound,
+    _weighted,
+    _z_value,
+    generalized_m_values,
+)
 from .group_kinematics import ComplexEulerAngles
 
 __all__ = [
@@ -136,16 +141,21 @@ def json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
     return text[2:-2].split("}\0{") if text != "[]" else []
 
 
-def _richardson(estimate: Callable[[float], complex], step: float,
-                levels: int) -> complex:
-    """Extrapolate a second-order estimator: one power of h^2 per level."""
-    table = [[estimate(step / 2**i)] for i in range(levels)]
-    for i in range(1, levels):
+def _richardson(estimates: Sequence[complex]) -> complex:
+    """Extrapolate a second-order estimator from its values at step / 2**i,
+    one per level: one power of h^2 per level."""
+    table = [[estimate] for estimate in estimates]
+    for i in range(1, len(table)):
         for j in range(1, i + 1):
             factor = 4.0**j
             table[i].append((factor * table[i][j - 1] - table[i - 1][j - 1])
                             / (factor - 1.0))
-    return table[levels - 1][levels - 1]
+    return table[-1][-1]
+
+
+def _steps(step: float, levels: int) -> list[float]:
+    """The Richardson steps h = step / 2**i, one per level."""
+    return [step / 2**i for i in range(levels)]
 
 
 def _finite(residual: float, scale: float) -> tuple[float, float]:
@@ -159,31 +169,39 @@ def _finite(residual: float, scale: float) -> tuple[float, float]:
 
 def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
              levels: int) -> tuple[float, float]:
-    """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx)."""
+    """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx).
+
+    Each stencil value is generalized_m_values' weight(phi, chi) times
+    Z(theta), so Z is evaluated once per distinct theta: 2 levels + 1 times.
+    """
     phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
     if not (SINGULARITY_MARGIN < theta0 < math.pi - SINGULARITY_MARGIN):
         raise ValueError(
             f"evaluation point too close to a coordinate singularity: theta="
             f"{theta0!r} must satisfy {SINGULARITY_MARGIN} < theta < "
             f"pi - {SINGULARITY_MARGIN}")
+    (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
+    tau, decay = _weight_bound(L, M, N, m, n, angles.epsilon, angles.tau,
+                               angles.vareps)
 
-    def f(theta: float, phi: float, chi: float) -> complex:
-        return generalized_m_values(idx.l, idx.m, idx.n, phi, angles.epsilon,
-                                    theta, angles.tau, chi, angles.vareps,
-                                    dotted=idx.dotted)
+    def f(z: complex, phi: float, chi: float) -> complex:
+        return _weighted(m * phi + n * chi, decay, z, dotted)
 
     theta_c = angles.theta_c_dot if idx.dotted else angles.theta_c
     sin_c, cos_c = cmath.sin(theta_c), cmath.cos(theta_c)
-    f0 = f(theta0, phi0, chi0)
+    z0 = _z_value(L, M, N, theta0, tau)
+    f0 = f(z0, phi0, chi0)
 
     def estimate(h: float) -> complex:
-        f_tp, f_tm = f(theta0 + h, phi0, chi0), f(theta0 - h, phi0, chi0)
-        f_pp, f_pm = f(theta0, phi0 + h, chi0), f(theta0, phi0 - h, chi0)
-        f_cp, f_cm = f(theta0, phi0, chi0 + h), f(theta0, phi0, chi0 - h)
-        f_ppcp = f(theta0, phi0 + h, chi0 + h)
-        f_ppcm = f(theta0, phi0 + h, chi0 - h)
-        f_pmcp = f(theta0, phi0 - h, chi0 + h)
-        f_pmcm = f(theta0, phi0 - h, chi0 - h)
+        z_tp = _z_value(L, M, N, theta0 + h, tau)
+        z_tm = _z_value(L, M, N, theta0 - h, tau)
+        f_tp, f_tm = f(z_tp, phi0, chi0), f(z_tm, phi0, chi0)
+        f_pp, f_pm = f(z0, phi0 + h, chi0), f(z0, phi0 - h, chi0)
+        f_cp, f_cm = f(z0, phi0, chi0 + h), f(z0, phi0, chi0 - h)
+        f_ppcp = f(z0, phi0 + h, chi0 + h)
+        f_ppcm = f(z0, phi0 + h, chi0 - h)
+        f_pmcp = f(z0, phi0 - h, chi0 + h)
+        f_pmcm = f(z0, phi0 - h, chi0 - h)
         h2 = h * h
         d_theta = (f_tp - f_tm) / (2 * h)
         d2_theta = (f_tp - 2 * f0 + f_tm) / h2
@@ -193,7 +211,7 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
         return (d2_theta + (cos_c / sin_c) * d_theta
                 + (d2_phi - 2 * cos_c * d_phi_chi + d2_chi) / (sin_c * sin_c))
 
-    operator = _richardson(estimate, step, levels)
+    operator = _richardson([estimate(h) for h in _steps(step, levels)])
     eigenvalue = idx.eigenvalue
     return _finite(abs(operator + eigenvalue * f0),
                    max(1.0, eigenvalue) * abs(f0))
@@ -225,8 +243,8 @@ def _z(idx: HarmonicIndex, theta: float, tau: float) -> complex:
 
 def _slope(g: Callable[[float], complex], x: float) -> complex:
     """dg/dx at x: Richardson-extrapolated central differences."""
-    return _richardson(lambda h: (g(x + h) - g(x - h)) / (2 * h),
-                       _STEP, _LEVELS)
+    return _richardson([(g(x + h) - g(x - h)) / (2 * h)
+                        for h in _steps(_STEP, _LEVELS)])
 
 
 def legendre_residual(idx: HarmonicIndex, theta: float,
@@ -237,23 +255,36 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
     with derivatives taken along the real theta direction and converted by the
     chain rule dz/dtheta = -sin(theta_c).  The scale is the largest magnitude
     among the four terms, so the verdict measures how completely they cancel.
+    Both differences share Z(theta +- h): Z is evaluated 2 levels + 1 times.
     """
-    theta_c = complex(theta, tau) if idx.dotted else complex(theta, -tau)
-    z = cmath.cos(theta_c)
-    sin_c = cmath.sin(theta_c)
+    (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
+    tau, decay = _weight_bound(L, M, N, m, n, 0.0, tau, 0.0)
+    theta_c = complex(theta, tau) if dotted else complex(theta, -tau)
+    try:
+        z, sin_c = cmath.cos(theta_c), cmath.sin(theta_c)
+        sin_c3 = sin_c**3
+    except OverflowError:
+        raise ValueError(f"tau={tau!r} is out of range for the Legendre "
+                         "check: sin^3(theta_c) overflows a float") from None
     one_minus_z2 = sin_c * sin_c
     if abs(one_minus_z2) <= LEGENDRE_MARGIN:
         raise ValueError(
             f"evaluation point too close to the equation's singular locus: "
             f"|1 - z^2| = {abs(one_minus_z2)!r} <= {LEGENDRE_MARGIN}")
-    g = functools.partial(_z, idx, tau=tau)
-    g0, d1 = g(theta), _slope(g, theta)
-    d2 = _richardson(
-        lambda h: (g(theta + h) - 2 * g0 + g(theta - h)) / (h * h),
-        _STEP, _LEVELS)
+    phase = m * 0.0 + n * 0.0  # generalized_m_values' at phi = chi = 0
+
+    def g(x: float) -> complex:
+        return _weighted(phase, decay, _z_value(L, M, N, x, tau), dotted)
+
+    steps = _steps(_STEP, _LEVELS)
+    g0 = g(theta)
+    sides = [(g(theta + h), g(theta - h)) for h in steps]
+    d1 = _richardson([(g_p - g_m) / (2 * h)
+                      for h, (g_p, g_m) in zip(steps, sides)])
+    d2 = _richardson([(g_p - 2 * g0 + g_m) / (h * h)
+                      for h, (g_p, g_m) in zip(steps, sides)])
     z_prime = -d1 / sin_c
-    z_second = d2 / (sin_c * sin_c) - z * d1 / sin_c**3
-    m, n = idx.m, idx.n
+    z_second = d2 / (sin_c * sin_c) - z * d1 / sin_c3
     terms = (
         one_minus_z2 * z_second,
         -2 * z * z_prime,

@@ -133,9 +133,9 @@ def _validated_doubled(l: float, m: float, n: float) -> tuple[int, int, int]:
     return L, M, N
 
 
-#: Validation for the routes that take a raw (l, m, n); invalid triples raise
-#: and are not cached.  It builds no HarmonicIndex, so a cache miss does not
-#: change how many indices an operation constructs.
+#: Validation of every (l, m, n), raw or a HarmonicIndex's; invalid triples
+#: raise and are not cached.  It builds no HarmonicIndex, so a cache miss does
+#: not change how many indices an operation constructs.
 _doubled_triple = lru_cache(maxsize=None)(_validated_doubled)
 
 
@@ -154,7 +154,7 @@ class HarmonicIndex:
     dotted: bool = False
 
     def __post_init__(self) -> None:
-        L, M, N = _validated_doubled(self.l, self.m, self.n)
+        L, M, N = _doubled_triple(self.l, self.m, self.n)
         object.__setattr__(self, "l", L / 2)
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
@@ -558,6 +558,40 @@ def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block)
 
 
+def _refuse_non_finite(**angles: float) -> None:
+    """ValueError naming the first of the angles that is not finite, if any."""
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _weight_bound(L: int, M: int, N: int, m: float, n: float, epsilon: float,
+                  tau: float, vareps: float) -> tuple[float, float]:
+    """(tau, m epsilon + n vareps) of a weighted element, both validated.
+
+    |Z| is at most e^(l |tau|), so the weighted value is refused when the
+    weight times that bound leaves the float range, and so is a non-finite
+    epsilon or vareps.
+    """
+    tau = _validate_tau(tau, L)
+    decay = m * epsilon + n * vareps
+    if not -math.inf < L / 2 * abs(tau) - decay <= _MAX_LOG:  # also for nan
+        _refuse_non_finite(epsilon=epsilon, vareps=vareps)
+        bound = ("m epsilon + n vareps" if math.isinf(decay)
+                 else "e^(-(m epsilon + n vareps) + l |tau|)")
+        raise ValueError(
+            f"epsilon={epsilon!r}, vareps={vareps!r} are out of range for "
+            f"l={L / 2:g}, m={M / 2:g}, n={N / 2:g}, tau={tau!r}: "
+            f"{bound} overflows a float")
+    return tau, decay
+
+
+def _weighted(phase: float, decay: float, z: complex, dotted: bool) -> complex:
+    """e^(-(decay + i phase)) * z, conjugated for the dotted series."""
+    value = cmath.exp(complex(-decay, -phase)) * z
+    return value.conjugate() if dotted else value
+
+
 def generalized_m_values(l: float, m: float, n: float, phi: float,
                          epsilon: float, theta: float, tau: float,
                          chi: float, vareps: float, *,
@@ -569,19 +603,21 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     the canonical parameter ranges.  Use ``generalized_m`` for validated input.
     The dotted value at a six-tuple of reals is the complex conjugate of the
     undotted value at the same six-tuple.  |Z| is at most e^(l |tau|), so the
-    value is refused when the weight times that bound leaves the float range.
+    value is refused when the weight times that bound leaves the float range;
+    a parameter that is not finite is refused by name.
     """
     L, M, N = _doubled_triple(l, m, n)
-    tau = _validate_tau(tau, L)
-    decay = m * epsilon + n * vareps
-    if L / 2 * abs(tau) - decay > _MAX_LOG:
-        raise ValueError(
-            f"epsilon={epsilon!r}, vareps={vareps!r} are out of range for "
-            f"l={L / 2:g}, m={M / 2:g}, n={N / 2:g}, tau={tau!r}: "
-            "e^(-(m epsilon + n vareps) + l |tau|) overflows a float")
-    weight = cmath.exp(complex(-decay, -(m * phi + n * chi)))
-    value = weight * _z_value(L, M, N, theta, tau)
-    return value.conjugate() if dotted else value
+    tau, decay = _weight_bound(L, M, N, m, n, epsilon, tau, vareps)
+    try:
+        value = _weighted(m * phi + n * chi, decay,
+                          _z_value(L, M, N, theta, tau), dotted)
+    except ValueError:  # math.sin or cmath.exp of an infinite angle
+        value = cmath.nan
+    if not (cmath.isfinite(value) and math.isfinite(theta)):  # Z^0_00 = 1
+        _refuse_non_finite(phi=phi, theta=theta, chi=chi)
+        raise ValueError(f"the weighted element at phi={phi!r}, "
+                         f"theta={theta!r}, chi={chi!r} is not finite")
+    return value
 
 
 def generalized_m(idx: HarmonicIndex, angles: ComplexEulerAngles) -> complex:

@@ -71,6 +71,7 @@ from .photon_plane_waves import (
     NORMALIZATION,
     PhotonPlaneWave,
     PlaneWaveTerm,
+    _as_wavevector,
     _check_c,
     _column_of,
     _conjugates,
@@ -447,24 +448,25 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
              ({"case": "pythagorean"}, (3.0, 4.0, 0.0))]
     draws = [({"draw": position}, _draw_k(rng)) for position in range(100)]
     cases = fixed + draws
-    pairs = zip(*eigenstructure([k for _, k in cases], c))
-    for (indices, k), (values, vectors) in zip(cases, pairs):
+    wavevectors = [_as_wavevector(k) for _, k in cases]
+    pairs = zip(*eigenstructure(wavevectors, c))
+    for (indices, k), kv, (values, vectors) in zip(cases, wavevectors, pairs):
         norm = float(_norm(k))
+        label = {"k": _k_label(k)}
         expected = np.array([-c * norm, 0.0, c * norm])
         records.append(config.record(
-            "eigen_spectrum", indices, {"k": _k_label(k)},
+            "eigen_spectrum", indices, label,
             float(np.abs(values - expected).max()), max(1.0, c * norm)))
         if "case" in indices:
             continue
-        pol = polarization_vectors(k)
+        pol = polarization_vectors(kv)
         alignment = max(
             abs(abs(np.vdot(vectors[:, 2], pol.eps_plus)) - 1.0),
             abs(abs(np.vdot(vectors[:, 0], pol.eps_minus)) - 1.0),
             abs(abs(np.vdot(vectors[:, 1], pol.eps_zero)) - 1.0),
         )
         records.append(config.record(
-            "eigen_alignment", indices, {"k": _k_label(k)},
-            float(alignment), 1.0))
+            "eigen_alignment", indices, label, float(alignment), 1.0))
         if indices["draw"] < 20:
             units = (pol.eps_plus, pol.eps_minus, pol.eps_zero)
             worst = max(0.0, *(abs(float(_norm(eps)) - 1.0)
@@ -475,8 +477,7 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
                         abs(np.vdot(pol.eps_plus, pol.eps_zero)),
                         abs(np.vdot(pol.eps_minus, pol.eps_zero)))
             records.append(config.record(
-                "polarization", indices, {"k": _k_label(k)},
-                float(worst), 1.0))
+                "polarization", indices, label, float(worst), 1.0))
     near = polarization_vectors((1e-6, 0.0, 1.0))
     axis = polarization_vectors((0.0, 0.0, 1.0))
     jump = max(float(np.abs(a - b).max()) for a, b in
@@ -502,6 +503,7 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
     records = []
     for k in _K_SET:
         norm = math.hypot(*k)
+        label = _k_label(k)
         point, t = _generic_point_for(k)
         at = {"x": _k_label(point), "t": t}
         # Each mode is built once, and its members from it.
@@ -512,16 +514,16 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             residuals = maxwell_residuals_from_terms(
                 *_fields_of(me2[lam]), point, t, c)
             records.append(config.record(
-                "maxwell", {"k": _k_label(k), "lam": lam}, at,
+                "maxwell", {"k": label, "lam": lam}, at,
                 max(residuals), max(1.0, norm)))
         faraday, ampere, div_e, div_b = maxwell_residuals_from_terms(
             *_fields_of(me2[0]), point, t, c)
         records.append(config.record(
-            "maxwell", {"k": _k_label(k), "lam": 0, "part": "curl"}, at,
+            "maxwell", {"k": label, "lam": 0, "part": "curl"}, at,
             max(faraday, ampere), max(1.0, norm)))
         threshold = 0.1 * NORMALIZATION * norm
         records.append(config.record(
-            "maxwell_control", {"k": _k_label(k), "lam": 0},
+            "maxwell_control", {"k": label, "lam": 0},
             {**at, "div_e": div_e, "div_b": div_b},
             _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
@@ -530,17 +532,17 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                                     ("ME6", column)):
                 scale = dirac_form_scale(terms, c)
                 records.append(config.record(
-                    "dirac_form", {"k": _k_label(k), "lam": lam,
+                    "dirac_form", {"k": label, "lam": lam,
                                    "equation": equation}, at,
                     dirac_form_residual(terms, equation, point, t, c),
                     scale))
             records.append(config.record(
-                "dirac_form", {"k": _k_label(k), "lam": lam,
+                "dirac_form", {"k": label, "lam": lam,
                                "equation": "ANTI"}, at,
                 anti_equation_residual(column, point, t, c),
                 dirac_form_scale(column, c)))
             records.append(config.record(
-                "lagrangian", {"k": _k_label(k), "lam": lam}, at,
+                "lagrangian", {"k": label, "lam": lam}, at,
                 abs(lagrangian_density_translation(column, point, t, c)), 1.0))
         omega = c * norm
         amplitude = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -549,13 +551,13 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         for equation in ("ME1", "ME2"):
             observed = dirac_form_residual(random_terms, equation, point, t, c)
             records.append(config.record(
-                "dirac_control", {"k": _k_label(k), "equation": equation},
+                "dirac_control", {"k": label, "equation": equation},
                 {"observed": observed, "threshold": 0.1 * scale},
                 _deficit(0.1 * scale, observed), 1.0))
         pair_terms = [*me1[1], *me1[-1]]
         conjugated = _conjugates(pair_terms)
         records.append(config.record(
-            "pairing", {"k": _k_label(k)}, at,
+            "pairing", {"k": label}, at,
             dirac_form_residual(conjugated, "ME2", point, t, c),
             dirac_form_scale(pair_terms, c)))
         wave = waves[1]
@@ -563,13 +565,13 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
                     for x, s in ((point, t), ((1.7, -0.3, 0.4), -2.0)))
         records.append(config.record(
-            "energy", {"k": _k_label(k), "kind": "constancy"},
+            "energy", {"k": label, "kind": "constancy"},
             {"reference": reference}, drift, max(1.0, reference)))
         off_amplitude = rng.normal(size=6) + 1j * rng.normal(size=6)
         off_terms = [PlaneWaveTerm(off_amplitude, k, omega)]
         observed = abs(lagrangian_density_translation(off_terms, point, t, c))
         records.append(config.record(
-            "lagrangian_control", {"k": _k_label(k)},
+            "lagrangian_control", {"k": label},
             {"observed": observed, "threshold": 1e-6},
             _deficit(1e-6, observed), 1.0))
     for draw in range(100):
@@ -780,6 +782,11 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
             dirac_form_residual(terms, equation, point, t, config.c),
             dirac_form_scale(terms, config.c)))
     real_radial = RadialSolution(l=1, C=0.8, Cdot=0.8, variant=config.variant)
+    twins = []
+    for lam in (1, 0, -1):
+        wave = PoincareWaveFunction((1.0, 2.0, 3.0), lam, 1, real_radial,
+                                    False, config.c)
+        twins.append((wave, wave.dotted_twin()))
     for draw in range(5):
         rotation_only = make_angles(
             float(rng.uniform(0.0, 2 * math.pi - 1e-9)), 0.0,
@@ -789,11 +796,9 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
         t = float(rng.normal())
         r = float(rng.uniform(0.2, 3.0))
         worst = 0.0
-        for lam in (1, 0, -1):
-            wave = PoincareWaveFunction((1.0, 2.0, 3.0), lam, 1, real_radial,
-                                        False, config.c)
+        for wave, twin in twins:
             undotted = wave.value(x, t, r, rotation_only)
-            dotted = wave.dotted_twin().value(x, t, r, rotation_only)
+            dotted = twin.value(x, t, r, rotation_only)
             worst = max(worst,
                         float(np.abs(dotted - undotted.conjugate()).max()))
         records.append(config.record(

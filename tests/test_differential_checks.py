@@ -1,11 +1,14 @@
 """Tests for the finite-difference Casimir, Legendre, and holomorphy checks."""
 
+import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from poincarewaves import differential_checks, lorentz_harmonics
 from poincarewaves.differential_checks import (
     ResidualRecord,
     casimir_convergence_order,
@@ -16,7 +19,7 @@ from poincarewaves.differential_checks import (
     make_record,
 )
 from poincarewaves.group_kinematics import make_angles
-from poincarewaves.lorentz_harmonics import HarmonicIndex
+from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m_values
 
 GENERIC_ANGLES = make_angles(0.4, 0.25, 0.9, 0.35, 1.1, -0.2)
 
@@ -249,3 +252,162 @@ def test_unmeasurable_point_raises_value_error(check, args, message):
     # Not a NaN or inf measurement, and not a ZeroDivisionError.
     with pytest.raises(ValueError, match=message):
         check(*args)
+
+
+def test_legendre_refuses_tau_as_holomorphy_does():
+    # tau is validated before cos(theta_c): no bare OverflowError.
+    idx = HarmonicIndex(1, 1, 0)
+    with pytest.raises(ValueError) as holomorphy:
+        holomorphy_residual(idx, 1.0, 1e200)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(holomorphy.value))}$"):
+        legendre_residual(idx, 1.0, 1e200)
+
+
+@pytest.mark.parametrize("idx, tau", [
+    (HarmonicIndex(0.5, 0.5, 0.5), 300.0), (HarmonicIndex(0.5, 0.5, 0.5), -1000.0),
+    (HarmonicIndex(0, 0, 0), 1000.0), (HarmonicIndex(1, 1, 0, dotted=True), 300.0),
+])
+def test_legendre_overflowing_sine_power_is_a_value_error(idx, tau):
+    # Accepted by the Z routes, but sin^3(theta_c) leaves the floats.
+    with pytest.raises(ValueError, match="sin\\^3\\(theta_c\\) overflows"):
+        legendre_residual(idx, 1.0, tau)
+
+
+# ---------------------------------------------------------------------------
+# The stencils evaluate Z once per distinct theta, with unchanged bits
+# ---------------------------------------------------------------------------
+
+def reference_richardson(estimate, step, levels):
+    table = [[estimate(step / 2**i)] for i in range(levels)]
+    for i in range(1, levels):
+        for j in range(1, i + 1):
+            factor = 4.0**j
+            table[i].append((factor * table[i][j - 1] - table[i - 1][j - 1])
+                            / (factor - 1.0))
+    return table[levels - 1][levels - 1]
+
+
+def reference_casimir(idx, angles, step, levels):
+    """The X2 / Y2 stencil with every value a direct generalized_m_values."""
+    phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
+
+    def f(theta, phi, chi):
+        return generalized_m_values(idx.l, idx.m, idx.n, phi, angles.epsilon,
+                                    theta, angles.tau, chi, angles.vareps,
+                                    dotted=idx.dotted)
+
+    theta_c = angles.theta_c_dot if idx.dotted else angles.theta_c
+    sin_c, cos_c = cmath.sin(theta_c), cmath.cos(theta_c)
+    f0 = f(theta0, phi0, chi0)
+
+    def estimate(h):
+        h2 = h * h
+        d_theta = (f(theta0 + h, phi0, chi0) - f(theta0 - h, phi0, chi0)) / (2 * h)
+        d2_theta = (f(theta0 + h, phi0, chi0) - 2 * f0
+                    + f(theta0 - h, phi0, chi0)) / h2
+        d2_phi = (f(theta0, phi0 + h, chi0) - 2 * f0
+                  + f(theta0, phi0 - h, chi0)) / h2
+        d2_chi = (f(theta0, phi0, chi0 + h) - 2 * f0
+                  + f(theta0, phi0, chi0 - h)) / h2
+        d_phi_chi = (f(theta0, phi0 + h, chi0 + h) - f(theta0, phi0 + h, chi0 - h)
+                     - f(theta0, phi0 - h, chi0 + h)
+                     + f(theta0, phi0 - h, chi0 - h)) / (4 * h2)
+        return (d2_theta + (cos_c / sin_c) * d_theta
+                + (d2_phi - 2 * cos_c * d_phi_chi + d2_chi) / (sin_c * sin_c))
+
+    operator = reference_richardson(estimate, step, levels)
+    eigenvalue = idx.eigenvalue
+    return (abs(operator + eigenvalue * f0), max(1.0, eigenvalue) * abs(f0))
+
+
+def reference_legendre(idx, theta, tau):
+    """The Legendre stencil with every value a direct generalized_m_values."""
+    def g(x):
+        return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, x, tau,
+                                    0.0, 0.0, dotted=idx.dotted)
+
+    theta_c = complex(theta, tau) if idx.dotted else complex(theta, -tau)
+    z, sin_c = cmath.cos(theta_c), cmath.sin(theta_c)
+    g0 = g(theta)
+    d1 = reference_richardson(
+        lambda h: (g(theta + h) - g(theta - h)) / (2 * h), 1e-3, 2)
+    d2 = reference_richardson(
+        lambda h: (g(theta + h) - 2 * g0 + g(theta - h)) / (h * h), 1e-3, 2)
+    z_prime = -d1 / sin_c
+    z_second = d2 / (sin_c * sin_c) - z * d1 / sin_c**3
+    m, n = idx.m, idx.n
+    terms = (sin_c * sin_c * z_second, -2 * z * z_prime,
+             -((m * m + n * n - 2 * m * n * z) / (sin_c * sin_c)) * g0,
+             idx.eigenvalue * g0)
+    return abs(sum(terms)), max(abs(term) for term in terms)
+
+
+def seeded_indices(rng, count):
+    """Indices over integer and half-integer l <= 3, half of them dotted."""
+    indices = []
+    for _ in range(count):
+        l = int(rng.integers(0, 7)) / 2
+        projections = [p / 2 for p in range(-int(2 * l), int(2 * l) + 1, 2)]
+        m, n = (projections[int(rng.integers(0, len(projections)))]
+                for _ in range(2))
+        indices.append(HarmonicIndex(l, m, n, dotted=bool(rng.integers(0, 2))))
+    return indices
+
+
+class TestStencilsMatchDirectEvaluation:
+    def test_casimir_at_both_richardson_depths(self):
+        rng = np.random.default_rng(2026)
+        indices = seeded_indices(rng, 24)
+        assert {idx.dotted for idx in indices} == {False, True}
+        assert any(idx.l % 1 for idx in indices)
+        for idx in indices:
+            angles = make_angles(
+                float(rng.uniform(0.0, 6.28)), float(rng.normal() * 0.5),
+                float(rng.uniform(0.15, math.pi - 0.15)),
+                float(rng.normal() * 0.5), float(rng.uniform(-6.28, 6.28)),
+                float(rng.normal() * 0.5))
+            for step, levels in ((1e-3, 2), (2e-2, 1), (1e-2, 1)):
+                got = differential_checks._casimir(idx, angles, step, levels)
+                assert got == reference_casimir(idx, angles, step, levels)
+
+    def test_legendre(self):
+        rng = np.random.default_rng(2027)
+        indices = seeded_indices(rng, 24)
+        assert {idx.dotted for idx in indices} == {False, True}
+        assert any(idx.l % 1 for idx in indices)
+        for idx in indices:
+            theta = float(rng.uniform(0.25, math.pi - 0.25))
+            tau = float(rng.normal() * 0.4)
+            assert legendre_residual(idx, theta, tau) == reference_legendre(
+                idx, theta, tau)
+
+
+@pytest.fixture
+def z_evaluations(monkeypatch):
+    """Each call of the private Z evaluator, whichever module calls it."""
+    calls = []
+    evaluate = lorentz_harmonics._z_value
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(lorentz_harmonics, "_z_value", counting)
+    monkeypatch.setattr(differential_checks, "_z_value", counting,
+                        raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("check, args, most", [
+    (casimir_x2_residual, (HarmonicIndex(2, 1, -1), GENERIC_ANGLES), 5),
+    (casimir_y2_residual, (HarmonicIndex(1.5, 0.5, 1.5, dotted=True),
+                           GENERIC_ANGLES), 5),
+    (casimir_convergence_order, (HarmonicIndex(2, 1, -1), GENERIC_ANGLES), 6),
+    (legendre_residual, (HarmonicIndex(2, 1, -1), 0.8, 0.2), 5),
+    (legendre_residual, (HarmonicIndex(1.5, 0.5, 1.5, dotted=True), 0.8, 0.2),
+     5),
+])
+def test_z_evaluated_once_per_distinct_theta(z_evaluations, check, args, most):
+    check(*args)
+    assert 0 < len(z_evaluations) <= most

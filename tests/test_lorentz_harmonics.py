@@ -67,6 +67,31 @@ class TestHarmonicIndex:
         with pytest.raises(ValueError):
             HarmonicIndex(l, m, n)
 
+    @pytest.mark.parametrize(
+        "l, m, n",
+        [(1, 2, 0), (-1, 0, 0), (1, 0.5, 0), (0.7, 0, 0), (math.nan, 0, 0),
+         (21, 0, 0), (2, 0, math.inf)],
+    )
+    def test_repeated_invalid_index_repeats_its_message(self, l, m, n):
+        # The cached validation raises the uncached validator's message
+        # every time, and caches nothing for the rejected triple.
+        with pytest.raises(ValueError) as direct:
+            lorentz_harmonics._validated_doubled(l, m, n)
+        message = f"^{re.escape(str(direct.value))}$"
+        cached = lorentz_harmonics._doubled_triple.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                HarmonicIndex(l, m, n)
+        assert lorentz_harmonics._doubled_triple.cache_info().currsize == cached
+
+    def test_validation_is_cached(self):
+        cache = lorentz_harmonics._doubled_triple
+        first = HarmonicIndex(2.5, 0.5, -1.5)
+        hits, misses = cache.cache_info()[:2]
+        again = HarmonicIndex(2.5, 0.5, -1.5, dotted=True)
+        assert cache.cache_info()[:2] == (hits + 1, misses)
+        assert again.doubled == first.doubled == (5, 1, -3)
+
 
 class TestTerminating2F1:
     def test_empty_series(self):
@@ -494,6 +519,27 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match=r"^epsilon=.*, vareps=.* are out "
                                              r"of range"):
             evaluate()
+
+    @pytest.mark.parametrize("l, m, n", [(1, 1, -1), (1, 0, 0), (0, 0, 0),
+                                         (1.5, 0.5, -1.5)])
+    @pytest.mark.parametrize("name", ["phi", "epsilon", "theta", "chi",
+                                      "vareps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_named(self, l, m, n, name, value):
+        # Neither a NaN value, a silent 0 or 1, nor a bare "math domain error".
+        angles = dict(phi=0.3, epsilon=0.1, theta=0.5, chi=0.4, vareps=-0.2)
+        angles[name] = value
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value!r}$"):
+            generalized_m_values(l, m, n, angles["phi"], angles["epsilon"],
+                                 angles["theta"], 0.2, angles["chi"],
+                                 angles["vareps"])
+
+    def test_overflowing_finite_parameters_are_refused(self):
+        with pytest.raises(ValueError, match="is not finite$"):
+            generalized_m_values(1, 1, -1, 1e308, 0.0, 0.5, 0.2, -1e308, 0.0)
+        with pytest.raises(ValueError, match="m epsilon \\+ n vareps overflows"):
+            generalized_m_values(1, 1, 1, 0.0, 1e308, 0.5, 0.2, 0.0, 1e308)
 
     def test_weights_just_inside_the_bound_are_finite(self):
         value = generalized_m_values(1, 1, 0, 0.0, -600.0, 1.0, 100.0, 0.0, 0.0)

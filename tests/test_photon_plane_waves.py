@@ -206,6 +206,19 @@ class TestEigenstructure:
                 assert row_values.tobytes() == single_values.tobytes()
                 assert row_vectors.tobytes() == single_vectors.tobytes()
 
+    def test_list_of_wavevectors_is_a_stack(self):
+        # A list of WaveVectors is solved as the (n, 3) stack of their
+        # components; a single WaveVector as one k.
+        rng = np.random.default_rng(32)
+        ks = np.vstack([[(0.0, 0.0, 1.0), (-0.0, 0.0, -2.0)],
+                        rng.normal(size=(20, 3))])
+        wavevectors = [WaveVector(*k) for k in ks]
+        for got, want in zip(eigenstructure(wavevectors, 2.5),
+                             eigenstructure(ks, 2.5)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        values, _ = eigenstructure(wavevectors[1])
+        assert values.shape == (3,)
+
     def test_stack_checks_every_wavevector(self):
         with pytest.raises(ValueError, match="non-zero"):
             eigenstructure([(1.0, 2.0, 3.0), (0.0, 0.0, 0.0)])
