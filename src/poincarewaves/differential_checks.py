@@ -172,7 +172,7 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
     """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx).
 
     Each stencil value is generalized_m_values' weight(phi, chi) times
-    Z(theta), so Z is evaluated once per distinct theta: 2 levels + 1 times.
+    Z(theta), so Z is evaluated once per distinct theta: 2 * levels + 1 times.
     """
     phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
     if not (SINGULARITY_MARGIN < theta0 < math.pi - SINGULARITY_MARGIN):
@@ -255,7 +255,7 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
     with derivatives taken along the real theta direction and converted by the
     chain rule dz/dtheta = -sin(theta_c).  The scale is the largest magnitude
     among the four terms, so the verdict measures how completely they cancel.
-    Both differences share Z(theta +- h): Z is evaluated 2 levels + 1 times.
+    Both differences share Z(theta +- h): Z is evaluated 2 * levels + 1 times.
     """
     (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
     tau, decay = _weight_bound(L, M, N, m, n, 0.0, tau, 0.0)

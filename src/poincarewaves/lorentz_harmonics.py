@@ -154,7 +154,10 @@ class HarmonicIndex:
     dotted: bool = False
 
     def __post_init__(self) -> None:
-        L, M, N = _doubled_triple(self.l, self.m, self.n)
+        try:
+            L, M, N = _doubled_triple(self.l, self.m, self.n)
+        except TypeError:  # not a cache key, such as a 0-d array
+            L, M, N = _validated_doubled(self.l, self.m, self.n)
         object.__setattr__(self, "l", L / 2)
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
@@ -613,7 +616,8 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
                           _z_value(L, M, N, theta, tau), dotted)
     except ValueError:  # math.sin or cmath.exp of an infinite angle
         value = cmath.nan
-    if not (cmath.isfinite(value) and math.isfinite(theta)):  # Z^0_00 = 1
+    # theta too: Z^0_00 = 1 even where theta is not finite.
+    if not (cmath.isfinite(value) and math.isfinite(theta)):
         _refuse_non_finite(phi=phi, theta=theta, chi=chi)
         raise ValueError(f"the weighted element at phi={phi!r}, "
                          f"theta={theta!r}, chi={chi!r} is not finite")

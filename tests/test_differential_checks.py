@@ -265,8 +265,10 @@ def test_legendre_refuses_tau_as_holomorphy_does():
 
 
 @pytest.mark.parametrize("idx, tau", [
-    (HarmonicIndex(0.5, 0.5, 0.5), 300.0), (HarmonicIndex(0.5, 0.5, 0.5), -1000.0),
-    (HarmonicIndex(0, 0, 0), 1000.0), (HarmonicIndex(1, 1, 0, dotted=True), 300.0),
+    (HarmonicIndex(0.5, 0.5, 0.5), 300.0),
+    (HarmonicIndex(0.5, 0.5, 0.5), -1000.0),
+    (HarmonicIndex(0, 0, 0), 1000.0),
+    (HarmonicIndex(1, 1, 0, dotted=True), 300.0),
 ])
 def test_legendre_overflowing_sine_power_is_a_value_error(idx, tau):
     # Accepted by the Z routes, but sin^3(theta_c) leaves the floats.
@@ -303,14 +305,16 @@ def reference_casimir(idx, angles, step, levels):
 
     def estimate(h):
         h2 = h * h
-        d_theta = (f(theta0 + h, phi0, chi0) - f(theta0 - h, phi0, chi0)) / (2 * h)
+        d_theta = (f(theta0 + h, phi0, chi0)
+                   - f(theta0 - h, phi0, chi0)) / (2 * h)
         d2_theta = (f(theta0 + h, phi0, chi0) - 2 * f0
                     + f(theta0 - h, phi0, chi0)) / h2
         d2_phi = (f(theta0, phi0 + h, chi0) - 2 * f0
                   + f(theta0, phi0 - h, chi0)) / h2
         d2_chi = (f(theta0, phi0, chi0 + h) - 2 * f0
                   + f(theta0, phi0, chi0 - h)) / h2
-        d_phi_chi = (f(theta0, phi0 + h, chi0 + h) - f(theta0, phi0 + h, chi0 - h)
+        d_phi_chi = (f(theta0, phi0 + h, chi0 + h)
+                     - f(theta0, phi0 + h, chi0 - h)
                      - f(theta0, phi0 - h, chi0 + h)
                      + f(theta0, phi0 - h, chi0 - h)) / (4 * h2)
         return (d2_theta + (cos_c / sin_c) * d_theta

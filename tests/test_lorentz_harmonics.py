@@ -78,11 +78,18 @@ class TestHarmonicIndex:
         with pytest.raises(ValueError) as direct:
             lorentz_harmonics._validated_doubled(l, m, n)
         message = f"^{re.escape(str(direct.value))}$"
-        cached = lorentz_harmonics._doubled_triple.cache_info().currsize
+        cache = lorentz_harmonics._doubled_triple
+        cached = cache.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 HarmonicIndex(l, m, n)
-        assert lorentz_harmonics._doubled_triple.cache_info().currsize == cached
+        assert cache.cache_info().currsize == cached
+
+    def test_unhashable_numbers_are_validated(self):
+        idx = HarmonicIndex(np.array(1.5), np.array(0.5), -1.5)
+        assert idx.doubled == (3, 1, -3) and type(idx.l) is float
+        with pytest.raises(ValueError, match="^l must be non-negative"):
+            HarmonicIndex(np.array(-1.0), 0, 0)
 
     def test_validation_is_cached(self):
         cache = lorentz_harmonics._doubled_triple
@@ -538,7 +545,8 @@ class TestOutOfRange:
     def test_overflowing_finite_parameters_are_refused(self):
         with pytest.raises(ValueError, match="is not finite$"):
             generalized_m_values(1, 1, -1, 1e308, 0.0, 0.5, 0.2, -1e308, 0.0)
-        with pytest.raises(ValueError, match="m epsilon \\+ n vareps overflows"):
+        with pytest.raises(ValueError,
+                           match="m epsilon \\+ n vareps overflows"):
             generalized_m_values(1, 1, 1, 0.0, 1e308, 0.5, 0.2, 0.0, 1e308)
 
     def test_weights_just_inside_the_bound_are_finite(self):
