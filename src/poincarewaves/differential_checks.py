@@ -187,7 +187,7 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
     def f(z: complex, phi: float, chi: float) -> complex:
         return _weighted(m * phi + n * chi, decay, z, dotted)
 
-    theta_c = angles.theta_c_dot if idx.dotted else angles.theta_c
+    theta_c = angles.theta_c_dot if dotted else angles.theta_c
     sin_c, cos_c = cmath.sin(theta_c), cmath.cos(theta_c)
     z0 = _z_value(L, M, N, theta0, tau)
     f0 = f(z0, phi0, chi0)

@@ -275,8 +275,8 @@ def eigenstructure(k, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     wavevectors or a list of WaveVectors: then the values are (n, 3) and the
     vectors (n, 3, 3), row i the pair of k[i], each checked as a single k is.
     """
-    stacked = (isinstance(k, list) and bool(k) and isinstance(k[0], WaveVector)
-               or np.ndim(k) == 2)
+    stacked = ((isinstance(k, list) and bool(k)
+                and isinstance(k[0], WaveVector)) or np.ndim(k) == 2)
     kvs = [_as_wavevector(row) for row in (k if stacked else [k])]
     if any(kv.magnitude == 0.0 for kv in kvs):
         raise ValueError("wavevector must be non-zero for the eigenproblem")
