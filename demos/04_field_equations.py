@@ -20,15 +20,13 @@ import numpy as np
 from poincarewaves import (
     NORMALIZATION,
     FieldPair,
+    PhotonPlaneWave,
     dirac_form_residual,
     dirac_form_scale,
     energy_density,
     evaluate_terms,
     lagrangian_density_translation,
     maxwell_residuals,
-    me1_member,
-    me2_member,
-    me6_column,
 )
 
 K = (1.0, 2.0, 3.0)
@@ -38,8 +36,8 @@ norm = float(np.linalg.norm(K))
 print("Helicity members and conjugation pairing")
 print("----------------------------------------")
 for lam in (1, 0, -1):
-    u1 = me1_member(K, lam)
-    u2 = me2_member(K, lam)
+    wave = PhotonPlaneWave(K, lam)
+    u1, u2 = wave.me1(), wave.me2()
     scale = dirac_form_scale(u1)
     conj1 = [term.conjugate() for term in u1]
     print(f"lam={lam:+d}:  ME1 residual {dirac_form_residual(u1, 'ME1', X, T):.2e}"
@@ -51,7 +49,7 @@ print()
 print("The 6x6 column (u; u*)")
 print("----------------------")
 for lam in (1, 0, -1):
-    column = me6_column(K, lam)
+    column = PhotonPlaneWave(K, lam).me6()
     print(f"lam={lam:+d}:  ME6 residual {dirac_form_residual(column, 'ME6', X, T):.2e}"
           f"   on-shell Lagrangian |L| = "
           f"{abs(lagrangian_density_translation(column, X, T)):.2e}")
@@ -69,7 +67,7 @@ for lam in (1, -1, 0):
 print()
 print("Energy density and its field form")
 print("---------------------------------")
-psi = evaluate_terms(me6_column(K, 1), X, T)
+psi = evaluate_terms(PhotonPlaneWave(K, 1).me6(), X, T)
 pair = FieldPair.from_value(psi)
 print(f"psi^dagger psi            = {energy_density(psi):.6e}")
 print(f"2 (|E|^2 + |B|^2)         = "

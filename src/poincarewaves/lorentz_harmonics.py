@@ -183,12 +183,14 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     polynomial, of order at most 2 * _MAX_WEIGHT = 40 (the largest order
     any route sums, at l = 20).  Raises ValueError if neither upper
     parameter terminates the series, if the series order exceeds 40, if c
-    is a non-positive integer whose pole is reached before termination, or
-    if a, b or c is not finite.
+    is a non-positive integer whose pole is reached before termination, if
+    a, b, c or x is not finite, or if the sum overflows a float.
     """
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     stops = [(-int(round(v)), name, v) for name, v in (("a", a), ("b", b))
              if v == round(v) and round(v) <= 0]
     if not stops:
@@ -210,6 +212,8 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     for j in range(order):
         term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
         total += term
+    if not cmath.isfinite(total):
+        raise ValueError(f"the series overflows a float at x={x!r}")
     return total
 
 

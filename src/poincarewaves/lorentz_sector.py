@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +80,19 @@ def angular_order(l) -> int:
 
 
 def radial_ladder(l: int) -> float:
-    """The coupling constant sqrt(2 l (l+1)) of the radial system."""
-    return math.sqrt(2.0 * l * (l + 1))
+    """The coupling constant sqrt(2 l (l+1)) of the radial system.
+
+    ValueError unless l is an integer >= 1 whose ladder is a finite float.
+    """
+    order = angular_order(l)
+    try:
+        ladder = math.sqrt(2.0 * order * (order + 1))
+    except OverflowError:  # l itself above the float range
+        ladder = math.inf
+    if ladder == math.inf:
+        raise ValueError(
+            f"l is too large: sqrt(2 l (l+1)) overflows a float, got {l!r}")
+    return ladder
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,8 @@ class RadialSolution:
     C: complex = 0.0
     Cdot: complex = 0.0
     variant: str = "corrected"
+    #: sqrt(2 l (l+1)), computed once from the validated l.
+    ladder: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", angular_order(self.l))
@@ -166,10 +179,7 @@ class RadialSolution:
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-
-    @property
-    def ladder(self) -> float:
-        return radial_ladder(self.l)
+        object.__setattr__(self, "ladder", radial_ladder(self.l))
 
     @property
     def linear_coefficient(self) -> float:
@@ -217,13 +227,12 @@ def radial_residual(l: int, radial, r: complex
     object with RadialSolution's ``f`` and ``f_prime``.  Raises ValueError at
     r = 0, at a non-finite r, and where a residual overflows.
     """
-    l = angular_order(l)
+    ladder = radial_ladder(l)
     r = complex(r)
     if r == 0:
         raise ValueError("r = 0 is a singular point of the radial system")
     if not cmath.isfinite(r):
         raise ValueError(f"r must be finite, got {r!r}")
-    ladder = radial_ladder(l)
     residuals = []
     for rho, dotted in ((r, False), (r.conjugate(), True)):
         f0 = radial.f(0, rho, dotted)

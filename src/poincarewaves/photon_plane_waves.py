@@ -27,12 +27,14 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
     * With omega = +c|k|, the mode eps_+ e^{i(k.x - wt)} therefore solves ME1
       and eps_- e^{i(k.x - wt)} solves ME2; conjugation swaps the two.
     * For w = E - iB the classical Maxwell system corresponds to ME2, so the
-      field extraction E = Re(w), B = -Im(w) in ``maxwell_residuals`` uses each
-      mode's ME2-solving member.
+      field extraction E = Re(w), B = -Im(w) in ``PhotonPlaneWave.fields``
+      uses each mode's ME2-solving member.
 
     Plane waves are represented exactly as lists of PlaneWaveTerm
     (amplitude, wavevector, frequency), and every operator acts on a term's
     amplitude alone: grad -> i k, d/dt -> -i omega, curl -> i k x, div -> i k.
+    Each mode, a PhotonPlaneWave, builds its members: the 3-vector me1() and
+    me2(), the column me6() = (u; u*) and the E and B term lists fields().
     Each residual takes every term's phase once, pairs the amplitudes with
     those phases and sums them in one accumulator, so all residuals are exact
     up to floating-point roundoff.
@@ -62,10 +64,6 @@ __all__ = [
     "eigenstructure",
     "polarization_vectors",
     "transversality_residual",
-    "me1_member",
-    "me2_member",
-    "me6_column",
-    "mode_field_terms",
     "evaluate_terms",
     "dirac_form_residual",
     "dirac_form_scale",
@@ -187,10 +185,6 @@ class WaveVector:
         exponent = math.frexp(max(abs(self.k1), abs(self.k2), abs(self.k3)))[1]
         return (math.ldexp(self.k1, -exponent), math.ldexp(self.k2, -exponent),
                 math.ldexp(self.k3, -exponent), exponent)
-
-    def omega(self, c: float = 1.0) -> float:
-        """Dispersion omega = c |k| for the propagating modes."""
-        return c * self.magnitude
 
 
 def _as_wavevector(k) -> WaveVector:
@@ -362,12 +356,22 @@ class PlaneWaveTerm:
     omega: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitude",
-                           np.asarray(self.amplitude, dtype=complex))
-        object.__setattr__(self, "kvec", np.asarray(self.kvec, dtype=float))
-        if self.kvec.shape != (3,):
+        amplitude = np.asarray(self.amplitude, dtype=complex)
+        kvec = np.asarray(self.kvec, dtype=float)
+        if kvec.shape != (3,):
             raise ValueError("kvec must be a 3-vector")
-        object.__setattr__(self, "omega", float(self.omega))
+        omega = float(self.omega)
+        # Python's isfinite per element: on a few elements it is cheaper
+        # than numpy's.
+        if not all(map(cmath.isfinite, amplitude.ravel().tolist())):
+            raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+        if not all(map(math.isfinite, kvec.tolist())):
+            raise ValueError(f"kvec must be finite, got {kvec!r}")
+        if not math.isfinite(omega):
+            raise ValueError(f"omega must be finite, got {omega!r}")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "kvec", kvec)
+        object.__setattr__(self, "omega", omega)
 
     def phase(self, x, t: float) -> complex:
         """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
@@ -393,6 +397,15 @@ def _sum_at(amplitudes: Iterable[np.ndarray], phases: Sequence[complex]):
     for amplitude, phase in zip(amplitudes, phases):
         total = total + amplitude * phase
     return total
+
+
+def _within_float(value: float, what: str, names: str) -> float:
+    """value, or ValueError where it is not finite: PlaneWaveTerm holds only
+    finite numbers, so the operator arithmetic on ``names`` overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows a float: the amplitudes, k or "
+                         f"omega / c of {names} are too large")
+    return value
 
 
 def _checked(terms: Iterable[PlaneWaveTerm], size: int,
@@ -457,7 +470,8 @@ class PhotonPlaneWave:
         amplitude, kvec = NORMALIZATION * np.concatenate([eps, eps]), k.array
         amplitude.setflags(write=False)
         kvec.setflags(write=False)
-        # omega = c |k| as WaveVector.omega computes it, from the |k| above.
+        if lam:  # the longitudinal mode is static: omega = 0
+            _check_frequency(k, c)
         term = PlaneWaveTerm(amplitude, kvec, c * norm if lam else 0.0)
         for name, value in (("k", k), ("lam", lam), ("c", c), ("term", term)):
             object.__setattr__(self, name, value)
@@ -469,67 +483,38 @@ class PhotonPlaneWave:
     def value(self, x, t: float) -> np.ndarray:
         return self.term.amplitude * self.term.phase(x, t)
 
+    def me1(self) -> list[PlaneWaveTerm]:
+        """The 3-vector member that solves ME1: the upper block of ``term``,
+        conjugated for lam = -1 (whose eps_- e^{i(k.x - wt)} solves ME2)."""
+        term = self.term
+        direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
+        return [direct.conjugate()] if self.lam == -1 else [direct]
 
-def me1_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
-    """The 3-vector representative of mode lam that solves ME1 exactly.
+    def me2(self) -> list[PlaneWaveTerm]:
+        """The 3-vector member that solves ME2, the E - iB carrier: the ME1
+        member conjugated (conj(alpha) = -alpha swaps the two equations)."""
+        return [term.conjugate() for term in self.me1()]
 
-    lam=+1: eps_+ e^{i(k.x - wt)}; lam=-1: the conjugate of the ME2-solving
-    eps_- e^{i(k.x - wt)}; lam=0: the static eps_0 e^{i k.x}.  Amplitudes carry
-    the plane-wave normalization: the upper block of the displayed column.
-    """
-    return _me1_of(PhotonPlaneWave(k, lam, c))
+    def me6(self) -> list[PlaneWaveTerm]:
+        """The column (u; u*) of the ME1 member u, which solves ME6: its upper
+        rows (the ME2 operator) and lower rows (the ME1 operator) vanish."""
+        [u] = self.me1()
+        conj = u.conjugate()
+        return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
+                              u.kvec, u.omega),
+                PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
+                              conj.kvec, conj.omega)]
 
-
-# The member builders below take one built mode or member, so a caller that
-# needs several members of a mode builds the mode once.
-
-def _me1_of(wave: PhotonPlaneWave) -> list[PlaneWaveTerm]:
-    term = wave.term
-    direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
-    return [direct.conjugate()] if wave.lam == -1 else [direct]
-
-
-def _conjugates(terms: Iterable[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
-    return [term.conjugate() for term in terms]
-
-
-def _column_of(me1: list[PlaneWaveTerm]) -> list[PlaneWaveTerm]:
-    [u] = me1
-    conj = u.conjugate()
-    return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
-                          u.kvec, u.omega),
-            PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
-                          conj.kvec, conj.omega)]
-
-
-def _fields_of(me2: list[PlaneWaveTerm]
-               ) -> tuple[list[PlaneWaveTerm], list[PlaneWaveTerm]]:
-    [w] = me2
-    carriers = (w, w.conjugate())
-    e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
-               for term in carriers]
-    b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
-               for factor, term in zip((0.5j, -0.5j), carriers)]
-    return e_terms, b_terms
-
-
-def me2_member(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
-    """The 3-vector representative of mode lam that solves ME2 exactly.
-
-    The conjugate of the ME1 member (conj(alpha) = -alpha swaps the two
-    equations), i.e. the E - iB carrier of the classical Maxwell system.
-    """
-    return _conjugates(me1_member(k, lam, c))
-
-
-def me6_column(k, lam: int, c: float = 1.0) -> list[PlaneWaveTerm]:
-    """The conjugate-paired 6-component column (u; u*) that solves the 6x6 form.
-
-    u is the mode's ME1-solving member; the lower block carries its conjugate
-    so the upper rows (the ME2 operator) and lower rows (the ME1 operator) of
-    the 6x6 system vanish simultaneously.
-    """
-    return _column_of(me1_member(k, lam, c))
+    def fields(self) -> tuple[list[PlaneWaveTerm], list[PlaneWaveTerm]]:
+        """Exact (E, B) term lists: E = Re(w) and B = -Im(w) of the ME2 member
+        w, as conjugate-paired terms, so both fields are real-valued."""
+        [w] = self.me2()
+        carriers = (w, w.conjugate())
+        e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
+                   for term in carriers]
+        b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
+                   for factor, term in zip((0.5j, -0.5j), carriers)]
+        return e_terms, b_terms
 
 
 def _me3_operator(term: PlaneWaveTerm, spatial_sign: float, c: float) -> np.ndarray:
@@ -557,28 +542,37 @@ def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
 
     equation: "ME1" ((i/c)d/dt - i alpha.grad on 3-vectors), "ME2" (the +alpha
     variant), or "ME6" (the 6x6 block form).  Derivatives are exact per term;
-    the residual is evaluated at the given spacetime point.
+    the residual is evaluated at the given spacetime point.  ValueError
+    where it overflows a float.
     """
     c = _check_c(c)
     equation = equation.upper()
     if equation not in ("ME1", "ME2", "ME6"):
         raise ValueError(f"equation must be ME1, ME2, or ME6, got {equation!r}")
-    if equation == "ME6":
-        terms = _checked(terms, 6, "ME6 residual")
-        amplitudes = [_me6_operator(term.amplitude, term, c) for term in terms]
-    else:
-        terms = _checked(terms, 3, f"{equation} residual")
-        sign = -1.0 if equation == "ME1" else 1.0
-        amplitudes = [_me3_operator(term, sign, c) for term in terms]
-    return float(_norm(_sum_at(amplitudes, _phases(terms, x, t))))
+    terms = _checked(terms, 6 if equation == "ME6" else 3,
+                     f"{equation} residual")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if equation == "ME6":
+            amplitudes = [_me6_operator(term.amplitude, term, c)
+                          for term in terms]
+        else:
+            sign = -1.0 if equation == "ME1" else 1.0
+            amplitudes = [_me3_operator(term, sign, c) for term in terms]
+        residual = float(_norm(_sum_at(amplitudes, _phases(terms, x, t))))
+    return _within_float(residual, f"the {equation} residual", "terms")
 
 
 def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
-    """Natural magnitude of the operator terms: sum of |amp| (|w|/c + |k|)."""
+    """Natural magnitude of the operator terms: sum of |amp| (|w|/c + |k|).
+
+    ValueError where it overflows a float.
+    """
     c = _check_c(c)
-    return float(sum(
-        _norm(term.amplitude) * (abs(term.omega) / c + _norm(term.kvec))
-        for term in terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(sum(
+            _norm(term.amplitude) * (abs(term.omega) / c + _norm(term.kvec))
+            for term in terms))
+    return _within_float(scale, "the Dirac-form scale", "terms")
 
 
 def _dt(term: PlaneWaveTerm) -> np.ndarray:
@@ -594,12 +588,11 @@ def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
     Returns (faraday, ampere, div_e, div_b) for
     curl E + (1/c) dB/dt, curl B - (1/c) dE/dt, div E, div B,
     with all derivatives exact per term (curl -> i k x a, div -> i k . a),
-    evaluated at (x, t).
+    evaluated at (x, t).  ValueError where one overflows a float.
     """
     c = _check_c(c)
     e_terms = _checked(e_terms, 3, "Maxwell residual")
     b_terms = _checked(b_terms, 3, "Maxwell residual")
-    e_phases, b_phases = _phases(e_terms, x, t), _phases(b_terms, x, t)
 
     def curl(terms):
         return [1j * _cross(term.kvec, term.amplitude) for term in terms]
@@ -607,21 +600,17 @@ def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
     def div(terms):
         return [np.array([1j * (term.kvec @ term.amplitude)]) for term in terms]
 
-    faraday = [*curl(e_terms), *((1 / c) * _dt(term) for term in b_terms)]
-    ampere = [*curl(b_terms), *((-1 / c) * _dt(term) for term in e_terms)]
-    return tuple(float(_norm(_sum_at(amplitudes, phases))) for amplitudes, phases in (
-        (faraday, e_phases + b_phases), (ampere, b_phases + e_phases),
-        (div(e_terms), e_phases), (div(b_terms), b_phases)))
-
-
-def mode_field_terms(k, lam: int, c: float = 1.0
-                     ) -> tuple[list[PlaneWaveTerm], list[PlaneWaveTerm]]:
-    """Exact E and B term lists of mode lam via the E - iB carrier.
-
-    w = the mode's ME2-solving member; E = Re(w) and B = -Im(w) expand into
-    conjugate-paired exponential terms (so both fields are real-valued).
-    """
-    return _fields_of(me2_member(k, lam, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_phases, b_phases = _phases(e_terms, x, t), _phases(b_terms, x, t)
+        faraday = [*curl(e_terms), *((1 / c) * _dt(term) for term in b_terms)]
+        ampere = [*curl(b_terms), *((-1 / c) * _dt(term) for term in e_terms)]
+        residuals = tuple(float(_norm(_sum_at(amplitudes, phases)))
+                          for amplitudes, phases in (
+            (faraday, e_phases + b_phases), (ampere, b_phases + e_phases),
+            (div(e_terms), e_phases), (div(b_terms), b_phases)))
+    for residual in residuals:
+        _within_float(residual, "a Maxwell residual", "e_terms and b_terms")
+    return residuals
 
 
 def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
@@ -632,8 +621,8 @@ def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
     longitudinal mode satisfies the two curl equations trivially but fails both
     divergence equations at scale |k| (the transversality exclusion).
     """
-    e_terms, b_terms = mode_field_terms(k, lam, c)
-    return maxwell_residuals_from_terms(e_terms, b_terms, x, t, c)
+    return maxwell_residuals_from_terms(*PhotonPlaneWave(k, lam, c).fields(),
+                                        x, t, c)
 
 
 def _energy_identity(psi6) -> tuple[float, float]:
@@ -650,8 +639,13 @@ def energy_density(psi6) -> float:
 
     Verifies the algebraic identity psi^dagger psi = 2 (|E|^2 + |B|^2) with
     E, B from FieldPair (Hermitian squared norms) before returning the value.
+    ValueError where psi6 is not finite or either side overflows a float.
     """
-    direct, dual = _energy_identity(psi6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct, dual = _energy_identity(psi6)
+    if not (math.isfinite(direct) and math.isfinite(dual)):
+        raise ValueError("psi6 must be finite, with psi^dagger psi within "
+                         f"the float range; got psi^dagger psi = {direct!r}")
     if abs(direct - dual) > 1e-12 * max(1.0, abs(direct)):
         raise ArithmeticError(
             f"energy dual-formula identity violated: {direct!r} vs {dual!r}")
@@ -705,10 +699,13 @@ def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
     conj(psi) with exact per-term derivatives.  Algebraically this equals
     Gamma_0 times the conjugate of the direct 6x6 residual, so it vanishes
     on-shell; it is computed directly here so the identity is testable.
+    ValueError where it overflows a float.
     """
     c = _check_c(c)
     conjugates = [term.conjugate()
                   for term in _checked(terms, 6, "conjugate-field residual")]
-    return float(_norm(_sum_at(
-        [_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T)
-         for conj in conjugates], _phases(conjugates, x, t))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(_norm(_sum_at(
+            [_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T)
+             for conj in conjugates], _phases(conjugates, x, t))))
+    return _within_float(residual, "the conjugate-field residual", "terms")

@@ -95,10 +95,11 @@ class PoincareWaveFunction:
         return base.conjugate() if self.dotted else base
 
     def translation_term3(self) -> PlaneWaveTerm:
-        """The 3-vector exponential term carried by the translation factor."""
-        column = self.plane.term
-        term = PlaneWaveTerm(column.amplitude[:3], column.kvec, column.omega)
-        return term.conjugate() if self.dotted else term
+        """The 3-vector term of the translation factor: the plane wave's ME2
+        member where exactly one of lam = -1 and dotted holds, else its ME1."""
+        [term] = (self.plane.me2() if (self.lam == -1) != self.dotted
+                  else self.plane.me1())
+        return term
 
     def translation_equation(self) -> str:
         """Which first-order equation the translation factor solves exactly.

@@ -73,11 +73,7 @@ from .photon_plane_waves import (
     PlaneWaveTerm,
     _as_wavevector,
     _check_c,
-    _column_of,
-    _conjugates,
     _energy_identity,
-    _fields_of,
-    _me1_of,
     _norm,
     anti_equation_residual,
     commutator_sign,
@@ -508,16 +504,16 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
         at = {"x": _k_label(point), "t": t}
         # Each mode is built once, and its members from it.
         waves = {lam: PhotonPlaneWave(k, lam, c) for lam in (1, 0, -1)}
-        me1 = {lam: _me1_of(wave) for lam, wave in waves.items()}
-        me2 = {lam: _conjugates(terms) for lam, terms in me1.items()}
+        me1 = {lam: wave.me1() for lam, wave in waves.items()}
+        me2 = {lam: wave.me2() for lam, wave in waves.items()}
         for lam in (1, -1):
             residuals = maxwell_residuals_from_terms(
-                *_fields_of(me2[lam]), point, t, c)
+                *waves[lam].fields(), point, t, c)
             records.append(config.record(
                 "maxwell", {"k": label, "lam": lam}, at,
                 max(residuals), max(1.0, norm)))
         faraday, ampere, div_e, div_b = maxwell_residuals_from_terms(
-            *_fields_of(me2[0]), point, t, c)
+            *waves[0].fields(), point, t, c)
         records.append(config.record(
             "maxwell", {"k": label, "lam": 0, "part": "curl"}, at,
             max(faraday, ampere), max(1.0, norm)))
@@ -527,7 +523,7 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             {**at, "div_e": div_e, "div_b": div_b},
             _deficit(threshold, min(div_e, div_b)), 1.0))
         for lam in (1, 0, -1):
-            column = _column_of(me1[lam])
+            column = waves[lam].me6()
             for equation, terms in (("ME1", me1[lam]), ("ME2", me2[lam]),
                                     ("ME6", column)):
                 scale = dirac_form_scale(terms, c)
@@ -554,12 +550,10 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                 "dirac_control", {"k": label, "equation": equation},
                 {"observed": observed, "threshold": 0.1 * scale},
                 _deficit(0.1 * scale, observed), 1.0))
-        pair_terms = [*me1[1], *me1[-1]]
-        conjugated = _conjugates(pair_terms)
         records.append(config.record(
             "pairing", {"k": label}, at,
-            dirac_form_residual(conjugated, "ME2", point, t, c),
-            dirac_form_scale(pair_terms, c)))
+            dirac_form_residual([*me2[1], *me2[-1]], "ME2", point, t, c),
+            dirac_form_scale([*me1[1], *me1[-1]], c)))
         wave = waves[1]
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)

@@ -45,9 +45,6 @@ from poincarewaves.photon_plane_waves import (
     eigenstructure,
     lagrangian_density_translation,
     maxwell_residuals,
-    me1_member,
-    me2_member,
-    me6_column,
     polarization_vectors,
 )
 from poincarewaves.poincare_assembly import (
@@ -239,8 +236,8 @@ def test_criterion_07_maxwell_and_pairing():
         floor = 0.1 * NORMALIZATION * norm
         assert div_e > floor and div_b > floor, (k, div_e, div_b)
         for lam in (1, 0, -1):
-            u1 = me1_member(k, lam)
-            u2 = me2_member(k, lam)
+            u1 = PhotonPlaneWave(k, lam).me1()
+            u2 = PhotonPlaneWave(k, lam).me2()
             scale = dirac_form_scale(u1)
             for x, t in points:
                 assert dirac_form_residual(u1, "ME1", x, t) <= 1e-12 * max(1.0, scale)
@@ -249,7 +246,7 @@ def test_criterion_07_maxwell_and_pairing():
                 conj2 = [term.conjugate() for term in u2]
                 assert dirac_form_residual(conj1, "ME2", x, t) <= 1e-12 * max(1.0, scale)
                 assert dirac_form_residual(conj2, "ME1", x, t) <= 1e-12 * max(1.0, scale)
-        mixed = [*me1_member(k, 1), *me1_member(k, -1)]
+        mixed = [*PhotonPlaneWave(k, 1).me1(), *PhotonPlaneWave(k, -1).me1()]
         conj_mixed = [term.conjugate() for term in mixed]
         scale = dirac_form_scale(mixed)
         for x, t in points:
@@ -272,7 +269,7 @@ def test_criterion_08_energy_and_lagrangian():
     points = (((0.23, -0.41, 0.57), 0.31), ((0.5, -1.0, 0.25), 2.0))
     for k in K_SET:
         for lam in (1, 0, -1):
-            column = me6_column(k, lam)
+            column = PhotonPlaneWave(k, lam).me6()
             for x, t in points:
                 assert abs(lagrangian_density_translation(column, x, t)
                            ) <= 1e-12, (k, lam)

@@ -1,11 +1,25 @@
-"""The package's public surface: each module's ``__all__`` is the one list."""
+"""The package's public surface: each module's ``__all__`` is the one list,
+and an argument outside a callable's domain is refused with a ValueError."""
 
 import importlib
+import math
 import pkgutil
+import warnings
 
 import pytest
 
 import poincarewaves
+from poincarewaves import (
+    PhotonPlaneWave,
+    PlaneWaveTerm,
+    anti_equation_residual,
+    dirac_form_residual,
+    dirac_form_scale,
+    energy_density,
+    maxwell_residuals,
+    radial_ladder,
+    terminating_2f1,
+)
 
 MODULES = [
     importlib.import_module(f"poincarewaves.{name}")
@@ -39,3 +53,43 @@ def test_package_all_is_the_union_of_module_lists():
 def test_exports_are_the_module_objects(module):
     for name in module.__all__:
         assert getattr(poincarewaves, name) is getattr(module, name), name
+
+
+NAN, INF, BIG_K = math.nan, math.inf, (1e200, 1e200, 0.0)
+
+#: (id, call, pattern): each call once leaked a NaN, a numpy warning or
+#: another exception; the refusal's message names the argument.
+DOMAIN_CASES = [
+    ("term-amplitude",
+     lambda: PlaneWaveTerm([NAN] * 6, (1, 2, 3), 1.0), "amplitude"),
+    ("term-kvec", lambda: PlaneWaveTerm([1] * 6, (1, INF, 3), 1.0), "kvec"),
+    ("term-omega", lambda: PlaneWaveTerm([1] * 6, (1, 2, 3), NAN), "omega"),
+    ("dirac-ME1", lambda: dirac_form_residual(
+        PhotonPlaneWave(BIG_K, 1).me1(), "ME1"), "terms"),
+    ("dirac-ME6", lambda: dirac_form_residual(
+        PhotonPlaneWave(BIG_K, 1).me6(), "ME6"), "terms"),
+    ("scale", lambda: dirac_form_scale(
+        PhotonPlaneWave(BIG_K, 1).me6()), "terms"),
+    ("scale-1.7e200", lambda: dirac_form_scale(
+        PhotonPlaneWave((1.7e200, 0, 0), 1).me6()), "terms"),
+    ("anti", lambda: anti_equation_residual(
+        PhotonPlaneWave(BIG_K, 1).me6()), "terms"),
+    ("maxwell", lambda: maxwell_residuals(BIG_K, 1), r"\bk\b"),
+    *((f"energy-{value}",
+       lambda value=value: energy_density([value, 0, 0, 0, 0, 0]), "psi6")
+      for value in (INF, 1e200)),
+    *((f"2f1-{x}", lambda x=x: terminating_2f1(-3, 2, 1.5, x), r"\bx\b")
+      for x in (NAN, INF, -INF, 1e308)),
+    *((f"ladder-{l}", lambda l=l: radial_ladder(l), r"\bl\b")
+      for l in (NAN, -5, 1e300)),
+]
+
+
+@pytest.mark.parametrize("call, pattern",
+                         [case[1:] for case in DOMAIN_CASES],
+                         ids=[case[0] for case in DOMAIN_CASES])
+def test_out_of_domain_argument_is_a_value_error(call, pattern):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=pattern):
+            call()

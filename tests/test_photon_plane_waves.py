@@ -29,10 +29,6 @@ from poincarewaves.photon_plane_waves import (
     lagrangian_density_translation,
     maxwell_residuals,
     maxwell_residuals_from_terms,
-    me1_member,
-    me2_member,
-    me6_column,
-    mode_field_terms,
     polarization_vectors,
     transversality_residual,
 )
@@ -435,6 +431,41 @@ class TestPlaneWave:
                 array[0] = 0.0
 
 
+def _bits(term):
+    return (term.amplitude.tobytes(), term.kvec.tobytes(), term.omega.hex())
+
+
+class TestModeMembers:
+    """Each member is built from the mode's ``term``, bit for bit."""
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    @pytest.mark.parametrize("lam", [+1, -1, 0])
+    def test_members_are_one_family(self, k, lam):
+        wave = PhotonPlaneWave(k, lam, c=1.5)
+        [u] = wave.me1()
+        column = wave.term
+        upper = PlaneWaveTerm(column.amplitude[:3], column.kvec, column.omega)
+        assert _bits(u) == _bits(upper.conjugate() if lam == -1 else upper)
+        [w] = wave.me2()
+        assert _bits(w) == _bits(u.conjugate())
+        top, bottom = wave.me6()
+        zeros = np.zeros(3)
+        assert _bits(top) == _bits(PlaneWaveTerm(
+            np.concatenate([u.amplitude, zeros]), u.kvec, u.omega))
+        conj = u.conjugate()
+        assert _bits(bottom) == _bits(PlaneWaveTerm(
+            np.concatenate([zeros, conj.amplitude]), conj.kvec, conj.omega))
+        e_terms, b_terms = wave.fields()
+        carriers = (w, w.conjugate())
+        assert [_bits(term) for term in e_terms] == [
+            _bits(PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega))
+            for term in carriers]
+        assert [_bits(term) for term in b_terms] == [
+            _bits(PlaneWaveTerm(factor * term.amplitude, term.kvec,
+                                term.omega))
+            for factor, term in zip((0.5j, -0.5j), carriers)]
+
+
 POINTS = [((0.0, 0.0, 0.0), 0.0), ((0.3, -0.7, 1.1), 0.45),
           ((-1.2, 0.8, 0.05), -2.3)]
 
@@ -443,7 +474,7 @@ class TestDiracFormResidual:
     @pytest.mark.parametrize("k", GENERIC_KS)
     @pytest.mark.parametrize("lam", [+1, -1, 0])
     def test_me1_member_solves_me1(self, k, lam):
-        terms = me1_member(k, lam)
+        terms = PhotonPlaneWave(k, lam).me1()
         scale = dirac_form_scale(terms)
         for x, t in POINTS:
             assert dirac_form_residual(terms, "ME1", x, t) < 1e-12 * max(1, scale)
@@ -451,21 +482,21 @@ class TestDiracFormResidual:
     @pytest.mark.parametrize("k", GENERIC_KS)
     @pytest.mark.parametrize("lam", [+1, -1, 0])
     def test_me2_member_solves_me2(self, k, lam):
-        terms = me2_member(k, lam)
+        terms = PhotonPlaneWave(k, lam).me2()
         scale = dirac_form_scale(terms)
         for x, t in POINTS:
             assert dirac_form_residual(terms, "ME2", x, t) < 1e-12 * max(1, scale)
 
     def test_longitudinal_solves_both(self):
-        terms = me1_member((1.0, 2.0, 3.0), 0)
+        terms = PhotonPlaneWave((1.0, 2.0, 3.0), 0).me1()
         assert dirac_form_residual(terms, "ME1") < 1e-13
         assert dirac_form_residual(terms, "ME2") < 1e-13
 
     def test_conjugation_swaps_equations(self):
         # If psi solves ME1 then its conjugate solves ME2, including for
         # superpositions across wavevectors.
-        terms = [*me1_member((1.0, 2.0, 3.0), +1),
-                 *me1_member((-0.5, 0.3, 1.1), -1)]
+        terms = [*PhotonPlaneWave((1.0, 2.0, 3.0), +1).me1(),
+                 *PhotonPlaneWave((-0.5, 0.3, 1.1), -1).me1()]
         conj = [term.conjugate() for term in terms]
         scale = dirac_form_scale(terms)
         assert dirac_form_residual(terms, "ME1") < 1e-12 * max(1, scale)
@@ -486,7 +517,7 @@ class TestDiracFormResidual:
     @pytest.mark.parametrize("k", GENERIC_KS)
     @pytest.mark.parametrize("lam", [+1, -1, 0])
     def test_me6_column_solves_six_by_six(self, k, lam):
-        terms = me6_column(k, lam)
+        terms = PhotonPlaneWave(k, lam).me6()
         scale = dirac_form_scale(terms)
         for x, t in POINTS:
             assert dirac_form_residual(terms, "ME6", x, t) < 1e-12 * max(1, scale)
@@ -502,13 +533,13 @@ class TestDiracFormResidual:
     def test_c_threading(self):
         k = (0.0, 3.0, 4.0)
         for c in (0.5, 2.0, 299792458.0):
-            terms = me1_member(k, +1, c=c)
+            terms = PhotonPlaneWave(k, +1, c=c).me1()
             scale = dirac_form_scale(terms, c=c)
             assert dirac_form_residual(terms, "ME1", c=c) < 1e-12 * max(1, scale)
 
     def test_shape_and_name_validation(self):
-        three = me1_member((0, 0, 1), +1)
-        six = me6_column((0, 0, 1), +1)
+        three = PhotonPlaneWave((0, 0, 1), +1).me1()
+        six = PhotonPlaneWave((0, 0, 1), +1).me6()
         with pytest.raises(ValueError, match="6-component"):
             dirac_form_residual(three, "ME6")
         with pytest.raises(ValueError, match="3-component"):
@@ -554,7 +585,7 @@ class TestMaxwellResiduals:
             assert max(residuals) < 1e-12
 
     def test_fields_are_real(self):
-        e_terms, b_terms = mode_field_terms((1.0, 2.0, 3.0), -1)
+        e_terms, b_terms = PhotonPlaneWave((1.0, 2.0, 3.0), -1).fields()
         for x, t in POINTS:
             e_val = evaluate_terms(e_terms, x, t)
             b_val = evaluate_terms(b_terms, x, t)
@@ -604,7 +635,7 @@ class TestLagrangianDensity:
     @pytest.mark.parametrize("k", GENERIC_KS)
     @pytest.mark.parametrize("lam", [+1, -1, 0])
     def test_on_shell_vanishes(self, k, lam):
-        terms = me6_column(k, lam)
+        terms = PhotonPlaneWave(k, lam).me6()
         for x, t in POINTS:
             assert abs(lagrangian_density_translation(terms, x, t)) < 1e-12
 
@@ -645,7 +676,7 @@ class TestConjugateFieldEquation:
     @pytest.mark.parametrize("k", GENERIC_KS)
     @pytest.mark.parametrize("lam", [+1, -1, 0])
     def test_on_shell_vanishes(self, k, lam):
-        terms = me6_column(k, lam)
+        terms = PhotonPlaneWave(k, lam).me6()
         scale = dirac_form_scale(terms)
         for x, t in POINTS:
             assert anti_equation_residual(terms, x, t) < 1e-12 * max(1, scale)

@@ -14,6 +14,7 @@ from poincarewaves.lorentz_sector import RadialSolution
 from poincarewaves.photon_plane_waves import (
     NORMALIZATION,
     PhotonPlaneWave,
+    PlaneWaveTerm,
     WaveVector,
     dirac_form_residual,
     dirac_form_scale,
@@ -284,6 +285,21 @@ class TestCatalog:
             for x, t in (((0, 0, 0), 0.0), ((0.3, -0.7, 1.1), 0.45)):
                 assert dirac_form_residual(terms, equation, x, t) \
                     < 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("lam", [1, 0, -1])
+    @pytest.mark.parametrize("dotted", [False, True])
+    def test_translation_term3_is_the_column_upper_block(self, lam, dotted):
+        wave = PoincareWaveFunction(K_GENERIC, lam, 1, self.radial, dotted,
+                                    c=1.5)
+        column = wave.plane.term
+        expected = PlaneWaveTerm(column.amplitude[:3], column.kvec,
+                                 column.omega)
+        if dotted:
+            expected = expected.conjugate()
+        got = wave.translation_term3()
+        assert (got.amplitude.tobytes(), got.kvec.tobytes(), got.omega.hex()) \
+            == (expected.amplitude.tobytes(), expected.kvec.tobytes(),
+                expected.omega.hex())
 
     def test_dotted_members_solve_swapped_equation(self):
         plus = self.catalog.member("psi_dot_+1").wave
