@@ -20,13 +20,15 @@ Output contract
 REPORT BYTES
     ``verify`` renders the report that ``suites.build_report`` returns.
     ``--format json`` writes ``_report_json(report, entries)``, whose text
-    is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The record
-    maps are encoded once per report: ``entries`` are the ``json_entries``
-    of the sort in ``build_report``, which hands them out in record order,
-    and the text re-lays the same strings.  One more C-encoder call writes
-    every other record value, the items split by a raw "\0" (JSON escapes
-    it inside strings); the indent encoder runs only on the config and
-    summary.  ``tests/test_suites.py::TestReportJson`` pins the equality.
+    is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The Z grid
+    records share one indices map per index and one point map per grid
+    point, and the sort in ``build_report`` encodes each distinct map object
+    once: ``entries`` are those ``json_entries``, handed out in record order,
+    and the text lays out each distinct entry once.  One more C-encoder
+    call writes every other record value, the items split by a raw "\0"
+    (JSON escapes it inside strings); the indent encoder runs only on the
+    config and summary.  ``tests/test_suites.py::TestReportJson`` pins the
+    equality.
 """
 
 from __future__ import annotations
@@ -412,8 +414,12 @@ _NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
 
 
 def _records_json(records: list, entries: list[str]) -> str:
-    maps = ["{\n        " + text.replace("\0", ",\n        ") + "\n      }"
-            if text else "{}" for text in entries]
+    # Records share maps, so each distinct text is laid out once (a memo by
+    # text, never by value: 0.0 == -0.0, but their JSON differs).
+    layouts = {text: "{\n        " + text.replace("\0", ",\n        ")
+               + "\n      }" if text else "{}"
+               for text in dict.fromkeys(entries)}
+    maps = [layouts[text] for text in entries]
     values = _NUL_JSON([r[key] for r in records
                         for key in _RECORD_VALUES])[1:-1].split("\0")
     rows = list(map(_RECORD_JSON.format, *(values[k::7] for k in range(7)),

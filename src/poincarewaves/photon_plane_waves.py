@@ -45,6 +45,7 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -483,22 +484,32 @@ class PhotonPlaneWave:
     def value(self, x, t: float) -> np.ndarray:
         return self.term.amplitude * self.term.phase(x, t)
 
+    @functools.cached_property
+    def _me1(self) -> PlaneWaveTerm:
+        """me1()'s term, built on first use and kept: me2(), me6() and
+        fields() all start from it.  Its arrays are read-only, as term's."""
+        term = self.term
+        direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
+        if self.lam == -1:
+            direct = direct.conjugate()
+        direct.amplitude.setflags(write=False)
+        direct.kvec.setflags(write=False)
+        return direct
+
     def me1(self) -> list[PlaneWaveTerm]:
         """The 3-vector member that solves ME1: the upper block of ``term``,
         conjugated for lam = -1 (whose eps_- e^{i(k.x - wt)} solves ME2)."""
-        term = self.term
-        direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
-        return [direct.conjugate()] if self.lam == -1 else [direct]
+        return [self._me1]
 
     def me2(self) -> list[PlaneWaveTerm]:
         """The 3-vector member that solves ME2, the E - iB carrier: the ME1
         member conjugated (conj(alpha) = -alpha swaps the two equations)."""
-        return [term.conjugate() for term in self.me1()]
+        return [self._me1.conjugate()]
 
     def me6(self) -> list[PlaneWaveTerm]:
         """The column (u; u*) of the ME1 member u, which solves ME6: its upper
         rows (the ME2 operator) and lower rows (the ME1 operator) vanish."""
-        [u] = self.me1()
+        u = self._me1
         conj = u.conjugate()
         return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
                               u.kvec, u.omega),

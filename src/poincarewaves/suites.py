@@ -2,8 +2,10 @@
 
 Each suite builder takes a SuiteConfig and returns its ResidualRecords, each
 already in the report's form (see make_record); the two Z grid suites build
-theirs weight by weight from one direct grid per weight (see _grid_records).
-Determinism contract: all
+theirs weight by weight from one direct grid per weight, and their records
+share one indices map per index and one point map per grid point, made
+afresh for each report (see _grid_records).  A report encodes each distinct
+map object once (see _sorted_run).  Determinism contract: all
 randomized sampling derives from ``numpy.random.default_rng([config.seed,
 suite_offset])`` with a fixed per-suite offset, so each suite's stream is
 reproducible in isolation and the assembled report is byte-identical under a
@@ -32,6 +34,7 @@ NEGATIVE CONTROLS
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
@@ -229,10 +232,13 @@ def _projections(l: float) -> list[float]:
     return [-l + j for j in range(count)]
 
 
-def _harmonic_indices(l: float) -> list[HarmonicIndex]:
-    """Every HarmonicIndex of weight l, row-major in (m, n), both ascending."""
+@functools.cache
+def _harmonic_indices(l: float) -> tuple[HarmonicIndex, ...]:
+    """Every HarmonicIndex of weight l, row-major in (m, n), both ascending
+    (frozen, so one tuple per weight serves every report)."""
     projections = _projections(l)
-    return [HarmonicIndex(l, m, n) for m in projections for n in projections]
+    return tuple(HarmonicIndex(l, m, n)
+                 for m in projections for n in projections)
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -241,22 +247,27 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
-def _worst_grid_records(config: SuiteConfig, check: str, indices, thetas, taus,
-                        residual: np.ndarray, scale: np.ndarray
-                        ) -> list[ResidualRecord]:
+def _worst_grid_records(config: SuiteConfig, check: str, index_maps: list,
+                        point_maps: list, residual: np.ndarray,
+                        scale: np.ndarray) -> list[ResidualRecord]:
     """Per index, the record at the point of largest residual / max(1, scale).
 
-    residual and scale are shaped (len(indices), len(thetas), len(taus));
-    ties keep the first point in row-major order (theta outer).
+    residual and scale are shaped (len(index_maps), len(thetas), len(taus)),
+    and point_maps holds one map per grid point in that row-major order;
+    ties keep the first point (theta outer).  The maps are already in
+    make_record's form and the measurements become Python floats by
+    .tolist(), so the records are built directly.
     """
-    residual = residual.reshape(len(indices), -1)
-    scale = scale.reshape(len(indices), -1)
-    worst = (residual / np.maximum(1.0, scale)).argmax(axis=1).tolist()
-    return [config.record(check, {"l": idx.l, "m": idx.m, "n": idx.n},
-                          {"theta": thetas[point // len(taus)],
-                           "tau": taus[point % len(taus)]},
-                          residual[i, point], scale[i, point])
-            for i, (idx, point) in enumerate(zip(indices, worst))]
+    residual = residual.reshape(len(index_maps), -1)
+    scale = scale.reshape(len(index_maps), -1)
+    worst = (residual / np.maximum(1.0, scale)).argmax(axis=1)
+    rows = np.arange(len(index_maps))
+    tolerance = config.tolerance(check)
+    return [ResidualRecord(check, index_map, point_maps[point], value, size,
+                           tolerance)
+            for index_map, point, value, size in zip(
+                index_maps, worst.tolist(), residual[rows, worst].tolist(),
+                scale[rows, worst].tolist())]
 
 
 def _ring_points() -> list[complex]:
@@ -304,11 +315,11 @@ def _draw_k(rng: np.random.Generator) -> np.ndarray:
 # Suite builders
 # ---------------------------------------------------------------------------
 
-def _hypergeom_records(config: SuiteConfig, l: float, indices, grid,
+def _hypergeom_records(config: SuiteConfig, l: float, indices, maps, grid,
                        thetas, taus) -> list[ResidualRecord]:
     inner = grid[:, 1:, :-1]
     records = _worst_grid_records(
-        config, "cross_formula", indices, thetas, taus,
+        config, "cross_formula", *maps,
         _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
     # Z(theta, 0) as (m, n) matrices, theta = 0 first.
     dimension = len(_projections(l))
@@ -326,16 +337,17 @@ def _hypergeom_records(config: SuiteConfig, l: float, indices, grid,
     return records
 
 
-def _factorization_records(config: SuiteConfig, l: float, indices, grid,
-                           thetas, taus) -> list[ResidualRecord]:
+def _factorization_records(config: SuiteConfig, l: float, indices, maps,
+                           grid, thetas, taus) -> list[ResidualRecord]:
     inner = grid[:, 1:, :-1]
     # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
     factored = _grid_values(indices, thetas, taus, _tangent_block)
-    return _worst_grid_records(config, "factorization", indices, thetas, taus,
+    return _worst_grid_records(config, "factorization", *maps,
                                _modulus(factored - inner), _modulus(inner))
 
 
-#: The Z grid suites: per weight l, records from its indices and direct grid.
+#: The Z grid suites: per weight l, records from its indices, their record
+#: maps (one per index and one per grid point) and its direct grid.
 _GRID_SUITES: dict[str, Callable[..., list[ResidualRecord]]] = {
     "hypergeom": _hypergeom_records,
     "factorization": _factorization_records,
@@ -349,15 +361,24 @@ def _grid_records(config: SuiteConfig, names: list[str]
     Each weight's z_sum grid spans (0, *thetas) x (*taus, 0): row 0 is
     theta = 0 and the last column tau = 0, so it also holds Z(0, 0) and the
     rotations Z(theta, 0).  It is built once, read by every named suite and
-    dropped before the next weight.
+    dropped before the next weight.  The records share one indices map per
+    index and one point map per grid point, made here for this call alone:
+    a caller may change the maps of the records it gets.
     """
+    if not names:
+        return []
     thetas, taus = _theta_grid(config), _tau_grid(config)
+    point_maps = [{"theta": theta, "tau": tau}
+                  for theta in thetas for tau in taus]
     pairs = []
-    for l in _l_values(config.lmax) if names else ():
+    for l in _l_values(config.lmax):
         indices = _harmonic_indices(l)
+        maps = ([{"l": idx.l, "m": idx.m, "n": idx.n} for idx in indices],
+                point_maps)
         grid = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
         for name in names:
-            records = _GRID_SUITES[name](config, l, indices, grid, thetas, taus)
+            records = _GRID_SUITES[name](config, l, indices, maps, grid,
+                                         thetas, taus)
             pairs += [(name, record) for record in records]
         del grid
     return pairs
@@ -824,7 +845,8 @@ SUITE_NAMES: tuple[str, ...] = tuple(sorted([*_GRID_SUITES, *_SUITE_BUILDERS]))
 def _sorted_run(name: str, config: SuiteConfig
                 ) -> tuple[list[tuple[str, ResidualRecord]], list[str]]:
     """run_suite's sorted pairs, and each record's indices and point
-    json_entries in the same order (two per record, from one encode)."""
+    json_entries in the same order (two per record, from one encode of the
+    run's distinct map objects)."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {name!r}; valid: all, {', '.join(SUITE_NAMES)}")
@@ -835,9 +857,17 @@ def _sorted_run(name: str, config: SuiteConfig
     pairs += [(suite_name, record) for suite_name in names
               if suite_name in _SUITE_BUILDERS
               for record in _SUITE_BUILDERS[suite_name](config)]
-    entries = json_entries(
-        [m for _, record in pairs for m in (record.indices, record.point)])
+    # The grid records share their maps: each distinct object is encoded
+    # once, found by identity while every record holds its maps alive.
+    maps = [m for _, record in pairs for m in (record.indices, record.point)]
+    distinct = {id(m): m for m in maps}
+    slots = dict(zip(distinct, range(len(distinct))))
+    entries = json_entries(list(distinct.values()))
     texts = ["{" + text.replace("\0", ", ") + "}" for text in entries]
+    # Fanned back out: two per record, indices then point.
+    positions = [slots[id(m)] for m in maps]
+    entries = [entries[slot] for slot in positions]
+    texts = [texts[slot] for slot in positions]
     keys = [(suite_name, record.check_name, *texts[2 * i:2 * i + 2])
             for i, (suite_name, record) in enumerate(pairs)]
     order = sorted(range(len(pairs)), key=keys.__getitem__)
@@ -852,7 +882,7 @@ def run_suite(name: str, config: SuiteConfig
     The pairs are sorted stably on (suite, check name, indices, point), the
     maps compared as their compact sort_keys JSON text
     (``json.JSONEncoder(sort_keys=True).encode``), which one json_entries
-    call gives for every map of the run.
+    call gives for every distinct map object of the run.
     """
     return _sorted_run(name, config)[0]
 
@@ -862,9 +892,10 @@ def build_report(name: str, config: SuiteConfig, *,
     """JSON-ready verification report for one suite (or 'all').
 
     The records come from run_suite's one sort, whose single json_entries
-    call encodes every indices and point map once per report.  A list given
-    as ``_entries`` (the cli's JSON render) is filled with those entries in
-    record order, two per record, so the text reuses the sort's encode.
+    call encodes each distinct indices and point map object once per
+    report.  A list given as ``_entries`` (the cli's JSON render) is filled
+    with those entries in record order, two per record, so the text reuses
+    the sort's encode.
     """
     pairs, entries = _sorted_run(name, config)
     if _entries is not None:

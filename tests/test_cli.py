@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poincarewaves import differential_checks
+from poincarewaves import cli, differential_checks
 from poincarewaves.cli import format_complex, main
 from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_sum
 from poincarewaves.group_kinematics import make_angles
@@ -277,13 +277,24 @@ class TestVerify:
         assert first.stdout_bytes == second.stdout_bytes
 
     def test_json_report_encodes_each_map_once(self, runner, monkeypatch):
-        # Counted under every name a package module binds json_entries to.
+        # One json_entries call per report, over its distinct map objects:
+        # the grid records share one indices map per index and one point map
+        # per grid point.  Counted under every name a package module binds
+        # json_entries to.
         original = differential_checks.json_entries
         calls = []
 
         def counting(maps):
             calls.append(len(maps))
             return original(maps)
+
+        reports = []
+
+        def keeping(*args, **kwargs):
+            reports.append(build_report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "build_report", keeping)
 
         bound = [(module, key) for name, module in list(sys.modules.items())
                  if name == "poincarewaves" or name.startswith("poincarewaves.")
@@ -294,7 +305,11 @@ class TestVerify:
         result = invoke(runner, ["verify", "all", "--lmax", "1",
                                  "--format", "json"])
         records = json.loads(result.output)["records"]
-        assert calls == [2 * len(records)]
+        [report] = reports
+        distinct = {id(m) for record in report["records"]
+                    for m in (record["indices"], record["point"])}
+        assert calls == [len(distinct)]
+        assert len(distinct) < 2 * len(records)
 
     def test_paper_variant_flagged_failures_exit_zero(self, runner):
         result = invoke(runner, ["verify", "radial", "--variant", "paper"])

@@ -569,6 +569,40 @@ class TestGridRecords:
         assert sorted(calls["_tangent_block"]) == [
             (L, rotation) for L in range(5) for rotation in (False, True)]
 
+    def test_record_maps_stay_per_report(self):
+        # The grid records of one report share their maps; a change a caller
+        # makes to them reaches no later report.
+        config = SuiteConfig(lmax=2, grid_density=3)
+        fresh = [(suite, repr(record))
+                 for suite, record in run_suite("hypergeom", config)]
+        first = run_suite("hypergeom", config)
+        changed = next(record for _, record in first
+                       if record.check_name == "cross_formula")
+        changed.indices["l"] = -1.0
+        changed.point["theta"] = -1.0
+        second = run_suite("hypergeom", config)
+        assert [(suite, repr(record)) for suite, record in second] == fresh
+        earlier = {id(m) for _, record in first
+                   for m in (record.indices, record.point)}
+        assert not any(id(m) in earlier for _, record in second
+                       for m in (record.indices, record.point))
+
+    def test_grid_records_are_in_make_record_form(self):
+        # Built without make_record, the grid records hold what it would
+        # make of them: Python floats, not numpy scalars.
+        records = [record for _, record in run_suite(
+            "all", SuiteConfig(lmax=2, grid_density=3))
+            if record.check_name in ("cross_formula", "factorization")]
+        assert records
+        for record in records:
+            values = (record.residual, record.scale, record.tolerance,
+                      *record.indices.values(), *record.point.values())
+            assert all(type(value) is float for value in values)
+            assert repr(record) == repr(make_record(
+                record.check_name, record.indices, record.point,
+                record.residual, record.scale, record.tolerance,
+                record.flagged))
+
     @pytest.mark.parametrize("grid_density", [3, 4])
     def test_grid_suites_alone_match_all(self, grid_density):
         # In "all" both read each weight's one direct grid; either alone
