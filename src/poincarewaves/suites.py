@@ -247,16 +247,31 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
+class _PointMaps(dict):
+    """Flat grid position -> its one {"theta", "tau"} record map, made on
+    first use, so a fine grid holds maps only for its worst points."""
+
+    def __init__(self, thetas: tuple[float, ...], taus: tuple[float, ...]):
+        super().__init__()
+        self.thetas, self.taus = thetas, taus
+
+    def __missing__(self, position: int) -> dict[str, float]:
+        row, column = divmod(position, len(self.taus))
+        value = self[position] = {"theta": self.thetas[row],
+                                  "tau": self.taus[column]}
+        return value
+
+
 def _worst_grid_records(config: SuiteConfig, check: str, index_maps: list,
-                        point_maps: list, residual: np.ndarray,
+                        point_maps: _PointMaps, residual: np.ndarray,
                         scale: np.ndarray) -> list[ResidualRecord]:
     """Per index, the record at the point of largest residual / max(1, scale).
 
     residual and scale are shaped (len(index_maps), len(thetas), len(taus)),
-    and point_maps holds one map per grid point in that row-major order;
-    ties keep the first point (theta outer).  The maps are already in
-    make_record's form and the measurements become Python floats by
-    .tolist(), so the records are built directly.
+    and point_maps is keyed by the flat row-major position (theta outer);
+    ties keep the first point.  The maps are already in make_record's form
+    and the measurements become Python floats by .tolist(), so the records
+    are built directly.
     """
     residual = residual.reshape(len(index_maps), -1)
     scale = scale.reshape(len(index_maps), -1)
@@ -365,13 +380,10 @@ def _grid_records(config: SuiteConfig, names: list[str]
     index and one point map per grid point, made here for this call alone:
     a caller may change the maps of the records it gets.
     """
-    if not names:
-        return []
     thetas, taus = _theta_grid(config), _tau_grid(config)
-    point_maps = [{"theta": theta, "tau": tau}
-                  for theta in thetas for tau in taus]
+    point_maps = _PointMaps(thetas, taus)
     pairs = []
-    for l in _l_values(config.lmax):
+    for l in _l_values(config.lmax) if names else ():
         indices = _harmonic_indices(l)
         maps = ([{"l": idx.l, "m": idx.m, "n": idx.n} for idx in indices],
                 point_maps)

@@ -589,11 +589,18 @@ class TestGridRecords:
 
     def test_grid_records_are_in_make_record_form(self):
         # Built without make_record, the grid records hold what it would
-        # make of them: Python floats, not numpy scalars.
+        # make of them: Python floats, not numpy scalars.  Both suites share
+        # one indices map per index and one point map per grid point.
         records = [record for _, record in run_suite(
             "all", SuiteConfig(lmax=2, grid_density=3))
             if record.check_name in ("cross_formula", "factorization")]
         assert records
+        for field in ("indices", "point"):
+            objects = {}
+            for record in records:
+                value = getattr(record, field)
+                objects.setdefault(tuple(value.values()), set()).add(id(value))
+            assert all(len(ids) == 1 for ids in objects.values())
         for record in records:
             values = (record.residual, record.scale, record.tolerance,
                       *record.indices.values(), *record.point.values())
