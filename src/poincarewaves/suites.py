@@ -377,8 +377,9 @@ def _grid_records(config: SuiteConfig, names: list[str]
     theta = 0 and the last column tau = 0, so it also holds Z(0, 0) and the
     rotations Z(theta, 0).  It is built once, read by every named suite and
     dropped before the next weight.  The records share one indices map per
-    index and one point map per grid point, made here for this call alone:
-    a caller may change the maps of the records it gets.
+    index and one point map per grid point (made when a record first names
+    that point), all for this call alone: a caller may change the maps of
+    the records it gets.
     """
     thetas, taus = _theta_grid(config), _tau_grid(config)
     point_maps = _PointMaps(thetas, taus)
