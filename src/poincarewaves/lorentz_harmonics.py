@@ -614,6 +614,15 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     a parameter that is not finite is refused by name.
     """
     L, M, N = _doubled_triple(l, m, n)
+    return _element(L, M, N, m, n, phi, epsilon, theta, tau, chi, vareps,
+                    dotted)
+
+
+def _element(L: int, M: int, N: int, m: float, n: float, phi: float,
+             epsilon: float, theta: float, tau: float, chi: float,
+             vareps: float, dotted: bool) -> complex:
+    """generalized_m_values at the doubled index (L, M, N), which the caller
+    has validated; m and n are the caller's projections, weighted as given."""
     tau, decay = _weight_bound(L, M, N, m, n, epsilon, tau, vareps)
     try:
         value = _weighted(m * phi + n * chi, decay,

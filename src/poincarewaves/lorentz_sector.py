@@ -170,6 +170,8 @@ class RadialSolution:
     variant: str = "corrected"
     #: sqrt(2 l (l+1)), computed once from the validated l.
     ladder: float = field(init=False, repr=False, compare=False)
+    #: The variant's coefficient of r in f_{1,+-1}, computed once.
+    linear_coefficient: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l", angular_order(self.l))
@@ -180,12 +182,9 @@ class RadialSolution:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "ladder", radial_ladder(self.l))
-
-    @property
-    def linear_coefficient(self) -> float:
-        if self.variant == "paper":
-            return self.ladder
-        return 2.0 * self.l * (self.l + 1)
+        object.__setattr__(self, "linear_coefficient",
+                           self.ladder if self.variant == "paper"
+                           else 2.0 * self.l * (self.l + 1))
 
     # f_{1,-1} = f_{1,+1}; the dotted slots (integration constant Cdot) are
     # evaluated at r* by callers, and the 0 slot has no integration constant.

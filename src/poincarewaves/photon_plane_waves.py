@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -160,9 +161,9 @@ class WaveVector:
     def array(self) -> np.ndarray:
         return np.array([self.k1, self.k2, self.k3])
 
-    @property
+    @functools.cached_property
     def magnitude(self) -> float:
-        """|k|; raises ValueError when it overflows a float."""
+        """|k|, computed once; raises ValueError when it overflows a float."""
         try:
             square = self.k1**2 + self.k2**2 + self.k3**2
         except OverflowError:  # a component above ~1.3e154
@@ -176,6 +177,15 @@ class WaveVector:
             return math.ldexp(math.sqrt(k1**2 + k2**2 + k3**2), exponent)
         except OverflowError:
             raise ValueError(f"|k| of {self} overflows a float") from None
+
+    @functools.cached_property
+    def _polarizations(self) -> "PolarizationTriple":
+        """polarization_vectors(self), computed once and read-only: every
+        helicity of this wavevector shares the triple."""
+        triple = polarization_vectors(self)
+        for eps in (triple.eps_plus, triple.eps_minus, triple.eps_zero):
+            eps.setflags(write=False)
+        return triple
 
     def _scaled_components(self) -> tuple[float, float, float, int]:
         """(k1, k2, k3) / 2^e and e, with max |k_i| / 2^e in [0.5, 1).
@@ -341,8 +351,7 @@ def polarization_vectors(k) -> PolarizationTriple:
 def transversality_residual(k, lam: int) -> float:
     """|k . eps_lam|: zero for the transverse modes, |k| for the longitudinal."""
     kv = _as_wavevector(k)
-    eps = polarization_vectors(kv).select(lam)
-    return float(abs(kv.array @ eps))
+    return float(abs(kv.array.dot(kv._polarizations.select(lam))))
 
 
 @dataclass(frozen=True)
@@ -366,17 +375,28 @@ class PlaneWaveTerm:
         # than numpy's.
         if not all(map(cmath.isfinite, amplitude.ravel().tolist())):
             raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-        if not all(map(math.isfinite, kvec.tolist())):
+        components = kvec.tolist()
+        if not all(map(math.isfinite, components)):
             raise ValueError(f"kvec must be finite, got {kvec!r}")
         if not math.isfinite(omega):
             raise ValueError(f"omega must be finite, got {omega!r}")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "kvec", kvec)
         object.__setattr__(self, "omega", omega)
+        # Not a field: up to this |x_1| + |x_2| + |x_3|, every k_i x_i and
+        # their sum stay finite, so phase takes k.x without an errstate.
+        object.__setattr__(self, "_x_bound", sys.float_info.max / max(
+            4.0 * max(map(abs, components)), 1.0))
 
     def phase(self, x, t: float) -> complex:
         """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
-        angle = self.kvec @ np.asarray(x, dtype=float) - self.omega * t
+        point = np.asarray(x, dtype=float)
+        x1, x2, x3 = point.tolist()
+        if abs(x1) + abs(x2) + abs(x3) <= self._x_bound:
+            angle = self.kvec.dot(point) - self.omega * t
+        else:  # a huge or non-finite x, where k.x may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                angle = self.kvec.dot(point) - self.omega * t
         if not math.isfinite(angle):
             raise ValueError(f"phase k.x - omega t is not finite at x={x!r}, t={t!r}")
         return cmath.exp(1j * float(angle))
@@ -467,7 +487,7 @@ class PhotonPlaneWave:
         norm = k.magnitude
         if norm == 0.0:
             raise ValueError("wavevector must be non-zero")
-        eps = polarization_vectors(k).select(lam)
+        eps = k._polarizations.select(lam)
         amplitude, kvec = NORMALIZATION * np.concatenate([eps, eps]), k.array
         amplitude.setflags(write=False)
         kvec.setflags(write=False)
@@ -533,16 +553,16 @@ def _me3_operator(term: PlaneWaveTerm, spatial_sign: float, c: float) -> np.ndar
     kdota = (term.kvec[0] * ALPHA[0] + term.kvec[1] * ALPHA[1]
              + term.kvec[2] * ALPHA[2])
     return (term.omega / c) * term.amplitude + spatial_sign * (
-        -(kdota @ term.amplitude))
+        -kdota.dot(term.amplitude))
 
 
 def _me6_operator(amplitude: np.ndarray, term: PlaneWaveTerm, c: float,
                   gammas=GAMMA) -> np.ndarray:
     """[(i/c) d/dt Gamma_0 - i Gamma_j d/dx_j] applied to one 6-vector term,
     as (omega/c) gammas[0] a + k_j gammas[j] a on its amplitude a."""
-    result = (term.omega / c) * (gammas[0] @ amplitude)
+    result = (term.omega / c) * gammas[0].dot(amplitude)
     for j in range(3):
-        result = result + term.kvec[j] * (gammas[j + 1] @ amplitude)
+        result = result + term.kvec[j] * gammas[j + 1].dot(amplitude)
     return result
 
 
@@ -609,7 +629,7 @@ def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
         return [1j * _cross(term.kvec, term.amplitude) for term in terms]
 
     def div(terms):
-        return [np.array([1j * (term.kvec @ term.amplitude)]) for term in terms]
+        return [np.array([1j * term.kvec.dot(term.amplitude)]) for term in terms]
 
     with np.errstate(over="ignore", invalid="ignore"):
         e_phases, b_phases = _phases(e_terms, x, t), _phases(b_terms, x, t)
@@ -640,7 +660,7 @@ def _energy_identity(psi6) -> tuple[float, float]:
     """psi^dagger psi and its dual 2 (|E|^2 + |B|^2), E and B from FieldPair."""
     psi6 = np.asarray(psi6, dtype=complex)
     pair = FieldPair.from_value(psi6)  # refuses a value that is not 6-component
-    direct = float(np.real(psi6.conjugate() @ psi6))
+    direct = float(np.real(psi6.conjugate().dot(psi6)))
     dual = 2.0 * float(_norm(pair.E) ** 2 + _norm(pair.B) ** 2)
     return direct, dual
 
@@ -686,14 +706,14 @@ def lagrangian_density_translation(terms: Sequence[PlaneWaveTerm],
         dpsi_t = _sum_at([_dt(term) for term in terms], phases)
         dpsi = [_sum_at([1j * term.kvec[j] * term.amplitude for term in terms],
                         phases) for j in range(3)]
-        psi_bar = psi.conjugate() @ GAMMA[0]
-        psi_bar_t = dpsi_t.conjugate() @ GAMMA[0]
-        psi_bar_j = [d.conjugate() @ GAMMA[0] for d in dpsi]
-        forward = (psi_bar @ GAMMA[0] @ dpsi_t) / c
-        backward = (psi_bar_t @ GAMMA[0] @ psi) / c
+        psi_bar = psi.conjugate().dot(GAMMA[0])
+        psi_bar_t = dpsi_t.conjugate().dot(GAMMA[0])
+        psi_bar_j = [d.conjugate().dot(GAMMA[0]) for d in dpsi]
+        forward = psi_bar.dot(GAMMA[0]).dot(dpsi_t) / c
+        backward = psi_bar_t.dot(GAMMA[0]).dot(psi) / c
         for j in range(3):
-            forward = forward - psi_bar @ GAMMA[j + 1] @ dpsi[j]
-            backward = backward - psi_bar_j[j] @ GAMMA[j + 1] @ psi
+            forward = forward - psi_bar.dot(GAMMA[j + 1]).dot(dpsi[j])
+            backward = backward - psi_bar_j[j].dot(GAMMA[j + 1]).dot(psi)
         density = complex(-(forward - backward) / 2)
     if not cmath.isfinite(density):
         raise ValueError(
@@ -717,6 +737,6 @@ def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
                   for term in _checked(terms, 6, "conjugate-field residual")]
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(_norm(_sum_at(
-            [_me6_operator(GAMMA[0] @ conj.amplitude, conj, c, _GAMMA_T)
+            [_me6_operator(GAMMA[0].dot(conj.amplitude), conj, c, _GAMMA_T)
              for conj in conjugates], _phases(conjugates, x, t))))
     return _within_float(residual, "the conjugate-field residual", "terms")

@@ -23,13 +23,12 @@ space; no constraint ties r to x.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .group_kinematics import ComplexEulerAngles
-from .lorentz_harmonics import HarmonicIndex, generalized_m_values
+from .lorentz_harmonics import HarmonicIndex, _element
 from .lorentz_sector import angular_order
 from .photon_plane_waves import (
     PhotonPlaneWave,
@@ -83,10 +82,9 @@ class PoincareWaveFunction:
 
     def dotted_twin(self) -> "PoincareWaveFunction":
         """This member on the dotted branch, sharing its undotted plane wave."""
-        twin = copy.copy(self)
-        object.__setattr__(twin, "dotted", True)
-        object.__setattr__(twin, "index",
-                           HarmonicIndex(self.l, self.lam, 0.0, True))
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), dotted=True,
+                          index=HarmonicIndex(self.l, self.lam, 0.0, True))
         return twin
 
     def translation_value(self, x, t: float) -> np.ndarray:
@@ -121,9 +119,9 @@ class PoincareWaveFunction:
         if self.dotted:
             radius = radius.conjugate()
         idx = self.index
-        angular = generalized_m_values(
-            idx.l, idx.m, idx.n, angles.phi, angles.epsilon,
-            angles.theta, angles.tau, 0.0, 0.0, dotted=idx.dotted)
+        L, M, N = idx.doubled  # validated when the index was built
+        angular = _element(L, M, N, idx.m, idx.n, angles.phi, angles.epsilon,
+                           angles.theta, angles.tau, 0.0, 0.0, idx.dotted)
         return self.radial.f(self.lam, radius, self.dotted) * angular
 
     def value(self, x, t: float, r: complex,

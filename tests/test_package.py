@@ -64,6 +64,9 @@ DOMAIN_CASES = [
      lambda: PlaneWaveTerm([NAN] * 6, (1, 2, 3), 1.0), "amplitude"),
     ("term-kvec", lambda: PlaneWaveTerm([1] * 6, (1, INF, 3), 1.0), "kvec"),
     ("term-omega", lambda: PlaneWaveTerm([1] * 6, (1, 2, 3), NAN), "omega"),
+    *((f"phase-{name}", lambda x=x: PlaneWaveTerm([1] * 6, (1, 2, 3), 1.0)
+       .phase(x, 0.0), r"\bx=")
+      for name, x in (("1e308", (1e308,) * 3), ("inf", (INF, -INF, 0)))),
     ("dirac-ME1", lambda: dirac_form_residual(
         PhotonPlaneWave(BIG_K, 1).me1(), "ME1"), "terms"),
     ("dirac-ME6", lambda: dirac_form_residual(

@@ -2,6 +2,7 @@
 eigenstructure, plane waves, first-order residuals, field equations, energy,
 and the on-shell Lagrangian."""
 
+import cmath
 import math
 
 import numpy as np
@@ -420,6 +421,43 @@ class TestPlaneWave:
             expected = complex(np.exp(1j * (term.kvec @ x - term.omega * t)))
             assert term.phase(x, t) == expected, (k, x, t)
 
+    def test_phase_is_the_matmul_phase_bit_for_bit(self):
+        # phase takes k.x by ndarray.dot, and by errstate only for a huge or
+        # non-finite x: either way it is the k @ x phase it replaced, signed
+        # zeros, subnormals and mixed magnitudes included.
+        rng = np.random.default_rng(20261019)
+        for _ in range(5_000):
+            k, x = _stressed(rng, 3), _stressed(rng, 3)
+            t = float(_stressed(rng, 1)[0])
+            term = PlaneWaveTerm(np.ones(3), k, 0.5)
+            with np.errstate(all="ignore"):  # k @ x may overflow: phase refuses
+                angle = term.kvec @ x - term.omega * t
+            if math.isfinite(angle):
+                assert term.phase(x, t) == cmath.exp(1j * float(angle))
+            else:
+                with pytest.raises(ValueError, match="not finite"):
+                    term.phase(x, t)
+
+    def test_wavevector_computes_its_triple_once(self, monkeypatch):
+        calls = []
+        original = photon_plane_waves.polarization_vectors
+        monkeypatch.setattr(photon_plane_waves, "polarization_vectors",
+                            lambda k: calls.append(k) or original(k))
+        k = WaveVector(1.0, 2.0, 3.0)
+        waves = [PhotonPlaneWave(k, lam) for lam in (1, 0, -1)]
+        assert [transversality_residual(k, lam) for lam in (1, 0, -1)] \
+            == [transversality_residual((1.0, 2.0, 3.0), lam)
+                for lam in (1, 0, -1)]
+        assert calls == [k] * 4  # k's triple, then each tuple's own
+        assert all(wave.k is k for wave in waves)
+        assert k.magnitude == math.hypot(1.0, 2.0, 3.0)
+        reference = original(k)
+        for lam in (1, 0, -1):
+            eps = k._polarizations.select(lam)
+            assert eps.tobytes() == reference.select(lam).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                eps[0] = 0.0
+
     def test_term_is_the_displayed_column_and_read_only(self):
         wave = PhotonPlaneWave(WaveVector(1.0, 2.0, 3.0), -1, c=2.0)
         eps = polarization_vectors((1.0, 2.0, 3.0)).eps_minus
@@ -429,6 +467,49 @@ class TestPlaneWave:
         for array in (wave.term.amplitude, wave.term.kvec):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+def _stressed(rng, *shape, complex_=False):
+    """A seeded array mixing signed zeros, subnormals, and magnitudes from
+    1e-300 to 1e300 with ordinary ones."""
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0])
+
+    def part():
+        exponents = rng.uniform(-300, 300, size=shape) if rng.random() < 0.3 \
+            else rng.uniform(-3, 3, size=shape)
+        values = rng.normal(size=shape) * 10.0 ** exponents
+        special = rng.random(size=shape) < 0.2
+        values[special] = rng.choice(specials, size=int(special.sum()))
+        return values
+
+    return part() + 1j * part() if complex_ else part()
+
+
+@pytest.mark.parametrize("left, right, transpose", [
+    ((3,), (3,), False),                 # k . x in phase
+    ((3,), (3, "c"), False),             # k . eps, k . a
+    ((3, 3, "c"), (3, "c"), False),      # (k . alpha) a
+    ((6, 6, "c"), (6, "c"), False),      # Gamma a
+    ((6, 6, "c"), (6, "c"), True),       # Gamma^T a
+    ((6, "c"), (6, "c"), False),         # psi^dagger psi
+    ((6, "c"), (6, 6, "c"), False),      # psi-bar Gamma
+], ids=["k.x", "k.eps", "kalpha.a", "gamma.a", "gammaT.a", "psi.psi",
+        "psibar.gamma"])
+def test_small_products_dot_matches_matmul_bit_for_bit(left, right, transpose):
+    # The photon layer takes its small products by ndarray.dot, which skips
+    # matmul's dispatch: each shape it uses gives matmul's bits.
+    rng = np.random.default_rng(20261019)
+
+    def draw(spec):
+        dims = [d for d in spec if d != "c"]
+        return _stressed(rng, *dims, complex_="c" in spec)
+
+    with np.errstate(all="ignore"):
+        for _ in range(2_000):
+            a, b = draw(left), draw(right)
+            if transpose:
+                a = a.T
+            assert a.dot(b).tobytes() == (a @ b).tobytes(), (a, b)
 
 
 def _bits(term):

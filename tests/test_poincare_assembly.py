@@ -255,11 +255,40 @@ class TestCatalog:
         monkeypatch.setattr(photon_plane_waves, "polarization_vectors",
                             lambda k: calls.append(k) or original(k))
         catalog = build_catalog(K_GENERIC, 1, self.radial)
-        # One triple per undotted member; each dotted twin shares its plane.
-        assert len(calls) == 3
+        # One triple per catalog: the three helicities share their wavevector's
+        # triple, and each dotted twin shares its plane.
+        assert len(calls) == 1
+        # Reading the transversality evidence reuses that triple.
+        for member in catalog.members:
+            member.transversality
+        assert len(calls) == 1
         for lam in ("+1", "0", "-1"):
             assert (catalog.member(f"psi_dot_{lam}").wave.plane
                     is catalog.member(f"psi_{lam}").wave.plane)
+
+    def test_member_values_are_the_factor_products_bit_for_bit(self):
+        # value is translation_value * lorentz_factor; lorentz_factor is the
+        # radial function times generalized_m_values, each bit for bit.
+        rng = np.random.default_rng(20261019)
+        for _ in range(50):
+            radial = RadialSolution(1, complex(*rng.normal(size=2)),
+                                    complex(*rng.normal(size=2)))
+            k = tuple(rng.normal(size=3) * rng.uniform(0.5, 3.0))
+            x, t = tuple(rng.normal(size=3)), float(rng.normal())
+            r = complex(rng.uniform(0.1, 3.0), rng.normal())
+            angles = random_angles(rng)
+            for member in build_catalog(k, 1, radial).members:
+                wave = member.wave
+                value = wave.value(x, t, r, angles)
+                factor = wave.lorentz_factor(r, angles)
+                assert value.tobytes() == (wave.translation_value(x, t)
+                                           * factor).tobytes(), member.label
+                radius = r.conjugate() if wave.dotted else r
+                angular = lorentz_harmonics.generalized_m_values(
+                    1, wave.lam, 0, angles.phi, angles.epsilon, angles.theta,
+                    angles.tau, 0.0, 0.0, dotted=wave.dotted)
+                assert factor == radial.f(wave.lam, radius, wave.dotted) \
+                    * angular, member.label
 
     def test_dotted_twin_is_the_dotted_member(self):
         x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
