@@ -392,11 +392,12 @@ class PlaneWaveTerm:
         """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
         point = np.asarray(x, dtype=float)
         x1, x2, x3 = point.tolist()
+        shift = self.omega * float(t)  # Python floats: inf or nan, no warning
         if abs(x1) + abs(x2) + abs(x3) <= self._x_bound:
-            angle = self.kvec.dot(point) - self.omega * t
+            angle = self.kvec.dot(point) - shift
         else:  # a huge or non-finite x, where k.x may overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                angle = self.kvec.dot(point) - self.omega * t
+                angle = self.kvec.dot(point) - shift
         if not math.isfinite(angle):
             raise ValueError(f"phase k.x - omega t is not finite at x={x!r}, t={t!r}")
         return cmath.exp(1j * float(angle))

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import warnings
 
+import numpy as np
 import pytest
 
 import poincarewaves
@@ -67,6 +68,8 @@ DOMAIN_CASES = [
     *((f"phase-{name}", lambda x=x: PlaneWaveTerm([1] * 6, (1, 2, 3), 1.0)
        .phase(x, 0.0), r"\bx=")
       for name, x in (("1e308", (1e308,) * 3), ("inf", (INF, -INF, 0)))),
+    *((f"phase-t-{lam}", lambda lam=lam: PhotonPlaneWave((1, 2, 3), lam).value(
+        (0, 0, 0), np.float64(1e308 if lam else INF)), r"\bt=") for lam in (1, 0)),
     ("dirac-ME1", lambda: dirac_form_residual(
         PhotonPlaneWave(BIG_K, 1).me1(), "ME1"), "terms"),
     ("dirac-ME6", lambda: dirac_form_residual(
