@@ -422,8 +422,8 @@ class TestPlaneWave:
             assert term.phase(x, t) == expected, (k, x, t)
 
     def test_phase_is_the_matmul_phase_bit_for_bit(self):
-        # phase takes k.x by ndarray.dot, and by errstate only for a huge or
-        # non-finite x: either way it is the k @ x phase it replaced, signed
+        # phase takes k.x by ndarray.dot, under errstate only for a huge or
+        # non-finite x: either way it is the phase of numpy's k @ x, signed
         # zeros, subnormals and mixed magnitudes included.
         rng = np.random.default_rng(20261019)
         for _ in range(5_000):
