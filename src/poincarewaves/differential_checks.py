@@ -53,7 +53,7 @@ from .lorentz_harmonics import (
     _z_value,
     generalized_m_values,
 )
-from .group_kinematics import ComplexEulerAngles
+from .group_kinematics import ComplexEulerAngles, _finite
 
 __all__ = [
     "ResidualRecord",
@@ -97,7 +97,12 @@ class ResidualRecord:
     flagged: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.residual >= 0 and self.scale >= 0):
+        # Comparisons pass a record without a conversion (a report builds
+        # thousands); nan fails them, and the gate names what they refuse.
+        if not (0 <= self.residual < math.inf and 0 <= self.scale < math.inf
+                and -math.inf < self.tolerance < math.inf):
+            for name in ("residual", "scale", "tolerance"):
+                _finite(name, getattr(self, name))
             raise ValueError(
                 "residual and scale must be non-negative numbers, got "
                 f"residual={self.residual!r}, scale={self.scale!r}")
@@ -129,8 +134,14 @@ def make_record(check_name: str, indices: Mapping[str, object],
     indices / point maps with str keys and JSON-native values."""
     indices = {str(key): _json_value(value) for key, value in indices.items()}
     point = {str(key): _json_value(value) for key, value in point.items()}
-    return ResidualRecord(check_name, indices, point, float(residual),
-                          float(scale), float(tolerance), bool(flagged))
+    try:
+        residual, scale = float(residual), float(scale)
+        tolerance = float(tolerance)
+    except OverflowError:  # an int past the float range: the gate names it
+        residual, scale = _finite("residual", residual), _finite("scale", scale)
+        tolerance = _finite("tolerance", tolerance)
+    return ResidualRecord(check_name, indices, point, residual, scale,
+                          tolerance, bool(flagged))
 
 
 def json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
@@ -158,7 +169,7 @@ def _steps(step: float, levels: int) -> list[float]:
     return [step / 2**i for i in range(levels)]
 
 
-def _finite(residual: float, scale: float) -> tuple[float, float]:
+def _finite_pair(residual: float, scale: float) -> tuple[float, float]:
     """(residual, scale), refused when the stencil's values left the floats."""
     if not (math.isfinite(residual) and math.isfinite(scale)):
         raise ValueError(
@@ -213,8 +224,8 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
 
     operator = _richardson([estimate(h) for h in _steps(step, levels)])
     eigenvalue = idx.eigenvalue
-    return _finite(abs(operator + eigenvalue * f0),
-                   max(1.0, eigenvalue) * abs(f0))
+    return _finite_pair(abs(operator + eigenvalue * f0),
+                        max(1.0, eigenvalue) * abs(f0))
 
 
 def casimir_x2_residual(idx: HarmonicIndex,
@@ -257,6 +268,7 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
     among the four terms, so the verdict measures how completely they cancel.
     Both differences share Z(theta +- h): Z is evaluated 2 * levels + 1 times.
     """
+    theta, tau = _finite("theta", theta), _finite("tau", tau)
     (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
     tau, decay = _weight_bound(L, M, N, m, n, 0.0, tau, 0.0)
     theta_c = complex(theta, tau) if dotted else complex(theta, -tau)
@@ -291,7 +303,7 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
         -((m * m + n * n - 2 * m * n * z) / one_minus_z2) * g0,
         idx.eigenvalue * g0,
     )
-    return _finite(abs(sum(terms)), max(abs(term) for term in terms))
+    return _finite_pair(abs(sum(terms)), max(abs(term) for term in terms))
 
 
 def holomorphy_residual(idx: HarmonicIndex, theta: float,
@@ -304,10 +316,11 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float,
     flag its record: it reports the measured defect but is excluded from hard
     pass/fail aggregation.
     """
+    theta, tau = _finite("theta", theta), _finite("tau", tau)
     dt = _slope(lambda th: _z(idx, th, tau), theta)
     dtau = _slope(lambda ta: _z(idx, theta, ta), tau)
     defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
-    return _finite(abs(defect), abs(dt))
+    return _finite_pair(abs(defect), abs(dt))
 
 
 def casimir_convergence_order(idx: HarmonicIndex,

@@ -44,11 +44,17 @@ _SIGMA = (
 )
 
 
-def _require_real(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
+def _finite(name: str, value, kind=float):
+    """value as a finite ``kind`` (float or complex): the one gate of every
+    public scalar.  NaN, +-inf or an int past the float range: ValueError."""
+    try:
+        number = kind(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got a number beyond the "
+                         "float range") from None
+    if not cmath.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class ComplexEulerAngles:
 
     def __post_init__(self) -> None:
         for name in ("phi", "epsilon", "theta", "tau", "chi", "vareps"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi < _TWO_PI:

@@ -70,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group_kinematics import ComplexEulerAngles
+from .group_kinematics import ComplexEulerAngles, _finite
 
 __all__ = [
     "HarmonicIndex",
@@ -105,9 +105,7 @@ _MAX_WEIGHT = 20
 
 def _doubled(name: str, value: float) -> int:
     """Map a half-integer to its exact doubled integer, validating on the way."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    value = _finite(name, value)
     if abs(value) > _MAX_WEIGHT:
         bound = name if value > 0 else f"|{name}|"
         raise ValueError(f"{name}={value:g} is out of range: {bound} must not "
@@ -118,12 +116,17 @@ def _doubled(name: str, value: float) -> int:
     return int(doubled)
 
 
-def _validated_doubled(l: float, m: float, n: float) -> tuple[int, int, int]:
-    """(2l, 2m, 2n) of a valid index; ValueError names the first broken rule."""
-    L, M, N = _doubled("l", l), _doubled("m", m), _doubled("n", n)
+@lru_cache(maxsize=None)
+def _validated_doubled(l: float, m: float, n: float,
+                       names=("m", "n")) -> tuple[int, int, int]:
+    """(2l, 2m, 2n) of a valid index; ValueError names the first broken rule,
+    calling the projections m and n by ``names``.  Invalid triples raise and
+    are not cached; it builds no HarmonicIndex, so a cache miss does not
+    change how many indices an operation constructs."""
+    L, M, N = _doubled("l", l), _doubled(names[0], m), _doubled(names[1], n)
     if L < 0:
         raise ValueError(f"l must be non-negative, got {l!r}")
-    for name, value, D in (("m", m, M), ("n", n, N)):
+    for name, value, D in ((names[0], m, M), (names[1], n, N)):
         if abs(D) > L:
             raise ValueError(f"|{name}| must not exceed l, got {name}="
                              f"{value!r} with l={l!r}")
@@ -133,10 +136,14 @@ def _validated_doubled(l: float, m: float, n: float) -> tuple[int, int, int]:
     return L, M, N
 
 
-#: Validation of every (l, m, n), raw or a HarmonicIndex's; invalid triples
-#: raise and are not cached.  It builds no HarmonicIndex, so a cache miss does
-#: not change how many indices an operation constructs.
-_doubled_triple = lru_cache(maxsize=None)(_validated_doubled)
+def _doubled_triple(l: float, m: float, n: float,
+                    names=("m", "n")) -> tuple[int, int, int]:
+    """Validation of every (l, m, n): cached, unless a number is no cache key
+    (a 0-d array).  ``names`` renames m and n, as ("m", "k") for su2."""
+    try:
+        return _validated_doubled(l, m, n, names)
+    except TypeError:  # unhashable
+        return _validated_doubled.__wrapped__(l, m, n, names)
 
 
 @dataclass(frozen=True)
@@ -154,10 +161,7 @@ class HarmonicIndex:
     dotted: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            L, M, N = _doubled_triple(self.l, self.m, self.n)
-        except TypeError:  # not a cache key, such as a 0-d array
-            L, M, N = _validated_doubled(self.l, self.m, self.n)
+        L, M, N = _doubled_triple(self.l, self.m, self.n)
         object.__setattr__(self, "l", L / 2)
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
@@ -186,11 +190,8 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     is a non-positive integer whose pole is reached before termination, if
     a, b, c or x is not finite, or if the sum overflows a float.
     """
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not cmath.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    a, b, c = _finite("a", a), _finite("b", b), _finite("c", c)
+    _finite("x", x, complex)  # x keeps its type: a real x sums a real series
     stops = [(-int(round(v)), name, v) for name, v in (("a", a), ("b", b))
              if v == round(v) and round(v) <= 0]
     if not stops:
@@ -213,7 +214,8 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
         term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
         total += term
     if not cmath.isfinite(total):
-        raise ValueError(f"the series overflows a float at x={x!r}")
+        raise ValueError(f"the series overflows a float at a={a!r}, b={b!r}, "
+                         f"c={c!r}, x={x!r}")
     return total
 
 
@@ -284,8 +286,8 @@ def _z_value(L: int, M: int, N: int, theta: float, tau: float) -> complex:
 
 
 def _validate_theta(theta: float) -> float:
-    theta = float(theta)
-    if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
+    theta = _finite("theta", theta)
+    if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     return theta
 
@@ -307,10 +309,12 @@ def _side_tangent(x: float, L: int, rotation: bool) -> float:
 
 
 def _validate_tau(tau: float, L: int) -> float:
-    tau = float(tau)
+    try:
+        tau = float(tau)
+    except OverflowError:  # on the hot path the gate runs only on a refusal
+        tau = _finite("tau", tau)
     if not abs(tau) * (L or 1) <= _MAX_GROWTH:  # also true for nan
-        if not math.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau!r}")
+        _finite("tau", tau)
         raise ValueError(f"tau={tau!r} is out of range for l={L / 2:g}: "
                          "e^(l |tau|) overflows a float")
     return tau
@@ -345,7 +349,7 @@ def su2_factor_p(l: float, m: float, k: float, theta: float) -> complex:
 
     Includes the i^(m-k) phase; at theta = 0 reduces to the Kronecker delta.
     """
-    L, M, K = _doubled_triple(l, m, k)
+    L, M, K = _doubled_triple(l, m, k, ("m", "k"))
     return _unfolded(L, M, K, _validate_theta(theta), True)
 
 
@@ -354,7 +358,7 @@ def qu2_factor_jacobi(l: float, k: float, n: float, tau: float) -> float:
 
     At tau = 0 reduces to the Kronecker delta.
     """
-    L, K, N = _doubled_triple(l, k, n)
+    L, K, N = _doubled_triple(l, k, n, ("k", "n"))
     return _unfolded(L, N, K, _validate_tau(tau, L), False)
 
 
@@ -565,25 +569,17 @@ def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block)
 
 
-def _refuse_non_finite(**angles: float) -> None:
-    """ValueError naming the first of the angles that is not finite, if any."""
-    for name, value in angles.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _weight_bound(L: int, M: int, N: int, m: float, n: float, epsilon: float,
                   tau: float, vareps: float) -> tuple[float, float]:
     """(tau, m epsilon + n vareps) of a weighted element, both validated.
 
     |Z| is at most e^(l |tau|), so the weighted value is refused when the
-    weight times that bound leaves the float range, and so is a non-finite
-    epsilon or vareps.
+    weight times that bound leaves the float range.  epsilon and vareps are
+    finite: the caller's entry has taken them through the gate.
     """
     tau = _validate_tau(tau, L)
     decay = m * epsilon + n * vareps
     if not -math.inf < L / 2 * abs(tau) - decay <= _MAX_LOG:  # also for nan
-        _refuse_non_finite(epsilon=epsilon, vareps=vareps)
         bound = ("m epsilon + n vareps" if math.isinf(decay)
                  else "e^(-(m epsilon + n vareps) + l |tau|)")
         raise ValueError(
@@ -614,27 +610,24 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
     a parameter that is not finite is refused by name.
     """
     L, M, N = _doubled_triple(l, m, n)
-    return _element(L, M, N, m, n, phi, epsilon, theta, tau, chi, vareps,
-                    dotted)
+    return _element(L, M, N, m, n, _finite("phi", phi),
+                    _finite("epsilon", epsilon), _finite("theta", theta),
+                    _finite("tau", tau), _finite("chi", chi),
+                    _finite("vareps", vareps), dotted)
 
 
 def _element(L: int, M: int, N: int, m: float, n: float, phi: float,
              epsilon: float, theta: float, tau: float, chi: float,
              vareps: float, dotted: bool) -> complex:
-    """generalized_m_values at the doubled index (L, M, N), which the caller
-    has validated; m and n are the caller's projections, weighted as given."""
+    """generalized_m_values at the doubled index (L, M, N) and six finite
+    angles, which the caller has validated; m and n are the caller's
+    projections, weighted as given."""
     tau, decay = _weight_bound(L, M, N, m, n, epsilon, tau, vareps)
-    try:
-        value = _weighted(m * phi + n * chi, decay,
-                          _z_value(L, M, N, theta, tau), dotted)
-    except ValueError:  # math.sin or cmath.exp of an infinite angle
-        value = cmath.nan
-    # theta too: Z^0_00 = 1 even where theta is not finite.
-    if not (cmath.isfinite(value) and math.isfinite(theta)):
-        _refuse_non_finite(phi=phi, theta=theta, chi=chi)
+    phase = m * phi + n * chi
+    if not math.isfinite(phase):  # finite angles, but m phi + n chi overflows
         raise ValueError(f"the weighted element at phi={phi!r}, "
                          f"theta={theta!r}, chi={chi!r} is not finite")
-    return value
+    return _weighted(phase, decay, _z_value(L, M, N, theta, tau), dotted)
 
 
 def generalized_m(idx: HarmonicIndex, angles: ComplexEulerAngles) -> complex:

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .photon_plane_waves import commutator_sign
+from .group_kinematics import _finite
+from .photon_plane_waves import _check_helicity, commutator_sign
 
 __all__ = [
     "VARIANTS",
@@ -85,10 +86,7 @@ def radial_ladder(l: int) -> float:
     ValueError unless l is an integer >= 1 whose ladder is a finite float.
     """
     order = angular_order(l)
-    try:
-        ladder = math.sqrt(2.0 * order * (order + 1))
-    except OverflowError:  # l itself above the float range
-        ladder = math.inf
+    ladder = math.sqrt(2.0 * _finite("l", order) * (order + 1))
     if ladder == math.inf:
         raise ValueError(
             f"l is too large: sqrt(2 l (l+1)) overflows a float, got {l!r}")
@@ -177,10 +175,8 @@ class RadialSolution:
         object.__setattr__(self, "l", angular_order(self.l))
         _check_variant(self.variant)
         for name in ("C", "Cdot"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name,
+                               _finite(name, getattr(self, name), complex))
         object.__setattr__(self, "ladder", radial_ladder(self.l))
         object.__setattr__(self, "linear_coefficient",
                            self.ladder if self.variant == "paper"
@@ -207,10 +203,7 @@ class RadialSolution:
 
     def select(self, lam: int, dotted: bool = False):
         """The radial evaluator r -> f(lam, r, dotted), lam in {+1, 0, -1}."""
-        if lam not in (1, 0, -1):
-            raise ValueError(
-                f"projection label must be +1, 0, or -1, got {lam!r}")
-        return functools.partial(self.f, lam, dotted=dotted)
+        return functools.partial(self.f, _check_helicity(lam), dotted=dotted)
 
 
 def radial_residual(l: int, radial, r: complex
@@ -227,11 +220,9 @@ def radial_residual(l: int, radial, r: complex
     r = 0, at a non-finite r, and where a residual overflows.
     """
     ladder = radial_ladder(l)
-    r = complex(r)
+    r = _finite("r", r, complex)
     if r == 0:
         raise ValueError("r = 0 is a singular point of the radial system")
-    if not cmath.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
     residuals = []
     for rho, dotted in ((r, False), (r.conjugate(), True)):
         f0 = radial.f(0, rho, dotted)

@@ -53,6 +53,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .group_kinematics import _finite
+
 __all__ = [
     "ALPHA",
     "GAMMA",
@@ -126,6 +128,9 @@ def commutator_sign(generators=ALPHA, tolerance: float = 1e-14) -> int:
     the standard spin-1 generators.
     """
     g = generators
+    tolerance = _finite("tolerance", tolerance)
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     signs = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         commutator = g[i] @ g[j] - g[j] @ g[i]
@@ -152,10 +157,7 @@ class WaveVector:
 
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
     @property
     def array(self) -> np.ndarray:
@@ -201,20 +203,35 @@ class WaveVector:
 def _as_wavevector(k) -> WaveVector:
     if isinstance(k, WaveVector):
         return k
-    k1, k2, k3 = (float(component) for component in k)
+    k1, k2, k3 = k
     return WaveVector(k1, k2, k3)
 
 
 def _check_helicity(lam: int) -> int:
     if lam not in (-1, 0, 1):
-        raise ValueError(f"helicity label must be +1, 0, or -1, got {lam!r}")
+        raise ValueError(f"helicity lam must be +1, 0, or -1, got {lam!r}")
     return int(lam)
 
 
+def _finite_array(name: str, values, kind) -> np.ndarray:
+    """values as an array of finite ``kind``: numpy converts and Python's
+    isfinite checks (cheaper than numpy's on a few entries); on a refusal
+    the gate takes each entry and names it."""
+    try:
+        array = np.asarray(values, dtype=kind)
+        if all(map(cmath.isfinite, array.ravel().tolist())):
+            return array
+    except OverflowError:  # an int past the float range
+        pass
+    return np.array([_finite(name, value, kind)
+                     for value in np.ravel(values).tolist()],
+                    dtype=kind).reshape(np.shape(values))
+
+
 def _check_c(c: float) -> float:
-    c = float(c)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be a positive finite constant, got {c!r}")
+    c = _finite("c", c)
+    if not c > 0:
+        raise ValueError(f"c must be positive, got {c!r}")
     if not math.isfinite(1.0 / c):  # c below ~5.56e-309
         raise ValueError(f"c must have a finite reciprocal 1/c, got {c!r}")
     return c
@@ -366,33 +383,27 @@ class PlaneWaveTerm:
     omega: float
 
     def __post_init__(self) -> None:
-        amplitude = np.asarray(self.amplitude, dtype=complex)
-        kvec = np.asarray(self.kvec, dtype=float)
+        amplitude = _finite_array("amplitude", self.amplitude, complex)
+        kvec = _finite_array("kvec", self.kvec, float)
         if kvec.shape != (3,):
             raise ValueError("kvec must be a 3-vector")
-        omega = float(self.omega)
-        # Python's isfinite per element: on a few elements it is cheaper
-        # than numpy's.
-        if not all(map(cmath.isfinite, amplitude.ravel().tolist())):
-            raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-        components = kvec.tolist()
-        if not all(map(math.isfinite, components)):
-            raise ValueError(f"kvec must be finite, got {kvec!r}")
-        if not math.isfinite(omega):
-            raise ValueError(f"omega must be finite, got {omega!r}")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "kvec", kvec)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", _finite("omega", self.omega))
         # Not a field: up to this |x_1| + |x_2| + |x_3|, every k_i x_i and
         # their sum stay finite, so phase takes k.x without an errstate.
         object.__setattr__(self, "_x_bound", sys.float_info.max / max(
-            4.0 * max(map(abs, components)), 1.0))
+            4.0 * max(map(abs, kvec.tolist())), 1.0))
 
     def phase(self, x, t: float) -> complex:
         """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
-        point = np.asarray(x, dtype=float)
+        try:
+            point = np.asarray(x, dtype=float)
+            shift = self.omega * float(t)  # Python floats: inf or nan, no warning
+        except OverflowError:  # an int past the float range: the gate names it
+            point = _finite_array("x", x, float)
+            shift = self.omega * _finite("t", t)
         x1, x2, x3 = point.tolist()
-        shift = self.omega * float(t)  # Python floats: inf or nan, no warning
         if abs(x1) + abs(x2) + abs(x3) <= self._x_bound:
             angle = self.kvec.dot(point) - shift
         else:  # a huge or non-finite x, where k.x may overflow
@@ -459,7 +470,7 @@ class FieldPair:
 
     @classmethod
     def from_value(cls, psi6) -> "FieldPair":
-        psi6 = np.asarray(psi6, dtype=complex)
+        psi6 = _finite_array("psi6", psi6, complex)
         if psi6.shape != (6,):
             raise ValueError("expected a 6-component value")
         upper, lower = psi6[:3], psi6[3:]
@@ -486,9 +497,7 @@ class PhotonPlaneWave:
         lam = _check_helicity(self.lam)
         c = _check_c(self.c)
         norm = k.magnitude
-        if norm == 0.0:
-            raise ValueError("wavevector must be non-zero")
-        eps = k._polarizations.select(lam)
+        eps = k._polarizations.select(lam)  # refuses k = 0
         amplitude, kvec = NORMALIZATION * np.concatenate([eps, eps]), k.array
         amplitude.setflags(write=False)
         kvec.setflags(write=False)
@@ -657,9 +666,8 @@ def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
                                         x, t, c)
 
 
-def _energy_identity(psi6) -> tuple[float, float]:
+def _energy_identity(psi6: np.ndarray) -> tuple[float, float]:
     """psi^dagger psi and its dual 2 (|E|^2 + |B|^2), E and B from FieldPair."""
-    psi6 = np.asarray(psi6, dtype=complex)
     pair = FieldPair.from_value(psi6)  # refuses a value that is not 6-component
     direct = float(np.real(psi6.conjugate().dot(psi6)))
     dual = 2.0 * float(_norm(pair.E) ** 2 + _norm(pair.B) ** 2)
@@ -673,6 +681,7 @@ def energy_density(psi6) -> float:
     E, B from FieldPair (Hermitian squared norms) before returning the value.
     ValueError where psi6 is not finite or either side overflows a float.
     """
+    psi6 = _finite_array("psi6", psi6, complex)
     with np.errstate(over="ignore", invalid="ignore"):
         direct, dual = _energy_identity(psi6)
     if not (math.isfinite(direct) and math.isfinite(dual)):

@@ -23,11 +23,12 @@ space; no constraint ties r to x.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group_kinematics import ComplexEulerAngles
+from .group_kinematics import ComplexEulerAngles, _finite
 from .lorentz_harmonics import HarmonicIndex, _element
 from .lorentz_sector import angular_order
 from .photon_plane_waves import (
@@ -114,15 +115,23 @@ class PoincareWaveFunction:
         return "ME1" if positive else "ME2"
 
     def lorentz_factor(self, r: complex, angles: ComplexEulerAngles) -> complex:
-        """f^l_{1,lam}(r) * M^{lam}_l, conjugate-branch aware."""
-        radius = complex(r)
+        """f^l_{1,lam}(r) * M^{lam}_l, conjugate-branch aware; ValueError
+        where r is not finite or the factor overflows a float."""
+        try:
+            radius = complex(r)
+        except OverflowError:  # an int past the float range: the gate names it
+            radius = _finite("r", r, complex)
         if self.dotted:
             radius = radius.conjugate()
         idx = self.index
         L, M, N = idx.doubled  # validated when the index was built
         angular = _element(L, M, N, idx.m, idx.n, angles.phi, angles.epsilon,
                            angles.theta, angles.tau, 0.0, 0.0, idx.dotted)
-        return self.radial.f(self.lam, radius, self.dotted) * angular
+        factor = self.radial.f(self.lam, radius, self.dotted) * angular
+        if not cmath.isfinite(factor):
+            _finite("r", r, complex)
+            raise ValueError(f"the Lorentz factor at r={r!r} overflows a float")
+        return factor
 
     def value(self, x, t: float, r: complex,
               angles: ComplexEulerAngles) -> np.ndarray:

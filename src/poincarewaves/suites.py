@@ -51,7 +51,7 @@ from .differential_checks import (
     make_record,
     ResidualRecord,
 )
-from .group_kinematics import ComplexEulerAngles, make_angles
+from .group_kinematics import ComplexEulerAngles, _finite, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
     _grid_values,
@@ -174,11 +174,10 @@ class SuiteConfig:
                 raise ValueError(
                     f"unknown tolerance name {name!r}; "
                     f"valid names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-            value = float(value)
-            if not (math.isfinite(value) and value >= 0):
+            value = _finite(f"tolerance {name}", value)
+            if not value >= 0:
                 raise ValueError(
-                    f"tolerance {name} must be a finite number >= 0, "
-                    f"got {value!r}")
+                    f"tolerance {name} must be >= 0, got {value!r}")
             resolved[name] = value
         object.__setattr__(self, "tolerances", resolved)
         object.__setattr__(self, "corrected_lambda", bool(self.corrected_lambda))

@@ -225,7 +225,8 @@ class TestEval:
         (["radial", "--l", "1", "--r", "1e308"], "f_plus is not finite"),
         (["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
           "--x", "0,0,0", "--t", "0", "--r", "1e308",
-          "--angles", "0,0,1,0,0,0"], "psi is not finite"),
+          "--angles", "0,0,1,0,0,0"],
+         "the Lorentz factor at r=(1e+308+0j) overflows a float"),
     ])
     def test_overflowing_value_is_one_line_domain_error(self, runner, recwarn,
                                                          args, message):

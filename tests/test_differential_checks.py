@@ -53,7 +53,7 @@ class TestRecordInvariant:
 
     def test_nan_residual_names_the_values(self):
         with pytest.raises(ValueError,
-                           match=r"got residual=nan, scale=1\.0$"):
+                           match=r"^residual must be finite, got nan$"):
             ResidualRecord("demo", {}, {}, residual=math.nan, scale=1.0,
                            tolerance=1e-6)
 

@@ -76,9 +76,9 @@ class TestHarmonicIndex:
         # The cached validation raises the uncached validator's message
         # every time, and caches nothing for the rejected triple.
         with pytest.raises(ValueError) as direct:
-            lorentz_harmonics._validated_doubled(l, m, n)
+            lorentz_harmonics._validated_doubled.__wrapped__(l, m, n)
         message = f"^{re.escape(str(direct.value))}$"
-        cache = lorentz_harmonics._doubled_triple
+        cache = lorentz_harmonics._validated_doubled
         cached = cache.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
@@ -91,8 +91,21 @@ class TestHarmonicIndex:
         with pytest.raises(ValueError, match="^l must be non-negative"):
             HarmonicIndex(np.array(-1.0), 0, 0)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda l: su2_factor_p(l, 0, 0, 0.5),
+        lambda l: qu2_factor_jacobi(l, 0, 0, 0.5),
+        lambda l: generalized_m_values(l, 0, 0, 0.3, 0.1, 0.5, 0.2, 0.4, -0.2),
+        lambda l: associated_m(l, 0, make_angles(0.3, 0.1, 0.5, 0.2, 0.0, 0.0)),
+    ])
+    def test_every_index_entry_takes_a_0d_weight(self, evaluate):
+        # One validation path: a 0-d array is no cache key, and is validated
+        # as HarmonicIndex validates it, not refused as unhashable.
+        assert evaluate(np.array(1.0)) == evaluate(1.0)
+        with pytest.raises(ValueError, match="^l must be non-negative"):
+            evaluate(np.array(-1.0))
+
     def test_validation_is_cached(self):
-        cache = lorentz_harmonics._doubled_triple
+        cache = lorentz_harmonics._validated_doubled
         first = HarmonicIndex(2.5, 0.5, -1.5)
         hits, misses = cache.cache_info()[:2]
         again = HarmonicIndex(2.5, 0.5, -1.5, dotted=True)
@@ -142,9 +155,10 @@ class TestTerminating2F1:
     def test_order_above_forty_refused(self, a, b, name, value):
         with pytest.raises(ValueError) as error:
             terminating_2f1(a, b, 1, 0.5)
+        # The gate hands on a, b and c as floats: a=-41 reads a=-41.0.
         assert str(error.value) == (
-            f"terminating parameter {name}={value} gives a series of order "
-            "above 40, the longest summed for weights l <= 20")
+            f"terminating parameter {name}={float(value)!r} gives a series "
+            "of order above 40, the longest summed for weights l <= 20")
 
     def test_pole_beyond_termination_allowed(self):
         value = terminating_2f1(-2, -5, -2, 0.25)
@@ -383,16 +397,22 @@ def coefficient_caches():
 
 
 class TestSharedTables:
-    @pytest.mark.parametrize("l, m, k", [(1, 0.5, 0), (1, 0, 2), (-1, 0, 0)])
-    def test_invalid_triples_raise_index_error(self, l, m, k):
-        with pytest.raises(ValueError) as expected:
-            HarmonicIndex(l, m, k)
-        message = re.escape(str(expected.value))
+    @pytest.mark.parametrize("l, a, b, su2, qu2", [
+        (1, 0.5, 0, "l - m must be an integer, got l=1, m=0.5",
+         "l - k must be an integer, got l=1, k=0.5"),
+        (1, 0, 2, "|k| must not exceed l, got k=2 with l=1",
+         "|n| must not exceed l, got n=2 with l=1"),
+        (-1, 0, 0, "l must be non-negative, got -1",
+         "l must be non-negative, got -1"),
+    ], ids=["1-0.5-0", "1-0-2", "-1-0-0"])
+    def test_invalid_triples_raise_index_error(self, l, a, b, su2, qu2):
+        # The index rules of HarmonicIndex, naming each function's own
+        # arguments: su2_factor_p(l, m, k) and qu2_factor_jacobi(l, k, n).
         for _ in range(2):  # a rejected triple is not cached as valid
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                su2_factor_p(l, m, k, 0.5)
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                qu2_factor_jacobi(l, m, k, 0.5)
+            with pytest.raises(ValueError, match=f"^{re.escape(su2)}$"):
+                su2_factor_p(l, a, b, 0.5)
+            with pytest.raises(ValueError, match=f"^{re.escape(qu2)}$"):
+                qu2_factor_jacobi(l, a, b, 0.5)
 
     @pytest.mark.parametrize("l, m, n", [(1, 0.5, 0), (1, 0, 2), (-1, 0, 0)])
     def test_generalized_m_values_raises_index_error(self, l, m, n):

@@ -201,7 +201,7 @@ class TestRadialSolution:
             with pytest.raises(ValueError) as error:
                 radial.select(bad)
             assert str(error.value) == (
-                f"projection label must be +1, 0, or -1, got {bad!r}")
+                f"helicity lam must be +1, 0, or -1, got {bad!r}")
 
     @pytest.mark.parametrize("variant", ["paper", "corrected"])
     def test_every_slot_evaluator_and_derivative(self, variant):

@@ -119,10 +119,10 @@ class TestCurlMatrix:
             curl_matrix((0, 0, 1), c=0.0)
 
     @pytest.mark.parametrize("c, message", [
-        (0.0, "c must be a positive finite constant, got 0.0"),
-        (-1.0, "c must be a positive finite constant, got -1.0"),
-        (math.inf, "c must be a positive finite constant, got inf"),
-        (math.nan, "c must be a positive finite constant, got nan"),
+        (0.0, "c must be positive, got 0.0"),
+        (-1.0, "c must be positive, got -1.0"),
+        (math.inf, "c must be finite, got inf"),
+        (math.nan, "c must be finite, got nan"),
         (1e-310, "c must have a finite reciprocal 1/c, got 1e-310"),
         (5.5e-309, "c must have a finite reciprocal 1/c, got 5.5e-309"),
         (5e-324, "c must have a finite reciprocal 1/c, got 5e-324"),

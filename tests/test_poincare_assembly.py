@@ -190,7 +190,7 @@ class TestAssemble:
         original = index_class.__post_init__
         monkeypatch.setattr(index_class, "__post_init__",
                             lambda self: built.append(self) or original(self))
-        lorentz_harmonics._doubled_triple.cache_clear()
+        lorentz_harmonics._validated_doubled.cache_clear()
         for _ in range(100):
             member.value((0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j, GENERIC_ANGLES)
         assert len(built) <= 1
