@@ -8,7 +8,7 @@ with a cross-verification harness exposed both as a library and as the
 ``poincarewaves`` command-line tool.
 
 Module map
-    group_kinematics     complex Euler angles, SL(2, C) parametrization
+    group_kinematics     complex Euler angles and the finite-number gate
     lorentz_harmonics    hyperspherical matrix elements Z, M and their factors
     differential_checks  finite-difference residuals (Casimir, etc.)
     photon_plane_waves   spin matrices, polarization triple, 6-component waves

@@ -112,19 +112,21 @@ class ResidualRecord:
         return self.residual <= self.tolerance * max(1.0, self.scale)
 
 
-def _json_value(value):
-    """Coerce one indices/point entry to a JSON-native scalar."""
+def _json_value(key, value):
+    """Coerce one indices/point entry to a JSON-native scalar; a float entry
+    must be finite, since JSON has no NaN or infinity."""
     if type(value) in _JSON_NATIVE:
-        return value
-    if isinstance(value, (bool, np.bool_)):
+        if type(value) is not float or math.isfinite(value):
+            return value
+    elif isinstance(value, (bool, np.bool_)):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    elif isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
+    elif isinstance(value, str):
         return str(value)
-    raise TypeError(f"record entry {value!r} is not JSON-representable")
+    elif not isinstance(value, (float, np.floating)):
+        raise TypeError(f"record entry {value!r} is not JSON-representable")
+    return _finite(f"record entry {key!r}", value)
 
 
 def make_record(check_name: str, indices: Mapping[str, object],
@@ -132,8 +134,8 @@ def make_record(check_name: str, indices: Mapping[str, object],
                 tolerance: float, flagged: bool = False) -> ResidualRecord:
     """A ResidualRecord in the report's own form: float measurements and
     indices / point maps with str keys and JSON-native values."""
-    indices = {str(key): _json_value(value) for key, value in indices.items()}
-    point = {str(key): _json_value(value) for key, value in point.items()}
+    indices = {str(key): _json_value(key, value) for key, value in indices.items()}
+    point = {str(key): _json_value(key, value) for key, value in point.items()}
     try:
         residual, scale = float(residual), float(scale)
         tolerance = float(tolerance)

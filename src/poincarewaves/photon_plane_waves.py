@@ -35,9 +35,9 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
     amplitude alone: grad -> i k, d/dt -> -i omega, curl -> i k x, div -> i k.
     Each mode, a PhotonPlaneWave, builds its members: the 3-vector me1() and
     me2(), the column me6() = (u; u*) and the E and B term lists fields().
-    Each residual takes every term's phase once, pairs the amplitudes with
-    those phases and sums them in one accumulator, so all residuals are exact
-    up to floating-point roundoff.
+    Each residual is one numpy kernel over B rows of n terms, amplitudes (B, n,
+    d), wavevectors (B, n, 3), frequencies (B, n) at points (B, 3) and (B,): a
+    public residual reads row 0.  All are exact up to floating-point roundoff.
     The matrices are the read-only tuples ALPHA (alpha_1..alpha_3) and GAMMA
     (Gamma_0..Gamma_3).
 """
@@ -116,7 +116,6 @@ GAMMA = (
 
 for _matrix in (*ALPHA, *GAMMA):
     _matrix.setflags(write=False)
-_GAMMA_T = tuple(gamma.T for gamma in GAMMA)
 
 
 def commutator_sign(generators=ALPHA, tolerance: float = 1e-14) -> int:
@@ -237,30 +236,6 @@ def _check_c(c: float) -> float:
     return c
 
 
-def _norm(x) -> np.float64:
-    """np.linalg.norm of a vector, by the arithmetic numpy uses for it but
-    without its per-call dispatch: sqrt(x . x), or sqrt(Re x . Re x +
-    Im x . Im x) for complex x.  x may also be the empty sum, a Python 0j."""
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        real, imag = x.real, x.imag
-        return np.sqrt(real.dot(real) + imag.dot(imag))
-    return np.sqrt(x.dot(x))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross(a, b) of a real 3-vector a and a real or complex 3-vector b:
-    the same products and differences, taken on numpy scalars.
-
-    numpy scalars, not Python numbers: from CPython 3.14 a Python float times
-    a Python complex no longer promotes the float to complex first, so its
-    signed zeros could differ from np.cross's.
-    """
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def _check_frequency(kv: WaveVector, c: float) -> None:
     """ValueError where c |k|, the curl matrix's largest eigenvalue,
     overflows a float."""
@@ -310,13 +285,27 @@ def eigenstructure(k, c: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as they are:
+    the package's builders, whose inputs are checked, skip __post_init__."""
+    instance = object.__new__(cls)
+    vars(instance).update(fields)
+    return instance
+
+
 @dataclass(frozen=True)
 class PolarizationTriple:
-    """Unit polarization vectors: transverse eps_+, eps_-, longitudinal eps_0."""
+    """Unit polarization vectors: transverse eps_+, eps_-, longitudinal eps_0,
+    held as complex arrays; a caller's NaN or +-inf entry is a ValueError."""
 
     eps_plus: np.ndarray
     eps_minus: np.ndarray
     eps_zero: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("eps_plus", "eps_minus", "eps_zero"):
+            object.__setattr__(self, name, _finite_array(
+                name, getattr(self, name), complex))
 
     def select(self, lam: int) -> np.ndarray:
         lam = _check_helicity(lam)
@@ -349,7 +338,8 @@ def polarization_vectors(k) -> PolarizationTriple:
         eps_plus = np.array([-1.0, -1j * sign3, 0.0]) * inv_sqrt2
         eps_minus = np.array([-1.0, +1j * sign3, 0.0]) * inv_sqrt2
         eps_zero = np.array([0.0, 0.0, sign3], dtype=complex)
-        return PolarizationTriple(eps_plus, eps_minus, eps_zero)
+        return _trusted(PolarizationTriple, eps_plus=eps_plus,
+                        eps_minus=eps_minus, eps_zero=eps_zero)
     denominator = math.sqrt(2.0 * norm * norm * perp_sq)
     eps_plus = np.array([
         complex(-k1 * k3, k2 * norm),
@@ -362,7 +352,8 @@ def polarization_vectors(k) -> PolarizationTriple:
         complex(perp_sq, 0.0),
     ]) / denominator
     eps_zero = np.array([k1, k2, k3], dtype=complex) / norm
-    return PolarizationTriple(eps_plus, eps_minus, eps_zero)
+    return _trusted(PolarizationTriple, eps_plus=eps_plus, eps_minus=eps_minus,
+                    eps_zero=eps_zero)
 
 
 def transversality_residual(k, lam: int) -> float:
@@ -387,13 +378,13 @@ class PlaneWaveTerm:
         kvec = _finite_array("kvec", self.kvec, float)
         if kvec.shape != (3,):
             raise ValueError("kvec must be a 3-vector")
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "kvec", kvec)
-        object.__setattr__(self, "omega", _finite("omega", self.omega))
-        # Not a field: up to this |x_1| + |x_2| + |x_3|, every k_i x_i and
-        # their sum stay finite, so phase takes k.x without an errstate.
-        object.__setattr__(self, "_x_bound", sys.float_info.max / max(
-            4.0 * max(map(abs, kvec.tolist())), 1.0))
+        vars(self).update(amplitude=amplitude, kvec=kvec,
+                          omega=_finite("omega", self.omega))
+
+    @functools.cached_property
+    def _x_bound(self) -> float:
+        """The |x_1| + |x_2| + |x_3| up to which phase's k.x stays finite."""
+        return sys.float_info.max / max(4.0 * max(map(abs, self.kvec.tolist())), 1.0)
 
     def phase(self, x, t: float) -> complex:
         """exp[i (k.x - omega t)]; ValueError where k.x - omega t is not finite."""
@@ -415,44 +406,13 @@ class PlaneWaveTerm:
 
     def conjugate(self) -> "PlaneWaveTerm":
         """Term representing the complex conjugate of this term's value."""
-        return PlaneWaveTerm(self.amplitude.conjugate(), -self.kvec, -self.omega)
+        return _trusted(PlaneWaveTerm, amplitude=self.amplitude.conjugate(),
+                        kvec=-self.kvec, omega=-self.omega)
 
-
-def _phases(terms: Sequence[PlaneWaveTerm], x, t: float) -> list[complex]:
-    """Each term's phase at (x, t), taken once for every sum that reads it."""
-    return [term.phase(x, t) for term in terms]
-
-
-def _sum_at(amplitudes: Iterable[np.ndarray], phases: Sequence[complex]):
-    """Sum of amplitude * phase over matching pairs, from 0j in order: every
-    sum of plane waves in this module goes through here."""
-    total = 0j
-    for amplitude, phase in zip(amplitudes, phases):
-        total = total + amplitude * phase
-    return total
-
-
-def _within_float(value: float, what: str, names: str) -> float:
-    """value, or ValueError where it is not finite: PlaneWaveTerm holds only
-    finite numbers, so the operator arithmetic on ``names`` overflowed."""
-    if not math.isfinite(value):
-        raise ValueError(f"{what} overflows a float: the amplitudes, k or "
-                         f"omega / c of {names} are too large")
-    return value
-
-
-def _checked(terms: Iterable[PlaneWaveTerm], size: int,
-             label: str) -> list[PlaneWaveTerm]:
-    terms = list(terms)
-    if any(term.amplitude.shape != (size,) for term in terms):
-        raise ValueError(f"{label} needs {size}-component terms")
-    return terms
-
-
-def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float):
-    """Sum of amplitude * phase over the terms at (x, t); 0j for no terms."""
-    terms = list(terms)
-    return _sum_at([term.amplitude for term in terms], _phases(terms, x, t))
+    def _carrying(self, amplitude: np.ndarray) -> "PlaneWaveTerm":
+        """This term's k and omega with another finite amplitude, unchecked."""
+        return _trusted(PlaneWaveTerm, amplitude=amplitude, kvec=self.kvec,
+                        omega=self.omega)
 
 
 @dataclass(frozen=True)
@@ -462,19 +422,34 @@ class FieldPair:
     The upper and lower 3-blocks of a 6-component value are read as E - iB and
     E + iB respectively, so E = (upper + lower)/2 and B = i (upper - lower)/2.
     For conjugate-paired columns (lower = conj(upper)) both are real; the
-    arrays are kept complex so the extraction round-trips any value.
+    arrays are kept complex so the extraction round-trips any value; a
+    caller's NaN or +-inf entry is a ValueError.
     """
 
     E: np.ndarray
     B: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("E", "B"):
+            object.__setattr__(self, name, _finite_array(
+                name, getattr(self, name), complex))
+
     @classmethod
     def from_value(cls, psi6) -> "FieldPair":
-        psi6 = _finite_array("psi6", psi6, complex)
-        if psi6.shape != (6,):
-            raise ValueError("expected a 6-component value")
-        upper, lower = psi6[:3], psi6[3:]
-        return cls((upper + lower) / 2, 1j * (upper - lower) / 2)
+        return _field_pair(_six(psi6))
+
+
+def _six(psi6) -> np.ndarray:
+    psi6 = _finite_array("psi6", psi6, complex)
+    if psi6.shape != (6,):
+        raise ValueError("expected a 6-component value")
+    return psi6
+
+
+def _field_pair(psi6: np.ndarray) -> FieldPair:
+    """The FieldPair of finite (..., 6) values; halving first keeps it finite."""
+    upper, lower = psi6[..., :3] / 2, psi6[..., 3:] / 2
+    return _trusted(FieldPair, E=upper + lower, B=1j * (upper - lower))
 
 
 @dataclass(frozen=True)
@@ -503,7 +478,8 @@ class PhotonPlaneWave:
         kvec.setflags(write=False)
         if lam:  # the longitudinal mode is static: omega = 0
             _check_frequency(k, c)
-        term = PlaneWaveTerm(amplitude, kvec, c * norm if lam else 0.0)
+        term = _trusted(PlaneWaveTerm, amplitude=amplitude, kvec=kvec,
+                        omega=c * norm if lam else 0.0)
         for name, value in (("k", k), ("lam", lam), ("c", c), ("term", term)):
             object.__setattr__(self, name, value)
 
@@ -519,7 +495,7 @@ class PhotonPlaneWave:
         """me1()'s term, built on first use and kept: me2(), me6() and
         fields() all start from it.  Its arrays are read-only, as term's."""
         term = self.term
-        direct = PlaneWaveTerm(term.amplitude[:3], term.kvec, term.omega)
+        direct = term._carrying(term.amplitude[:3])
         if self.lam == -1:
             direct = direct.conjugate()
         direct.amplitude.setflags(write=False)
@@ -541,149 +517,204 @@ class PhotonPlaneWave:
         rows (the ME2 operator) and lower rows (the ME1 operator) vanish."""
         u = self._me1
         conj = u.conjugate()
-        return [PlaneWaveTerm(np.concatenate([u.amplitude, np.zeros(3)]),
-                              u.kvec, u.omega),
-                PlaneWaveTerm(np.concatenate([np.zeros(3), conj.amplitude]),
-                              conj.kvec, conj.omega)]
+        return [u._carrying(np.concatenate([u.amplitude, np.zeros(3)])),
+                conj._carrying(np.concatenate([np.zeros(3), conj.amplitude]))]
 
     def fields(self) -> tuple[list[PlaneWaveTerm], list[PlaneWaveTerm]]:
         """Exact (E, B) term lists: E = Re(w) and B = -Im(w) of the ME2 member
         w, as conjugate-paired terms, so both fields are real-valued."""
         [w] = self.me2()
         carriers = (w, w.conjugate())
-        e_terms = [PlaneWaveTerm(0.5 * term.amplitude, term.kvec, term.omega)
-                   for term in carriers]
-        b_terms = [PlaneWaveTerm(factor * term.amplitude, term.kvec, term.omega)
+        e_terms = [term._carrying(0.5 * term.amplitude) for term in carriers]
+        b_terms = [term._carrying(factor * term.amplitude)
                    for factor, term in zip((0.5j, -0.5j), carriers)]
         return e_terms, b_terms
 
 
-def _me3_operator(term: PlaneWaveTerm, spatial_sign: float, c: float) -> np.ndarray:
-    """(i/c) d/dt + spatial_sign * i (alpha . grad) applied to one 3-vector term."""
-    kdota = (term.kvec[0] * ALPHA[0] + term.kvec[1] * ALPHA[1]
-             + term.kvec[2] * ALPHA[2])
-    return (term.omega / c) * term.amplitude + spatial_sign * (
-        -kdota.dot(term.amplitude))
+def _stack(term_lists, size: int, label: str):
+    """The bundle of B lists of n terms of size components each."""
+    rows = [list(terms) for terms in term_lists]
+    if any(term.amplitude.shape != (size,) for terms in rows for term in terms):
+        raise ValueError(f"{label} needs {size}-component terms")
+    return tuple(
+        np.array([[getattr(term, name) for term in terms] for terms in rows],
+                 kind).reshape(len(rows), -1, *shape)
+        for name, kind, shape in (("amplitude", complex, [size]),
+                                  ("kvec", float, [3]), ("omega", float, [])))
 
 
-def _me6_operator(amplitude: np.ndarray, term: PlaneWaveTerm, c: float,
-                  gammas=GAMMA) -> np.ndarray:
-    """[(i/c) d/dt Gamma_0 - i Gamma_j d/dx_j] applied to one 6-vector term,
-    as (omega/c) gammas[0] a + k_j gammas[j] a on its amplitude a."""
-    result = (term.omega / c) * gammas[0].dot(amplitude)
-    for j in range(3):
-        result = result + term.kvec[j] * gammas[j + 1].dot(amplitude)
-    return result
+def _point(x, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's (x, t) as the one-row points (1, 3) and times (1,)."""
+    return _finite_array("x", x, float).reshape(1, 3), np.array([_finite("t", t)])
+
+
+def _refuse_rows(values, what: str, points, times) -> None:
+    """ValueError naming the point of the first row that is not finite."""
+    if not np.isfinite(values).all():
+        row = int(np.isfinite(values).reshape(len(values), -1).all(axis=1).argmin())
+        raise ValueError(f"{what} at x={tuple(points[row].tolist())!r}, "
+                         f"t={times[row].item()!r}")
+
+
+def _superpose(values, kvecs, omegas, points, times) -> np.ndarray:
+    """Sum over each row's terms of value * exp[i (k.x - omega t)]."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = ((kvecs * points[:, np.newaxis]).sum(axis=-1)
+                  - omegas * times[:, np.newaxis])
+        _refuse_rows(angles, "phase k.x - omega t is not finite", points, times)
+        waves = np.exp(1j * angles).reshape(angles.shape + (1,) * (values.ndim - 2))
+        return (values * waves).sum(axis=1)
+
+
+def _squares(values) -> np.ndarray:
+    """Squared Euclidean norm along the last axis, real or complex."""
+    return (values * values.conj()).real.sum(axis=-1)
+
+
+def _within_float(values, what: str, names: str = "terms") -> np.ndarray:
+    """values, or ValueError where one overflowed: terms hold finite numbers."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} overflows a float: the amplitudes, k or "
+                         f"omega / c of {names} are too large")
+    return values
+
+
+def _curl(kvecs, amplitudes) -> np.ndarray:
+    """curl -> i k x a on every term's 3-component amplitude."""
+    return 1j * (kvecs.take([1, 2, 0], -1) * amplitudes.take([2, 0, 1], -1)
+                 - kvecs.take([2, 0, 1], -1) * amplitudes.take([1, 2, 0], -1))
+
+
+def _dirac_residuals(bundle, points, times, c: float, equation: str) -> np.ndarray:
+    """|operator on the wave| per row: ME1 / ME2 are (omega/c) a -+ i k x a,
+    as -(k . alpha) a = i k x a; ME6 is ME2 on the lower block, ME1 on the
+    upper; ANTI, the conjugate-field operator on psi-bar^T = Gamma_0 conj(psi),
+    is ME6 on the conjugate terms, blocks swapped, as Gamma_mu^T = Gamma_mu."""
+    amplitudes, kvecs, omegas = bundle
+    if equation == "ANTI":
+        amplitudes, kvecs, omegas = np.concatenate(  # Gamma_0 conj(a), -k, -w
+            [amplitudes[..., 3:], amplitudes[..., :3]], -1).conj(), -kvecs, -omegas
+    with np.errstate(over="ignore", invalid="ignore"):
+        def operator(a, sign):
+            return (omegas / c)[..., np.newaxis] * a + sign * _curl(kvecs, a)
+        operated = (np.concatenate([operator(amplitudes[..., 3:], 1.0),
+                                    operator(amplitudes[..., :3], -1.0)], axis=-1)
+                    if equation in ("ME6", "ANTI") else
+                    operator(amplitudes, -1.0 if equation == "ME1" else 1.0))
+        squares = _squares(_superpose(operated, kvecs, omegas, points, times))
+    return _within_float(np.sqrt(squares), "the conjugate-field residual"
+                         if equation == "ANTI" else f"the {equation} residual")
+
+
+def _dirac_scales(bundle, c: float) -> np.ndarray:
+    """Sum of |amp| (|w|/c + |k|) over each row's terms."""
+    amplitudes, kvecs, omegas = bundle
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = (np.sqrt(_squares(amplitudes))
+                  * (np.abs(omegas) / c + np.sqrt(_squares(kvecs)))).sum(-1)
+    return _within_float(scales, "the Dirac-form scale")
+
+
+def _maxwell_residuals(e_bundle, b_bundle, points, times, c: float) -> list:
+    """[faraday, ampere, div_e, div_b] per row, d/dt -> -i omega."""
+    (e, e_k, e_omega), (b, b_k, b_omega) = e_bundle, b_bundle
+    both = (np.concatenate([e_k, b_k], axis=1),
+            np.concatenate([e_omega, b_omega], axis=1), points, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_dt, b_dt = (-1j * omega[..., np.newaxis] * a
+                      for a, omega in ((e, e_omega), (b, b_omega)))
+        parts = [
+            _superpose(np.concatenate([_curl(e_k, e), b_dt / c], axis=1), *both),
+            _superpose(np.concatenate([-e_dt / c, _curl(b_k, b)], axis=1), *both),
+            *(_superpose(1j * (k * a).sum(axis=-1, keepdims=True), k, omega,
+                         points, times)
+              for a, k, omega in ((e, e_k, e_omega), (b, b_k, b_omega)))]
+        parts = [np.sqrt(_squares(part)) for part in parts]
+    return [_within_float(part, "a Maxwell residual", "e_terms and b_terms")
+            for part in parts]
+
+
+#: Gamma_0 Gamma_mu, as row blocks swapped (a matmul at import would start BLAS).
+_GAMMA_BAR = np.array(GAMMA)[:, [3, 4, 5, 0, 1, 2]]
+
+
+def _lagrangians(bundle, points, times, c: float) -> np.ndarray:
+    """-[(F_0 / c - sum_j F_j) - (B_0 / c - sum_j B_j)] / 2 per row, with F_mu
+    = psi-bar Gamma_mu d_mu psi, B_mu = d_mu psi-bar Gamma_mu psi, d -> -i w, i k."""
+    amplitudes, kvecs, omegas = bundle
+    factors = np.concatenate([-1j * omegas[..., np.newaxis], 1j * kvecs], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = (_superpose(values, kvecs, omegas, points, times) for values in (
+            amplitudes, factors[..., np.newaxis] * amplitudes[..., np.newaxis, :]))
+        forward, backward = (
+            terms[:, 0] / c - terms[:, 1] - terms[:, 2] - terms[:, 3] for terms in (
+                np.einsum("bp,mpq,bmq->bm", psi.conj(), _GAMMA_BAR, dpsi),
+                np.einsum("bmp,mpq,bq->bm", dpsi.conj(), _GAMMA_BAR, psi)))
+        densities = -(forward - backward) / 2
+    _refuse_rows(densities, "Lagrangian density overflows a float", points, times)
+    return densities
+
+
+def _energy_identity(psi6) -> tuple[np.ndarray, np.ndarray]:
+    """psi^dagger psi and 2 (|E|^2 + |B|^2) per row, E and B from FieldPair."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = _field_pair(psi6)
+        return _squares(psi6), 2.0 * (_squares(pair.E) + _squares(pair.B))
+
+
+def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float):
+    """Sum of amplitude * phase over the terms at (x, t); 0j for no terms."""
+    terms = list(terms)
+    return _superpose(*_stack([terms], terms[0].amplitude.size, "evaluate_terms"),
+                      *_point(x, t))[0] if terms else 0j
 
 
 def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
                         x=(0.0, 0.0, 0.0), t: float = 0.0,
                         c: float = 1.0) -> float:
-    """Euclidean norm of the chosen first-order operator applied to the wave.
-
-    equation: "ME1" ((i/c)d/dt - i alpha.grad on 3-vectors), "ME2" (the +alpha
-    variant), or "ME6" (the 6x6 block form).  Derivatives are exact per term;
-    the residual is evaluated at the given spacetime point.  ValueError
-    where it overflows a float.
-    """
+    """Euclidean norm at (x, t) of the first-order operator on the wave:
+    "ME1" ((i/c)d/dt - i alpha.grad on 3-vectors), "ME2" (+alpha) or "ME6"
+    (the 6x6 block form).  ValueError where it overflows a float."""
     c = _check_c(c)
     equation = equation.upper()
     if equation not in ("ME1", "ME2", "ME6"):
         raise ValueError(f"equation must be ME1, ME2, or ME6, got {equation!r}")
-    terms = _checked(terms, 6 if equation == "ME6" else 3,
-                     f"{equation} residual")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if equation == "ME6":
-            amplitudes = [_me6_operator(term.amplitude, term, c)
-                          for term in terms]
-        else:
-            sign = -1.0 if equation == "ME1" else 1.0
-            amplitudes = [_me3_operator(term, sign, c) for term in terms]
-        residual = float(_norm(_sum_at(amplitudes, _phases(terms, x, t))))
-    return _within_float(residual, f"the {equation} residual", "terms")
+    bundle = _stack([terms], 6 if equation == "ME6" else 3, f"{equation} residual")
+    return float(_dirac_residuals(bundle, *_point(x, t), c, equation)[0])
 
 
 def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
-    """Natural magnitude of the operator terms: sum of |amp| (|w|/c + |k|).
-
-    ValueError where it overflows a float.
-    """
-    c = _check_c(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(sum(
-            _norm(term.amplitude) * (abs(term.omega) / c + _norm(term.kvec))
-            for term in terms))
-    return _within_float(scale, "the Dirac-form scale", "terms")
-
-
-def _dt(term: PlaneWaveTerm) -> np.ndarray:
-    return -1j * term.omega * term.amplitude
+    """Sum of |amp| (|w|/c + |k|); ValueError where it overflows a float."""
+    c, terms = _check_c(c), list(terms)
+    size = terms[0].amplitude.size if terms else 0
+    return float(_dirac_scales(_stack([terms], size, "Dirac-form scale"), c)[0])
 
 
 def maxwell_residuals_from_terms(e_terms: Sequence[PlaneWaveTerm],
                                  b_terms: Sequence[PlaneWaveTerm],
                                  x=(0.0, 0.0, 0.0), t: float = 0.0,
                                  c: float = 1.0) -> tuple[float, float, float, float]:
-    """Residual magnitudes of the four classical field equations.
-
-    Returns (faraday, ampere, div_e, div_b) for
-    curl E + (1/c) dB/dt, curl B - (1/c) dE/dt, div E, div B,
-    with all derivatives exact per term (curl -> i k x a, div -> i k . a),
-    evaluated at (x, t).  ValueError where one overflows a float.
-    """
+    """(faraday, ampere, div_e, div_b) at (x, t): the magnitudes of curl E +
+    (1/c) dB/dt, curl B - (1/c) dE/dt, div E and div B, with curl -> i k x a
+    and div -> i k . a.  ValueError where one overflows a float."""
     c = _check_c(c)
-    e_terms = _checked(e_terms, 3, "Maxwell residual")
-    b_terms = _checked(b_terms, 3, "Maxwell residual")
-
-    def curl(terms):
-        return [1j * _cross(term.kvec, term.amplitude) for term in terms]
-
-    def div(terms):
-        return [np.array([1j * term.kvec.dot(term.amplitude)]) for term in terms]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_phases, b_phases = _phases(e_terms, x, t), _phases(b_terms, x, t)
-        faraday = [*curl(e_terms), *((1 / c) * _dt(term) for term in b_terms)]
-        ampere = [*curl(b_terms), *((-1 / c) * _dt(term) for term in e_terms)]
-        residuals = tuple(float(_norm(_sum_at(amplitudes, phases)))
-                          for amplitudes, phases in (
-            (faraday, e_phases + b_phases), (ampere, b_phases + e_phases),
-            (div(e_terms), e_phases), (div(b_terms), b_phases)))
-    for residual in residuals:
-        _within_float(residual, "a Maxwell residual", "e_terms and b_terms")
-    return residuals
+    bundles = [_stack([terms], 3, "Maxwell residual") for terms in (e_terms, b_terms)]
+    return tuple(float(part[0])
+                 for part in _maxwell_residuals(*bundles, *_point(x, t), c))
 
 
 def maxwell_residuals(k, lam: int, x=(0.0, 0.0, 0.0), t: float = 0.0,
                       c: float = 1.0) -> tuple[float, float, float, float]:
-    """Residuals of the four classical field equations for mode lam.
-
-    Transverse modes (lam = +-1) satisfy all four equations to roundoff; the
-    longitudinal mode satisfies the two curl equations trivially but fails both
-    divergence equations at scale |k| (the transversality exclusion).
-    """
+    """The four Maxwell residuals of mode lam: roundoff for lam = +-1; the
+    longitudinal mode fails both divergences at scale |k| (transversality)."""
     return maxwell_residuals_from_terms(*PhotonPlaneWave(k, lam, c).fields(),
                                         x, t, c)
 
 
-def _energy_identity(psi6: np.ndarray) -> tuple[float, float]:
-    """psi^dagger psi and its dual 2 (|E|^2 + |B|^2), E and B from FieldPair."""
-    pair = FieldPair.from_value(psi6)  # refuses a value that is not 6-component
-    direct = float(np.real(psi6.conjugate().dot(psi6)))
-    dual = 2.0 * float(_norm(pair.E) ** 2 + _norm(pair.B) ** 2)
-    return direct, dual
-
-
 def energy_density(psi6) -> float:
-    """psi-bar Gamma_0 psi = psi^dagger psi, cross-checked against the fields.
-
-    Verifies the algebraic identity psi^dagger psi = 2 (|E|^2 + |B|^2) with
-    E, B from FieldPair (Hermitian squared norms) before returning the value.
-    ValueError where psi6 is not finite or either side overflows a float.
-    """
-    psi6 = _finite_array("psi6", psi6, complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct, dual = _energy_identity(psi6)
+    """psi-bar Gamma_0 psi = psi^dagger psi, once it equals 2 (|E|^2 + |B|^2)
+    of its FieldPair; ValueError where either side is not finite."""
+    direct, dual = (float(side[0]) for side in _energy_identity(_six(psi6)[None]))
     if not (math.isfinite(direct) and math.isfinite(dual)):
         raise ValueError("psi6 must be finite, with psi^dagger psi within "
                          f"the float range; got psi^dagger psi = {direct!r}")
@@ -701,52 +732,20 @@ def lagrangian_density_translation(terms: Sequence[PlaneWaveTerm],
     L = -(1/2) [ (1/c) psi-bar Gamma_0 dpsi/dt - psi-bar Gamma_j dpsi/dx_j
                  - (1/c) dpsi-bar/dt Gamma_0 psi + dpsi-bar/dx_j Gamma_j psi ]
 
-    with psi-bar = psi^dagger Gamma_0.  Vanishes identically on solutions of
-    the 6x6 first-order system (both brackets vanish separately on-shell).
-    No terms is the zero wave, whose density is 0j.  ValueError where the
-    density overflows a float.
+    with psi-bar = psi^dagger Gamma_0: 0 on solutions of the 6x6 system, and
+    0j for no terms.  ValueError where it overflows a float.
     """
     c = _check_c(c)
-    terms = _checked(terms, 6, "Lagrangian density")
-    if not terms:
-        return 0j
-    phases = _phases(terms, x, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = _sum_at([term.amplitude for term in terms], phases)
-        dpsi_t = _sum_at([_dt(term) for term in terms], phases)
-        dpsi = [_sum_at([1j * term.kvec[j] * term.amplitude for term in terms],
-                        phases) for j in range(3)]
-        psi_bar = psi.conjugate().dot(GAMMA[0])
-        psi_bar_t = dpsi_t.conjugate().dot(GAMMA[0])
-        psi_bar_j = [d.conjugate().dot(GAMMA[0]) for d in dpsi]
-        forward = psi_bar.dot(GAMMA[0]).dot(dpsi_t) / c
-        backward = psi_bar_t.dot(GAMMA[0]).dot(psi) / c
-        for j in range(3):
-            forward = forward - psi_bar.dot(GAMMA[j + 1]).dot(dpsi[j])
-            backward = backward - psi_bar_j[j].dot(GAMMA[j + 1]).dot(psi)
-        density = complex(-(forward - backward) / 2)
-    if not cmath.isfinite(density):
-        raise ValueError(
-            f"Lagrangian density overflows a float at x={x!r}, t={t!r}")
-    return density
+    bundle = _stack([terms], 6, "Lagrangian density")
+    return complex(_lagrangians(bundle, *_point(x, t), c)[0])
 
 
 def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
                            x=(0.0, 0.0, 0.0), t: float = 0.0,
                            c: float = 1.0) -> float:
-    """Residual of the conjugate-field equation on psi-bar built from psi.
-
-    Applies (1/c) Gamma_0^T d/dt - Gamma_j^T d/dx_j to psi-bar^T = Gamma_0
-    conj(psi) with exact per-term derivatives.  Algebraically this equals
-    Gamma_0 times the conjugate of the direct 6x6 residual, so it vanishes
-    on-shell; it is computed directly here so the identity is testable.
-    ValueError where it overflows a float.
-    """
+    """|(1/c) Gamma_0^T d/dt - Gamma_j^T d/dx_j| on psi-bar^T = Gamma_0
+    conj(psi): as Gamma_mu^T = Gamma_mu, the 6x6 operator on the conjugate
+    wave, equal in size to the direct ME6 residual.  ValueError on overflow."""
     c = _check_c(c)
-    conjugates = [term.conjugate()
-                  for term in _checked(terms, 6, "conjugate-field residual")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(_norm(_sum_at(
-            [_me6_operator(GAMMA[0].dot(conj.amplitude), conj, c, _GAMMA_T)
-             for conj in conjugates], _phases(conjugates, x, t))))
-    return _within_float(residual, "the conjugate-field residual", "terms")
+    bundle = _stack([terms], 6, "conjugate-field residual")
+    return float(_dirac_residuals(bundle, *_point(x, t), c, "ANTI")[0])

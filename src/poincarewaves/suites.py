@@ -73,19 +73,20 @@ from .photon_plane_waves import (
     GAMMA,
     NORMALIZATION,
     PhotonPlaneWave,
-    PlaneWaveTerm,
     _as_wavevector,
     _check_c,
+    _dirac_residuals,
+    _dirac_scales,
     _energy_identity,
-    _norm,
-    anti_equation_residual,
+    _lagrangians,
+    _maxwell_residuals,
+    _squares,
+    _stack,
     commutator_sign,
     dirac_form_residual,
     dirac_form_scale,
     eigenstructure,
     energy_density,
-    lagrangian_density_translation,
-    maxwell_residuals_from_terms,
     polarization_vectors,
     transversality_residual,
 )
@@ -320,7 +321,7 @@ def _deficit(threshold: float, observed: float) -> float:
 def _draw_k(rng: np.random.Generator) -> np.ndarray:
     """A normal wavevector, redrawn until |k| >= 1e-2."""
     k = rng.normal(size=3)
-    while float(_norm(k)) < 1e-2:
+    while math.sqrt(k.dot(k)) < 1e-2:
         k = rng.normal(size=3)
     return k
 
@@ -478,35 +479,35 @@ def _suite_eigen(config: SuiteConfig) -> list[ResidualRecord]:
     draws = [({"draw": position}, _draw_k(rng)) for position in range(100)]
     cases = fixed + draws
     wavevectors = [_as_wavevector(k) for _, k in cases]
-    pairs = zip(*eigenstructure(wavevectors, c))
-    for (indices, k), kv, (values, vectors) in zip(cases, wavevectors, pairs):
-        norm = float(_norm(k))
-        label = {"k": _k_label(k)}
-        expected = np.array([-c * norm, 0.0, c * norm])
+    values, vectors = eigenstructure(wavevectors, c)
+    ks = np.array([kv.array for kv in wavevectors])
+    norms = np.sqrt(_squares(ks))
+    spectrum = np.abs(values - c * norms[:, None] * [-1.0, 0.0, 1.0]).max(axis=1)
+    labels = [{"k": _k_label(k)} for _, k in cases]
+    for (indices, _), label, residual, scale in zip(
+            cases, labels, spectrum.tolist(), np.maximum(1.0, c * norms).tolist()):
         records.append(config.record(
-            "eigen_spectrum", indices, label,
-            float(np.abs(values - expected).max()), max(1.0, c * norm)))
-        if "case" in indices:
-            continue
-        pol = polarization_vectors(kv)
-        alignment = max(
-            abs(abs(np.vdot(vectors[:, 2], pol.eps_plus)) - 1.0),
-            abs(abs(np.vdot(vectors[:, 0], pol.eps_minus)) - 1.0),
-            abs(abs(np.vdot(vectors[:, 1], pol.eps_zero)) - 1.0),
-        )
+            "eigen_spectrum", indices, label, residual, scale))
+    # The draws' triples stacked as (draw, eps_+ / eps_- / eps_0, component),
+    # against the eigenvector columns of +c|k|, -c|k| and 0.
+    triples = np.array([[triple.eps_plus, triple.eps_minus, triple.eps_zero]
+                        for triple in map(polarization_vectors, wavevectors[2:])])
+    columns = vectors[2:, :, [2, 0, 1]].transpose(0, 2, 1)
+    overlaps = np.abs((columns.conj() * triples).sum(axis=-1))
+    alignment = np.abs(overlaps - 1.0).max(axis=1)
+    first = triples[:20]
+    transverse = (np.abs((ks[2:22, None] * first[:, :2]).sum(axis=-1))
+                  / np.maximum(1.0, norms[2:22, None]))
+    gram = np.abs((first[:, [0, 0, 1]].conj() * first[:, [1, 2, 2]]).sum(axis=-1))
+    worst = np.concatenate([np.abs(np.sqrt(_squares(first)) - 1.0), transverse, gram],
+                           axis=1).max(axis=1)
+    for (indices, _), label, aligned in zip(draws, labels[2:],
+                                            alignment.tolist()):
         records.append(config.record(
-            "eigen_alignment", indices, label, float(alignment), 1.0))
-        if indices["draw"] < 20:
-            units = (pol.eps_plus, pol.eps_minus, pol.eps_zero)
-            worst = max(0.0, *(abs(float(_norm(eps)) - 1.0)
-                               for eps in units),
-                        abs(k @ pol.eps_plus) / max(1.0, norm),
-                        abs(k @ pol.eps_minus) / max(1.0, norm),
-                        abs(np.vdot(pol.eps_plus, pol.eps_minus)),
-                        abs(np.vdot(pol.eps_plus, pol.eps_zero)),
-                        abs(np.vdot(pol.eps_minus, pol.eps_zero)))
-            records.append(config.record(
-                "polarization", indices, label, float(worst), 1.0))
+            "eigen_alignment", indices, label, aligned, 1.0))
+    for (indices, _), label, residual in zip(draws, labels[2:], worst.tolist()):
+        records.append(config.record(
+            "polarization", indices, label, residual, 1.0))
     near = polarization_vectors((1e-6, 0.0, 1.0))
     axis = polarization_vectors((0.0, 0.0, 1.0))
     jump = max(float(np.abs(a - b).max()) for a, b in
@@ -527,86 +528,101 @@ def _generic_point_for(k) -> tuple[tuple[float, float, float], float]:
 
 
 def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
+    """The 15 modes, k outer and helicity +1, 0, -1 inner, each built once,
+    and the off-shell controls, each family evaluated by one kernel call."""
     rng = config.rng(6)
     c = config.c
+    # The random amplitudes in the order the suite has always drawn them: per
+    # k the Dirac-form control's 3-vector and the Lagrangian control's
+    # 6-vector, then the energy-dual values.
+    controls = [(rng.normal(size=3) + 1j * rng.normal(size=3),
+                 rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in _K_SET]
+    duals = np.array([rng.normal(size=6) + 1j * rng.normal(size=6)
+                      for _ in range(100)])
+    labels = [_k_label(k) for k in _K_SET]
+    norms = [math.hypot(*k) for k in _K_SET]
+    located = [_generic_point_for(k) for k in _K_SET]
+    ats = [{"x": _k_label(point), "t": t} for point, t in located]
+    at = (np.array([point for point, _ in located]),
+          np.array([t for _, t in located]))
+    at_modes = tuple(np.repeat(values, 3, axis=0) for values in at)
+    modes = [PhotonPlaneWave(kv, lam, c)
+             for kv in map(_as_wavevector, _K_SET) for lam in (1, 0, -1)]
+    faraday, ampere, div_e, div_b = (part.tolist() for part in _maxwell_residuals(
+        *(_stack(side, 3, "Maxwell residual")
+          for side in zip(*(mode.fields() for mode in modes))), *at_modes, c))
+    members = {"ME1": _stack([mode.me1() for mode in modes], 3, "ME1 residual"),
+               "ME2": _stack([mode.me2() for mode in modes], 3, "ME2 residual"),
+               "ME6": _stack([mode.me6() for mode in modes], 6, "ME6 residual")}
+    members["ANTI"] = members["ME6"]
+    dirac = {equation: (_dirac_residuals(bundle, *at_modes, c, equation).tolist(),
+                        _dirac_scales(bundle, c).tolist())
+             for equation, bundle in members.items()}
+    lagrangians = np.abs(_lagrangians(members["ME6"], *at_modes, c)).tolist()
     records = []
-    for k in _K_SET:
-        norm = math.hypot(*k)
-        label = _k_label(k)
-        point, t = _generic_point_for(k)
-        at = {"x": _k_label(point), "t": t}
-        # Each mode is built once, and its members from it.
-        waves = {lam: PhotonPlaneWave(k, lam, c) for lam in (1, 0, -1)}
-        me1 = {lam: wave.me1() for lam, wave in waves.items()}
-        me2 = {lam: wave.me2() for lam, wave in waves.items()}
-        for lam in (1, -1):
-            residuals = maxwell_residuals_from_terms(
-                *waves[lam].fields(), point, t, c)
+    for m, mode in enumerate(modes):
+        i = m // 3
+        indices = {"k": labels[i], "lam": mode.lam}
+        scale = max(1.0, norms[i])
+        if mode.lam:
             records.append(config.record(
-                "maxwell", {"k": label, "lam": lam}, at,
-                max(residuals), max(1.0, norm)))
-        faraday, ampere, div_e, div_b = maxwell_residuals_from_terms(
-            *waves[0].fields(), point, t, c)
-        records.append(config.record(
-            "maxwell", {"k": label, "lam": 0, "part": "curl"}, at,
-            max(faraday, ampere), max(1.0, norm)))
-        threshold = 0.1 * NORMALIZATION * norm
-        records.append(config.record(
-            "maxwell_control", {"k": label, "lam": 0},
-            {**at, "div_e": div_e, "div_b": div_b},
-            _deficit(threshold, min(div_e, div_b)), 1.0))
-        for lam in (1, 0, -1):
-            column = waves[lam].me6()
-            for equation, terms in (("ME1", me1[lam]), ("ME2", me2[lam]),
-                                    ("ME6", column)):
-                scale = dirac_form_scale(terms, c)
-                records.append(config.record(
-                    "dirac_form", {"k": label, "lam": lam,
-                                   "equation": equation}, at,
-                    dirac_form_residual(terms, equation, point, t, c),
-                    scale))
+                "maxwell", indices, ats[i],
+                max(faraday[m], ampere[m], div_e[m], div_b[m]), scale))
+        else:
             records.append(config.record(
-                "dirac_form", {"k": label, "lam": lam,
-                               "equation": "ANTI"}, at,
-                anti_equation_residual(column, point, t, c),
-                dirac_form_scale(column, c)))
+                "maxwell", {**indices, "part": "curl"}, ats[i],
+                max(faraday[m], ampere[m]), scale))
             records.append(config.record(
-                "lagrangian", {"k": label, "lam": lam}, at,
-                abs(lagrangian_density_translation(column, point, t, c)), 1.0))
-        omega = c * norm
-        amplitude = rng.normal(size=3) + 1j * rng.normal(size=3)
-        random_terms = [PlaneWaveTerm(amplitude, k, omega)]
-        scale = dirac_form_scale(random_terms, c)
-        for equation in ("ME1", "ME2"):
-            observed = dirac_form_residual(random_terms, equation, point, t, c)
+                "maxwell_control", indices,
+                {**ats[i], "div_e": div_e[m], "div_b": div_b[m]},
+                _deficit(0.1 * NORMALIZATION * norms[i], min(div_e[m], div_b[m])),
+                1.0))
+        for equation, (residuals, scales) in dirac.items():
+            records.append(config.record(
+                "dirac_form", {**indices, "equation": equation}, ats[i],
+                residuals[m], scales[m]))
+        records.append(config.record("lagrangian", indices, ats[i],
+                                     lagrangians[m], 1.0))
+    # Per k, one off-shell term of k and omega = c|k| for each control.
+    kvecs, omegas = np.array(_K_SET)[:, None], c * np.array(norms)[:, None]
+    random, off_shell = ((np.array(amplitudes)[:, None], kvecs, omegas)
+                         for amplitudes in zip(*controls))
+    observed = {equation: _dirac_residuals(random, *at, c, equation).tolist()
+                for equation in ("ME1", "ME2")}
+    thresholds = (0.1 * _dirac_scales(random, c)).tolist()
+    off_observed = np.abs(_lagrangians(off_shell, *at, c)).tolist()
+    # ME2 of the +1 and -1 modes together, scaled by their ME1 members.
+    pairs = [(modes[m], modes[m + 2]) for m in range(0, len(modes), 3)]
+    pairing = _dirac_residuals(_stack([[*plus.me2(), *minus.me2()]
+                                       for plus, minus in pairs], 3, "ME2 residual"),
+                               *at, c, "ME2").tolist()
+    pairing_scales = _dirac_scales(_stack([[*plus.me1(), *minus.me1()]
+                                           for plus, minus in pairs], 3,
+                                          "ME1 residual"), c).tolist()
+    for i, label in enumerate(labels):
+        for equation, values in observed.items():
             records.append(config.record(
                 "dirac_control", {"k": label, "equation": equation},
-                {"observed": observed, "threshold": 0.1 * scale},
-                _deficit(0.1 * scale, observed), 1.0))
+                {"observed": values[i], "threshold": thresholds[i]},
+                _deficit(thresholds[i], values[i]), 1.0))
         records.append(config.record(
-            "pairing", {"k": label}, at,
-            dirac_form_residual([*me2[1], *me2[-1]], "ME2", point, t, c),
-            dirac_form_scale([*me1[1], *me1[-1]], c)))
-        wave = waves[1]
+            "lagrangian_control", {"k": label},
+            {"observed": off_observed[i], "threshold": 1e-6},
+            _deficit(1e-6, off_observed[i]), 1.0))
+        records.append(config.record("pairing", {"k": label}, ats[i],
+                                     pairing[i], pairing_scales[i]))
+        wave = pairs[i][0]
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
-                    for x, s in ((point, t), ((1.7, -0.3, 0.4), -2.0)))
+                    for x, s in (located[i], ((1.7, -0.3, 0.4), -2.0)))
         records.append(config.record(
             "energy", {"k": label, "kind": "constancy"},
             {"reference": reference}, drift, max(1.0, reference)))
-        off_amplitude = rng.normal(size=6) + 1j * rng.normal(size=6)
-        off_terms = [PlaneWaveTerm(off_amplitude, k, omega)]
-        observed = abs(lagrangian_density_translation(off_terms, point, t, c))
-        records.append(config.record(
-            "lagrangian_control", {"k": label},
-            {"observed": observed, "threshold": 1e-6},
-            _deficit(1e-6, observed), 1.0))
-    for draw in range(100):
-        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-        direct, dual = _energy_identity(psi)
+    direct, dual = (values.tolist() for values in _energy_identity(duals))
+    for draw, (value, twin) in enumerate(zip(direct, dual)):
         records.append(config.record(
             "energy", {"draw": draw, "kind": "dual"}, {},
-            abs(direct - dual), max(1.0, direct)))
+            abs(value - twin), max(1.0, value)))
     return records
 
 

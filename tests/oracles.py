@@ -8,16 +8,25 @@ different style from the package under test:
   of the package's folded sine/cosine form and exact coefficient tables.
 * ``wigner_d`` is the textbook factorial formula for the SU(2) small-d matrix.
 * ``brute_2f1`` sums the terminating Gauss series with exact rational coefficients.
+* ``angles_to_sl2c`` and ``sl2c_to_complex_rotation`` realize the 2-to-1
+  covering map SL(2,C) -> complex rotations by conjugation on the Pauli-matrix
+  expansion of a complex triple z: R_ij(g) = tr(sigma_i g sigma_j g^-1)/2,
+  complex-orthogonal (R^T R = 1 over C) and preserving z.z.  They read only
+  the complex angles of the angle object they are given, and they hold only
+  at moderate boosts: cosh(tau / 2) overflows past |tau| ~ 1420, and the
+  entries of R grow as e^|tau|, so R^T R - 1 has lost every digit by tau = 40.
 
 None of these import the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 _I_POW = (1, 1j, -1, -1j)  # i**n for n mod 4
 
@@ -106,3 +115,45 @@ def brute_2f1(a: int, b: int, c: float, x: float) -> float:
             coeff /= Fraction((c + i) * (i + 1))
         total += float(coeff) * x ** k
     return total
+
+
+#: Pauli matrices sigma_1, sigma_2, sigma_3.
+_SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def angles_to_sl2c(angles) -> np.ndarray:
+    """Unimodular complex 2x2 matrix g in the z-x-z convention.
+
+    g = exp(-i*phi_c*s3/2) exp(-i*theta_c*s1/2) exp(-i*chi_c*s3/2); the boost
+    content sits in the imaginary parts of the complex angles phi_c, theta_c
+    and chi_c of ``angles``.
+    """
+    half_phi = angles.phi_c / 2
+    half_theta = angles.theta_c / 2
+    half_chi = angles.chi_c / 2
+    zp = np.array([[cmath.exp(-1j * half_phi), 0], [0, cmath.exp(1j * half_phi)]])
+    ct, st = cmath.cos(half_theta), cmath.sin(half_theta)
+    xr = np.array([[ct, -1j * st], [-1j * st, ct]])
+    zc = np.array([[cmath.exp(-1j * half_chi), 0], [0, cmath.exp(1j * half_chi)]])
+    return zp @ xr @ zc
+
+
+def sl2c_to_complex_rotation(g: np.ndarray) -> np.ndarray:
+    """Complex-orthogonal 3x3 rotation induced by conjugation on the Pauli basis.
+
+    g = [[a, b], [c, d]] is unimodular, so g^-1 = [[d, -b], [-c, a]] exactly.
+    R_ij = tr(sigma_i g sigma_j g^-1) / 2.
+    """
+    mat = np.asarray(g, dtype=complex)
+    (a, b), (c, d) = mat
+    inv = np.array([[d, -b], [-c, a]])
+    rotation = np.empty((3, 3), dtype=complex)
+    for j in range(3):
+        conjugated = mat @ _SIGMA[j] @ inv
+        for i in range(3):
+            rotation[i, j] = np.trace(_SIGMA[i] @ conjugated) / 2
+    return rotation

@@ -1,6 +1,7 @@
 """Tests for the command-line harness: eval, verify, table."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -607,3 +608,36 @@ class TestTable:
         assert result.stderr == (f"Error: --{option} must be finite, "
                                  f"got {given}\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+#: sha256 of the stdout bytes of eval polarization, planewave and assemble at
+#: three fixed inputs each, taken before the photon residuals became batched
+#: kernels: the eval routes are the per-point code, which keeps its bits.
+EVAL_GOLDEN = [
+    ("polarization --k 1,2,3",
+     "6878fdeb70ba8c6ad4cb0cb74707502e8d711eba5c0c52ac7cf3568341d860d9"),
+    ("polarization --k 0,0,-2 --format json",
+     "f58567657a62828fa8d32fec402731dc460eeb58ba8af7f487ea9f5843161fe4"),
+    ("polarization --k 1e-7,0,1 --format csv",
+     "683380b5948c623a659e79553ed24ebb2caf81937e5563708cc823d0f72acb10"),
+    ("planewave --k 1,2,3 --lam 1 --x 0.1,-0.2,0.3 --t 0.4",
+     "cd05096fa6f3a21ba5090c83e919fb5d321b0fec3a4cb0c252b43adabd0783e9"),
+    ("planewave --k -0.7,0.4,2.1 --lam 0 --x 1,2,3 --t -1.5 --format json",
+     "602126eeccfcce0124cabe4e573286e1273fbfc122302b4e5314d3caef963587"),
+    ("planewave --k 3,4,0 --lam -1 --x 0.5,0.5,0.5 --t 2 --c 2.5 --format csv",
+     "a9ca71daa6cadcf7a0465e7dd92596fd3b3df8d1d67047b03f438abed2f8636d"),
+    ("assemble --k 1,2,3 --lam 1 --l 1 --x 0.1,-0.2,0.3 --t 0.4 --r 0.9,-0.4 --angles 0.3,0.1,1.0,0.2,0.4,-0.2",
+     "a223aee7a9dffabce4f5f1a79c705fe26f7b4c373fe10274b5878abb3e3ab4c0"),
+    ("assemble --k -0.7,0.4,2.1 --lam -1 --l 1 --dotted --x 1,2,3 --t -1.5 --r 1.2,0.3 --angles 1.0,-0.3,2.0,0.5,-1.0,0.1 --format json",
+     "c0b9be7a4668d03f045c7f709c09e9242990d2873e602f3c43b404e8289c604a"),
+    ("assemble --k 3,4,0 --lam 0 --l 1 --x 0,0,0 --t 0 --r 2 --angles 0,0,0.5,0,0,0 --c 2.5 --format csv",
+     "2b7182f40808e1dc332c761239bfc42d848771b0ad0f36ac3e955f65a29b0232"),
+]
+
+
+@pytest.mark.parametrize("args, digest", EVAL_GOLDEN,
+                         ids=[args.split()[0] + f"-{i % 3}"
+                              for i, (args, _) in enumerate(EVAL_GOLDEN)])
+def test_eval_bytes_are_pinned(runner, args, digest):
+    result = invoke(runner, ["eval", *args.split()])
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

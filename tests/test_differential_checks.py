@@ -84,6 +84,17 @@ class TestMakeRecordJsonNative:
         with pytest.raises(TypeError, match="not JSON-representable"):
             make_record("demo", {"k": [1.0, 2.0]}, {}, 0.0, 1.0, 1e-6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       np.float64(math.nan), np.float32("inf")])
+    @pytest.mark.parametrize("where", ["indices", "point"])
+    def test_non_finite_entry_refused_by_name(self, where, value):
+        # JSON has no NaN or infinity: a report would write the token NaN.
+        maps = {"indices": {"l": 1.0}, "point": {"theta": 0.5}}
+        maps[where] = {**maps[where], "bad": value}
+        with pytest.raises(ValueError,
+                           match=r"^record entry 'bad' must be finite, got "):
+            make_record("demo", maps["indices"], maps["point"], 0.0, 1.0, 1e-6)
+
 
 @pytest.mark.parametrize("check, args", [
     (casimir_x2_residual, (HarmonicIndex(1, 1, 0), GENERIC_ANGLES)),

@@ -1,4 +1,5 @@
-"""Tests for complex Euler angles and the SL(2,C) covering map."""
+"""Tests for complex Euler angles, with the SL(2,C) covering map of the test
+oracles as the reference for the weighted elements at l = 1/2 and l = 1."""
 
 import math
 
@@ -7,11 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarewaves.group_kinematics import (
-    angles_to_sl2c,
-    make_angles,
-    sl2c_to_complex_rotation,
-)
+from oracles import angles_to_sl2c, sl2c_to_complex_rotation
+from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import generalized_m_values
 
 

@@ -141,11 +141,6 @@ POINT = dict(x=(0.1, -0.2, 0.3), t=0.4)
 FACTORIES = {
     "ComplexEulerAngles": lambda: (poincarewaves.ComplexEulerAngles, SIX),
     "make_angles": lambda: (poincarewaves.make_angles, SIX),
-    "angles_to_sl2c": lambda: (poincarewaves.angles_to_sl2c,
-                               dict(angles=_angles())),
-    "sl2c_to_complex_rotation": lambda: (
-        poincarewaves.sl2c_to_complex_rotation,
-        dict(g=poincarewaves.angles_to_sl2c(_angles()))),
     "HarmonicIndex": lambda: (poincarewaves.HarmonicIndex,
                               dict(l=1.5, m=0.5, n=-0.5)),
     "terminating_2f1": lambda: (terminating_2f1,
@@ -316,20 +311,11 @@ def _finite_result(value):
     raise TypeError(f"no finiteness rule for {type(value).__name__}")
 
 
-#: Leaks the gate does not reach, each a FOUND line in CHANGES.md: callable
-#: -> the boundary values it keeps.  The two result holders store their
-#: arrays as given: checking them costs polarization_vectors ~30 %.
-SWEEP_XFAIL = {"PolarizationTriple": {"nan", "inf", "-inf"},
-               "FieldPair": {"nan", "inf", "-inf"}}
-
 SWEEP_CASES = [
     pytest.param(
         name, argument, position, value,
         id=f"{name}-{argument}{'' if position is None else f'[{position}]'}"
-           f"-{label}",
-        marks=([pytest.mark.xfail(reason="holds a non-finite array entry",
-                                  strict=True, raises=AssertionError)]
-               if label in SWEEP_XFAIL.get(name, ()) else []))
+           f"-{label}")
     for name, factory in FACTORIES.items()
     for argument, position in _slots(factory()[1])
     for label, value in BOUNDARY

@@ -711,6 +711,24 @@ class TestEnergyDensity:
         with pytest.raises(ValueError, match="6-component"):
             energy_density(np.zeros(3))
 
+    def test_fields_of_the_largest_values_are_finite(self, recwarn):
+        # E = (upper + lower) / 2 of two blocks near the float maximum: the
+        # halves are summed, so no overflow warning and no inf in E.
+        pair = FieldPair.from_value([1e308, 0, 0, 1e308, 0, 0])
+        assert pair.E.tolist() == [1e308, 0, 0] and not pair.B.any()
+        with pytest.raises(ValueError, match="psi6"):
+            energy_density([1e308, 0, 0, 1e308, 0, 0])
+        assert not recwarn
+
+    def test_caller_holders_refuse_non_finite_entries(self):
+        with pytest.raises(ValueError, match="^B must be finite"):
+            FieldPair(E=(1.0, 0.0, 0.0), B=(0.0, math.inf, 0.0))
+        with pytest.raises(ValueError, match="^eps_zero must be finite"):
+            photon_plane_waves.PolarizationTriple((1, 0, 0), (0, 1, 0),
+                                                  (0, 0, math.nan))
+        pair = FieldPair(E=(1.0, 0.5, 0.0), B=[0, 1, 2])
+        assert pair.B.dtype == complex and pair.B.tolist() == [0, 1, 2]
+
 
 class TestLagrangianDensity:
     @pytest.mark.parametrize("k", GENERIC_KS)
@@ -809,36 +827,137 @@ def test_empty_term_list_is_the_zero_wave(function, zero, wrong, message):
                 function(terms)
 
 
-def _seeded_vectors(seed: int, complex_values: bool):
-    """Seeded 3-vectors, some components set to +0.0 or -0.0."""
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        vector = rng.normal(size=3) * 10.0 ** rng.integers(-5, 6, size=3)
-        if complex_values:
-            vector = vector + 1j * rng.normal(size=3)
-        for signed_zero in (0.0, -0.0):
-            vector.real[rng.random(3) < 0.2] = signed_zero
-            if complex_values:
-                vector.imag[rng.random(3) < 0.2] = signed_zero
-        yield vector
+def _random_rows(rng, size, rows=12, terms=2):
+    """Seeded off-shell term lists, one point per row."""
+    term_lists = [[PlaneWaveTerm(rng.normal(size=size)
+                                 + 1j * rng.normal(size=size),
+                                 rng.normal(size=3), float(rng.normal()))
+                   for _ in range(terms)] for _ in range(rows)]
+    points = [(tuple(rng.normal(size=3).tolist()), float(rng.normal()))
+              for _ in range(rows)]
+    return term_lists, points
 
 
-@pytest.mark.parametrize("complex_values", [False, True])
-def test_norm_is_bit_identical_to_numpy(complex_values):
-    vectors = [*_seeded_vectors(41, complex_values), np.zeros(3), -np.zeros(3),
-               np.array([1.0 + 0j])]
-    for vector in vectors:
-        ours, numpys = photon_plane_waves._norm(vector), np.linalg.norm(vector)
-        assert type(ours) is type(numpys) is np.float64
-        assert ours.tobytes() == numpys.tobytes(), vector
-    # The empty sum of plane waves is a Python 0j, not an array.
-    assert photon_plane_waves._norm(0j).tobytes() == np.linalg.norm(0j).tobytes()
+def _close(public, row):
+    """public equals the kernel's row within 4 units in the last place."""
+    return abs(public - row) <= 4 * math.ulp(abs(row))
 
 
-@pytest.mark.parametrize("complex_values", [False, True])
-def test_cross_is_bit_identical_to_numpy(complex_values):
-    reals = _seeded_vectors(42, False)
-    for a, b in zip(reals, _seeded_vectors(43, complex_values)):
-        ours, numpys = photon_plane_waves._cross(a, b), np.cross(a, b)
-        assert ours.dtype == numpys.dtype
-        assert ours.tobytes() == numpys.tobytes(), (a, b)
+@pytest.mark.parametrize("c", [1.0, 2.5, 3e-5])
+def test_public_residuals_are_their_kernel_rows(c):
+    # Each public residual reads row 0 of its kernel on a one-row bundle;
+    # a many-row bundle gives each row's value up to the rounding of the
+    # stacked arithmetic (numpy may round by array shape).
+    rng = np.random.default_rng(20261031)
+    pw = photon_plane_waves
+    for size, cases in (
+            (3, [("ME1", lambda b, p: pw._dirac_residuals(b, *p, c, "ME1"),
+                  lambda terms, x, t: dirac_form_residual(terms, "ME1", x, t, c)),
+                 ("ME2", lambda b, p: pw._dirac_residuals(b, *p, c, "ME2"),
+                  lambda terms, x, t: dirac_form_residual(terms, "ME2", x, t, c))]),
+            (6, [("ME6", lambda b, p: pw._dirac_residuals(b, *p, c, "ME6"),
+                  lambda terms, x, t: dirac_form_residual(terms, "ME6", x, t, c)),
+                 ("anti", lambda b, p: pw._dirac_residuals(b, *p, c, "ANTI"),
+                  lambda terms, x, t: anti_equation_residual(terms, x, t, c)),
+                 ("lagrangian", lambda b, p: pw._lagrangians(b, *p, c),
+                  lambda terms, x, t: lagrangian_density_translation(
+                      terms, x, t, c)),
+                 ("scale", lambda b, p: pw._dirac_scales(b, c),
+                  lambda terms, x, t: dirac_form_scale(terms, c))])):
+        term_lists, points = _random_rows(rng, size)
+        bundle = pw._stack(term_lists, size, "test")
+        at = (np.array([x for x, _ in points]), np.array([t for _, t in points]))
+        for name, kernel, public in cases:
+            rows = kernel(bundle, at).tolist()
+            for terms, (x, t), row in zip(term_lists, points, rows):
+                assert _close(public(terms, x, t), row), (name, c, terms)
+    e_lists, points = _random_rows(rng, 3)
+    b_lists, _ = _random_rows(rng, 3)
+    at = (np.array([x for x, _ in points]), np.array([t for _, t in points]))
+    stacked = pw._maxwell_residuals(pw._stack(e_lists, 3, "test"),
+                                    pw._stack(b_lists, 3, "test"), *at, c)
+    for i, ((x, t), e_terms, b_terms) in enumerate(zip(points, e_lists, b_lists)):
+        public = maxwell_residuals_from_terms(e_terms, b_terms, x, t, c)
+        assert all(_close(value, float(rows[i]))
+                   for value, rows in zip(public, stacked)), (c, i)
+    psi = rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))
+    direct, _ = pw._energy_identity(psi)
+    for value, row in zip(psi, direct.tolist()):
+        assert _close(energy_density(value), row)
+
+
+def _matrix_reference(terms, x, t, c):
+    """The first-order operators term by term on the matrices ALPHA and
+    GAMMA (the kernels take cross products): ME1, ME2, ME6 and ANTI residual
+    norms and the Lagrangian density, each summed over terms in order."""
+    phases = [np.exp(1j * (term.kvec @ np.array(x) - term.omega * t))
+              for term in terms]
+
+    def kdota(k):
+        return sum(k[j] * ALPHA[j] for j in range(3))
+
+    def me6(a, k, omega, gammas):
+        return (omega / c) * gammas[0] @ a + sum(k[j] * gammas[j + 1] @ a
+                                                 for j in range(3))
+
+    def total(values, waves=phases):
+        return sum(v * p for v, p in zip(values, waves))
+
+    out = {}
+    if terms[0].amplitude.size == 3:
+        for name, sign in (("ME1", -1.0), ("ME2", 1.0)):
+            out[name] = np.linalg.norm(total(
+                [(term.omega / c) * term.amplitude
+                 - sign * kdota(term.kvec) @ term.amplitude for term in terms]))
+        return out
+    out["ME6"] = np.linalg.norm(total(
+        [me6(term.amplitude, term.kvec, term.omega, GAMMA) for term in terms]))
+    transposed = [gamma.T for gamma in GAMMA]
+    out["ANTI"] = np.linalg.norm(total(
+        [me6(GAMMA[0] @ term.amplitude.conj(), -term.kvec, -term.omega,
+             transposed) for term in terms], [p.conj() for p in phases]))
+    psi = total([term.amplitude for term in terms])
+    dpsi_t = total([-1j * term.omega * term.amplitude for term in terms])
+    dpsi = [total([1j * term.kvec[j] * term.amplitude for term in terms])
+            for j in range(3)]
+    bar, bar_t = psi.conj() @ GAMMA[0], dpsi_t.conj() @ GAMMA[0]
+    forward = bar @ GAMMA[0] @ dpsi_t / c - sum(
+        bar @ GAMMA[j + 1] @ dpsi[j] for j in range(3))
+    backward = bar_t @ GAMMA[0] @ psi / c - sum(
+        dpsi[j].conj() @ GAMMA[0] @ GAMMA[j + 1] @ psi for j in range(3))
+    out["lagrangian"] = -(forward - backward) / 2
+    return out
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5, 3e-5])
+def test_residuals_match_the_matrix_reference(c):
+    # Off-shell waves, where every residual is of the size of its terms.
+    rng = np.random.default_rng(20261101)
+    for size in (3, 6):
+        term_lists, points = _random_rows(rng, size, rows=20, terms=3)
+        for terms, (x, t) in zip(term_lists, points):
+            want = _matrix_reference(terms, x, t, c)
+            got = {name: dirac_form_residual(terms, name, x, t, c)
+                   for name in ("ME1", "ME2", "ME6") if name in want}
+            if size == 6:
+                got["ANTI"] = anti_equation_residual(terms, x, t, c)
+                got["lagrangian"] = lagrangian_density_translation(terms, x, t, c)
+            scale = dirac_form_scale(terms, c) ** (2 if size == 6 else 1)
+            for name, value in got.items():
+                assert abs(value - want[name]) <= 1e-13 * scale, (name, c)
+    e_lists, points = _random_rows(rng, 3, rows=20)
+    b_lists, _ = _random_rows(rng, 3, rows=20)
+    for e_terms, b_terms, (x, t) in zip(e_lists, b_lists, points):
+        def field(terms, operator):
+            return sum(operator(term) * term.phase(x, t) for term in terms)
+        curl_e, curl_b = (field(terms, lambda term: 1j * np.cross(
+            term.kvec, term.amplitude)) for terms in (e_terms, b_terms))
+        dt_e, dt_b = (field(terms, lambda term: -1j * term.omega
+                            * term.amplitude) for terms in (e_terms, b_terms))
+        want = [np.linalg.norm(curl_e + dt_b / c),
+                np.linalg.norm(curl_b - dt_e / c),
+                *(abs(field(terms, lambda term: 1j * term.kvec @ term.amplitude))
+                  for terms in (e_terms, b_terms))]
+        scale = dirac_form_scale([*e_terms, *b_terms], c)
+        got = maxwell_residuals_from_terms(e_terms, b_terms, x, t, c)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13 * scale, c
