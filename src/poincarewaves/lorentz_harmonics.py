@@ -7,8 +7,8 @@ non-negative integers.  Two independent evaluation routes are provided:
 
 ``z_sum``
     The explicit double sum: for each internal index k, an exact-coefficient
-    table is assembled once (integer factorials, perfect-square detection, exact
-    rational division) and evaluated in the folded form
+    table (integer factorials, perfect-square detection, exact rational
+    division) evaluated in the folded form
     sin^p(theta/2) cos^(2l-p)(theta/2) * sinh^q(tau/2) cosh^(2l-q)(tau/2); the
     exponents are provably non-negative inside the summation bounds, so the
     route is stable on the whole closed interval [0, pi] and reproduces
@@ -53,6 +53,14 @@ the complex conjugate of the undotted value at the same parameters.
 ``associated_m`` (n = 0, with the e^(-m(epsilon + i phi)) sign convention) and
 ``zonal_z`` (m = n = 0) are the standard specializations.
 
+The coefficient tables are built on first use, never at import, and kept for
+the life of the process: all the tables of one side's projection a at weight
+l, one per internal index k, in one pass over one list of factorials (a
+single factorial product and square-root test per k); the rotation side's row
+is the plain row with its odd terms negated.  A scalar evaluation builds only
+the rows of its own m and n, and the grid engine pads each weight's rows into
+one array block per side.
+
 All powers of i and all fractional powers use principal branches; all functions
 are pure and deterministic.  A weight past l = 20, the measured accuracy
 envelope, raises ValueError; so do the points where the growth e^(l |tau|),
@@ -65,7 +73,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -219,43 +226,51 @@ def terminating_2f1(a: float, b: float, c: float, x: complex) -> complex:
     return total
 
 
-def _sqrt_ratio(L: int, A: int, K: int, denominator: int, sign: int) -> float:
-    """sign * sqrt((l-a)! (l+a)! (l-k)! (l+k)!) / denominator at doubled indices.
-
-    When the factorial product is a perfect square the result is an exact
-    rational converted once to float (so ratios like sqrt((a! b!)^2)/(a! b!)
-    come out as exactly 1.0); otherwise a single correctly-rounded sqrt is used.
-    At l <= _MAX_WEIGHT the product is at most (40!)^2 ~ 6.6e95, a float.
-    """
-    product = (math.factorial((L - A) // 2) * math.factorial((L + A) // 2)
-               * math.factorial((L - K) // 2) * math.factorial((L + K) // 2))
-    root = math.isqrt(product)
-    if root * root == product:
-        return sign * float(Fraction(root, denominator))
-    return sign * math.sqrt(product) / denominator
-
-
 @lru_cache(maxsize=None)
-def _angular_terms(L: int, A: int, K: int, alternating: bool
-                   ) -> tuple[tuple[int, int, float], ...]:
-    """Exact coefficient table for one half of the Z summand.
+def _angular_row(L: int, A: int, alternating: bool
+                 ) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Exact coefficient tables for one half of the Z summand, one per K.
 
     Doubled indices: weight L = 2l, projection A = 2a (a = m on the rotation
-    side, a = n on the rapidity side), internal index K = 2k.  Each entry is
-    (odd_power, even_power, coefficient) for a term
-    coefficient * odd(x/2)**odd_power * even(x/2)**even_power with
-    (odd, even) = (sin, cos) or (sinh, cosh).  ``alternating`` applies the
-    (-1)^j sign of the rotation side.
+    side, a = n on the rapidity side); entry (K + L) / 2 is the table of the
+    internal index K = 2k.  Each table entry is (odd_power, even_power,
+    coefficient) for a term coefficient * odd(x/2)**odd_power *
+    even(x/2)**even_power with (odd, even) = (sin, cos) or (sinh, cosh), and
+    coefficient sqrt((l-a)! (l+a)! (l-k)! (l+k)!) / (j! (l-a-j)! (l+k-j)!
+    (a-k+j)!).  When the factorial product is a perfect square the
+    coefficient is the exact ratio root / denominator, correctly rounded by
+    int division (so ratios like sqrt((a! b!)^2)/(a! b!) come out as exactly
+    1.0); otherwise a single correctly-rounded sqrt is divided.  At l <=
+    _MAX_WEIGHT the product is at most (40!)^2 ~ 6.6e95, a float.
+    ``alternating`` applies the (-1)^j sign of the rotation side: the plain
+    row with its odd-j entries negated.
     """
-    la, lpk, ak = (L - A) // 2, (L + K) // 2, (A - K) // 2
-    terms = []
-    for j in range(max(0, -ak), min(la, lpk) + 1):
-        p = ak + 2 * j
-        denominator = (math.factorial(j) * math.factorial(la - j)
-                       * math.factorial(lpk - j) * math.factorial(ak + j))
-        sign = -1 if (alternating and j % 2) else 1
-        terms.append((p, L - p, _sqrt_ratio(L, A, K, denominator, sign)))
-    return tuple(terms)
+    if alternating:
+        return tuple(
+            tuple((p, q, -c if (p - (A - K) // 2) // 2 % 2 else c)
+                  for p, q, c in table)
+            for K, table in zip(range(-L, L + 1, 2), _angular_row(L, A, False)))
+    factorial = [math.factorial(i) for i in range(L + 1)]
+    la = (L - A) // 2
+    outer = factorial[la] * factorial[(L + A) // 2]
+    row = []
+    for K in range(-L, L + 1, 2):
+        lpk, ak = (L + K) // 2, (A - K) // 2
+        product = outer * factorial[(L - K) // 2] * factorial[lpk]
+        root = math.isqrt(product)
+        numerator = root if root * root == product else math.sqrt(product)
+        row.append(tuple(
+            (ak + 2 * j, L - ak - 2 * j,
+             numerator / (factorial[j] * factorial[la - j]
+                          * factorial[lpk - j] * factorial[ak + j]))
+            for j in range(max(0, -ak), min(la, lpk) + 1)))
+    return tuple(row)
+
+
+def _angular_terms(L: int, A: int, K: int, alternating: bool
+                   ) -> tuple[tuple[int, int, float], ...]:
+    """The coefficient table of internal index K in ``_angular_row``."""
+    return _angular_row(L, A, alternating)[(K + L) // 2]
 
 
 @lru_cache(maxsize=None)
@@ -399,17 +414,21 @@ def _powers(values, L: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _side_block(L: int, alternating: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, odd powers) of every ``_angular_terms`` table of weight L.
+    """(coefficients, odd powers) of every ``_angular_row`` table of weight L.
 
     Each is shaped (terms, L + 1 projections, L + 1 K), both ascending; shorter
     tables are padded at the end with coefficient 0 and power 0.
     """
-    tables = [_angular_terms(L, A, K, alternating)
-              for A in range(-L, L + 1, 2) for K in range(-L, L + 1, 2)]
-    width = max(map(len, tables))
-    block = np.array([terms + ((0, L, 0.0),) * (width - len(terms))
-                      for terms in tables]).T.reshape(3, width, L + 1, L + 1)
-    coefficients, powers = block[2], block[0].astype(int)
+    tables = [table for A in range(-L, L + 1, 2)
+              for table in _angular_row(L, A, alternating)]
+    lengths = np.array([len(table) for table in tables]).reshape(L + 1, L + 1)
+    # Each table fills the start of its (projection, K) line, in order.
+    filled = np.arange(lengths.max()) < lengths[..., None]
+    coefficients, powers = np.zeros(filled.shape), np.zeros(filled.shape, int)
+    coefficients[filled] = [c for table in tables for _, _, c in table]
+    powers[filled] = [p for table in tables for p, _, _ in table]
+    coefficients, powers = (coefficients.transpose(2, 0, 1),
+                            powers.transpose(2, 0, 1))
     coefficients.flags.writeable = powers.flags.writeable = False  # cached
     return coefficients, powers
 

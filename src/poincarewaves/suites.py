@@ -82,6 +82,7 @@ from .photon_plane_waves import (
     _maxwell_residuals,
     _squares,
     _stack,
+    _trusted,
     commutator_sign,
     dirac_form_residual,
     dirac_form_scale,
@@ -235,10 +236,14 @@ def _projections(l: float) -> list[float]:
 @functools.cache
 def _harmonic_indices(l: float) -> tuple[HarmonicIndex, ...]:
     """Every HarmonicIndex of weight l, row-major in (m, n), both ascending
-    (frozen, so one tuple per weight serves every report)."""
-    projections = _projections(l)
-    return tuple(HarmonicIndex(l, m, n)
-                 for m in projections for n in projections)
+    (frozen, so one tuple per weight serves every report).  The doubled
+    triples are valid by construction, so they skip the constructor's
+    validation: each index equals HarmonicIndex(l, m, n) field for field."""
+    L = round(2 * l)
+    doubled = range(-L, L + 1, 2)
+    return tuple(_trusted(HarmonicIndex, l=L / 2, m=M / 2, n=N / 2,
+                          dotted=False, _doubled=(L, M, N))
+                 for M in doubled for N in doubled)
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -774,9 +779,9 @@ def _suite_assembly(config: SuiteConfig) -> list[ResidualRecord]:
             r = complex(rng.normal(), rng.normal())
         angles = _random_angles(rng)
         wave = PoincareWaveFunction(k, lam, 1, radial, dotted, config.c)
-        value = wave.value(x, t, r, angles)
         translation = wave.translation_value(x, t)
         factor = wave.lorentz_factor(r, angles)
+        value = translation * factor  # PoincareWaveFunction.value's product
         magnitude = np.abs(translation)
         mask = magnitude > 1e-6
         residual = 0.0

@@ -8,6 +8,13 @@ different style from the package under test:
   of the package's folded sine/cosine form and exact coefficient tables.
 * ``wigner_d`` is the textbook factorial formula for the SU(2) small-d matrix.
 * ``brute_2f1`` sums the terminating Gauss series with exact rational coefficients.
+* ``angular_terms_reference`` builds one coefficient table of the Z summand a
+  term at a time, each square-root factorial ratio from its own factorials and
+  an exact ``Fraction`` where the product is a perfect square;
+  ``side_block_reference`` pads those tables into one array block per weight
+  and side, and ``series_block_reference`` rounds each Gauss-series term ratio
+  once from an exact rational.  The package must reproduce all three bit for
+  bit.
 * ``angles_to_sl2c`` and ``sl2c_to_complex_rotation`` realize the 2-to-1
   covering map SL(2,C) -> complex rotations by conjugation on the Pauli-matrix
   expansion of a complex triple z: R_ij(g) = tr(sigma_i g sigma_j g^-1)/2,
@@ -118,6 +125,61 @@ def brute_2f1(a: int, b: int, c: float, x: float) -> float:
 
 
 #: Pauli matrices sigma_1, sigma_2, sigma_3.
+def _sqrt_ratio(L: int, A: int, K: int, denominator: int, sign: int) -> float:
+    """sign * sqrt((l-a)! (l+a)! (l-k)! (l+k)!) / denominator at doubled indices:
+    an exact rational rounded once where the product is a perfect square,
+    otherwise one correctly-rounded sqrt divided by the denominator."""
+    product = (math.factorial((L - A) // 2) * math.factorial((L + A) // 2)
+               * math.factorial((L - K) // 2) * math.factorial((L + K) // 2))
+    root = math.isqrt(product)
+    if root * root == product:
+        return sign * float(Fraction(root, denominator))
+    return sign * math.sqrt(product) / denominator
+
+
+def angular_terms_reference(L: int, A: int, K: int, alternating: bool
+                            ) -> tuple[tuple[int, int, float], ...]:
+    """(odd_power, even_power, coefficient) of each term of one half of the Z
+    summand at doubled weight L, projection A and internal index K, with the
+    (-1)^j sign of the rotation side when ``alternating``."""
+    la, lpk, ak = (L - A) // 2, (L + K) // 2, (A - K) // 2
+    terms = []
+    for j in range(max(0, -ak), min(la, lpk) + 1):
+        p = ak + 2 * j
+        denominator = (math.factorial(j) * math.factorial(la - j)
+                       * math.factorial(lpk - j) * math.factorial(ak + j))
+        sign = -1 if (alternating and j % 2) else 1
+        terms.append((p, L - p, _sqrt_ratio(L, A, K, denominator, sign)))
+    return tuple(terms)
+
+
+def side_block_reference(L: int, tables) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, odd powers) of the tables of weight L, listed row-major
+    in (A, K): each shaped (terms, L + 1 projections, L + 1 K) and padded with
+    coefficient 0 and power 0, as one array of padded triples, transposed."""
+    width = max(map(len, tables))
+    block = np.array([terms + ((0, L, 0.0),) * (width - len(terms))
+                      for terms in tables]).T.reshape(3, width, L + 1, L + 1)
+    return block[2], block[0].astype(int)
+
+
+def series_block_reference(L: int) -> np.ndarray:
+    """The term ratios (a + j)(b + j) / ((c + j)(j + 1)) of the Gauss series
+    2F1(a - l, -l - k; a - k + 1; x) for every projection a and internal
+    index k of weight L, shaped (L, L + 1, L + 1): each an exact rational
+    rounded once, 0 past the series' order and where a < k."""
+    ratios = np.zeros((L, L + 1, L + 1))
+    for a, A in enumerate(range(-L, L + 1, 2)):
+        for k, K in enumerate(range(-L, L + 1, 2)):
+            if A < K:
+                continue
+            for j in range(min(L - A, L + K) // 2):
+                ratios[j, a, k] = float(Fraction(
+                    (A - L + 2 * j) * (-(L + K) + 2 * j),
+                    4 * ((A - K) // 2 + 1 + j) * (j + 1)))
+    return ratios
+
+
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_2f1, wigner_d, z_reference
+from oracles import (
+    angular_terms_reference,
+    brute_2f1,
+    series_block_reference,
+    side_block_reference,
+    wigner_d,
+    z_reference,
+)
 from poincarewaves import lorentz_harmonics
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import (
@@ -457,6 +464,64 @@ class TestSharedTables:
             name: info[1] for name, info in before.items()}
         assert sum(info[0] for info in after.values()) > sum(
             info[0] for info in before.values())
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty coefficient and index caches, emptied again afterwards so the
+    tables a test builds are not kept."""
+    def clear():
+        for cache in coefficient_caches().values():
+            cache.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestCoefficientTables:
+    @pytest.mark.usefixtures("cold_caches")
+    def test_tables_and_blocks_match_the_per_term_formula(self):
+        # Both sides of every table at each weight l <= 6, the verify range,
+        # and at l = 10, 19.5 and 20, the last accepted: the full range to
+        # l = 20 costs ~3 s.
+        for L in [*range(13), 20, 39, 40]:
+            for alternating in (True, False):
+                pairs = [(A, K) for A in range(-L, L + 1, 2)
+                         for K in range(-L, L + 1, 2)]
+                got = [lorentz_harmonics._angular_terms(L, A, K, alternating)
+                       for A, K in pairs]
+                want = [angular_terms_reference(L, A, K, alternating)
+                        for A, K in pairs]
+                assert repr(got) == repr(want), (L, alternating)
+                coefficients, powers = lorentz_harmonics._side_block(
+                    L, alternating)
+                want_coefficients, want_powers = side_block_reference(L, want)
+                assert same_array(coefficients, want_coefficients)
+                assert same_array(powers, want_powers)
+            assert same_array(lorentz_harmonics._series_block(L),
+                              series_block_reference(L))
+
+    @pytest.mark.usefixtures("cold_caches")
+    def test_one_z_sum_builds_only_its_own_rows(self, monkeypatch):
+        built = []
+        row = lorentz_harmonics._angular_row
+
+        def recorded(L, A, alternating):
+            built.append((L, A, alternating))
+            return row(L, A, alternating)
+
+        monkeypatch.setattr(lorentz_harmonics, "_angular_row", recorded)
+        z_sum(HarmonicIndex(20, 1, -3), 1.0, 0.5)
+        # The m = 1 rotation row, read from its plain row, and the n = -3
+        # rapidity row: one build each.
+        assert row.cache_info().currsize == 3
+        assert set(built) == {(40, 2, True), (40, 2, False), (40, -6, False)}
 
 
 class TestOutOfRange:

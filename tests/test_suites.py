@@ -528,6 +528,28 @@ def scalar_unitarity(config):
     return expected
 
 
+def test_harmonic_indices_equal_the_validated_indices():
+    # The suites build their own index sets without the constructor's
+    # validation; each index is the validated one in every respect.
+    for L in range(2 * 20 + 1):
+        l = L / 2
+        got = suites._harmonic_indices(l)
+        want = [HarmonicIndex(l, m, n)
+                for m in _projections(l) for n in _projections(l)]
+        assert list(got) == want
+        assert [hash(idx) for idx in got] == [hash(idx) for idx in want]
+        assert repr(got) == repr(tuple(want))
+        assert [idx.doubled for idx in got] == [idx.doubled for idx in want]
+
+        def types(idx):
+            return {name: type(value) for name, value in vars(idx).items()}
+
+        assert all(types(a) == types(b) == {
+            "l": float, "m": float, "n": float, "dotted": bool,
+            "_doubled": tuple} for a, b in zip(got, want))
+        assert {type(D) for idx in got for D in idx.doubled} == {int}
+
+
 class TestGridRecords:
     @pytest.mark.parametrize("grid_density", [3, 4])  # 3 puts tau = 0 on the grid
     @pytest.mark.parametrize("suite, check, compare", [
