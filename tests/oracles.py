@@ -124,7 +124,6 @@ def brute_2f1(a: int, b: int, c: float, x: float) -> float:
     return total
 
 
-#: Pauli matrices sigma_1, sigma_2, sigma_3.
 def _sqrt_ratio(L: int, A: int, K: int, denominator: int, sign: int) -> float:
     """sign * sqrt((l-a)! (l+a)! (l-k)! (l+k)!) / denominator at doubled indices:
     an exact rational rounded once where the product is a perfect square,
@@ -180,6 +179,7 @@ def series_block_reference(L: int) -> np.ndarray:
     return ratios
 
 
+#: Pauli matrices sigma_1, sigma_2, sigma_3.
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),

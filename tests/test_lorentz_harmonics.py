@@ -487,9 +487,9 @@ def same_array(got, want):
 class TestCoefficientTables:
     @pytest.mark.usefixtures("cold_caches")
     def test_tables_and_blocks_match_the_per_term_formula(self):
-        # Both sides of every table at each weight l <= 6, the verify range,
-        # and at l = 10, 19.5 and 20, the last accepted: the full range to
-        # l = 20 costs ~3 s.
+        # Both sides of every table at each weight l <= 6 (the verify range)
+        # and at l = 10, 19.5 and 20 (the largest accepted); the whole range
+        # to l = 20 would cost ~3 s.
         for L in [*range(13), 20, 39, 40]:
             for alternating in (True, False):
                 pairs = [(A, K) for A in range(-L, L + 1, 2)

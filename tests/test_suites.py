@@ -531,6 +531,9 @@ def scalar_unitarity(config):
 def test_harmonic_indices_equal_the_validated_indices():
     # The suites build their own index sets without the constructor's
     # validation; each index is the validated one in every respect.
+    def types(idx):
+        return {name: type(value) for name, value in vars(idx).items()}
+
     for L in range(2 * 20 + 1):
         l = L / 2
         got = suites._harmonic_indices(l)
@@ -540,10 +543,6 @@ def test_harmonic_indices_equal_the_validated_indices():
         assert [hash(idx) for idx in got] == [hash(idx) for idx in want]
         assert repr(got) == repr(tuple(want))
         assert [idx.doubled for idx in got] == [idx.doubled for idx in want]
-
-        def types(idx):
-            return {name: type(value) for name, value in vars(idx).items()}
-
         assert all(types(a) == types(b) == {
             "l": float, "m": float, "n": float, "dotted": bool,
             "_doubled": tuple} for a, b in zip(got, want))
