@@ -35,16 +35,17 @@ indices over a whole theta x tau grid, as one complex128 array of shape
 array block per weight over the (m or n, k) the indices use and every angle,
 summed from one zero-padded coefficient block per weight and side over power
 tables filled by Python's own ``**`` (libm ``pow``, whose bits numpy's power
-does not reproduce); the k sum is one numpy operation per weight and k,
-ascending.  Long axes go a bounded chunk of angles at a time.  The
-factorization check sums the halves through the same engine.  Each side
-formula has one scalar and one block form, both taking a ``rotation`` flag
-that picks (sin, cos), the range-checked tan and the alternating coefficient
-table, or (sinh, cosh), tanh and the plain one.  Every grid value is
-bit-identical to ``z_sum`` / ``z_2f1`` at that point under the same
-interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639, can
-flip the scalar routes' signed zeros), and an out-of-range point raises the
-error the scalar routes would raise first.
+does not reproduce); the three routes' blocks of one side share those
+tables.  The k sum is one numpy operation per weight and k, ascending.
+Long axes go a bounded chunk of angles at a time.  The factorization check
+sums the halves through the same engine.  Each side formula has one scalar
+and one block form, both taking a ``rotation`` flag that picks (sin, cos),
+the range-checked tan and the alternating coefficient table, or (sinh,
+cosh), tanh and the plain one.  Every grid value is bit-identical to
+``z_sum`` / ``z_2f1`` at that point under the same interpreter (Python
+3.14's mixed complex/float arithmetic, gh-69639, can flip the scalar
+routes' signed zeros), and an out-of-range point raises the error the
+scalar routes would raise first.
 
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
@@ -73,7 +74,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -439,117 +440,220 @@ def _series_block(L: int) -> np.ndarray:
 
     Shaped (L, L + 1 projections, L + 1 K); 0 past each series' order and
     where a < k, whose lower parameter reaches a pole (the tangent fallback).
+    Each ratio is (upper + j) (lower + j) / ((c + j) (j + 1)) as the scalar
+    series forms it: exact half-integer and integer operands, so one rounded
+    product and one rounded division give the same bits.
     """
-    ratios = np.zeros((L, L + 1, L + 1))
-    for a, A in enumerate(range(-L, L + 1, 2)):
-        for k, K in enumerate(range(-L, L + 1, 2)):
-            upper, lower, c = (A - L) / 2, -(L + K) / 2, (A - K) // 2 + 1
-            for j in range(min((L - A) // 2, (L + K) // 2) if A >= K else 0):
-                ratios[j, a, k] = (upper + j) * (lower + j) / ((c + j) * (j + 1))
+    j = np.arange(L)[:, None, None]
+    A, K = np.arange(-L, L + 1, 2)[:, None], np.arange(-L, L + 1, 2)
+    order = np.where(A >= K, np.minimum((L - A) // 2, (L + K) // 2), 0)
+    ratios = np.divide((((A - L) / 2 + j) * (-(L + K) / 2 + j)),
+                       ((A - K) // 2 + 1 + j) * (j + 1),
+                       out=np.zeros((L, L + 1, L + 1)), where=j < order)
     ratios.flags.writeable = False  # cached
     return ratios
 
 
-# Each side form below returns a real block shaped (len(rows), L + 1 K,
-# len(angles)) for the projection rows asked for (row a is projection
-# 2a - L), adding the table entries to every point in the scalar order.
+class _Side:
+    """One side of the summand at weight L over a run of angles, for the
+    projection rows asked for (row a is projection 2a - L).
 
-def _folded_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
-    """z_sum's side: sum coeff * odd^p * even^(L - p), from +0.0."""
-    odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
-    coefficients, powers = _side_block(L, rotation)
-    odd_pow = _powers([odd(x / 2) for x in angles], L)
-    even_pow = _powers([even(x / 2) for x in angles], L)
-    total = np.zeros((len(rows), L + 1, len(angles)))
-    for c, p in zip(coefficients[:, rows], powers[:, rows]):
-        total += (c[..., None] * odd_pow[p]) * even_pow[L - p]
-    return total
+    Each route's block form is built on first use, a real array shaped
+    (len(rows), L + 1 K, angles) that adds the table entries to every point
+    in the scalar order; the forms share one set of power tables and the
+    tangent block.  ``plain`` picks the angles of the tangent and
+    hypergeometric forms; the folded form spans them all.
+    """
+
+    def __init__(self, L: int, rotation: bool, rows, angles,
+                 plain: slice = slice(None)):
+        self.L, self.rotation, self.rows = L, rotation, rows
+        self.angles, self.plain = angles, plain
+        self.coefficients, self.powers = _side_block(L, rotation)
+
+    @cached_property
+    def _power_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """odd(x/2)**p and even(x/2)**p over every angle, p = 0..L."""
+        odd, even = ((math.sin, math.cos) if self.rotation
+                     else (math.sinh, math.cosh))
+        return (_powers([odd(x / 2) for x in self.angles], self.L),
+                _powers([even(x / 2) for x in self.angles], self.L))
+
+    @cached_property
+    def _tangents(self) -> list[float]:
+        return [_side_tangent(x, self.L, self.rotation)
+                for x in self.angles[self.plain]]
+
+    @cached_property
+    def folded(self) -> np.ndarray:
+        """z_sum's side: sum coeff * odd^p * even^(L - p), from +0.0."""
+        L, rows = self.L, self.rows
+        odd_pow, even_pow = self._power_tables
+        total = np.zeros((len(rows), L + 1, len(self.angles)))
+        for c, p in zip(self.coefficients[:, rows], self.powers[:, rows]):
+            total += (c[..., None] * odd_pow[p]) * even_pow[L - p]
+        return total
+
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        """The unfolded side even^L * sum coeff * tangent^p: su2_factor_p
+        (less its phase) and qu2_factor_jacobi."""
+        L, rows = self.L, self.rows
+        tangent_pow = _powers(self._tangents, L)
+        total = np.zeros((len(rows), L + 1, len(self._tangents)))
+        for c, p in zip(self.coefficients[:, rows], self.powers[:, rows]):
+            total += c[..., None] * tangent_pow[p]
+        # The power table's row L is even(x/2) ** L.
+        return self._power_tables[1][L, self.plain] * total
+
+    @cached_property
+    def hypergeometric(self) -> np.ndarray:
+        """z_2f1's side (less its phase): the leading term times the Gauss
+        series, or the tangent form where a < k."""
+        L, rows = self.L, self.rows
+        sign = -1.0 if self.rotation else 1.0
+        x = np.array([sign * t ** 2 for t in self._tangents])
+        series = term = np.ones((len(rows), L + 1, len(x)))
+        for ratio in _series_block(L)[:, rows]:
+            term = term * (ratio[..., None] * x)
+            series = series + term
+        c, p = self.coefficients[0, rows, :, None], self.powers[0, rows]
+        odd_pow, even_pow = (table[:, self.plain] for table in self._power_tables)
+        return np.where(np.less.outer(rows, range(L + 1))[..., None],
+                        self.tangent,
+                        (c * odd_pow[p]) * even_pow[L - p] * series)
 
 
-def _tangent_block(L: int, rotation: bool, rows, angles,
-                   tangents=None) -> np.ndarray:
-    """The unfolded side even^L * sum coeff * tangent^p: su2_factor_p (less
-    its phase) and qu2_factor_jacobi.  ``tangents`` are ``_side_tangent``'s."""
-    even = math.cos if rotation else math.cosh
-    coefficients, powers = _side_block(L, rotation)
-    if tangents is None:
-        tangents = [_side_tangent(x, L, rotation) for x in angles]
-    tangent_pow = _powers(tangents, L)
-    total = np.zeros((len(rows), L + 1, len(angles)))
-    for c, p in zip(coefficients[:, rows], powers[:, rows]):
-        total += c[..., None] * tangent_pow[p]
-    return np.array([even(x / 2) ** L for x in angles]) * total
+def _phased(L: int, rows, block: np.ndarray) -> np.ndarray:
+    """A rotation-side block times its phases i^(a - k), exact."""
+    return _PHASES[np.subtract.outer(rows, range(L + 1)) % 4][..., None] * block
 
 
-def _hypergeometric_block(L: int, rotation: bool, rows, angles) -> np.ndarray:
-    """z_2f1's side (less its phase): the leading term times the Gauss series,
-    or the tangent form where a < k."""
-    odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
-    coefficients, powers = _side_block(L, rotation)
-    tangents = [_side_tangent(x, L, rotation) for x in angles]
-    sign = -1.0 if rotation else 1.0
-    x = np.array([sign * t ** 2 for t in tangents])
-    series = term = np.ones((len(rows), L + 1, len(angles)))
-    for ratio in _series_block(L)[:, rows]:
-        term = term * (ratio[..., None] * x)
-        series = series + term
-    c, p = coefficients[0, rows, :, None], powers[0, rows]
-    odd_pow = _powers([odd(t / 2) for t in angles], L)
-    even_pow = _powers([even(t / 2) for t in angles], L)
-    return np.where(np.less.outer(rows, range(L + 1))[..., None],
-                    _tangent_block(L, rotation, rows, angles, tangents),
-                    (c * odd_pow[p]) * even_pow[L - p] * series)
+def _k_sums(rotation: np.ndarray, rapidity: np.ndarray,
+            pairs=None) -> np.ndarray:
+    """sum_K rotation[m, K] * rapidity[n, K] per (m, n) row pair.
+
+    rotation is a phased block (m rows, K, thetas) and rapidity a real block
+    (n rows, K, taus); the result is shaped (pairs, thetas, taus).  The
+    pairs are (m rows, n rows) lists, or every pair in row-major order when
+    None: then each K adds one outer product of the (m, theta) and (n, tau)
+    lines, so numpy's loops run along whole lines.  Per ascending K, one
+    array operation adds that product to every point's sum, which starts
+    from 0j.
+    """
+    if pairs is not None:
+        rotation, rapidity = rotation[pairs[0]], rapidity[pairs[1]]
+        total = np.zeros((len(rotation), rotation.shape[2],
+                          rapidity.shape[2]), complex)
+        for k in range(rotation.shape[1]):
+            total += rotation[:, k, :, None] * rapidity[:, k, None, :]
+        return total
+    (m_rows, count, thetas), (n_rows, _, taus) = rotation.shape, rapidity.shape
+    m_lines = rotation.transpose(1, 0, 2).reshape(count, -1)
+    n_lines = rapidity.transpose(1, 0, 2).reshape(count, -1)
+    total = np.zeros((m_rows * thetas, n_rows * taus), complex)
+    for k in range(count):
+        total += m_lines[k][:, None] * n_lines[k]
+    return (total.reshape(m_rows, thetas, n_rows, taus).transpose(0, 2, 1, 3)
+            .reshape(-1, thetas, taus))
 
 
-#: Largest side block, in floats, that one grid chunk builds: grids with
-#: longer axes are evaluated a chunk of angles at a time, so memory stays
-#: bounded whatever the axis lengths.
+#: Largest array, in entries, that one grid chunk builds: a side block or
+#: the summed grid of its indices over the chunk's points, while one angle
+#: of each axis fits.  Grids with longer axes are evaluated a chunk of
+#: angles at a time, so memory stays bounded whatever the axis lengths.
+#: Larger chunks outgrow the CPU caches: at 1 << 19, a 100000-angle table
+#: at l = 20 took ~1.4x as long on a 2-core x86-64 VM.
 _BLOCK_SIZE = 1 << 16
 
 
-def _grid_values(indices, thetas, taus, side) -> np.ndarray:
+def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
     """sum_K (i^(m - k) * rotation) * rapidity over the theta x tau grid.
 
-    Shaped (len(indices), len(thetas), len(taus)).  side(L, rotation, rows,
-    angles) is one of the side forms above, run once per weight and side for
-    the distinct rows of m (or n) that the indices use, over chunks of at
-    most ``_BLOCK_SIZE`` block entries.  Per ascending K, one array operation
-    adds that product to every point's sum, which starts from 0j: the order
-    of z_2f1 and the factor halves, whose rotation side carries the phase.
-    z_sum's i^(m - k) * (rotation * rapidity) has the same bits, since the
-    phase multiplies exactly and the sum from +0j turns every signed zero
-    into +0.0.  The rapidity factor is real, so numpy rounds each component
-    as Python does.  Dotted indices are conjugated.
+    Shaped (len(indices), len(thetas), len(taus)).  form names the ``_Side``
+    block of the route ("folded", "hypergeometric" or "tangent"), built once
+    per weight, side and chunk for the distinct rows of m (or n) that the
+    indices use; each index then sums its own (m, n) pair (see ``_k_sums``).
+    Chunks keep the side blocks and the summed grid within ``_BLOCK_SIZE``
+    entries.  This is the order of z_2f1 and the factor halves, whose
+    rotation side carries the phase.  z_sum's i^(m - k) * (rotation *
+    rapidity) has the same bits, since the phase multiplies exactly and the
+    sum from +0j turns every signed zero into +0.0.  The rapidity factor is
+    real, so numpy rounds each component as Python does.  Dotted indices are
+    conjugated.
     """
     grids = np.empty((len(indices), len(thetas), len(taus)), complex)
     weights = {}
     for position, idx in enumerate(indices):
-        weights.setdefault(idx.doubled[0], []).append(position)
-    for L, positions in weights.items():
-        members = [indices[i] for i in positions]
-        M = [(idx.doubled[1] + L) // 2 for idx in members]
-        N = [(idx.doubled[2] + L) // 2 for idx in members]
-        # Distinct projection rows, and each member's place among them.
+        L, M, N = idx.doubled
+        weights.setdefault(L, []).append(
+            (position, (M + L) // 2, (N + L) // 2, idx.dotted))
+    for L, members in weights.items():
+        positions, M, N, dotted = (list(part) for part in zip(*members))
         ms, ns = sorted(set(M)), sorted(set(N))
-        m_at = np.array([ms.index(a) for a in M])
-        n_at = np.array([ns.index(a) for a in N])
-        phases = _PHASES[np.subtract.outer(ms, range(L + 1)) % 4]
-        dotted = np.array([idx.dotted for idx in members])
-        step = max(1, _BLOCK_SIZE // ((L + 1) * max(len(ms), len(ns))))
-        for i in range(0, len(thetas), step):
-            rotation = phases[..., None] * side(L, True, ms, thetas[i:i + step])
-            for j in range(0, len(taus), step):
-                rapidity = side(L, False, ns, taus[j:j + step])
-                total = np.zeros((len(members), rotation.shape[2],
-                                  rapidity.shape[2]), complex)
-                for k in range(L + 1):
-                    total += rotation[m_at, k, :, None] * rapidity[n_at, k, None, :]
+        m_at = {a: i for i, a in enumerate(ms)}
+        n_at = {a: i for i, a in enumerate(ns)}
+        pairs = [m_at[a] for a in M], [n_at[a] for a in N]
+        dotted = np.array(dotted)
+        tau_step = max(1, _BLOCK_SIZE // max(len(members), (L + 1) * len(ns)))
+        theta_step = max(1, _BLOCK_SIZE // max(
+            len(members) * min(tau_step, len(taus)), (L + 1) * len(ms)))
+        for j in range(0, len(taus), tau_step):
+            rapidity = getattr(_Side(L, False, ns, taus[j:j + tau_step]), form)
+            for i in range(0, len(thetas), theta_step):
+                rotation = _phased(L, ms, getattr(
+                    _Side(L, True, ms, thetas[i:i + theta_step]), form))
+                total = _k_sums(rotation, rapidity, pairs)
                 total[dotted] = total[dotted].conj()
-                grids[positions, i:i + step, j:j + step] = total
+                grids[positions, i:i + theta_step, j:j + tau_step] = total
     return grids
 
 
-def _on_grid(route, indices, thetas, taus, side) -> np.ndarray:
+def _weight_grids(weights, thetas, taus):
+    """Per weight L in weights, its Z grid suites' grids a chunk at a time.
+
+    Every weight's grid spans (0, *thetas) x (*taus, 0), validated once, at
+    the largest weight.  Each weight gives a generator of its theta chunks
+    (see ``_theta_chunks``).
+    """
+    angles = tuple(map(_validate_theta, (0.0, *thetas)))
+    columns = tuple(_validate_tau(tau, max(weights, default=0))
+                    for tau in (*taus, 0.0))
+    return (_theta_chunks(L, angles, columns) for L in weights)
+
+
+def _theta_chunks(L: int, angles, columns):
+    """Weight L's grids over validated angles (0, *thetas) x columns
+    (*taus, 0), a chunk of theta rows at a time.
+
+    Each chunk is (start, direct, summed) for the rows thetas[start:stop].
+    direct is the z_sum grid of every index of the weight, in row-major
+    (m, n) order, over those rows (the first chunk's also has theta = 0
+    first) and every column.  summed(form) is the grid of the ``_Side``
+    form "tangent" (the factor halves) or "hypergeometric" (z_2f1) over the
+    inner points alone, those rows by taus; call it before the next chunk.
+    One rapidity ``_Side`` serves the whole weight and one rotation
+    ``_Side`` the chunk, so the routes share their power tables and tangent
+    block.  A chunk's grids stay within ``_BLOCK_SIZE`` entries while one
+    row does.
+    """
+    rows = range(L + 1)
+    rapidity = _Side(L, False, rows, columns, slice(None, -1))
+    step = max(1, _BLOCK_SIZE // ((L + 1) ** 2 * len(columns)))
+    for start in range(0, len(angles) - 1, step):
+        first = int(start == 0)
+        rotation = _Side(L, True, rows,
+                         angles[start + 1 - first:start + 1 + step],
+                         slice(first, None))
+
+        def summed(form, rotation=rotation):
+            return _k_sums(_phased(L, rows, getattr(rotation, form)),
+                           getattr(rapidity, form))
+
+        yield start, summed("folded"), summed
+
+
+def _on_grid(route, indices, thetas, taus, form: str) -> np.ndarray:
     """Validate the grid, then return its ``_grid_values``.
 
     On a domain error, raise the error that route(idx, theta, tau) meets
@@ -560,7 +664,7 @@ def _on_grid(route, indices, thetas, taus, side) -> np.ndarray:
     L = max((idx.doubled[0] for idx in indices), default=0)
     try:
         return _grid_values(indices, [_validate_theta(t) for t in thetas],
-                            [_validate_tau(t, L) for t in taus], side)
+                            [_validate_tau(t, L) for t in taus], form)
     except ValueError:
         for idx in indices:
             for theta in thetas:
@@ -576,7 +680,7 @@ def z_sum_grid(indices, thetas, taus) -> np.ndarray:
     each value bit-identical to z_sum at its point.  Each side of the summand
     is one block per weight.
     """
-    return _on_grid(z_sum, indices, thetas, taus, _folded_block)
+    return _on_grid(z_sum, indices, thetas, taus, "folded")
 
 
 def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
@@ -585,7 +689,7 @@ def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
     Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1,
     with each hypergeometric side one block per weight.
     """
-    return _on_grid(z_2f1, indices, thetas, taus, _hypergeometric_block)
+    return _on_grid(z_2f1, indices, thetas, taus, "hypergeometric")
 
 
 def _weight_bound(L: int, M: int, N: int, m: float, n: float, epsilon: float,

@@ -2,7 +2,7 @@
 
 Each suite builder takes a SuiteConfig and returns its ResidualRecords, each
 already in the report's form (see make_record); the two Z grid suites build
-theirs weight by weight from one direct grid per weight, and their records
+theirs weight by weight in one pass over each weight's grid, and their records
 share one indices map per index and one point map per grid point, made
 afresh for each report (see _grid_records).  A report encodes each distinct
 map object once (see _sorted_run).  Determinism contract: all
@@ -54,11 +54,8 @@ from .differential_checks import (
 from .group_kinematics import ComplexEulerAngles, _finite, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
-    _grid_values,
-    _tangent_block,
-    z_2f1_grid,
+    _weight_grids,
     z_sum,  # no suite calls it; perfbench's tracer wraps suites.z_sum
-    z_sum_grid,
 )
 from .lorentz_sector import (
     RadialSolution,
@@ -267,27 +264,42 @@ class _PointMaps(dict):
         return value
 
 
-def _worst_grid_records(config: SuiteConfig, check: str, index_maps: list,
-                        point_maps: _PointMaps, residual: np.ndarray,
-                        scale: np.ndarray) -> list[ResidualRecord]:
-    """Per index, the record at the point of largest residual / max(1, scale).
+class _Worst:
+    """Per index, the point of largest residual / max(1, scale) over the
+    chunks seen so far, as argmax over the whole grid finds it: a tie keeps
+    the first point in row-major order (theta outer)."""
 
-    residual and scale are shaped (len(index_maps), len(thetas), len(taus)),
-    and point_maps is keyed by the flat row-major position (theta outer);
-    ties keep the first point.  The maps are already in make_record's form
-    and the measurements become Python floats by .tolist(), so the records
-    are built directly.
-    """
-    residual = residual.reshape(len(index_maps), -1)
-    scale = scale.reshape(len(index_maps), -1)
-    worst = (residual / np.maximum(1.0, scale)).argmax(axis=1)
-    rows = np.arange(len(index_maps))
-    tolerance = config.tolerance(check)
-    return [ResidualRecord(check, index_map, point_maps[point], value, size,
-                           tolerance)
-            for index_map, point, value, size in zip(
-                index_maps, worst.tolist(), residual[rows, worst].tolist(),
-                scale[rows, worst].tolist())]
+    def __init__(self):
+        self.found = None  # per index: ratio, flat position, residual, scale
+
+    def update(self, residual: np.ndarray, scale: np.ndarray,
+               offset: int) -> None:
+        """Take in one chunk of rows: residual and scale shaped (indices,
+        rows, taus), whose first point has the flat position offset."""
+        residual = residual.reshape(len(residual), -1)
+        scale = scale.reshape(len(residual), -1)
+        ratio = residual / np.maximum(1.0, scale)
+        at = ratio.argmax(axis=1)
+        rows = np.arange(len(ratio))
+        found = (ratio[rows, at], at + offset, residual[rows, at],
+                 scale[rows, at])
+        if self.found is not None:
+            better = found[0] > self.found[0]
+            found = tuple(np.where(better, new, old)
+                          for new, old in zip(found, self.found))
+        self.found = found
+
+    def records(self, config: SuiteConfig, check: str, index_maps: list,
+                point_maps: _PointMaps) -> list[ResidualRecord]:
+        """One record per index, at its worst point.  The maps are already
+        in make_record's form and the measurements become Python floats by
+        .tolist(), so the records are built directly."""
+        _, points, residuals, scales = (part.tolist() for part in self.found)
+        tolerance = config.tolerance(check)
+        return [ResidualRecord(check, index_map, point_maps[point], value,
+                               size, tolerance)
+                for index_map, point, value, size in zip(
+                    index_maps, points, residuals, scales)]
 
 
 def _ring_points() -> list[complex]:
@@ -335,44 +347,8 @@ def _draw_k(rng: np.random.Generator) -> np.ndarray:
 # Suite builders
 # ---------------------------------------------------------------------------
 
-def _hypergeom_records(config: SuiteConfig, l: float, indices, maps, grid,
-                       thetas, taus) -> list[ResidualRecord]:
-    inner = grid[:, 1:, :-1]
-    records = _worst_grid_records(
-        config, "cross_formula", *maps,
-        _modulus(inner - z_2f1_grid(indices, thetas, taus)), _modulus(inner))
-    # Z(theta, 0) as (m, n) matrices, theta = 0 first.
-    dimension = len(_projections(l))
-    identity, *rotations = (grid[:, i, -1].reshape(dimension, dimension)
-                            for i in range(len(thetas) + 1))
-    records.append(config.record(
-        "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
-        _modulus(identity - np.eye(dimension)).max(), 1.0))
-    deviations = [float(np.abs(u @ u.conj().T - np.eye(dimension)).max())
-                  for u in rotations]
-    worst = int(np.argmax(deviations))
-    records.append(config.record(
-        "unitarity", {"l": float(l)}, {"theta": thetas[worst], "tau": 0.0},
-        deviations[worst], 1.0))
-    return records
-
-
-def _factorization_records(config: SuiteConfig, l: float, indices, maps,
-                           grid, thetas, taus) -> list[ResidualRecord]:
-    inner = grid[:, 1:, :-1]
-    # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the unfolded halves.
-    factored = _grid_values(indices, thetas, taus, _tangent_block)
-    return _worst_grid_records(config, "factorization", *maps,
-                               _modulus(factored - inner), _modulus(inner))
-
-
-#: The Z grid suites: per weight l, records from its indices, their record
-#: maps (one per index and one per grid point) and its direct grid.
-_GRID_SUITES: dict[str, Callable[..., list[ResidualRecord]]] = {
-    "hypergeom": _hypergeom_records,
-    "factorization": _factorization_records,
-}
-
+#: The Z grid suites, each with the check name of its per-index records.
+_GRID_SUITES = {"hypergeom": "cross_formula", "factorization": "factorization"}
 
 def _grid_records(config: SuiteConfig, names: list[str]
                   ) -> list[tuple[str, ResidualRecord]]:
@@ -380,25 +356,69 @@ def _grid_records(config: SuiteConfig, names: list[str]
 
     Each weight's z_sum grid spans (0, *thetas) x (*taus, 0): row 0 is
     theta = 0 and the last column tau = 0, so it also holds Z(0, 0) and the
-    rotations Z(theta, 0).  It is built once, read by every named suite and
-    dropped before the next weight.  The records share one indices map per
-    index and one point map per grid point (made when a record first names
-    that point), all for this call alone: a caller may change the maps of
-    the records it gets.
+    rotations Z(theta, 0).  ``lorentz_harmonics._weight_grids`` gives it a
+    chunk of theta rows at a time, with the z_2f1 grid and the factor halves
+    over the chunk's inner points; the direct grid's modulus is the scale of
+    both suites.  Each index keeps its worst point across chunks (see
+    _Worst), identity comes from the theta = 0 row and unitarity from each
+    chunk's tau = 0 column.  The records share one indices map per index and
+    one point map per grid point (made when a record first names that
+    point), all for this call alone: a caller may change the maps of the
+    records it gets.
     """
     thetas, taus = _theta_grid(config), _tau_grid(config)
     point_maps = _PointMaps(thetas, taus)
+    ls = _l_values(config.lmax) if names else []
+    grids = _weight_grids([round(2 * l) for l in ls], thetas, taus)
     pairs = []
-    for l in _l_values(config.lmax) if names else ():
+    for l, chunks in zip(ls, grids):
         indices = _harmonic_indices(l)
-        maps = ([{"l": idx.l, "m": idx.m, "n": idx.n} for idx in indices],
-                point_maps)
-        grid = z_sum_grid(indices, (0.0, *thetas), (*taus, 0.0))
+        index_maps = [{"l": idx.l, "m": idx.m, "n": idx.n} for idx in indices]
+        dimension = len(_projections(l))
+        worst = {name: _Worst() for name in names}
+        unitarity = (-1.0, 0)  # worst deviation and its theta's position
+        for start, direct, summed in chunks:
+            # The first chunk's direct grid also spans the theta = 0 row.
+            first = int(start == 0)
+            inner = direct[:, first:, :-1]
+            scale = _modulus(inner)
+            offset = start * len(taus)
+            if "factorization" in names:
+                # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the halves.
+                factored = summed("tangent")
+                factored -= inner  # in place: one grid fewer at the chunk peak
+                worst["factorization"].update(_modulus(factored), scale, offset)
+                del factored
+            if "hypergeom" in names:
+                series = summed("hypergeometric")
+                np.subtract(inner, series, out=series)
+                worst["hypergeom"].update(_modulus(series), scale, offset)
+                del series
+                # Z(theta, 0) as (m, n) matrices, theta = 0 first.
+                matrices = direct[:, :, -1].T.reshape(-1, dimension, dimension)
+                if first:
+                    identity = _modulus(matrices[0] - np.eye(dimension)).max()
+                deviations = [
+                    float(np.abs(u @ u.conj().T - np.eye(dimension)).max())
+                    for u in matrices[first:]]
+                at = int(np.argmax(deviations))
+                if deviations[at] > unitarity[0]:
+                    unitarity = (deviations[at], start + at)
+                del matrices
+            # Drop this chunk's grids and side blocks before the next one.
+            del direct, inner, scale, summed
         for name in names:
-            records = _GRID_SUITES[name](config, l, indices, maps, grid,
-                                         thetas, taus)
+            records = worst[name].records(config, _GRID_SUITES[name],
+                                          index_maps, point_maps)
+            if name == "hypergeom":
+                records.append(config.record(
+                    "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},
+                    identity, 1.0))
+                deviation, at = unitarity
+                records.append(config.record(
+                    "unitarity", {"l": float(l)},
+                    {"theta": thetas[at], "tau": 0.0}, deviation, 1.0))
             pairs += [(name, record) for record in records]
-        del grid
     return pairs
 
 

@@ -698,6 +698,30 @@ class TestGrids:
         grids[0, 0, 0] = 12345.0
         assert grids[2, 0, 0] == route(indices[2], thetas[0], taus[0])
 
+    @pytest.mark.parametrize("indices", [
+        [HarmonicIndex(3, 1, n) for n in all_projections(3)],
+        [HarmonicIndex(1.5, m, n, dotted=(m + n) % 2 == 0)
+         for m in all_projections(1.5) for n in all_projections(1.5)],
+        [HarmonicIndex(1.5, m, n) for m in all_projections(1.5)
+         for n in all_projections(1.5)][::-1],
+        [HarmonicIndex(1, 1, 0), HarmonicIndex(1, 1, 0, True),
+         HarmonicIndex(1, 1, 0)],
+        [HarmonicIndex(3, m, m, dotted=m > 0) for m in all_projections(3)],
+        [HarmonicIndex(2, 1, -2), HarmonicIndex(2, -2, 1),
+         HarmonicIndex(2, 1, -2, True)],
+    ], ids=["one-m-row", "mixed-dotted", "reversed", "repeated", "diagonal",
+            "repeated-sparse"])
+    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    def test_sparse_lists(self, grid, route, indices):
+        # Lists other than one weight's (m, n) pairs in row-major order: each
+        # index sums its own pair, bit-identical to the scalar route.
+        thetas, taus = [0.0, 0.3, 2.2], [-0.4, -0.0, 0.0, 0.9]
+        grids = grid(indices, thetas, taus)
+        for idx, rows in zip(indices, grids.tolist()):
+            assert [[repr(value) for value in row] for row in rows] == [
+                [repr(route(idx, theta, tau)) for tau in taus]
+                for theta in thetas], idx
+
     @pytest.mark.parametrize("theta", [1.1, math.pi])
     @pytest.mark.parametrize("l, tau", [
         (10, 70.9), (10, -70.9), (0.5, 1417.0), (0.5, -1417.0)])
@@ -753,8 +777,7 @@ class TestGrids:
 
 def factor_halves_grid(indices, thetas, taus):
     """sum_k P^l_mk Q^l_kn over a grid, as the factorization suite sums it."""
-    return lorentz_harmonics._grid_values(
-        indices, thetas, taus, lorentz_harmonics._tangent_block)
+    return lorentz_harmonics._grid_values(indices, thetas, taus, "tangent")
 
 
 # Each half is reused by every index and point that shares it.

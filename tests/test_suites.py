@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewaves import suites
+from poincarewaves import lorentz_harmonics, suites
 from poincarewaves.cli import _report_json
 from poincarewaves.differential_checks import json_entries, make_record
 from poincarewaves.lorentz_harmonics import (
@@ -145,9 +146,17 @@ def _run_recording_builds(monkeypatch, name, config):
             return records
         return build
 
-    for registry in (suites._GRID_SUITES, suites._SUITE_BUILDERS):
-        for suite, builder in registry.items():
-            monkeypatch.setitem(registry, suite, recording(suite, builder))
+    grid_records = suites._grid_records
+
+    def recording_grids(*args):
+        pairs = grid_records(*args)
+        built.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(suites, "_grid_records", recording_grids)
+    for suite, builder in suites._SUITE_BUILDERS.items():
+        monkeypatch.setitem(suites._SUITE_BUILDERS, suite,
+                            recording(suite, builder))
     return run_suite(name, config), built
 
 
@@ -574,23 +583,98 @@ class TestGridRecords:
             for key, (point, residual, scale) in compare(config).items()}
 
     def test_each_block_once_per_weight_and_side(self, monkeypatch):
-        # One report builds each weight's direct grid once, for both Z grid
-        # suites, and the factorization halves once per weight and side.
-        calls = {"z_sum_grid": [], "_tangent_block": []}
-        for name in calls:
-            route = getattr(suites, name)
+        # One report sums each weight's direct grid, z_2f1 grid and factor
+        # halves once, for both Z grid suites, from one _Side per weight and
+        # side: its folded and hypergeometric forms share one pair of power
+        # tables, and its one tangent block serves z_2f1's fallback and the
+        # halves.
+        sides, sums, powers = [], [], []
 
-            def counted(*args, name=name, route=route):
-                calls[name].append(args[0] if name == "z_sum_grid"
-                                   else args[:2])
-                return route(*args)
+        class Counted(lorentz_harmonics._Side):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sides.append(self)
 
-            monkeypatch.setattr(suites, name, counted)
+        k_sums = lorentz_harmonics._k_sums
+        power_table = lorentz_harmonics._powers
+        monkeypatch.setattr(lorentz_harmonics, "_Side", Counted)
+        monkeypatch.setattr(lorentz_harmonics, "_k_sums",
+                            lambda *args: sums.append(args) or k_sums(*args))
+        monkeypatch.setattr(lorentz_harmonics, "_powers", lambda values, L:
+                            powers.append(L) or power_table(values, L))
         run_suite("all", SuiteConfig(lmax=2, grid_density=3))
-        assert [len(indices) for indices in calls["z_sum_grid"]] == [
-            (d + 1) ** 2 for d in range(5)]
-        assert sorted(calls["_tangent_block"]) == [
+        assert sorted((side.L, side.rotation) for side in sides) == [
             (L, rotation) for L in range(5) for rotation in (False, True)]
+        assert all({"folded", "tangent", "hypergeometric"} <= set(vars(side))
+                   for side in sides)
+        assert len(sums) == 3 * 5
+        # Per side: odd, even and tangent powers.
+        assert sorted(powers) == [L for L in range(5) for _ in range(6)]
+
+    @pytest.mark.parametrize("entries", [1, 2 * 8 * 49, 3 * 8 * 49])
+    @pytest.mark.parametrize("suite", ["hypergeom", "factorization"])
+    def test_theta_chunks_give_the_records_of_one_chunk(self, monkeypatch,
+                                                        suite, entries):
+        # Density 7: 7 thetas and 8 columns.  At lmax 3 the 49 indices of
+        # l = 3 take 1, 2 or 3 theta rows a chunk (lighter weights more), so
+        # chunk edges fall between rows and a last chunk can be short.
+        config = SuiteConfig(lmax=3, grid_density=7)
+        whole = [(name, repr(record)) for name, record in run_suite(suite, config)]
+        rotations = []
+
+        class Counted(lorentz_harmonics._Side):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.rotation:
+                    rotations.append(len(self.angles))
+
+        monkeypatch.setattr(lorentz_harmonics, "_BLOCK_SIZE", entries)
+        monkeypatch.setattr(lorentz_harmonics, "_Side", Counted)
+        assert [(name, repr(record))
+                for name, record in run_suite(suite, config)] == whole
+        steps = [max(1, entries // ((L + 1) ** 2 * 8)) for L in range(7)]
+        assert len(rotations) == sum(-(-7 // step) for step in steps)
+        if entries < 8 * 49:
+            assert rotations == [2, 1, 1, 1, 1, 1, 1] * 7  # theta = 0 first
+
+    def test_worst_point_ties_keep_the_first_across_chunks(self):
+        # Ratios residual / max(1, scale) tie across a chunk edge: index 0
+        # at rows 0 and 2 (1.0), index 1 at rows 1 and 2 (1.5), each pair
+        # with different residuals.  Every chunking keeps the first point in
+        # row-major order, as argmax over the whole grid does, with that
+        # point's own residual and scale.
+        residual = np.array([[[0.5, 0.0, 2.0], [0.9, 0.2, 0.0],
+                              [0.3, 1.0, 0.1], [0.0, 0.0, 0.0]],
+                             [[0.1, 0.0, 0.0], [0.2, 0.0, 1.5],
+                              [3.0, 0.0, 1.0], [0.0, 0.0, 0.0]]])
+        scale = np.array([[[1.0, 1.0, 2.0], [0.0, 0.0, 0.0],
+                           [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+                          [[0.0, 0.0, 0.0], [0.0, 0.0, 0.3],
+                           [2.0, 0.0, 1.0], [5.0, 0.0, 0.0]]])
+        ratio = (residual / np.maximum(1.0, scale)).reshape(2, -1)
+        assert ratio[0].tolist().count(1.0) == ratio[1].tolist().count(1.5) == 2
+        for rows in range(1, 5):
+            worst = suites._Worst()
+            for start in range(0, 4, rows):
+                worst.update(residual[:, start:start + rows],
+                             scale[:, start:start + rows], start * 3)
+            assert [part.tolist() for part in worst.found] == [
+                [1.0, 1.5], [2, 5], [2.0, 1.5], [2.0, 0.3]], rows
+
+    def test_peak_memory_does_not_grow_with_grid_density(self):
+        # Each weight's grids are walked a theta chunk at a time: density
+        # 200 (16x the points of density 50) adds under 8 MB at peak, where
+        # whole-weight grids added ~113 MB.
+        def peak(density):
+            tracemalloc.start()
+            try:
+                suites._grid_records(SuiteConfig(lmax=3, grid_density=density),
+                                     ["factorization", "hypergeom"])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) - peak(50) < 8 * 2 ** 20
 
     def test_record_maps_stay_per_report(self):
         # The grid records of one report share their maps; a change a caller
