@@ -31,21 +31,23 @@ check compares genuinely different floating-point evaluations.
 
 ``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
 indices over a whole theta x tau grid, as one complex128 array of shape
-(len(indices), len(thetas), len(taus)).  Each side of the summand is one
-array block per weight over the (m or n, k) the indices use and every angle,
-summed from one zero-padded coefficient block per weight and side over power
+(len(indices), len(thetas), len(taus)).  One engine serves them, ``table
+z`` and verify's Z grid suites: it walks each weight's grid a bounded chunk
+of angles at a time, taus outer and thetas inner, and sums every (m, n)
+pair of the rows the chunk uses.  Each side of the summand is one array
+block per chunk over those (m or n, k) rows and the chunk's angles, summed
+from one zero-padded coefficient block per weight and side over power
 tables filled by Python's own ``**`` (libm ``pow``, whose bits numpy's power
 does not reproduce); the three routes' blocks of one side share those
-tables.  The k sum is one numpy operation per weight and k, ascending.
-Long axes go a bounded chunk of angles at a time.  The factorization check
-sums the halves through the same engine.  Each side formula has one scalar
-and one block form, both taking a ``rotation`` flag that picks (sin, cos),
-the range-checked tan and the alternating coefficient table, or (sinh,
-cosh), tanh and the plain one.  Every grid value is bit-identical to
-``z_sum`` / ``z_2f1`` at that point under the same interpreter (Python
-3.14's mixed complex/float arithmetic, gh-69639, can flip the scalar
-routes' signed zeros), and an out-of-range point raises the error the
-scalar routes would raise first.
+tables.  The k sum is one numpy operation per chunk and k, ascending.  The
+factorization check sums the halves through the same engine.  Each side
+formula has one scalar and one block form, both taking a ``rotation`` flag
+that picks (sin, cos), the range-checked tan and the alternating
+coefficient table, or (sinh, cosh), tanh and the plain one.  Every grid
+value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under the
+same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
+can flip the scalar routes' signed zeros), and an out-of-range point raises
+the error the scalar routes would raise first.
 
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
@@ -529,25 +531,15 @@ def _phased(L: int, rows, block: np.ndarray) -> np.ndarray:
     return _PHASES[np.subtract.outer(rows, range(L + 1)) % 4][..., None] * block
 
 
-def _k_sums(rotation: np.ndarray, rapidity: np.ndarray,
-            pairs=None) -> np.ndarray:
-    """sum_K rotation[m, K] * rapidity[n, K] per (m, n) row pair.
+def _k_sums(rotation: np.ndarray, rapidity: np.ndarray) -> np.ndarray:
+    """sum_K rotation[m, K] * rapidity[n, K] for every (m, n) row pair.
 
     rotation is a phased block (m rows, K, thetas) and rapidity a real block
-    (n rows, K, taus); the result is shaped (pairs, thetas, taus).  The
-    pairs are (m rows, n rows) lists, or every pair in row-major order when
-    None: then each K adds one outer product of the (m, theta) and (n, tau)
-    lines, so numpy's loops run along whole lines.  Per ascending K, one
-    array operation adds that product to every point's sum, which starts
-    from 0j.
+    (n rows, K, taus); the result is shaped (pairs, thetas, taus), the pairs
+    in row-major order.  Per ascending K, one array operation adds the outer
+    product of the (m, theta) and (n, tau) lines to every point's sum, which
+    starts from 0j, so numpy's loops run along whole lines.
     """
-    if pairs is not None:
-        rotation, rapidity = rotation[pairs[0]], rapidity[pairs[1]]
-        total = np.zeros((len(rotation), rotation.shape[2],
-                          rapidity.shape[2]), complex)
-        for k in range(rotation.shape[1]):
-            total += rotation[:, k, :, None] * rapidity[:, k, None, :]
-        return total
     (m_rows, count, thetas), (n_rows, _, taus) = rotation.shape, rapidity.shape
     m_lines = rotation.transpose(1, 0, 2).reshape(count, -1)
     n_lines = rapidity.transpose(1, 0, 2).reshape(count, -1)
@@ -559,28 +551,62 @@ def _k_sums(rotation: np.ndarray, rapidity: np.ndarray,
 
 
 #: Largest array, in entries, that one grid chunk builds: a side block or
-#: the summed grid of its indices over the chunk's points, while one angle
-#: of each axis fits.  Grids with longer axes are evaluated a chunk of
+#: the summed grid of its (m, n) pairs over the chunk's points, while one
+#: angle of each axis fits.  Grids with longer axes are evaluated a chunk of
 #: angles at a time, so memory stays bounded whatever the axis lengths.
 #: Larger chunks outgrow the CPU caches: at 1 << 19, a 100000-angle table
 #: at l = 20 took ~1.4x as long on a 2-core x86-64 VM.
 _BLOCK_SIZE = 1 << 16
 
 
+def _chunks(L: int, ms, ns, thetas, taus, lead: int = 0, trail: int = 0):
+    """Weight L's grids over thetas x taus, a chunk of angles at a time.
+
+    ms and ns are the ascending projection rows (row a is projection
+    2a - L) of the rotation and rapidity sides.  The first ``lead`` thetas
+    and the last ``trail`` taus are extra angles that only the folded form
+    spans; they join the first theta chunk and the last tau chunk.  Chunks
+    go tau outer, theta inner, each yielded as (i, j, summed): i and j are
+    the chunk's first theta and tau past the extra angles, and summed(form)
+    is ``_k_sums`` of the ``_Side`` form "folded" (z_sum), "tangent" (the
+    factor halves) or "hypergeometric" (z_2f1) for every (m, n) pair over the
+    chunk's points; call it before the next chunk.  One rapidity ``_Side``
+    serves each run of taus and one rotation ``_Side`` each chunk, so the
+    forms share their power tables and tangent block.  A chunk's side blocks
+    and summed grids stay within ``_BLOCK_SIZE`` entries.
+    """
+    pairs = len(ms) * len(ns)
+    tau_step = max(1, _BLOCK_SIZE // max(pairs, (L + 1) * len(ns)))
+    theta_step = max(1, _BLOCK_SIZE // max(pairs * min(tau_step, len(taus)),
+                                           (L + 1) * len(ms)))
+    inner = len(taus) - trail
+    for j in range(0, inner, tau_step):
+        stop = j + tau_step if j + tau_step < inner else len(taus)
+        rapidity = _Side(L, False, ns, taus[j:stop], slice(None, inner - j))
+        for i in range(0, len(thetas) - lead, theta_step):
+            rotation = _Side(L, True, ms,
+                             thetas[lead + i if i else 0:lead + i + theta_step],
+                             slice(0 if i else lead, None))
+
+            def summed(form, rotation=rotation, rapidity=rapidity):
+                return _k_sums(_phased(L, ms, getattr(rotation, form)),
+                               getattr(rapidity, form))
+
+            yield i, j, summed
+
+
 def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
     """sum_K (i^(m - k) * rotation) * rapidity over the theta x tau grid.
 
     Shaped (len(indices), len(thetas), len(taus)).  form names the ``_Side``
-    block of the route ("folded", "hypergeometric" or "tangent"), built once
-    per weight, side and chunk for the distinct rows of m (or n) that the
-    indices use; each index then sums its own (m, n) pair (see ``_k_sums``).
-    Chunks keep the side blocks and the summed grid within ``_BLOCK_SIZE``
-    entries.  This is the order of z_2f1 and the factor halves, whose
-    rotation side carries the phase.  z_sum's i^(m - k) * (rotation *
-    rapidity) has the same bits, since the phase multiplies exactly and the
-    sum from +0j turns every signed zero into +0.0.  The rapidity factor is
-    real, so numpy rounds each component as Python does.  Dotted indices are
-    conjugated.
+    block of the route ("folded", "hypergeometric" or "tangent").  Each
+    weight's chunks (see ``_chunks``) sum every pair of the distinct rows of
+    m and n that its indices use; each index takes its own pair.  This is
+    the order of z_2f1 and the factor halves, whose rotation side carries
+    the phase.  z_sum's i^(m - k) * (rotation * rapidity) has the same bits,
+    since the phase multiplies exactly and the sum from +0j turns every
+    signed zero into +0.0.  The rapidity factor is real, so numpy rounds
+    each component as Python does.  Dotted indices are conjugated.
     """
     grids = np.empty((len(indices), len(thetas), len(taus)), complex)
     weights = {}
@@ -589,68 +615,18 @@ def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
         weights.setdefault(L, []).append(
             (position, (M + L) // 2, (N + L) // 2, idx.dotted))
     for L, members in weights.items():
-        positions, M, N, dotted = (list(part) for part in zip(*members))
-        ms, ns = sorted(set(M)), sorted(set(N))
-        m_at = {a: i for i, a in enumerate(ms)}
-        n_at = {a: i for i, a in enumerate(ns)}
-        pairs = [m_at[a] for a in M], [n_at[a] for a in N]
-        dotted = np.array(dotted)
-        tau_step = max(1, _BLOCK_SIZE // max(len(members), (L + 1) * len(ns)))
-        theta_step = max(1, _BLOCK_SIZE // max(
-            len(members) * min(tau_step, len(taus)), (L + 1) * len(ms)))
-        for j in range(0, len(taus), tau_step):
-            rapidity = getattr(_Side(L, False, ns, taus[j:j + tau_step]), form)
-            for i in range(0, len(thetas), theta_step):
-                rotation = _phased(L, ms, getattr(
-                    _Side(L, True, ms, thetas[i:i + theta_step]), form))
-                total = _k_sums(rotation, rapidity, pairs)
-                total[dotted] = total[dotted].conj()
-                grids[positions, i:i + theta_step, j:j + tau_step] = total
+        ms = sorted({m for _, m, _, _ in members})
+        ns = sorted({n for _, _, n, _ in members})
+        slots = [(position, ms.index(m) * len(ns) + ns.index(n), dotted)
+                 for position, m, n, dotted in members]
+        for i, j, summed in _chunks(L, ms, ns, thetas, taus):
+            total = summed(form)
+            _, rows, columns = total.shape
+            for position, pair, dotted in slots:
+                value = total[pair]
+                grids[position, i:i + rows, j:j + columns] = (
+                    value.conj() if dotted else value)
     return grids
-
-
-def _weight_grids(weights, thetas, taus):
-    """Per weight L in weights, its Z grid suites' grids a chunk at a time.
-
-    Every weight's grid spans (0, *thetas) x (*taus, 0), validated once, at
-    the largest weight.  Each weight gives a generator of its theta chunks
-    (see ``_theta_chunks``).
-    """
-    angles = tuple(map(_validate_theta, (0.0, *thetas)))
-    columns = tuple(_validate_tau(tau, max(weights, default=0))
-                    for tau in (*taus, 0.0))
-    return (_theta_chunks(L, angles, columns) for L in weights)
-
-
-def _theta_chunks(L: int, angles, columns):
-    """Weight L's grids over validated angles (0, *thetas) x columns
-    (*taus, 0), a chunk of theta rows at a time.
-
-    Each chunk is (start, direct, summed) for the rows thetas[start:stop].
-    direct is the z_sum grid of every index of the weight, in row-major
-    (m, n) order, over those rows (the first chunk's also has theta = 0
-    first) and every column.  summed(form) is the grid of the ``_Side``
-    form "tangent" (the factor halves) or "hypergeometric" (z_2f1) over the
-    inner points alone, those rows by taus; call it before the next chunk.
-    One rapidity ``_Side`` serves the whole weight and one rotation
-    ``_Side`` the chunk, so the routes share their power tables and tangent
-    block.  A chunk's grids stay within ``_BLOCK_SIZE`` entries while one
-    row does.
-    """
-    rows = range(L + 1)
-    rapidity = _Side(L, False, rows, columns, slice(None, -1))
-    step = max(1, _BLOCK_SIZE // ((L + 1) ** 2 * len(columns)))
-    for start in range(0, len(angles) - 1, step):
-        first = int(start == 0)
-        rotation = _Side(L, True, rows,
-                         angles[start + 1 - first:start + 1 + step],
-                         slice(first, None))
-
-        def summed(form, rotation=rotation):
-            return _k_sums(_phased(L, rows, getattr(rotation, form)),
-                           getattr(rapidity, form))
-
-        yield start, summed("folded"), summed
 
 
 def _on_grid(route, indices, thetas, taus, form: str) -> np.ndarray:

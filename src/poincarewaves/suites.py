@@ -2,10 +2,11 @@
 
 Each suite builder takes a SuiteConfig and returns its ResidualRecords, each
 already in the report's form (see make_record); the two Z grid suites build
-theirs weight by weight in one pass over each weight's grid, and their records
-share one indices map per index and one point map per grid point, made
-afresh for each report (see _grid_records).  A report encodes each distinct
-map object once (see _sorted_run).  Determinism contract: all
+theirs weight by weight in one pass over each weight's grid, a bounded chunk
+of it at a time from the grid engine behind z_sum_grid and ``table z``, and
+their records share one indices map per index and one point map per grid
+point, made afresh for each report (see _grid_records).  A report encodes
+each distinct map object once (see _sorted_run).  Determinism contract: all
 randomized sampling derives from ``numpy.random.default_rng([config.seed,
 suite_offset])`` with a fixed per-suite offset, so each suite's stream is
 reproducible in isolation and the assembled report is byte-identical under a
@@ -54,7 +55,7 @@ from .differential_checks import (
 from .group_kinematics import ComplexEulerAngles, _finite, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
-    _weight_grids,
+    _chunks,
     z_sum,  # no suite calls it; perfbench's tracer wraps suites.z_sum
 )
 from .lorentz_sector import (
@@ -267,24 +268,27 @@ class _PointMaps(dict):
 class _Worst:
     """Per index, the point of largest residual / max(1, scale) over the
     chunks seen so far, as argmax over the whole grid finds it: a tie keeps
-    the first point in row-major order (theta outer)."""
+    the first point in row-major order (theta outer), whatever order the
+    chunks come in."""
 
     def __init__(self):
         self.found = None  # per index: ratio, flat position, residual, scale
 
     def update(self, residual: np.ndarray, scale: np.ndarray,
-               offset: int) -> None:
-        """Take in one chunk of rows: residual and scale shaped (indices,
-        rows, taus), whose first point has the flat position offset."""
+               positions: np.ndarray) -> None:
+        """Take in one chunk: residual and scale shaped (indices, rows,
+        taus), positions (rows, taus) the flat grid position of each point,
+        ascending in row-major order."""
         residual = residual.reshape(len(residual), -1)
         scale = scale.reshape(len(residual), -1)
         ratio = residual / np.maximum(1.0, scale)
         at = ratio.argmax(axis=1)
         rows = np.arange(len(ratio))
-        found = (ratio[rows, at], at + offset, residual[rows, at],
+        found = (ratio[rows, at], positions.ravel()[at], residual[rows, at],
                  scale[rows, at])
         if self.found is not None:
-            better = found[0] > self.found[0]
+            better = (found[0] > self.found[0]) | (
+                (found[0] == self.found[0]) & (found[1] < self.found[1]))
             found = tuple(np.where(better, new, old)
                           for new, old in zip(found, self.found))
         self.found = found
@@ -356,44 +360,51 @@ def _grid_records(config: SuiteConfig, names: list[str]
 
     Each weight's z_sum grid spans (0, *thetas) x (*taus, 0): row 0 is
     theta = 0 and the last column tau = 0, so it also holds Z(0, 0) and the
-    rotations Z(theta, 0).  ``lorentz_harmonics._weight_grids`` gives it a
-    chunk of theta rows at a time, with the z_2f1 grid and the factor halves
-    over the chunk's inner points; the direct grid's modulus is the scale of
-    both suites.  Each index keeps its worst point across chunks (see
-    _Worst), identity comes from the theta = 0 row and unitarity from each
-    chunk's tau = 0 column.  The records share one indices map per index and
-    one point map per grid point (made when a record first names that
-    point), all for this call alone: a caller may change the maps of the
-    records it gets.
+    rotations Z(theta, 0).  ``lorentz_harmonics._chunks`` gives it a chunk
+    of angles at a time, with the z_2f1 grid and the factor halves over the
+    chunk's inner points; the direct grid's modulus is the scale of both
+    suites.  Each index keeps its worst point across chunks (see _Worst);
+    identity and unitarity come from the chunks that hold the tau = 0
+    column, identity from the first.  The config's angles lie inside every
+    weight's domain.  The records share one indices map per index and one
+    point map per grid point (made when a record first names that point),
+    all for this call alone: a caller may change the maps of the records it
+    gets.
     """
     thetas, taus = _theta_grid(config), _tau_grid(config)
     point_maps = _PointMaps(thetas, taus)
-    ls = _l_values(config.lmax) if names else []
-    grids = _weight_grids([round(2 * l) for l in ls], thetas, taus)
     pairs = []
-    for l, chunks in zip(ls, grids):
+    for l in _l_values(config.lmax) if names else []:
         indices = _harmonic_indices(l)
         index_maps = [{"l": idx.l, "m": idx.m, "n": idx.n} for idx in indices]
         dimension = len(_projections(l))
+        rows = range(dimension)
         worst = {name: _Worst() for name in names}
         unitarity = (-1.0, 0)  # worst deviation and its theta's position
-        for start, direct, summed in chunks:
-            # The first chunk's direct grid also spans the theta = 0 row.
-            first = int(start == 0)
-            inner = direct[:, first:, :-1]
+        for i, j, summed in _chunks(dimension - 1, rows, rows, (0.0, *thetas),
+                                    (*taus, 0.0), lead=1, trail=1):
+            direct = summed("folded")
+            # The first theta chunk also spans the theta = 0 row, the last
+            # tau chunk the tau = 0 column.
+            first = int(i == 0)
+            inner = direct[:, first:, :len(taus) - j]
             scale = _modulus(inner)
-            offset = start * len(taus)
+            _, height, width = inner.shape
+            positions = np.add.outer(np.arange(i, i + height) * len(taus),
+                                     np.arange(j, j + width))
             if "factorization" in names:
                 # sum_k P^l_mk(cos theta) Q^l_kn(cosh tau), from the halves.
                 factored = summed("tangent")
                 factored -= inner  # in place: one grid fewer at the chunk peak
-                worst["factorization"].update(_modulus(factored), scale, offset)
+                worst["factorization"].update(_modulus(factored), scale,
+                                              positions)
                 del factored
             if "hypergeom" in names:
                 series = summed("hypergeometric")
                 np.subtract(inner, series, out=series)
-                worst["hypergeom"].update(_modulus(series), scale, offset)
+                worst["hypergeom"].update(_modulus(series), scale, positions)
                 del series
+            if "hypergeom" in names and width < direct.shape[2]:
                 # Z(theta, 0) as (m, n) matrices, theta = 0 first.
                 matrices = direct[:, :, -1].T.reshape(-1, dimension, dimension)
                 if first:
@@ -403,7 +414,7 @@ def _grid_records(config: SuiteConfig, names: list[str]
                     for u in matrices[first:]]
                 at = int(np.argmax(deviations))
                 if deviations[at] > unitarity[0]:
-                    unitarity = (deviations[at], start + at)
+                    unitarity = (deviations[at], i + at)
                 del matrices
             # Drop this chunk's grids and side blocks before the next one.
             del direct, inner, scale, summed

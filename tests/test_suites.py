@@ -611,38 +611,47 @@ class TestGridRecords:
         # Per side: odd, even and tangent powers.
         assert sorted(powers) == [L for L in range(5) for _ in range(6)]
 
-    @pytest.mark.parametrize("entries", [1, 2 * 8 * 49, 3 * 8 * 49])
+    @pytest.mark.parametrize("entries", [1, 150, 2 * 8 * 49, 3 * 8 * 49])
     @pytest.mark.parametrize("suite", ["hypergeom", "factorization"])
     def test_theta_chunks_give_the_records_of_one_chunk(self, monkeypatch,
                                                         suite, entries):
-        # Density 7: 7 thetas and 8 columns.  At lmax 3 the 49 indices of
-        # l = 3 take 1, 2 or 3 theta rows a chunk (lighter weights more), so
-        # chunk edges fall between rows and a last chunk can be short.
+        # Density 7: 7 thetas and 7 taus, with the theta = 0 row and the
+        # tau = 0 column.  At lmax 3 the 49 pairs of l = 3 take 1, 2 or 3
+        # theta rows a chunk (lighter weights more), so chunk edges fall
+        # between rows and a last chunk can be short.  At 1 and 150 entries
+        # the taus split too: into single taus, or runs of 3 at l = 3.
         config = SuiteConfig(lmax=3, grid_density=7)
         whole = [(name, repr(record)) for name, record in run_suite(suite, config)]
-        rotations = []
+        sides = []
 
         class Counted(lorentz_harmonics._Side):
             def __init__(self, *args):
                 super().__init__(*args)
-                if self.rotation:
-                    rotations.append(len(self.angles))
+                sides.append((self.rotation, len(self.angles)))
 
         monkeypatch.setattr(lorentz_harmonics, "_BLOCK_SIZE", entries)
         monkeypatch.setattr(lorentz_harmonics, "_Side", Counted)
         assert [(name, repr(record))
                 for name, record in run_suite(suite, config)] == whole
-        steps = [max(1, entries // ((L + 1) ** 2 * 8)) for L in range(7)]
-        assert len(rotations) == sum(-(-7 // step) for step in steps)
-        if entries < 8 * 49:
-            assert rotations == [2, 1, 1, 1, 1, 1, 1] * 7  # theta = 0 first
+        # Rotation and rapidity sides: one per chunk and one per tau run.
+        rotations, rapidities = {1: (343, 49), 150: (63, 11), 784: (16, 7),
+                                 1176: (11, 7)}[entries]
+        assert sum(rotation for rotation, _ in sides) == rotations
+        assert len(sides) - rotations == rapidities
+        if entries == 1:
+            # Per weight, tau outer and theta inner: theta = 0 joins each
+            # run's first theta chunk, and tau = 0 the last run.
+            run = [(True, 2)] + [(True, 1)] * 6
+            assert sides == (([(False, 1)] + run) * 6 + [(False, 2)] + run) * 7
 
     def test_worst_point_ties_keep_the_first_across_chunks(self):
-        # Ratios residual / max(1, scale) tie across a chunk edge: index 0
-        # at rows 0 and 2 (1.0), index 1 at rows 1 and 2 (1.5), each pair
-        # with different residuals.  Every chunking keeps the first point in
-        # row-major order, as argmax over the whole grid does, with that
-        # point's own residual and scale.
+        # Ratios residual / max(1, scale) tie across chunk edges: index 0
+        # at positions 2 and 7 (1.0), index 1 at positions 5 and 6 (1.5),
+        # each pair with different residuals.  Every chunking of rows and
+        # columns, visited columns outer, keeps the first point in row-major
+        # order, as argmax over the whole grid does, with that point's own
+        # residual and scale; with single columns the later tie of each
+        # index is seen first.
         residual = np.array([[[0.5, 0.0, 2.0], [0.9, 0.2, 0.0],
                               [0.3, 1.0, 0.1], [0.0, 0.0, 0.0]],
                              [[0.1, 0.0, 0.0], [0.2, 0.0, 1.5],
@@ -651,18 +660,23 @@ class TestGridRecords:
                            [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
                           [[0.0, 0.0, 0.0], [0.0, 0.0, 0.3],
                            [2.0, 0.0, 1.0], [5.0, 0.0, 0.0]]])
+        positions = np.arange(12).reshape(4, 3)
         ratio = (residual / np.maximum(1.0, scale)).reshape(2, -1)
         assert ratio[0].tolist().count(1.0) == ratio[1].tolist().count(1.5) == 2
         for rows in range(1, 5):
-            worst = suites._Worst()
-            for start in range(0, 4, rows):
-                worst.update(residual[:, start:start + rows],
-                             scale[:, start:start + rows], start * 3)
-            assert [part.tolist() for part in worst.found] == [
-                [1.0, 1.5], [2, 5], [2.0, 1.5], [2.0, 0.3]], rows
+            for columns in range(1, 4):
+                worst = suites._Worst()
+                for j in range(0, 3, columns):
+                    for i in range(0, 4, rows):
+                        chunk = np.s_[i:i + rows, j:j + columns]
+                        worst.update(residual[:, chunk[0], chunk[1]],
+                                     scale[:, chunk[0], chunk[1]],
+                                     positions[chunk])
+                assert [part.tolist() for part in worst.found] == [
+                    [1.0, 1.5], [2, 5], [2.0, 1.5], [2.0, 0.3]], (rows, columns)
 
     def test_peak_memory_does_not_grow_with_grid_density(self):
-        # Each weight's grids are walked a theta chunk at a time: density
+        # Each weight's grids are walked a chunk of angles at a time: density
         # 200 (16x the points of density 50) adds under 8 MB at peak, where
         # whole-weight grids added ~113 MB.
         def peak(density):
