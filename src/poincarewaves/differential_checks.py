@@ -22,9 +22,10 @@ stencil's values overflow, and a pair that is not finite raises ValueError.
 A check does not judge its pair; the suites build one ResidualRecord per
 measurement, whose verdict is residual <= tolerance * max(1, scale) at the
 tolerance of its check name.
-Central differences are second-order; Richardson extrapolation (one level per
-halving of the step) sharpens them to the rounding floor.  The step 1e-3 and
-two levels leave residuals around 1e-9 relative for weights l <= 4.
+Central differences are second-order; one Richardson step from h and h / 2
+sharpens them to the rounding floor.  The step 1e-3 and two levels leave
+residuals around 1e-9 relative for weights l <= 4.  All three stencils read
+the weighted element through one reader, which evaluates Z once per point.
 
 The Legendre check verifies the single-variable second-order equation satisfied
 by Z^l_mn as a function of z = cos(theta_c), and the holomorphy check measures
@@ -46,13 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lorentz_harmonics import (
-    HarmonicIndex,
-    _weight_bound,
-    _weighted,
-    _z_value,
-    generalized_m_values,
-)
+from .lorentz_harmonics import HarmonicIndex, _weight_bound, _weighted, _z_value
 from .group_kinematics import ComplexEulerAngles, _finite
 
 __all__ = [
@@ -155,15 +150,12 @@ def json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
 
 
 def _richardson(estimates: Sequence[complex]) -> complex:
-    """Extrapolate a second-order estimator from its values at step / 2**i,
-    one per level: one power of h^2 per level."""
-    table = [[estimate] for estimate in estimates]
-    for i in range(1, len(table)):
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            table[i].append((factor * table[i][j - 1] - table[i - 1][j - 1])
-                            / (factor - 1.0))
-    return table[-1][-1]
+    """A second-order estimator's value at step, or from step and step / 2
+    the h^2-free (4 fine - coarse) / 3; a third level fails to unpack."""
+    if len(estimates) == 1:
+        return estimates[0]
+    coarse, fine = estimates
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _steps(step: float, levels: int) -> list[float]:
@@ -180,12 +172,37 @@ def _finite_pair(residual: float, scale: float) -> tuple[float, float]:
     return residual, scale
 
 
+def _weighted_z(idx: HarmonicIndex, epsilon: float, tau: float, vareps: float):
+    """(z, f), tau and the weight checked once: z(theta) evaluates idx's Z at
+    (theta, tau) and f(z, phi, chi) weights it as generalized_m_values does."""
+    (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
+    tau, decay = _weight_bound(L, M, N, m, n, epsilon, tau, vareps)
+    return (lambda theta: _z_value(L, M, N, theta, tau),
+            lambda z, phi, chi: _weighted(m * phi + n * chi, decay, z, dotted))
+
+
+def _along_theta(idx: HarmonicIndex, tau: float) -> Callable[[float], complex]:
+    """theta -> idx's weighted element at (theta, tau), the other angles 0."""
+    z, f = _weighted_z(idx, 0.0, tau, 0.0)
+    return lambda theta: f(z(theta), 0.0, 0.0)
+
+
+def _sides(g: Callable[[float], complex], x: float) -> list[tuple]:
+    """(h, g(x + h), g(x - h)) at each Richardson step h of the checks."""
+    return [(h, g(x + h), g(x - h)) for h in _steps(_STEP, _LEVELS)]
+
+
+def _slope(sides: Sequence[tuple]) -> complex:
+    """dg/dx from its ``_sides``: Richardson-extrapolated central differences."""
+    return _richardson([(g_p - g_m) / (2 * h) for h, g_p, g_m in sides])
+
+
 def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
              levels: int) -> tuple[float, float]:
     """Residual of [X2 + l(l+1)] (undotted idx) or [Y2 + l(l+1)] (dotted idx).
 
-    Each stencil value is generalized_m_values' weight(phi, chi) times
-    Z(theta), so Z is evaluated once per distinct theta: 2 * levels + 1 times.
+    Each stencil value is a ``_weighted_z`` weight(phi, chi) times Z(theta),
+    so Z is evaluated once per distinct theta: 2 * levels + 1 times.
     """
     phi0, chi0, theta0 = angles.phi, angles.chi, angles.theta
     if not (SINGULARITY_MARGIN < theta0 < math.pi - SINGULARITY_MARGIN):
@@ -193,21 +210,14 @@ def _casimir(idx: HarmonicIndex, angles: ComplexEulerAngles, step: float,
             f"evaluation point too close to a coordinate singularity: theta="
             f"{theta0!r} must satisfy {SINGULARITY_MARGIN} < theta < "
             f"pi - {SINGULARITY_MARGIN}")
-    (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
-    tau, decay = _weight_bound(L, M, N, m, n, angles.epsilon, angles.tau,
-                               angles.vareps)
-
-    def f(z: complex, phi: float, chi: float) -> complex:
-        return _weighted(m * phi + n * chi, decay, z, dotted)
-
-    theta_c = angles.theta_c_dot if dotted else angles.theta_c
+    z, f = _weighted_z(idx, angles.epsilon, angles.tau, angles.vareps)
+    theta_c = angles.theta_c_dot if idx.dotted else angles.theta_c
     sin_c, cos_c = cmath.sin(theta_c), cmath.cos(theta_c)
-    z0 = _z_value(L, M, N, theta0, tau)
+    z0 = z(theta0)
     f0 = f(z0, phi0, chi0)
 
     def estimate(h: float) -> complex:
-        z_tp = _z_value(L, M, N, theta0 + h, tau)
-        z_tm = _z_value(L, M, N, theta0 - h, tau)
+        z_tp, z_tm = z(theta0 + h), z(theta0 - h)
         f_tp, f_tm = f(z_tp, phi0, chi0), f(z_tm, phi0, chi0)
         f_pp, f_pm = f(z0, phi0 + h, chi0), f(z0, phi0 - h, chi0)
         f_cp, f_cm = f(z0, phi0, chi0 + h), f(z0, phi0, chi0 - h)
@@ -248,18 +258,6 @@ def casimir_y2_residual(idx: HarmonicIndex,
     return _casimir(idx, angles, _STEP, _LEVELS)
 
 
-def _z(idx: HarmonicIndex, theta: float, tau: float) -> complex:
-    """The (possibly dotted) Z of idx at (theta, tau)."""
-    return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, theta, tau,
-                                0.0, 0.0, dotted=idx.dotted)
-
-
-def _slope(g: Callable[[float], complex], x: float) -> complex:
-    """dg/dx at x: Richardson-extrapolated central differences."""
-    return _richardson([(g(x + h) - g(x - h)) / (2 * h)
-                        for h in _steps(_STEP, _LEVELS)])
-
-
 def legendre_residual(idx: HarmonicIndex, theta: float,
                       tau: float) -> tuple[float, float]:
     """(residual, scale) of the second-order equation in z = cos(theta_c).
@@ -271,9 +269,8 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
     Both differences share Z(theta +- h): Z is evaluated 2 * levels + 1 times.
     """
     theta, tau = _finite("theta", theta), _finite("tau", tau)
-    (L, M, N), m, n, dotted = idx.doubled, idx.m, idx.n, idx.dotted
-    tau, decay = _weight_bound(L, M, N, m, n, 0.0, tau, 0.0)
-    theta_c = complex(theta, tau) if dotted else complex(theta, -tau)
+    g, m, n = _along_theta(idx, tau), idx.m, idx.n
+    theta_c = complex(theta, tau) if idx.dotted else complex(theta, -tau)
     try:
         z, sin_c = cmath.cos(theta_c), cmath.sin(theta_c)
         sin_c3 = sin_c**3
@@ -285,18 +282,10 @@ def legendre_residual(idx: HarmonicIndex, theta: float,
         raise ValueError(
             f"evaluation point too close to the equation's singular locus: "
             f"|1 - z^2| = {abs(one_minus_z2)!r} <= {LEGENDRE_MARGIN}")
-    phase = m * 0.0 + n * 0.0  # generalized_m_values' at phi = chi = 0
-
-    def g(x: float) -> complex:
-        return _weighted(phase, decay, _z_value(L, M, N, x, tau), dotted)
-
-    steps = _steps(_STEP, _LEVELS)
     g0 = g(theta)
-    sides = [(g(theta + h), g(theta - h)) for h in steps]
-    d1 = _richardson([(g_p - g_m) / (2 * h)
-                      for h, (g_p, g_m) in zip(steps, sides)])
-    d2 = _richardson([(g_p - 2 * g0 + g_m) / (h * h)
-                      for h, (g_p, g_m) in zip(steps, sides)])
+    sides = _sides(g, theta)
+    d1 = _slope(sides)
+    d2 = _richardson([(g_p - 2 * g0 + g_m) / (h * h) for h, g_p, g_m in sides])
     z_prime = -d1 / sin_c
     z_second = d2 / (sin_c * sin_c) - z * d1 / sin_c3
     terms = (
@@ -319,8 +308,8 @@ def holomorphy_residual(idx: HarmonicIndex, theta: float,
     pass/fail aggregation.
     """
     theta, tau = _finite("theta", theta), _finite("tau", tau)
-    dt = _slope(lambda th: _z(idx, th, tau), theta)
-    dtau = _slope(lambda ta: _z(idx, theta, ta), tau)
+    dt = _slope(_sides(_along_theta(idx, tau), theta))
+    dtau = _slope(_sides(lambda ta: _along_theta(idx, ta)(theta), tau))
     defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
     return _finite_pair(abs(defect), abs(dt))
 

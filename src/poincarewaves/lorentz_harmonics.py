@@ -700,9 +700,8 @@ def generalized_m_values(l: float, m: float, n: float, phi: float,
                          dotted: bool = False) -> complex:
     """Exponentially weighted matrix element at raw parameter values.
 
-    This entry point does not range-validate the six parameters: the
-    finite-difference verification stencils legitimately step slightly outside
-    the canonical parameter ranges.  Use ``generalized_m`` for validated input.
+    This entry point does not range-validate the six parameters: any finite
+    angles are weighted as given.  Use ``generalized_m`` for validated input.
     The dotted value at a six-tuple of reals is the complex conjugate of the
     undotted value at the same six-tuple.  |Z| is at most e^(l |tau|), so the
     value is refused when the weight times that bound leaves the float range;
@@ -731,9 +730,10 @@ def _element(L: int, M: int, N: int, m: float, n: float, phi: float,
 
 def generalized_m(idx: HarmonicIndex, angles: ComplexEulerAngles) -> complex:
     """e^(-m(epsilon + i phi)) * Z^l_mn(theta, tau) * e^(-n(vareps + i chi))."""
-    return generalized_m_values(idx.l, idx.m, idx.n, angles.phi, angles.epsilon,
-                                angles.theta, angles.tau, angles.chi,
-                                angles.vareps, dotted=idx.dotted)
+    L, M, N = idx.doubled  # the index and the angles validated when built
+    return _element(L, M, N, idx.m, idx.n, angles.phi, angles.epsilon,
+                    angles.theta, angles.tau, angles.chi, angles.vareps,
+                    idx.dotted)
 
 
 def associated_m(l: float, m: float, angles: ComplexEulerAngles) -> complex:

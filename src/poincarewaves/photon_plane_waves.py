@@ -202,7 +202,10 @@ class WaveVector:
 def _as_wavevector(k) -> WaveVector:
     if isinstance(k, WaveVector):
         return k
-    k1, k2, k3 = k
+    try:
+        k1, k2, k3 = k
+    except (TypeError, ValueError):  # not a sequence of three
+        raise ValueError(f"k must have three components, got {k!r}") from None
     return WaveVector(k1, k2, k3)
 
 

@@ -94,11 +94,10 @@ class PoincareWaveFunction:
         return base.conjugate() if self.dotted else base
 
     def translation_term3(self) -> PlaneWaveTerm:
-        """The 3-vector term of the translation factor: the plane wave's ME2
-        member where exactly one of lam = -1 and dotted holds, else its ME1."""
-        [term] = (self.plane.me2() if (self.lam == -1) != self.dotted
-                  else self.plane.me1())
-        return term
+        """The 3-vector term of the translation factor: the upper block of
+        the plane wave's column, conjugated on the dotted branch."""
+        upper = self.plane.term._carrying(self.plane.term.amplitude[:3])
+        return upper.conjugate() if self.dotted else upper
 
     def translation_equation(self) -> str:
         """Which first-order equation the translation factor solves exactly.
@@ -107,12 +106,7 @@ class PoincareWaveFunction:
         conjugation (the dotted branch) swaps them.  The static longitudinal
         factor solves both; ME1 is reported.
         """
-        if self.lam == 0:
-            return "ME1"
-        positive = self.lam == 1
-        if self.dotted:
-            positive = not positive
-        return "ME1" if positive else "ME2"
+        return "ME2" if self.lam and (self.lam == -1) != self.dotted else "ME1"
 
     def lorentz_factor(self, r: complex, angles: ComplexEulerAngles) -> complex:
         """f^l_{1,lam}(r) * M^{lam}_l, conjugate-branch aware; ValueError

@@ -627,14 +627,12 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
                 for equation in ("ME1", "ME2")}
     thresholds = (0.1 * _dirac_scales(random, c)).tolist()
     off_observed = np.abs(_lagrangians(off_shell, *at, c)).tolist()
-    # ME2 of the +1 and -1 modes together, scaled by their ME1 members.
-    pairs = [(modes[m], modes[m + 2]) for m in range(0, len(modes), 3)]
-    pairing = _dirac_residuals(_stack([[*plus.me2(), *minus.me2()]
-                                       for plus, minus in pairs], 3, "ME2 residual"),
-                               *at, c, "ME2").tolist()
-    pairing_scales = _dirac_scales(_stack([[*plus.me1(), *minus.me1()]
-                                           for plus, minus in pairs], 3,
-                                          "ME1 residual"), c).tolist()
+    # ME2 of the +1 and -1 modes together, scaled by their ME1 members: per
+    # k, the +1 and -1 rows of each member stack joined on the term axis.
+    me1, me2 = (tuple(np.concatenate([part[0::3], part[2::3]], axis=1)
+                      for part in members[equation]) for equation in ("ME1", "ME2"))
+    pairing = _dirac_residuals(me2, *at, c, "ME2").tolist()
+    pairing_scales = _dirac_scales(me1, c).tolist()
     for i, label in enumerate(labels):
         for equation, values in observed.items():
             records.append(config.record(
@@ -647,7 +645,7 @@ def _suite_maxwell(config: SuiteConfig) -> list[ResidualRecord]:
             _deficit(1e-6, off_observed[i]), 1.0))
         records.append(config.record("pairing", {"k": label}, ats[i],
                                      pairing[i], pairing_scales[i]))
-        wave = pairs[i][0]
+        wave = modes[3 * i]
         reference = energy_density(wave.value((0.0, 0.0, 0.0), 0.0))
         drift = max(abs(energy_density(wave.value(x, s)) - reference)
                     for x, s in (located[i], ((1.7, -0.3, 0.4), -2.0)))

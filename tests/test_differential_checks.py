@@ -358,6 +358,20 @@ def reference_legendre(idx, theta, tau):
     return abs(sum(terms)), max(abs(term) for term in terms)
 
 
+def reference_holomorphy(idx, theta, tau):
+    """The holomorphy stencil with every value a direct generalized_m_values."""
+    def g(th, ta):
+        return generalized_m_values(idx.l, idx.m, idx.n, 0.0, 0.0, th, ta,
+                                    0.0, 0.0, dotted=idx.dotted)
+
+    dt = reference_richardson(
+        lambda h: (g(theta + h, tau) - g(theta - h, tau)) / (2 * h), 1e-3, 2)
+    dtau = reference_richardson(
+        lambda h: (g(theta, tau + h) - g(theta, tau - h)) / (2 * h), 1e-3, 2)
+    defect = dtau - 1j * dt if idx.dotted else dtau + 1j * dt
+    return abs(defect), abs(dt)
+
+
 def seeded_indices(rng, count):
     """Indices over integer and half-integer l <= 3, half of them dotted."""
     indices = []
@@ -398,6 +412,37 @@ class TestStencilsMatchDirectEvaluation:
                 idx, theta, tau)
 
 
+    def test_holomorphy(self):
+        rng = np.random.default_rng(2028)
+        indices = seeded_indices(rng, 24)
+        assert {idx.dotted for idx in indices} == {False, True}
+        for idx in indices:
+            theta = float(rng.uniform(0.25, math.pi - 0.25))
+            tau = float(rng.normal() * 0.4)
+            assert holomorphy_residual(idx, theta, tau) == reference_holomorphy(
+                idx, theta, tau)
+
+
+def test_richardson_is_the_tableau_at_one_and_two_levels():
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        estimates = [complex(*rng.normal(size=2)) * 10.0 ** int(rng.integers(-6, 6))
+                     for _ in range(2)]
+        for levels in (1, 2):
+            steps = [1e-3 / 2**i for i in range(levels)]
+            expected = reference_richardson(
+                dict(zip(steps, estimates)).__getitem__, 1e-3, levels)
+            got = differential_checks._richardson(estimates[:levels])
+            assert (got.real.hex(), got.imag.hex()) == (
+                expected.real.hex(), expected.imag.hex())
+
+
+def test_richardson_refuses_a_third_level():
+    # A closed form for two levels: a third estimate is an error, not ignored.
+    with pytest.raises(ValueError):
+        differential_checks._richardson([1 + 1j, 2 + 0j, 3 - 1j])
+
+
 @pytest.fixture
 def z_evaluations(monkeypatch):
     """Each call of the private Z evaluator, whichever module calls it."""
@@ -426,3 +471,23 @@ def z_evaluations(monkeypatch):
 def test_z_evaluated_once_per_distinct_theta(z_evaluations, check, args, most):
     check(*args)
     assert 0 < len(z_evaluations) <= most
+
+
+@pytest.mark.parametrize("idx", [HarmonicIndex(2, 1, -1),
+                                 HarmonicIndex(1.5, 0.5, 1.5, dotted=True)])
+def test_holomorphy_reads_z_once_per_stencil_point(z_evaluations, monkeypatch,
+                                                   idx):
+    # Two slopes of two levels, two sides each: 8 Z values, none of them
+    # through the validating public entry.
+    entries = []
+    public = lorentz_harmonics.generalized_m_values
+
+    def counting(*args, **kwargs):
+        entries.append(args)
+        return public(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz_harmonics, "generalized_m_values", counting)
+    monkeypatch.setattr(differential_checks, "generalized_m_values", counting,
+                        raising=False)
+    holomorphy_residual(idx, 0.9, 0.35)
+    assert len(z_evaluations) == 8 and entries == []

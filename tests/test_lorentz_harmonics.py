@@ -925,6 +925,25 @@ class TestGeneralizedM:
                                           chi, vareps, dotted=True)
             assert dotted == undotted.conjugate()
 
+    def test_equals_the_raw_entry_without_calling_it(self, monkeypatch):
+        # Its index and angles were validated when built: no second pass.
+        rng = np.random.default_rng(35)
+        cases = []
+        for _ in range(60):
+            l = int(rng.integers(0, 9)) / 2
+            m, n = (float(rng.integers(0, int(2 * l) + 1)) - l for _ in range(2))
+            angles = make_angles(float(rng.uniform(0, 6.28)), float(rng.normal()),
+                                 float(rng.uniform(0, math.pi)), float(rng.normal()),
+                                 float(rng.uniform(-6.28, 6.28)), float(rng.normal()))
+            cases.append((HarmonicIndex(l, m, n, bool(rng.integers(0, 2))), angles))
+        expected = [generalized_m_values(
+            idx.l, idx.m, idx.n, a.phi, a.epsilon, a.theta, a.tau, a.chi,
+            a.vareps, dotted=idx.dotted) for idx, a in cases]
+        monkeypatch.setattr(lorentz_harmonics, "generalized_m_values", None)
+        got = [generalized_m(idx, angles) for idx, angles in cases]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            (v.real.hex(), v.imag.hex()) for v in expected]
+
 
 class TestAssociatedAndZonal:
     def test_zonal_weight_zero(self):

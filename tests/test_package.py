@@ -84,6 +84,13 @@ DOMAIN_CASES = [
     ("anti", lambda: anti_equation_residual(
         PhotonPlaneWave(BIG_K, 1).me6()), "terms"),
     ("maxwell", lambda: maxwell_residuals(BIG_K, 1), r"\bk\b"),
+    # Once "not enough values to unpack (expected 3, got 2)".
+    *((f"wavevector-{name}-{len(k)}", lambda call=call, k=k: call(k), r"^k\b")
+      for name, call in (("eigen", poincarewaves.eigenstructure),
+                         ("polarization", poincarewaves.polarization_vectors),
+                         ("plane-wave", lambda k: PhotonPlaneWave(k, 1)),
+                         ("curl", poincarewaves.curl_matrix))
+      for k in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0))),
     *((f"energy-{value}",
        lambda value=value: energy_density([value, 0, 0, 0, 0, 0]), "psi6")
       for value in (INF, 1e200)),

@@ -348,3 +348,31 @@ class TestCatalog:
             assert max(maxwell_residuals(K_GENERIC, lam, *point)) < 1e-12
         div_residuals = maxwell_residuals(K_GENERIC, 0, *point)[2:]
         assert min(div_residuals) > 0.1 * NORMALIZATION * math.hypot(*K_GENERIC)
+
+
+def selected_member(wave):
+    """The translation term and equation picked through the plane wave's
+    me1() / me2() members: ME2 where exactly one of lam = -1 and dotted
+    holds, else ME1, and the longitudinal factor's reported ME1."""
+    [term] = (wave.plane.me2() if (wave.lam == -1) != wave.dotted
+              else wave.plane.me1())
+    if wave.lam == 0:
+        return term, "ME1"
+    positive = (wave.lam == 1) != wave.dotted
+    return term, "ME1" if positive else "ME2"
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_translation_member_is_the_me1_me2_selection(c):
+    rng = np.random.default_rng(35)
+    radial = RadialSolution(l=1)
+    for _ in range(50):
+        k = tuple(float(v) for v in rng.normal(size=3) * 10.0 ** rng.integers(-3, 4))
+        for member in build_catalog(k, 1, radial, c).members:
+            wave = member.wave
+            term, equation = selected_member(wave)
+            got = wave.translation_term3()
+            assert (got.amplitude.tobytes(), got.kvec.tobytes(),
+                    got.omega.hex()) == (term.amplitude.tobytes(),
+                                         term.kvec.tobytes(), term.omega.hex())
+            assert wave.translation_equation() == equation
