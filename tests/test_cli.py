@@ -641,3 +641,21 @@ EVAL_GOLDEN = [
 def test_eval_bytes_are_pinned(runner, args, digest):
     result = invoke(runner, ["eval", *args.split()])
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+#: sha256 of the stdout bytes of verify all --format json at the defaults and
+#: at lmax 6: the JSON render lays its text out its own way, and these pin
+#: that it writes the same bytes.
+VERIFY_GOLDEN = [
+    ("all --format json",
+     "307eb78a69721c05ef9bf493cd1e5bf9de24c946580c163a18f60c9ba8b5a6a2"),
+    ("all --lmax 6 --grid-density 4 --format json",
+     "ef0fb0a972d93bf63f29372900461c730aee86c30b03332587016ecb19c6a66c"),
+]
+
+
+@pytest.mark.parametrize("args, digest", VERIFY_GOLDEN,
+                         ids=["default", "lmax6"])
+def test_verify_bytes_are_pinned(runner, args, digest):
+    result = invoke(runner, ["verify", *args.split()])
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
