@@ -25,10 +25,13 @@ REPORT BYTES
     point, and the sort in ``build_report`` encodes each distinct map object
     once: ``entries`` are those ``json_entries``, handed out in record order,
     and the text lays out each distinct entry once.  One more C-encoder
-    call writes every other record value, the items split by a raw "\0"
-    (JSON escapes it inside strings); the indent encoder runs only on the
-    config and summary.  ``tests/test_suites.py::TestReportJson`` pins the
-    equality.
+    call writes each distinct word (name, suite, passed, flagged) and each
+    distinct number (residual, scale, tolerance) once, the items split by a
+    raw "\0" (JSON escapes it inside strings), and each record is one
+    f-string over those texts.  The memo never merges values that compare
+    equal but print apart (0.0 and -0.0, True and 1).  The indent encoder
+    runs only on the config and summary.
+    ``tests/test_suites.py::TestReportJson`` pins the equality.
 """
 
 from __future__ import annotations
@@ -401,14 +404,12 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-#: One record of the indented report, its keys in sorted order: fields 0-6
-#: are its _RECORD_VALUES, 7 and 8 its indices and point maps.
-_RECORD_JSON = (
-    '    {{\n      "flagged": {0},\n      "indices": {7},\n      "name": {1},\n'
-    '      "passed": {2},\n      "point": {8},\n      "residual": {3},\n'
-    '      "scale": {4},\n      "suite": {5},\n      "tolerance": {6}\n    }}')
-_RECORD_VALUES = ("flagged", "name", "passed", "residual", "scale", "suite",
-                  "tolerance")
+#: A record's words and numbers, which the report encodes by one memo each.
+_RECORD_WORDS = ("flagged", "name", "passed", "suite")
+_RECORD_NUMBERS = ("residual", "scale", "tolerance")
+#: The types a memo may key by value: equal strings and bools print alike,
+#: and so do equal floats but for the signed zeros.
+_WORD_TYPES, _NUMBER_TYPES = frozenset((str, bool)), frozenset((float,))
 #: Every raw "\0" in its text is a separator (see json_entries).
 _NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
 
@@ -420,11 +421,38 @@ def _records_json(records: list, entries: list[str]) -> str:
                + "\n      }" if text else "{}"
                for text in dict.fromkeys(entries)}
     maps = [layouts[text] for text in entries]
-    values = _NUL_JSON([r[key] for r in records
-                        for key in _RECORD_VALUES])[1:-1].split("\0")
-    rows = list(map(_RECORD_JSON.format, *(values[k::7] for k in range(7)),
-                    maps[::2], maps[1::2]))
-    del maps, values  # before the join, so the report is not held twice
+    words = [r[key] for r in records for key in _RECORD_WORDS]
+    numbers = [r[key] for r in records for key in _RECORD_NUMBERS]
+    # Records repeat their words and numbers, so each distinct one is encoded
+    # once.  Values that compare equal but print apart (True and 1, 0.0 and
+    # -0.0) must not share a key: strings and bools never do, and among
+    # floats only the zeros do, so a zero is keyed with its sign.  A report
+    # with any other type keys each value by its position.
+    word_keys = (words if set(map(type, words)) <= _WORD_TYPES
+                 else range(len(words)))
+    number_keys = ([v if v else (v, math.copysign(1.0, v)) for v in numbers]
+                   if set(map(type, numbers)) <= _NUMBER_TYPES
+                   else range(len(numbers)))
+    distinct_words = dict(zip(word_keys, words))
+    distinct_numbers = dict(zip(number_keys, numbers))
+    texts = _NUL_JSON([*distinct_words.values(),
+                       *distinct_numbers.values()])[1:-1].split("\0")
+    word_texts = dict(zip(distinct_words, texts))
+    number_texts = dict(zip(distinct_numbers, texts[len(distinct_words):]))
+    words = list(map(word_texts.__getitem__, word_keys))
+    numbers = list(map(number_texts.__getitem__, number_keys))
+    # One row per record, its keys in sorted order.
+    rows = [f'    {{\n      "flagged": {flagged},\n      "indices": {indices},\n'
+            f'      "name": {name},\n      "passed": {passed},\n'
+            f'      "point": {point},\n      "residual": {residual},\n'
+            f'      "scale": {scale},\n      "suite": {suite},\n'
+            f'      "tolerance": {tolerance}\n    }}'
+            for flagged, name, passed, suite, residual, scale, tolerance,
+            indices, point in zip(words[0::4], words[1::4], words[2::4],
+                                  words[3::4], numbers[0::3], numbers[1::3],
+                                  numbers[2::3], maps[0::2], maps[1::2])]
+    # Freed before the join, so the report is not held twice.
+    del maps, words, numbers
     return ",\n".join(rows)
 
 
@@ -432,9 +460,9 @@ def _report_json(report: dict, entries: list[str]) -> str:
     """The text of json.dumps(report, sort_keys=True, indent=2).
 
     entries are the json_entries of every record's indices and point maps,
-    in record order (two per record); one more encode gives every other
-    record value, and the small config and summary sections go through
-    json."""
+    in record order (two per record); one more encode gives each distinct
+    word and number of the records, and the small config and summary
+    sections go through json."""
     def section(value) -> str:
         # JSON escapes newlines in strings, so each newline is a line break.
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")

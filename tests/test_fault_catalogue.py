@@ -235,7 +235,8 @@ ESCAPES = [
     ("vareps-decay-sign", vareps_decay_sign_flipped,
      lambda: lorentz_harmonics.generalized_m(
          lorentz_harmonics.HarmonicIndex(1, 0, 1), ANGLES),
-     "a check on the whole M, such as d/dvareps M = -n M (ROADMAP item 5)"),
+     "a check that differentiates M along vareps, such as the contour "
+     "engine on the varpi plane (ROADMAP item 11)"),
     ("lorentz-factor-minus-m", lorentz_factor_minus_m,
      lambda: member(False).lorentz_factor(0.9 + 0.4j, ANGLES),
      "the assembled member checked against its equations (ROADMAP item 3)"),

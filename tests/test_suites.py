@@ -286,10 +286,26 @@ def _report(maps):
             "summary": {"passed": len(records)}}
 
 
+#: Values that compare equal but print apart, drawn often enough to repeat
+#: across records and fields.
+_ALIKE = st.sampled_from([0.0, -0.0, 1.0, 1, True, False, 0, math.nan,
+                          math.inf])
+def _valued(*rows):
+    """A hand-built report with one record per (residual, scale, tolerance,
+    passed) row."""
+    records = [{"suite": "s", "name": "n", "indices": {}, "point": {},
+                "residual": residual, "scale": scale, "tolerance": tolerance,
+                "passed": passed, "flagged": False}
+               for residual, scale, tolerance, passed in rows]
+    return {"suite": "s", "config": {}, "records": records, "summary": {}}
+
+
 _RECORDS = st.fixed_dictionaries({
     "suite": _TEXTS, "name": _TEXTS, "indices": _MAPS, "point": _MAPS,
-    "residual": _FLOATS, "scale": _FLOATS, "tolerance": _FLOATS,
-    "passed": st.booleans(), "flagged": st.booleans()})
+    "residual": st.one_of(_FLOATS, _ALIKE),
+    "scale": st.one_of(_FLOATS, _ALIKE),
+    "tolerance": st.one_of(_FLOATS, _ALIKE),
+    "passed": st.one_of(st.booleans(), _ALIKE), "flagged": st.booleans()})
 _REPORTS = st.fixed_dictionaries({
     "suite": _TEXTS, "config": _MAPS,
     "records": st.lists(_RECORDS, max_size=5), "summary": _MAPS})
@@ -306,6 +322,7 @@ class TestReportJson:
         ("all", {"lmax": 6, "grid_density": 4}, 0),
         ("radial", {"seed": 5}, 0),
         ("casimir", {}, 0),
+        ("casimir", {"tolerances": {"casimir": -0.0}}, 1),
     ])
     def test_built_reports(self, name, kwargs, exit_code):
         # The cli's own path: the entries of build_report's sort.
@@ -357,6 +374,20 @@ class TestReportJson:
     @example(report=_report([{}, {"a": 1}, {"b": "}\0{"}]))
     @example(report=_report([{"a": "\0"}, {}, {"}\0{": math.nan}]))
     @example(report=_report([{"a": -0.0}, {"b": 1e300}, {}]))
+    # Equal numbers across records and fields.
+    @example(report=_valued((0.5, 0.5, 1e-9, True), (1e-9, 0.5, 0.5, True)))
+    # 0.0 and -0.0 in one field, and across fields.
+    @example(report=_valued((0.0, 1.0, -0.0, True), (-0.0, -0.0, 0.0, False),
+                            (0.0, 0.0, -0.0, True)))
+    # One NaN object reused, and two distinct NaN objects.
+    @example(report=_valued((math.nan, math.nan, 1.0, True),
+                            (math.nan, float("nan"), float("nan"), False)))
+    @example(report=_valued((math.inf, -math.inf, math.inf, True),
+                            (-math.inf, math.inf, -math.inf, False)))
+    # True, 1 and 1.0 compare equal, as do False, 0 and 0.0.
+    @example(report=_valued((1.0, 1, True, True), (1, 1.0, 1.0, 1),
+                            (0, 0.0, False, False), (-0.0, False, 0, 0.0)))
+    @example(report=_valued((1.0, 1, 0, True), (0.0, 2, 2.0, False)))
     def test_generated_reports(self, report):
         assert _own_report_json(report) == _indented_json(report)
 
