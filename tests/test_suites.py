@@ -286,10 +286,6 @@ def _report(maps):
             "summary": {"passed": len(records)}}
 
 
-#: Values that compare equal but print apart, drawn often enough to repeat
-#: across records and fields.
-_ALIKE = st.sampled_from([0.0, -0.0, 1.0, 1, True, False, 0, math.nan,
-                          math.inf])
 def _valued(*rows):
     """A hand-built report with one record per (residual, scale, tolerance,
     passed) row."""
@@ -300,6 +296,10 @@ def _valued(*rows):
     return {"suite": "s", "config": {}, "records": records, "summary": {}}
 
 
+#: Values that compare equal but print apart, drawn often enough to repeat
+#: across records and fields.
+_ALIKE = st.sampled_from([0.0, -0.0, 1.0, 1, True, False, 0, math.nan,
+                          math.inf])
 _RECORDS = st.fixed_dictionaries({
     "suite": _TEXTS, "name": _TEXTS, "indices": _MAPS, "point": _MAPS,
     "residual": st.one_of(_FLOATS, _ALIKE),
