@@ -2,6 +2,7 @@
 branch, the six-member catalog, and the physical-photon filter."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -348,6 +349,50 @@ class TestCatalog:
             assert max(maxwell_residuals(K_GENERIC, lam, *point)) < 1e-12
         div_residuals = maxwell_residuals(K_GENERIC, 0, *point)[2:]
         assert min(div_residuals) > 0.1 * NORMALIZATION * math.hypot(*K_GENERIC)
+
+
+def catalog_values(seed, l):
+    """Every member's value on seeded catalogs of order l: four wavevectors,
+    each with its own complex radial constants and five points (complex r
+    in both half-planes, some with Re r < 0) whose angles its six members
+    share, stacked as (wavevectors, members, points, components)."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(4):
+        k = tuple(rng.normal(size=3) * rng.uniform(0.5, 3.0))
+        radial = RadialSolution(l, complex(*rng.normal(size=2)),
+                                complex(*rng.normal(size=2)))
+        points = [(tuple(rng.normal(size=3)), float(rng.normal()),
+                   complex(rng.uniform(0.1, 3.0) * cmath.exp(
+                       1j * rng.uniform(-0.9 * math.pi, 0.9 * math.pi))),
+                   random_angles(rng)) for _ in range(5)]
+        values.append([[member.wave.value(*point) for point in points]
+                       for member in build_catalog(k, l, radial).members])
+    return np.array(values)
+
+
+#: sha256 of catalog_values(seed, l).tobytes() for all six members: the
+#: assembled bits, taken before lorentz_factor shared its angular element
+#: between dotted twins.
+ASSEMBLED_GOLDEN = [
+    (20261020, 1,
+     "8b52414dad5b22a418ccb3f4549fef8d5033d64fda788c30ca6278ce948fbfa6"),
+    (7, 1,
+     "1ab77bc7266e1863341787989a4dac4d482f28d9c28c6a84f5f043851eaa3c7a"),
+    (11, 2,
+     "a7d9e45a49d30ca5f4d1130c938464642eba57fb6165f523e616c62ab98836f8"),
+    (13, 3,
+     "8a638fce72cd4d07070bebe6cf0a9233f673e624af4adbb99a82d02b2fa1a8c4"),
+]
+
+
+@pytest.mark.parametrize("seed, l, digest", ASSEMBLED_GOLDEN,
+                         ids=[f"seed{seed}-l{l}"
+                              for seed, l, _ in ASSEMBLED_GOLDEN])
+def test_assembled_bytes_are_pinned(seed, l, digest):
+    values = catalog_values(seed, l)
+    assert values.shape == (4, 6, 5, 6)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def selected_member(wave):
