@@ -13,7 +13,11 @@ CONVENTIONS
       out-of-range input is rejected, never wrapped.  The "dotted" (conjugate)
       series reads theta_c_dot = theta + i*tau.
 
-Angle values are immutable and all functions are pure.
+Angle values are immutable and all functions are pure.  An angles value also
+holds a private memo of the assembled members' angular elements at it; the
+memo is not a field, so equality, hashing, repr, ``dataclasses.asdict``,
+``dataclasses.replace`` and pickling never see it, and every value read
+through it has the bits of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ class ComplexEulerAngles:
 
     Angle ranges: 0 <= theta <= pi, 0 <= phi < 2*pi, -2*pi <= chi < 2*pi.
     epsilon, tau, vareps are unbounded finite reals.
+
+    Each value carries an invisible memo that
+    ``PoincareWaveFunction.lorentz_factor`` fills: the undotted element
+    e^(-m(epsilon + i phi)) Z^l_m0(theta, tau) per doubled index, so the
+    dotted twins of a catalog at these angles read it instead of computing
+    it again.  A copy or an unpickled value starts with an empty memo.
     """
 
     phi: float
@@ -67,6 +77,15 @@ class ComplexEulerAngles:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
         if not -_TWO_PI <= self.chi < _TWO_PI:
             raise ValueError(f"chi must lie in [-2*pi, 2*pi), got {self.chi!r}")
+        # Not a field: equality, hash, repr and asdict stay those of the six
+        # parameters.
+        object.__setattr__(self, "_elements", {})
+
+    def __reduce__(self):
+        """Pickle and copy the six parameters only: the copy revalidates
+        them and starts with an empty memo."""
+        return type(self), (self.phi, self.epsilon, self.theta, self.tau,
+                            self.chi, self.vareps)
 
     @property
     def phi_c(self) -> complex:

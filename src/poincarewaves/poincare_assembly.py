@@ -110,7 +110,14 @@ class PoincareWaveFunction:
 
     def lorentz_factor(self, r: complex, angles: ComplexEulerAngles) -> complex:
         """f^l_{1,lam}(r) * M^{lam}_l, conjugate-branch aware; ValueError
-        where r is not finite or the factor overflows a float."""
+        where r is not finite or the factor overflows a float.
+
+        The undotted element M^{lam}_l at chi = vareps = 0 is computed once
+        per angles value and index and kept in the angles' private memo; the
+        dotted member reads its conjugate, which is the dotted element bit
+        for bit, so the memo changes no value.  A refused element is not
+        kept, and either twin raises its error.
+        """
         try:
             radius = complex(r)
         except OverflowError:  # an int past the float range: the gate names it
@@ -118,9 +125,15 @@ class PoincareWaveFunction:
         if self.dotted:
             radius = radius.conjugate()
         idx = self.index
-        L, M, N = idx.doubled  # validated when the index was built
-        angular = _element(L, M, N, idx.m, idx.n, angles.phi, angles.epsilon,
-                           angles.theta, angles.tau, 0.0, 0.0, idx.dotted)
+        memo, key = angles._elements, idx._doubled
+        angular = memo.get(key)
+        if angular is None:
+            L, M, N = key  # validated when the index was built
+            angular = memo[key] = _element(
+                L, M, N, idx.m, idx.n, angles.phi, angles.epsilon,
+                angles.theta, angles.tau, 0.0, 0.0, False)
+        if self.dotted:
+            angular = angular.conjugate()
         factor = self.radial.f(self.lam, radius, self.dotted) * angular
         if not cmath.isfinite(factor):
             _finite("r", r, complex)

@@ -219,7 +219,10 @@ FACTOR_HALF_SIGN = plain_tables(lambda L, A, K, table: tuple(
     (p, q, -c) for p, q, c in table) if (L, K) == (4, 0) else table)
 
 
-ANGLES = make_angles(0.3, 0.2, 1.0, 0.2, 0.4, 0.5)
+def angles():
+    """Fresh angles per probe, as member() builds a fresh member: a value
+    taken before a plant is not read back after it."""
+    return make_angles(0.3, 0.2, 1.0, 0.2, 0.4, 0.5)
 
 
 def member(dotted):
@@ -234,14 +237,14 @@ def member(dotted):
 ESCAPES = [
     ("vareps-decay-sign", vareps_decay_sign_flipped,
      lambda: lorentz_harmonics.generalized_m(
-         lorentz_harmonics.HarmonicIndex(1, 0, 1), ANGLES),
+         lorentz_harmonics.HarmonicIndex(1, 0, 1), angles()),
      "a check that differentiates M along vareps, such as the contour "
      "engine on the varpi plane (ROADMAP item 11)"),
     ("lorentz-factor-minus-m", lorentz_factor_minus_m,
-     lambda: member(False).lorentz_factor(0.9 + 0.4j, ANGLES),
+     lambda: member(False).lorentz_factor(0.9 + 0.4j, angles()),
      "the assembled member checked against its equations (ROADMAP item 3)"),
     ("dotted-radius-unconjugated", dotted_radius_unconjugated,
-     lambda: member(True).lorentz_factor(0.9 + 0.4j, ANGLES),
+     lambda: member(True).lorentz_factor(0.9 + 0.4j, angles()),
      "the assembled member checked against its equations (ROADMAP item 3)"),
     ("factor-half-sign", rows(FACTOR_HALF_SIGN),
      lambda: lorentz_harmonics.su2_factor_p(2, 1, 0, 1.0),

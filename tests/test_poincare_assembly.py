@@ -2,13 +2,15 @@
 branch, the six-member catalog, and the physical-photon filter."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from poincarewaves import lorentz_harmonics, photon_plane_waves
+from poincarewaves import lorentz_harmonics, photon_plane_waves, poincare_assembly
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_2f1
 from poincarewaves.lorentz_sector import RadialSolution
@@ -349,6 +351,111 @@ class TestCatalog:
             assert max(maxwell_residuals(K_GENERIC, lam, *point)) < 1e-12
         div_residuals = maxwell_residuals(K_GENERIC, 0, *point)[2:]
         assert min(div_residuals) > 0.1 * NORMALIZATION * math.hypot(*K_GENERIC)
+
+
+def fresh(angles):
+    """The same six parameters with an empty element memo."""
+    return dataclasses.replace(angles)
+
+
+def factor_bits(wave, r, angles):
+    return np.array(wave.lorentz_factor(r, angles)).tobytes()
+
+
+class TestSharedElement:
+    """Each angles value keeps the undotted angular element per index; the
+    dotted twin reads its conjugate.  None of it may show."""
+
+    def setup_method(self):
+        self.radial = RadialSolution(l=1, C=0.6 + 0.2j, Cdot=-0.4 + 1.0j)
+        self.catalog = build_catalog(K_GENERIC, 1, self.radial)
+
+    @pytest.mark.parametrize("dotted_first", [False, True])
+    def test_either_twin_first_gives_the_fresh_bits(self, dotted_first):
+        rng = np.random.default_rng(37)
+        x, t = (0.3, -0.7, 1.1), 0.45
+        for _ in range(20):
+            angles = random_angles(rng)
+            r = complex(rng.uniform(0.1, 3.0), rng.normal())
+            for lam in ("+1", "0", "-1"):
+                twins = [self.catalog.member(f"psi_{lam}").wave,
+                         self.catalog.member(f"psi_dot_{lam}").wave]
+                if dotted_first:
+                    twins.reverse()
+                for wave in twins:
+                    assert factor_bits(wave, r, angles) \
+                        == factor_bits(wave, r, fresh(angles))
+                    assert wave.value(x, t, r, angles).tobytes() \
+                        == wave.value(x, t, r, fresh(angles)).tobytes()
+
+    def test_each_element_is_computed_once_per_angles(self, monkeypatch):
+        calls = []
+        original = poincare_assembly._element
+        monkeypatch.setattr(poincare_assembly, "_element",
+                            lambda *args: calls.append(args) or original(*args))
+        angles = fresh(GENERIC_ANGLES)
+        for _ in range(3):
+            for member in self.catalog.members:
+                member.wave.value((0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j, angles)
+        # One undotted element per helicity, at chi = vareps = 0.
+        assert sorted(args[:3] for args in calls) == [(2, -2, 0), (2, 0, 0),
+                                                     (2, 2, 0)]
+        assert all(args[-3:] == (0.0, 0.0, False) for args in calls)
+
+    def test_evaluating_changes_no_visible_property(self):
+        angles = fresh(GENERIC_ANGLES)
+        twin = fresh(GENERIC_ANGLES)
+
+        def visible():
+            return (angles == twin, hash(angles), repr(angles),
+                    dataclasses.asdict(angles), pickle.dumps(angles),
+                    dataclasses.replace(angles, tau=0.5) == dataclasses.replace(
+                        twin, tau=0.5))
+
+        before = visible()
+        for member in self.catalog.members:
+            member.wave.lorentz_factor(0.9 - 0.4j, angles)
+        assert angles._elements
+        assert visible() == before
+        for copy in (dataclasses.replace(angles),
+                     pickle.loads(pickle.dumps(angles))):
+            assert copy == angles and copy._elements == {}
+
+    @pytest.mark.parametrize("dotted_first", [False, True])
+    def test_overflowing_epsilon_raises_for_both_twins(self, dotted_first):
+        # e^(-m epsilon) with m = 1 and epsilon = -800 overflows a float.
+        angles = make_angles(0.3, -800.0, 1.0, 0.2, 0.0, 0.0)
+        twins = [self.catalog.member("psi_+1").wave,
+                 self.catalog.member("psi_dot_+1").wave]
+        if dotted_first:
+            twins.reverse()
+        messages = []
+        for wave in twins:
+            with pytest.raises(ValueError, match="out of range") as error:
+                wave.lorentz_factor(0.9 - 0.4j, angles)
+            messages.append(str(error.value))
+            assert angles._elements == {}
+        assert messages[0] == messages[1]
+
+    def test_catalogs_sharing_angles_read_the_same_element(self):
+        shared = fresh(GENERIC_ANGLES)
+        x, t, r = (0.3, -0.7, 1.1), 0.45, 0.9 - 0.4j
+        others = [build_catalog((-0.7, 0.4, 2.1), 1, self.radial),
+                  build_catalog((3.0, 4.0, 0.0), 2,
+                                RadialSolution(l=2, C=0.5, Cdot=0.1j))]
+        for catalog in [self.catalog, *others]:
+            for member in catalog.members:
+                wave = member.wave
+                assert wave.value(x, t, r, shared).tobytes() \
+                    == wave.value(x, t, r, fresh(shared)).tobytes()
+        for first, second in zip(self.catalog.members, others[0].members):
+            assert factor_bits(first.wave, r, shared) \
+                == factor_bits(second.wave, r, shared)
+        # generalized_m reads the angles' own chi and vareps, not the memo.
+        for lam in (1, 0, -1):
+            index = HarmonicIndex(1, lam, 0)
+            assert generalized_m(index, shared) \
+                == generalized_m(index, fresh(shared))
 
 
 def catalog_values(seed, l):
