@@ -408,9 +408,7 @@ class TestSharedElement:
 
         def visible():
             return (angles == twin, hash(angles), repr(angles),
-                    dataclasses.asdict(angles), pickle.dumps(angles),
-                    dataclasses.replace(angles, tau=0.5) == dataclasses.replace(
-                        twin, tau=0.5))
+                    dataclasses.asdict(angles), pickle.dumps(angles))
 
         before = visible()
         for member in self.catalog.members:
