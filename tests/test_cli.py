@@ -571,6 +571,30 @@ class TestTable:
         result = invoke(runner, args + ["--format", "text"])
         assert result.stdout_bytes == expected.encode()
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GRIDS))
+    def test_json_golden_bytes(self, runner, case):
+        args, points = self._golden_points(case)
+        expected = json.dumps(
+            {"function": "z",
+             "rows": [{"theta": th, "tau": ta,
+                       "value": {"re": v.real, "im": v.imag}}
+                      for th, ta, v in points]},
+            sort_keys=True, indent=2) + "\n"
+        result = invoke(runner, args + ["--format", "json"])
+        assert result.stdout_bytes == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_domain_error_prints_nothing(self, runner, fmt):
+        # The outer taus are out of range at this weight: the grid is
+        # evaluated whole before the first byte of the table is written.
+        result = invoke(runner, ["table", "z", "--l", "10", "--m", "10",
+                                 "--n", "-10", "--theta", "0:pi:50",
+                                 "--tau", "-71:71:50", "--format", fmt],
+                        expect=2)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+
     @pytest.mark.parametrize("args", [
         ["table", "z", "--l", "1", "--m", "1", "--n", "0",
          "--theta", "0:pi:0", "--tau", "0"],
