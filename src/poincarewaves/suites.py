@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -448,7 +448,9 @@ def _suite_casimir(config: SuiteConfig) -> list[ResidualRecord]:
               for l in _l_values(min(config.lmax, 3)) for _ in range(3)]
     for position, idx in enumerate(sample):
         angles = _random_angles(rng)
-        point = asdict(angles)
+        point = {"phi": angles.phi, "epsilon": angles.epsilon,
+                 "theta": angles.theta, "tau": angles.tau,
+                 "chi": angles.chi, "vareps": angles.vareps}
         dotted = HarmonicIndex(idx.l, idx.m, idx.n, dotted=True)
         for operator, checked, check in (("x2", idx, casimir_x2_residual),
                                          ("y2", dotted, casimir_y2_residual)):
