@@ -64,8 +64,11 @@ _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",
                    "planewave", "radial", "assemble")
 _TABLE_FUNCTIONS = ("z", "zonal")
 
-#: Most theta x tau points in a table, which is held whole until written.
+#: Most theta x tau points in a table: its grid of values (16 bytes a point)
+#: is evaluated whole before the first byte is written.
 _MAX_TABLE_POINTS = 1_000_000
+#: Grid points per write of a table, about 0.3 MB of CSV.
+_TABLE_BLOCK = 4096
 
 
 class _DomainError(click.ClickException):
@@ -549,6 +552,35 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
 # table
 # ---------------------------------------------------------------------------
 
+def _json_texts(values) -> list[str]:
+    """The JSON text of each float in values, from one C-encoder call."""
+    return _NUL_JSON(values)[1:-1].split("\0")
+
+
+def _json_pairs(block: np.ndarray) -> list[tuple[str, str]]:
+    """The (re, im) JSON texts of each complex value in block."""
+    texts = _json_texts(block.view(np.float64).tolist())
+    return list(zip(texts[0::2], texts[1::2]))
+
+
+def _table_blocks(grid: np.ndarray, theta_cells: list, tau_cells: list,
+                  values):
+    """Walk grid in blocks of _TABLE_BLOCK points, flat and row-major, so a
+    long row is split too.  Each block is three lists with one entry per
+    point: its theta cell, its tau cell and values(the block's array)."""
+    flat, width = grid.reshape(-1), len(tau_cells)
+    for start in range(0, flat.size, _TABLE_BLOCK):
+        stop = min(start + _TABLE_BLOCK, flat.size)
+        row, column = divmod(start, width)
+        thetas, taus = [], []
+        while len(taus) < stop - start:
+            cells = tau_cells[column:column + stop - start - len(taus)]
+            thetas += [theta_cells[row]] * len(cells)
+            taus += cells
+            row, column = row + 1, 0
+        yield thetas, taus, values(flat[start:stop])
+
+
 @main.command("table")
 @click.argument("function", type=click.Choice(_TABLE_FUNCTIONS))
 @click.option("--l", "l", type=float, required=True,
@@ -574,35 +606,42 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
             idx = HarmonicIndex(l, m, n, dotted=dotted)
         else:
             idx = HarmonicIndex(l, 0.0, 0.0)
-        grid = z_sum_grid([idx], thetas, taus)[0].tolist()
+        grid = z_sum_grid([idx], thetas, taus)[0]
     except ValueError as error:
         raise _DomainError(str(error)) from None
-    # Text and CSV format each grid coordinate once and echo the table once.
+    # Each grid coordinate is formatted once per axis; each block of points
+    # is rendered by one comprehension and written once.
     if fmt == "json":
-        payload = {"function": function,
-                   "rows": [{"theta": th, "tau": ta,
-                             "value": _complex_json(v)}
-                            for th, row in zip(thetas, grid)
-                            for ta, v in zip(taus, row)]}
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        head = f'{{\n  "function": {json.dumps(function)},\n  "rows": [\n'
+        separator, tail = ",\n", "\n  ]\n}\n"
+        blocks = _table_blocks(grid, _json_texts(thetas), _json_texts(taus),
+                               _json_pairs)
+        rendered = (",\n".join(
+            f'    {{\n      "tau": {ta},\n      "theta": {th},\n'
+            f'      "value": {{\n        "im": {im},\n        "re": {re}\n'
+            f'      }}\n    }}'
+            for th, ta, (re, im) in zip(*block)) for block in blocks)
     elif fmt == "text":
-        tau_cells = [f"{ta:>24.17g}" for ta in taus]
-        lines = [f"{'theta':>24s} {'tau':>24s} value\n"]
-        for th, row in zip(thetas, grid):
-            theta_cell = f"{th:>24.17g}"
-            lines += [f"{theta_cell} {ta} {format_complex(v)}\n"
-                      for ta, v in zip(tau_cells, row)]
-        click.echo("".join(lines), nl=False)
+        head, separator, tail = f"{'theta':>24s} {'tau':>24s} value\n", "", ""
+        blocks = _table_blocks(grid, [f"{th:>24.17g}" for th in thetas],
+                               [f"{ta:>24.17g}" for ta in taus],
+                               np.ndarray.tolist)
+        rendered = ("".join(f"{th} {ta} {format_complex(v)}\n"
+                            for th, ta, v in zip(*block)) for block in blocks)
     else:
         # Every cell is a float repr or a header name, so none needs RFC-4180
         # quoting and these lines are exactly what csv.writer would write.
-        tau_cells = [repr(ta) for ta in taus]
-        lines = ["theta,tau,value_re,value_im\r\n"]
-        for th, row in zip(thetas, grid):
-            theta_cell = repr(th)
-            lines += [f"{theta_cell},{ta},{v.real!r},{v.imag!r}\r\n"
-                      for ta, v in zip(tau_cells, row)]
-        click.echo("".join(lines), nl=False)
+        head, separator, tail = "theta,tau,value_re,value_im\r\n", "", ""
+        blocks = _table_blocks(grid, [repr(th) for th in thetas],
+                               [repr(ta) for ta in taus], np.ndarray.tolist)
+        rendered = ("".join(f"{th},{ta},{v.real!r},{v.imag!r}\r\n"
+                            for th, ta, v in zip(*block)) for block in blocks)
+    # A table of one block is written once, head and tail included.
+    text = head + next(rendered)
+    for block in rendered:
+        click.echo(text, nl=False)
+        text = separator + block
+    click.echo(text + tail, nl=False)
 
 
 if __name__ == "__main__":
