@@ -32,6 +32,18 @@ REPORT BYTES
     equal but print apart (0.0 and -0.0, True and 1).  The indent encoder
     runs only on the config and summary.
     ``tests/test_suites.py::TestReportJson`` pins the equality.
+
+TABLE BYTES
+    ``table`` evaluates its whole grid as one ``z_sum_grid`` array first,
+    so an out-of-range point prints nothing, then writes the table a block
+    of ``_TABLE_BLOCK`` points at a time, flat in row-major order.  Each
+    axis is formatted once; each block is one comprehension and one write,
+    and a table of one block is written once.  CSV is exactly what
+    ``csv.writer`` writes, text is one formatted line per point, and JSON
+    is exactly ``json.dumps({"function": ..., "rows": [...]},
+    sort_keys=True, indent=2)``: one C-encoder call gives each block's
+    numbers (``_NUL_JSON``) and each row is one f-string.  The bytes do not
+    depend on the block size.  ``tests/test_cli.py::TestTable`` pins them.
 """
 
 from __future__ import annotations
@@ -417,6 +429,11 @@ _WORD_TYPES, _NUMBER_TYPES = frozenset((str, bool)), frozenset((float,))
 _NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
 
 
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each item of values, from one C-encoder call."""
+    return _NUL_JSON(values)[1:-1].split("\0")
+
+
 def _records_json(records: list, entries: list[str]) -> str:
     # Records share maps, so each distinct text is laid out once (a memo by
     # text, never by value: 0.0 == -0.0, but their JSON differs).
@@ -438,8 +455,8 @@ def _records_json(records: list, entries: list[str]) -> str:
                    else range(len(numbers)))
     distinct_words = dict(zip(word_keys, words))
     distinct_numbers = dict(zip(number_keys, numbers))
-    texts = _NUL_JSON([*distinct_words.values(),
-                       *distinct_numbers.values()])[1:-1].split("\0")
+    texts = _json_texts([*distinct_words.values(),
+                         *distinct_numbers.values()])
     word_texts = dict(zip(distinct_words, texts))
     number_texts = dict(zip(distinct_numbers, texts[len(distinct_words):]))
     words = list(map(word_texts.__getitem__, word_keys))
@@ -551,11 +568,6 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
-
-def _json_texts(values) -> list[str]:
-    """The JSON text of each float in values, from one C-encoder call."""
-    return _NUL_JSON(values)[1:-1].split("\0")
-
 
 def _json_pairs(block: np.ndarray) -> list[tuple[str, str]]:
     """The (re, im) JSON texts of each complex value in block."""
