@@ -4,6 +4,7 @@ and the on-shell Lagrangian."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -793,6 +794,64 @@ class TestConjugateFieldEquation:
             direct = dirac_form_residual(terms, "ME6", x, t)
             anti = anti_equation_residual(terms, x, t)
             assert abs(direct - anti) < 1e-12 * max(1.0, direct)
+
+    #: repr of the residual at c = 1 and c = 2.5 on each input of
+    #: _conjugate_field_inputs: the test above's off-shell waves, on-shell
+    #: members, the domain sweep's input and the empty wave.
+    PINNED = {
+        "sweep": ("3.1031676915590914e-17", "0.14254285914389284"),
+        "on-shell-1": ("3.1031676915590914e-17", "0.14254285914389284"),
+        "on-shell--1": ("3.1031676915590914e-17", "0.14254285914389284"),
+        "on-shell-0": ("0.0", "0.0"),
+        "off-shell-0": ("9.73953889990765", "7.9625704590779804"),
+        "off-shell-1": ("7.606560542711198", "6.778840619723133"),
+        "off-shell-2": ("3.8254433347150307", "4.033143182682661"),
+        "off-shell-3": ("3.2254053598392827", "3.040039475776853"),
+        "off-shell-4": ("6.451713920863913", "4.6889445634383815"),
+        "off-shell-5": ("6.25286755994231", "6.192720835979842"),
+        "off-shell-6": ("1.694026258343188", "1.8105805250174956"),
+        "off-shell-7": ("4.071199160530523", "4.043153021518586"),
+        "off-shell-8": ("9.042581204623781", "4.976442521167447"),
+        "off-shell-9": ("3.944669227459821", "4.196062335440724"),
+        "empty": ("0.0", "0.0"),
+    }
+
+    def test_values_are_pinned(self):
+        got = {name: tuple(repr(anti_equation_residual(terms, x, t, c))
+                           for c in (1.0, 2.5))
+               for name, terms, x, t in _conjugate_field_inputs()}
+        assert got == self.PINNED
+
+    def test_refusals_are_pinned(self):
+        # c is checked first, then the terms, then the point.
+        three = PhotonPlaneWave(GENERIC_KS[0], 1).me1()
+        big = PhotonPlaneWave((1e200, 1e200, 0.0), 1).me6()
+        for args, message in (
+                ((three, (math.nan,) * 3, 0.0, 0.0),
+                 "c must be positive, got 0.0"),
+                ((three, (math.nan,) * 3, 0.0),
+                 "conjugate-field residual needs 6-component terms"),
+                ((big, (math.nan,) * 3, 0.0), "x must be finite, got nan"),
+                ((big,), "the conjugate-field residual overflows a float: "
+                 "the amplitudes, k or omega / c of terms are too large")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                anti_equation_residual(*args)
+
+
+def _conjugate_field_inputs():
+    """(name, terms, x, t) of every input whose residual is pinned."""
+    sweep = PhotonPlaneWave((1.0, 2.0, 3.0), 1).me6()
+    inputs = [("sweep", sweep, (0.1, -0.2, 0.3), 0.4)]
+    inputs += [(f"on-shell-{lam}", PhotonPlaneWave((1.0, 2.0, 3.0), lam).me6(),
+                *POINTS[2]) for lam in (1, -1, 0)]
+    rng = np.random.default_rng(59)  # the magnitude test's waves
+    for i in range(10):
+        k = rng.normal(size=3)
+        terms = [PlaneWaveTerm(rng.normal(size=6) + 1j * rng.normal(size=6),
+                               k, float(rng.normal()))]
+        inputs.append((f"off-shell-{i}", terms, tuple(rng.normal(size=3)),
+                       float(rng.normal())))
+    return inputs + [("empty", [], *POINTS[1])]
 
 
 _THREE = PlaneWaveTerm(np.ones(3), (1.0, 2.0, 3.0), 1.0)
