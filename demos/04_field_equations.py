@@ -24,7 +24,6 @@ from poincarewaves import (
     dirac_form_residual,
     dirac_form_scale,
     energy_density,
-    evaluate_terms,
     lagrangian_density_translation,
     maxwell_residuals,
 )
@@ -67,7 +66,7 @@ for lam in (1, -1, 0):
 print()
 print("Energy density and its field form")
 print("---------------------------------")
-psi = evaluate_terms(PhotonPlaneWave(K, 1).me6(), X, T)
+psi = sum(term.amplitude * term.phase(X, T) for term in PhotonPlaneWave(K, 1).me6())
 pair = FieldPair.from_value(psi)
 print(f"psi^dagger psi            = {energy_density(psi):.6e}")
 print(f"2 (|E|^2 + |B|^2)         = "

@@ -23,14 +23,15 @@ REPORT BYTES
     is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The Z grid
     records share one indices map per index and one point map per grid
     point, and the sort in ``build_report`` encodes each distinct map object
-    once: ``entries`` are those ``json_entries``, handed out in record order,
-    and the text lays out each distinct entry once.  One more C-encoder
-    call writes each distinct word (name, suite, passed, flagged) and each
-    distinct number (residual, scale, tolerance) once, the items split by a
-    raw "\0" (JSON escapes it inside strings), and each record is one
-    f-string over those texts.  The memo never merges values that compare
-    equal but print apart (0.0 and -0.0, True and 1).  The indent encoder
-    runs only on the config and summary.
+    once: ``entries`` are those ``differential_checks._json_entries``,
+    handed out in record order, and the text lays out each distinct entry
+    once.  One more call of the same encoder (``_json_texts``) writes each
+    distinct word (name, suite, passed, flagged) and each distinct number
+    (residual, scale, tolerance) once, the items split by a raw "\0" (JSON
+    escapes it inside strings), and each record is one f-string over those
+    texts.  The memo never merges values that compare equal but print apart
+    (0.0 and -0.0, True and 1).  The indent encoder runs only on the config
+    and summary.
     ``tests/test_suites.py::TestReportJson`` pins the equality.
 
 TABLE BYTES
@@ -41,9 +42,10 @@ TABLE BYTES
     and a table of one block is written once.  CSV is exactly what
     ``csv.writer`` writes, text is one formatted line per point, and JSON
     is exactly ``json.dumps({"function": ..., "rows": [...]},
-    sort_keys=True, indent=2)``: one C-encoder call gives each block's
-    numbers (``_NUL_JSON``) and each row is one f-string.  The bytes do not
-    depend on the block size.  ``tests/test_cli.py::TestTable`` pins them.
+    sort_keys=True, indent=2)``: one call of the report's encoder
+    (``differential_checks._json_texts``) gives each block's numbers and
+    each row is one f-string.  The bytes do not depend on the block size.
+    ``tests/test_cli.py::TestTable`` pins them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import math
 import click
 import numpy as np
 
+from .differential_checks import _json_texts
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
@@ -425,13 +428,6 @@ _RECORD_NUMBERS = ("residual", "scale", "tolerance")
 #: The types a memo may key by value: equal strings and bools print alike,
 #: and so do equal floats but for the signed zeros.
 _WORD_TYPES, _NUMBER_TYPES = frozenset((str, bool)), frozenset((float,))
-#: Every raw "\0" in its text is a separator (see json_entries).
-_NUL_JSON = json.JSONEncoder(separators=("\0", ": ")).encode
-
-
-def _json_texts(values: list) -> list[str]:
-    """The JSON text of each item of values, from one C-encoder call."""
-    return _NUL_JSON(values)[1:-1].split("\0")
 
 
 def _records_json(records: list, entries: list[str]) -> str:
@@ -479,7 +475,7 @@ def _records_json(records: list, entries: list[str]) -> str:
 def _report_json(report: dict, entries: list[str]) -> str:
     """The text of json.dumps(report, sort_keys=True, indent=2).
 
-    entries are the json_entries of every record's indices and point maps,
+    entries are the _json_entries of every record's indices and point maps,
     in record order (two per record); one more encode gives each distinct
     word and number of the records, and the small config and summary
     sections go through json."""

@@ -53,7 +53,6 @@ from .group_kinematics import ComplexEulerAngles, _finite
 __all__ = [
     "ResidualRecord",
     "make_record",
-    "json_entries",
     "casimir_x2_residual",
     "casimir_y2_residual",
     "legendre_residual",
@@ -69,7 +68,9 @@ LEGENDRE_MARGIN = 1e-3
 _STEP, _LEVELS = 1e-3, 2
 #: The record-map entry types that _json_value keeps as they are.
 _JSON_NATIVE = frozenset((bool, int, float, str))
-#: Every raw "\0" in its text is a separator: JSON escapes control characters.
+#: The one encoder of the report and table texts: every raw "\0" in its text
+#: is a separator, as JSON escapes control characters (sort_keys changes
+#: nothing for a list of scalars).
 _NUL_JSON = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
@@ -141,7 +142,12 @@ def make_record(check_name: str, indices: Mapping[str, object],
                           tolerance, bool(flagged))
 
 
-def json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each scalar item of values, from one encode."""
+    return _NUL_JSON(values)[1:-1].split("\0")
+
+
+def _json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
     r"""Each flat map's sort_keys JSON entries joined by "\0", from one encode.
     "}\0{" falls only between maps of scalars; a map's compact sort_keys JSON
     text is "{" + entries.replace("\0", ", ") + "}"."""

@@ -162,7 +162,9 @@ class HarmonicIndex:
 
     l is a non-negative integer or half-integer; m and n belong to the same
     class (l - m and l - n are non-negative integers) with |m|, |n| <= l.
-    ``dotted`` selects the conjugate series.
+    ``dotted`` selects the conjugate series.  ``doubled`` holds (2l, 2m, 2n)
+    as exact integers; it is not a field, so equality, hash and repr stay
+    those of (l, m, n, dotted).
     """
 
     l: float
@@ -176,13 +178,7 @@ class HarmonicIndex:
         object.__setattr__(self, "m", M / 2)
         object.__setattr__(self, "n", N / 2)
         object.__setattr__(self, "dotted", bool(self.dotted))
-        # Not a field: equality, hash and repr stay those of (l, m, n, dotted).
-        object.__setattr__(self, "_doubled", (L, M, N))
-
-    @property
-    def doubled(self) -> tuple[int, int, int]:
-        """(2l, 2m, 2n) as exact integers."""
-        return self._doubled
+        object.__setattr__(self, "doubled", (L, M, N))
 
     @property
     def eigenvalue(self) -> float:
@@ -270,21 +266,11 @@ def _angular_row(L: int, A: int, alternating: bool
     return tuple(row)
 
 
-def _angular_terms(L: int, A: int, K: int, alternating: bool
-                   ) -> tuple[tuple[int, int, float], ...]:
-    """The coefficient table of internal index K in ``_angular_row``."""
-    return _angular_row(L, A, alternating)[(K + L) // 2]
-
-
 @lru_cache(maxsize=None)
 def _z_table(L: int, M: int, N: int):
     """Per-k coefficient tables for Z^l_mn, keyed by doubled indices."""
-    return tuple(
-        (((M - K) // 2) % 4,
-         _angular_terms(L, M, K, True),
-         _angular_terms(L, N, K, False))
-        for K in range(-L, L + 1, 2)
-    )
+    return tuple(zip([((M - K) // 2) % 4 for K in range(-L, L + 1, 2)],
+                     _angular_row(L, M, True), _angular_row(L, N, False)))
 
 
 def _z_value(L: int, M: int, N: int, theta: float, tau: float) -> complex:
@@ -348,7 +334,7 @@ def z_sum(idx: HarmonicIndex, theta: float, tau: float) -> complex:
 def _unfolded(L: int, A: int, K: int, x: float, rotation: bool) -> complex:
     """One side in the unfolded form even^L(x/2) * sum coeff * tangent^p(x/2).
 
-    Reads the side's ``_angular_terms`` table; the rotation side (a = m)
+    Reads the side's ``_angular_row`` table of K; the rotation side (a = m)
     carries the phase i^(a - k) and is complex, the rapidity side (a = n) is a
     real float.  Used by ``su2_factor_p`` and ``qu2_factor_jacobi``, and as
     ``_factor_2f1``'s fallback where the series' lower parameter is a
@@ -356,7 +342,7 @@ def _unfolded(L: int, A: int, K: int, x: float, rotation: bool) -> complex:
     """
     t = _side_tangent(x, L, rotation)
     acc = 0.0
-    for p, _, coeff in _angular_terms(L, A, K, rotation):
+    for p, _, coeff in _angular_row(L, A, rotation)[(K + L) // 2]:
         acc += coeff * t ** p
     value = (math.cos if rotation else math.cosh)(x / 2) ** L * acc
     return _I_POW[((A - K) // 2) % 4] * value if rotation else value
@@ -384,13 +370,14 @@ def _factor_2f1(L: int, A: int, K: int, x: float, rotation: bool) -> complex:
     """One side via the terminating Gauss series, or ``_unfolded`` where a < k.
 
     The series is normalized to its leading term, so its square-root factorial
-    prefactor is the j = 0 coefficient of the cached ``_angular_terms`` table.
+    prefactor is the j = 0 coefficient of the side's cached ``_angular_row``
+    table of K.
     Only the rotation side carries the phase i^(a - k).
     """
     ak = (A - K) // 2
     if ak < 0:
         return _unfolded(L, A, K, x, rotation)
-    prefactor = _angular_terms(L, A, K, rotation)[0][2]
+    prefactor = _angular_row(L, A, rotation)[(K + L) // 2][0][2]
     odd, even = (math.sin, math.cos) if rotation else (math.sinh, math.cosh)
     t = _side_tangent(x, L, rotation)
     series = terminating_2f1((A - L) / 2, -(L + K) / 2, ak + 1,

@@ -49,7 +49,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,14 +68,12 @@ __all__ = [
     "eigenstructure",
     "polarization_vectors",
     "transversality_residual",
-    "evaluate_terms",
     "dirac_form_residual",
     "dirac_form_scale",
     "maxwell_residuals",
     "maxwell_residuals_from_terms",
     "energy_density",
     "lagrangian_density_translation",
-    "anti_equation_residual",
     "NORMALIZATION",
 ]
 
@@ -665,24 +663,21 @@ def _energy_identity(psi6) -> tuple[np.ndarray, np.ndarray]:
         return _squares(psi6), 2.0 * (_squares(pair.E) + _squares(pair.B))
 
 
-def evaluate_terms(terms: Iterable[PlaneWaveTerm], x, t: float):
-    """Sum of amplitude * phase over the terms at (x, t); 0j for no terms."""
-    terms = list(terms)
-    return _superpose(*_stack([terms], terms[0].amplitude.size, "evaluate_terms"),
-                      *_point(x, t))[0] if terms else 0j
-
-
 def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
                         x=(0.0, 0.0, 0.0), t: float = 0.0,
                         c: float = 1.0) -> float:
     """Euclidean norm at (x, t) of the first-order operator on the wave:
-    "ME1" ((i/c)d/dt - i alpha.grad on 3-vectors), "ME2" (+alpha) or "ME6"
-    (the 6x6 block form).  ValueError where it overflows a float."""
+    "ME1" ((i/c)d/dt - i alpha.grad on 3-vectors), "ME2" (+alpha), "ME6"
+    (the 6x6 block form) or "ANTI", |(1/c) Gamma_0^T d/dt - Gamma_j^T d/dx_j|
+    on psi-bar^T = Gamma_0 conj(psi), equal in size to ME6's as Gamma_mu^T =
+    Gamma_mu.  ValueError where it overflows a float."""
     c = _check_c(c)
     equation = equation.upper()
-    if equation not in ("ME1", "ME2", "ME6"):
-        raise ValueError(f"equation must be ME1, ME2, or ME6, got {equation!r}")
-    bundle = _stack([terms], 6 if equation == "ME6" else 3, f"{equation} residual")
+    if equation not in ("ME1", "ME2", "ME6", "ANTI"):
+        raise ValueError(f"equation must be ME1, ME2, ME6, or ANTI, got {equation!r}")
+    bundle = _stack([terms], 3 if equation in ("ME1", "ME2") else 6,
+                    "conjugate-field residual" if equation == "ANTI"
+                    else f"{equation} residual")
     return float(_dirac_residuals(bundle, *_point(x, t), c, equation)[0])
 
 
@@ -741,14 +736,3 @@ def lagrangian_density_translation(terms: Sequence[PlaneWaveTerm],
     c = _check_c(c)
     bundle = _stack([terms], 6, "Lagrangian density")
     return complex(_lagrangians(bundle, *_point(x, t), c)[0])
-
-
-def anti_equation_residual(terms: Sequence[PlaneWaveTerm],
-                           x=(0.0, 0.0, 0.0), t: float = 0.0,
-                           c: float = 1.0) -> float:
-    """|(1/c) Gamma_0^T d/dt - Gamma_j^T d/dx_j| on psi-bar^T = Gamma_0
-    conj(psi): as Gamma_mu^T = Gamma_mu, the 6x6 operator on the conjugate
-    wave, equal in size to the direct ME6 residual.  ValueError on overflow."""
-    c = _check_c(c)
-    bundle = _stack([terms], 6, "conjugate-field residual")
-    return float(_dirac_residuals(bundle, *_point(x, t), c, "ANTI")[0])

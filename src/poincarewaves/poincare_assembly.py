@@ -125,7 +125,7 @@ class PoincareWaveFunction:
         if self.dotted:
             radius = radius.conjugate()
         idx = self.index
-        memo, key = angles._elements, idx._doubled
+        memo, key = angles._elements, idx.doubled
         angular = memo.get(key)
         if angular is None:
             L, M, N = key  # validated when the index was built

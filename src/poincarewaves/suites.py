@@ -43,11 +43,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .differential_checks import (
+    _json_entries,
     casimir_convergence_order,
     casimir_x2_residual,
     casimir_y2_residual,
     holomorphy_residual,
-    json_entries,
     legendre_residual,
     make_record,
     ResidualRecord,
@@ -240,7 +240,7 @@ def _harmonic_indices(l: float) -> tuple[HarmonicIndex, ...]:
     L = round(2 * l)
     doubled = range(-L, L + 1, 2)
     return tuple(_trusted(HarmonicIndex, l=L / 2, m=M / 2, n=N / 2,
-                          dotted=False, _doubled=(L, M, N))
+                          dotted=False, doubled=(L, M, N))
                  for M in doubled for N in doubled)
 
 
@@ -909,7 +909,7 @@ SUITE_NAMES: tuple[str, ...] = tuple(sorted([*_GRID_SUITES, *_SUITE_BUILDERS]))
 def _sorted_run(name: str, config: SuiteConfig
                 ) -> tuple[list[tuple[str, ResidualRecord]], list[str]]:
     """run_suite's sorted pairs, and each record's indices and point
-    json_entries in the same order (two per record, from one encode of the
+    _json_entries in the same order (two per record, from one encode of the
     run's distinct map objects)."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(
@@ -926,7 +926,7 @@ def _sorted_run(name: str, config: SuiteConfig
     maps = [m for _, record in pairs for m in (record.indices, record.point)]
     distinct = {id(m): m for m in maps}
     slots = dict(zip(distinct, range(len(distinct))))
-    entries = json_entries(list(distinct.values()))
+    entries = _json_entries(list(distinct.values()))
     texts = ["{" + text.replace("\0", ", ") + "}" for text in entries]
     # Fanned back out: two per record, indices then point.
     positions = [slots[id(m)] for m in maps]
@@ -945,8 +945,8 @@ def run_suite(name: str, config: SuiteConfig
 
     The pairs are sorted stably on (suite, check name, indices, point), the
     maps compared as their compact sort_keys JSON text
-    (``json.JSONEncoder(sort_keys=True).encode``), which one json_entries
-    call gives for every distinct map object of the run.
+    (``json.JSONEncoder(sort_keys=True).encode``), which one encode gives
+    for every distinct map object of the run.
     """
     return _sorted_run(name, config)[0]
 
@@ -955,9 +955,8 @@ def build_report(name: str, config: SuiteConfig, *,
                  _entries: list[str] | None = None) -> dict:
     """JSON-ready verification report for one suite (or 'all').
 
-    The records come from run_suite's one sort, whose single json_entries
-    call encodes each distinct indices and point map object once per
-    report.  A list given as ``_entries`` (the cli's JSON render) is filled
+    The records come from run_suite's one sort, whose single encode covers
+    each distinct indices and point map object once per report.  A list given as ``_entries`` (the cli's JSON render) is filled
     with those entries in record order, two per record, so the text reuses
     the sort's encode.
     """

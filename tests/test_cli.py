@@ -279,11 +279,11 @@ class TestVerify:
         assert first.stdout_bytes == second.stdout_bytes
 
     def test_json_report_encodes_each_map_once(self, runner, monkeypatch):
-        # One json_entries call per report, over its distinct map objects:
+        # One _json_entries call per report, over its distinct map objects:
         # the grid records share one indices map per index and one point map
         # per grid point.  Counted under every name a package module binds
-        # json_entries to.
-        original = differential_checks.json_entries
+        # _json_entries to.
+        original = differential_checks._json_entries
         calls = []
 
         def counting(maps):

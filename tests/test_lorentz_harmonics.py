@@ -494,8 +494,8 @@ class TestCoefficientTables:
             for alternating in (True, False):
                 pairs = [(A, K) for A in range(-L, L + 1, 2)
                          for K in range(-L, L + 1, 2)]
-                got = [lorentz_harmonics._angular_terms(L, A, K, alternating)
-                       for A, K in pairs]
+                got = [lorentz_harmonics._angular_row(L, A, alternating)
+                       [(K + L) // 2] for A, K in pairs]
                 want = [angular_terms_reference(L, A, K, alternating)
                         for A, K in pairs]
                 assert repr(got) == repr(want), (L, alternating)

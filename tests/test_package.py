@@ -16,7 +16,6 @@ import poincarewaves
 from poincarewaves import (
     PhotonPlaneWave,
     PlaneWaveTerm,
-    anti_equation_residual,
     dirac_form_residual,
     dirac_form_scale,
     energy_density,
@@ -81,8 +80,8 @@ DOMAIN_CASES = [
         PhotonPlaneWave(BIG_K, 1).me6()), "terms"),
     ("scale-1.7e200", lambda: dirac_form_scale(
         PhotonPlaneWave((1.7e200, 0, 0), 1).me6()), "terms"),
-    ("anti", lambda: anti_equation_residual(
-        PhotonPlaneWave(BIG_K, 1).me6()), "terms"),
+    ("dirac-ANTI", lambda: dirac_form_residual(
+        PhotonPlaneWave(BIG_K, 1).me6(), "ANTI"), "terms"),
     ("maxwell", lambda: maxwell_residuals(BIG_K, 1), r"\bk\b"),
     # Once "not enough values to unpack (expected 3, got 2)".
     *((f"wavevector-{name}-{len(k)}", lambda call=call, k=k: call(k), r"^k\b")
@@ -143,8 +142,9 @@ POINT = dict(x=(0.1, -0.2, 0.3), t=0.4)
 
 #: Valid arguments of every public callable, by keyword: name -> factory of
 #: (callable, arguments).  A public callable without a factory fails
-#: test_every_public_callable_has_a_factory.  The methods after the public
-#: names are the entries that take a caller's point.
+#: test_every_public_callable_has_a_factory.  "dirac_form_residual-ANTI" is
+#: the conjugate-field form of its callable; the methods after the public
+#: names are the entries that take a caller's point or radius.
 FACTORIES = {
     "ComplexEulerAngles": lambda: (poincarewaves.ComplexEulerAngles, SIX),
     "make_angles": lambda: (poincarewaves.make_angles, SIX),
@@ -177,8 +177,6 @@ FACTORIES = {
     "make_record": lambda: (poincarewaves.make_record, dict(
         check_name="demo", indices={"l": 1.0}, point={"theta": 0.5},
         residual=1e-12, scale=1.0, tolerance=1e-10)),
-    "json_entries": lambda: (poincarewaves.json_entries,
-                             dict(maps=[{"l": 1.0}, {"theta": 0.5}])),
     "casimir_x2_residual": lambda: (poincarewaves.casimir_x2_residual,
                                     dict(idx=_index(), angles=_angles())),
     "casimir_y2_residual": lambda: (poincarewaves.casimir_y2_residual, dict(
@@ -212,10 +210,10 @@ FACTORIES = {
                                      dict(k=(1.0, 2.0, 3.0))),
     "transversality_residual": lambda: (poincarewaves.transversality_residual,
                                         dict(k=(1.0, 2.0, 3.0), lam=1)),
-    "evaluate_terms": lambda: (poincarewaves.evaluate_terms,
-                               dict(terms=_terms(6), **POINT)),
     "dirac_form_residual": lambda: (dirac_form_residual, dict(
         terms=_terms(3), equation="ME1", **POINT, c=1.0)),
+    "dirac_form_residual-ANTI": lambda: (dirac_form_residual, dict(
+        terms=_terms(6), equation="ANTI", **POINT, c=1.0)),
     "dirac_form_scale": lambda: (dirac_form_scale,
                                  dict(terms=_terms(6), c=1.0)),
     "maxwell_residuals": lambda: (maxwell_residuals, dict(
@@ -230,8 +228,6 @@ FACTORIES = {
     "lagrangian_density_translation": lambda: (
         poincarewaves.lagrangian_density_translation,
         dict(terms=_terms(6), **POINT, c=1.0)),
-    "anti_equation_residual": lambda: (anti_equation_residual,
-                                       dict(terms=_terms(6), **POINT, c=1.0)),
     "LambdaMatrices": lambda: (poincarewaves.LambdaMatrices, dict(
         lambdas=poincarewaves.build_matrices().lambdas,
         upsilons=poincarewaves.build_matrices().upsilons)),

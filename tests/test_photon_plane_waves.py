@@ -20,14 +20,12 @@ from poincarewaves.photon_plane_waves import (
     PhotonPlaneWave,
     PlaneWaveTerm,
     WaveVector,
-    anti_equation_residual,
     commutator_sign,
     curl_matrix,
     dirac_form_residual,
     dirac_form_scale,
     eigenstructure,
     energy_density,
-    evaluate_terms,
     lagrangian_density_translation,
     maxwell_residuals,
     maxwell_residuals_from_terms,
@@ -669,8 +667,8 @@ class TestMaxwellResiduals:
     def test_fields_are_real(self):
         e_terms, b_terms = PhotonPlaneWave((1.0, 2.0, 3.0), -1).fields()
         for x, t in POINTS:
-            e_val = evaluate_terms(e_terms, x, t)
-            b_val = evaluate_terms(b_terms, x, t)
+            e_val, b_val = (sum(term.amplitude * term.phase(x, t)
+                                for term in terms) for terms in (e_terms, b_terms))
             assert np.abs(e_val.imag).max() < 1e-16
             assert np.abs(b_val.imag).max() < 1e-16
 
@@ -779,7 +777,8 @@ class TestConjugateFieldEquation:
         terms = PhotonPlaneWave(k, lam).me6()
         scale = dirac_form_scale(terms)
         for x, t in POINTS:
-            assert anti_equation_residual(terms, x, t) < 1e-12 * max(1, scale)
+            residual = dirac_form_residual(terms, "ANTI", x, t)
+            assert residual < 1e-12 * max(1, scale)
 
     def test_magnitude_matches_direct_residual(self):
         # The conjugate-field residual equals a unitary times the conjugated
@@ -792,7 +791,7 @@ class TestConjugateFieldEquation:
             x = tuple(rng.normal(size=3))
             t = float(rng.normal())
             direct = dirac_form_residual(terms, "ME6", x, t)
-            anti = anti_equation_residual(terms, x, t)
+            anti = dirac_form_residual(terms, "ANTI", x, t)
             assert abs(direct - anti) < 1e-12 * max(1.0, direct)
 
     #: repr of the residual at c = 1 and c = 2.5 on each input of
@@ -817,7 +816,7 @@ class TestConjugateFieldEquation:
     }
 
     def test_values_are_pinned(self):
-        got = {name: tuple(repr(anti_equation_residual(terms, x, t, c))
+        got = {name: tuple(repr(dirac_form_residual(terms, "ANTI", x, t, c))
                            for c in (1.0, 2.5))
                for name, terms, x, t in _conjugate_field_inputs()}
         assert got == self.PINNED
@@ -835,7 +834,7 @@ class TestConjugateFieldEquation:
                 ((big,), "the conjugate-field residual overflows a float: "
                  "the amplitudes, k or omega / c of terms are too large")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                anti_equation_residual(*args)
+                dirac_form_residual(args[0], "ANTI", *args[1:])
 
 
 def _conjugate_field_inputs():
@@ -866,24 +865,22 @@ _X, _T = (0.3, -0.7, 1.1), 0.45
      _SIX, "ME2 residual needs 3-component terms"),
     (lambda terms: dirac_form_residual(terms, "ME6", _X, _T), 0.0,
      _THREE, "ME6 residual needs 6-component terms"),
-    (lambda terms: anti_equation_residual(terms, _X, _T), 0.0,
+    (lambda terms: dirac_form_residual(terms, "ANTI", _X, _T), 0.0,
      _THREE, "conjugate-field residual needs 6-component terms"),
     (lambda terms: maxwell_residuals_from_terms(terms, terms, _X, _T),
      (0.0, 0.0, 0.0, 0.0), _SIX, "Maxwell residual needs 3-component terms"),
     (lambda terms: lagrangian_density_translation(terms, _X, _T), 0j,
      _THREE, "Lagrangian density needs 6-component terms"),
-    (lambda terms: evaluate_terms(terms, _X, _T), 0j, None, None),
-], ids=["ME1", "ME2", "ME6", "anti", "maxwell", "lagrangian", "evaluate"])
+], ids=["ME1", "ME2", "ME6", "anti", "maxwell", "lagrangian"])
 def test_empty_term_list_is_the_zero_wave(function, zero, wrong, message):
     result = function([])
     assert result == zero and type(result) is type(zero)
-    if wrong is not None:
-        # A wrong-shape term is refused with a clear message, also after a
-        # right-shape one.
-        right = _SIX if wrong is _THREE else _THREE
-        for terms in ([wrong], [right, wrong]):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                function(terms)
+    # A wrong-shape term is refused with a clear message, also after a
+    # right-shape one.
+    right = _SIX if wrong is _THREE else _THREE
+    for terms in ([wrong], [right, wrong]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(terms)
 
 
 def _random_rows(rng, size, rows=12, terms=2):
@@ -916,8 +913,9 @@ def test_public_residuals_are_their_kernel_rows(c):
                   lambda terms, x, t: dirac_form_residual(terms, "ME2", x, t, c))]),
             (6, [("ME6", lambda b, p: pw._dirac_residuals(b, *p, c, "ME6"),
                   lambda terms, x, t: dirac_form_residual(terms, "ME6", x, t, c)),
-                 ("anti", lambda b, p: pw._dirac_residuals(b, *p, c, "ANTI"),
-                  lambda terms, x, t: anti_equation_residual(terms, x, t, c)),
+                 ("ANTI", lambda b, p: pw._dirac_residuals(b, *p, c, "ANTI"),
+                  lambda terms, x, t: dirac_form_residual(
+                      terms, "ANTI", x, t, c)),
                  ("lagrangian", lambda b, p: pw._lagrangians(b, *p, c),
                   lambda terms, x, t: lagrangian_density_translation(
                       terms, x, t, c)),
@@ -997,9 +995,8 @@ def test_residuals_match_the_matrix_reference(c):
         for terms, (x, t) in zip(term_lists, points):
             want = _matrix_reference(terms, x, t, c)
             got = {name: dirac_form_residual(terms, name, x, t, c)
-                   for name in ("ME1", "ME2", "ME6") if name in want}
+                   for name in ("ME1", "ME2", "ME6", "ANTI") if name in want}
             if size == 6:
-                got["ANTI"] = anti_equation_residual(terms, x, t, c)
                 got["lagrangian"] = lagrangian_density_translation(terms, x, t, c)
             scale = dirac_form_scale(terms, c) ** (2 if size == 6 else 1)
             for name, value in got.items():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from poincarewaves import lorentz_harmonics, suites
 from poincarewaves.cli import _report_json
-from poincarewaves.differential_checks import json_entries, make_record
+from poincarewaves.differential_checks import _json_entries, make_record
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
@@ -260,8 +260,8 @@ def _indented_json(report):
 
 
 def _own_report_json(report):
-    """_report_json of a hand-built report, fed json_entries of its maps."""
-    return _report_json(report, json_entries(
+    """_report_json of a hand-built report, fed _json_entries of its maps."""
+    return _report_json(report, _json_entries(
         [r[key] for r in report["records"] for key in ("indices", "point")]))
 
 
@@ -329,8 +329,8 @@ class TestReportJson:
         entries = []
         report = build_report(name, SuiteConfig(**kwargs), _entries=entries)
         assert report_exit_code(report) == exit_code
-        assert entries == json_entries([r[key] for r in report["records"]
-                                        for key in ("indices", "point")])
+        assert entries == _json_entries([r[key] for r in report["records"]
+                                         for key in ("indices", "point")])
         assert _report_json(report, entries) == _indented_json(report)
 
     def test_entries_of_edge_case_maps_follow_the_sort(self, monkeypatch):
@@ -343,8 +343,8 @@ class TestReportJson:
         entries = ["stale"]
         report = build_report("casimir", FAST, _entries=entries)
         assert report == build_report("casimir", FAST)
-        assert entries == json_entries([r[key] for r in report["records"]
-                                        for key in ("indices", "point")])
+        assert entries == _json_entries([r[key] for r in report["records"]
+                                         for key in ("indices", "point")])
         assert _report_json(report, entries) == _indented_json(report)
 
     def test_hand_built_report(self):
@@ -585,7 +585,7 @@ def test_harmonic_indices_equal_the_validated_indices():
         assert [idx.doubled for idx in got] == [idx.doubled for idx in want]
         assert all(types(a) == types(b) == {
             "l": float, "m": float, "n": float, "dotted": bool,
-            "_doubled": tuple} for a, b in zip(got, want))
+            "doubled": tuple} for a, b in zip(got, want))
         assert {type(D) for idx in got for D in idx.doubled} == {int}
 
 
