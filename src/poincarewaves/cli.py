@@ -202,6 +202,9 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
     if count < 1:
         raise click.UsageError(
             f"--{name} grid is empty: count must be >= 1, got {count}")
+    if count > 1 and not math.isfinite(stop - start):
+        raise _DomainError(f"--{name} grid {spec!r} spans more than the float "
+                           "range: stop - start overflows")
     return start, stop, count
 
 

@@ -147,6 +147,13 @@ def build_matrices(corrected: bool = True) -> LambdaMatrices:
     return LambdaMatrices(lambdas, upsilons)
 
 
+def _refuse_r(what: str, r) -> None:
+    """Raise ValueError naming r: the gate's where r is not finite, else that
+    what overflowed."""
+    _finite("r", r, complex)
+    raise ValueError(f"{what} is not finite at r={r!r}: it overflows a float")
+
+
 @dataclass(frozen=True)
 class RadialSolution:
     """Closed-form solutions of the radial system at angular order l.
@@ -185,20 +192,41 @@ class RadialSolution:
     # f_{1,-1} = f_{1,+1}; the dotted slots (integration constant Cdot) are
     # evaluated at r* by callers, and the 0 slot has no integration constant.
     def f(self, lam: int, r: complex, dotted: bool = False) -> complex:
-        """f_{1,lam}(r), or the dotted partner's value if dotted."""
-        if lam == 0:
-            return self.ladder * r
-        constant = self.Cdot if dotted else self.C
-        return constant * cmath.sqrt(r) + self.linear_coefficient * r
+        """f_{1,lam}(r), or the dotted partner's value if dotted; ValueError
+        naming lam outside {+1, 0, -1}, or r where r or the value is not
+        finite."""
+        # The assembled values call this per point: the try costs nothing
+        # unless it raises, and the result is checked once.
+        try:
+            if lam == 0:
+                value = self.ladder * r
+            elif lam == 1 or lam == -1:
+                value = ((self.Cdot if dotted else self.C) * cmath.sqrt(r)
+                         + self.linear_coefficient * r)
+            else:
+                raise ValueError(
+                    f"helicity lam must be +1, 0, or -1, got {lam!r}")
+        except OverflowError:  # an int past the float range: the gate names it
+            _finite("r", r, complex)
+            raise
+        if not cmath.isfinite(value):
+            _refuse_r(f"f_{{1,{lam}}}(r)", r)
+        return value
 
     def f_prime(self, lam: int, r: complex, dotted: bool = False) -> complex:
-        """The r-derivative of f(lam, r, dotted)."""
+        """The r-derivative of f(lam, r, dotted), with f's refusals; at r = 0
+        a nonzero constant's sqrt term is singular, a ValueError naming r."""
+        lam, r = _check_helicity(lam), _finite("r", r, complex)
         if lam == 0:
             return complex(self.ladder)
         constant = self.Cdot if dotted else self.C
         derivative = complex(self.linear_coefficient)
         if constant != 0:
+            if r == 0:
+                raise ValueError(f"r = 0 is a singular point of f'_{{1,{lam}}}")
             derivative += constant / (2.0 * cmath.sqrt(r))
+        if not cmath.isfinite(derivative):
+            _refuse_r(f"f'_{{1,{lam}}}(r)", r)
         return derivative
 
     def select(self, lam: int, dotted: bool = False):

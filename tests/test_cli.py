@@ -223,11 +223,12 @@ class TestEval:
         (["planewave", "--k", "1,2,3", "--lam", "1",
           "--x", "1e308,1e308,1e308", "--t", "0"],
          "phase k.x - omega t is not finite"),
-        (["radial", "--l", "1", "--r", "1e308"], "f_plus is not finite"),
+        (["radial", "--l", "1", "--r", "1e308"],
+         "f_{1,1}(r) is not finite at r=(1e+308+0j): it overflows a float"),
         (["assemble", "--k", "1,2,3", "--lam", "1", "--l", "1",
           "--x", "0,0,0", "--t", "0", "--r", "1e308",
           "--angles", "0,0,1,0,0,0"],
-         "the Lorentz factor at r=(1e+308+0j) overflows a float"),
+         "f_{1,1}(r) is not finite at r=(1e+308+0j): it overflows a float"),
     ])
     def test_overflowing_value_is_one_line_domain_error(self, runner, recwarn,
                                                          args, message):
@@ -633,18 +634,24 @@ class TestTable:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("Error: ")
 
-    @pytest.mark.parametrize("option, spec, given", [
-        ("theta", "0:inf:3", "inf"), ("theta", "nan:1:2", "nan"),
-        ("theta", "-inf:1:2", "-inf"), ("tau", "0:-inf:2", "-inf")])
+    @pytest.mark.parametrize("option, spec, message", [
+        ("theta", "0:inf:3", "must be finite, got inf"),
+        ("theta", "nan:1:2", "must be finite, got nan"),
+        ("theta", "-inf:1:2", "must be finite, got -inf"),
+        ("tau", "0:-inf:2", "must be finite, got -inf"),
+        # Finite endpoints whose difference overflows: once numpy warnings
+        # and a message about a nan the user never gave.
+        *((option, "-1.7e308:1.7e308:3", "grid '-1.7e308:1.7e308:3' spans "
+           "more than the float range: stop - start overflows")
+          for option in ("theta", "tau"))])
     def test_non_finite_endpoint_is_one_line_domain_error(
-            self, runner, recwarn, option, spec, given):
+            self, runner, recwarn, option, spec, message):
         grids = {"theta": "1", "tau": "0", option: spec}
         result = invoke(runner, ["table", "z", "--l", "1", "--m", "0",
                                  "--n", "0", "--theta", grids["theta"],
                                  "--tau", grids["tau"]], expect=2)
         assert result.stdout == ""
-        assert result.stderr == (f"Error: --{option} must be finite, "
-                                 f"got {given}\n")
+        assert result.stderr == f"Error: --{option} {message}\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

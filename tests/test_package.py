@@ -97,6 +97,16 @@ DOMAIN_CASES = [
       for x in (NAN, INF, -INF, 1e308)),
     *((f"ladder-{l}", lambda l=l: radial_ladder(l), r"\bl\b")
       for l in (NAN, -5, 1e300)),
+    # Once (inf+1e+154j), (nan+nanj), an OverflowError, a ZeroDivisionError
+    # and, for lam = 5, the value of the +-1 slot.
+    *((f"radial-{name}", lambda method=method, lam=lam, r=r: getattr(
+        poincarewaves.RadialSolution(1, C=1 + 1j), method)(lam, r), pattern)
+      for name, method, lam, r, pattern in (
+          ("f-1e308", "f", 1, 1e308, r"\br\b"),
+          ("f-nan", "f", 1, NAN, r"\br\b"),
+          ("f-10**400", "f", 1, 10**400, r"\br\b"),
+          ("f_prime-0", "f_prime", 1, 0, r"\br\b"),
+          ("f-lam-5", "f", 5, 1.0, r"\blam\b"))),
     # A NaN value, and numpy's "invalid value encountered in multiply".
     *((f"assembled-r-{r}", lambda r=r: poincarewaves.PoincareWaveFunction(
         (1, 2, 3), 1, 1, poincarewaves.RadialSolution(1, C=0.5)).value(
@@ -269,6 +279,11 @@ FACTORIES = {
         **POINT, r=0.9 - 0.4j, angles=_angles())),
     "PoincareWaveFunction.lorentz_factor": lambda: (
         _member().lorentz_factor, dict(r=0.9 - 0.4j, angles=_angles())),
+    "RadialSolution.f": lambda: (poincarewaves.RadialSolution(1, C=1 + 1j).f,
+                                 dict(lam=1, r=0.9 - 0.4j)),
+    "RadialSolution.f_prime": lambda: (
+        poincarewaves.RadialSolution(1, C=1 + 1j).f_prime,
+        dict(lam=1, r=0.9 - 0.4j)),
 }
 
 #: Each numeric argument in turn takes each of these values; None stands for
