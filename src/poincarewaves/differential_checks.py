@@ -34,7 +34,9 @@ latter's records: reported, but never allowed to fail a verification run,
 since the underlying smoothness assumption is checked rather than proven.
 
 Everything here is pure and deterministic: identical inputs produce
-bit-identical results.
+bit-identical results.  The module also holds the one NUL-split JSON encoder
+(``_NUL_JSON``) behind the report's record maps and the cli's report and
+table texts.
 """
 
 from __future__ import annotations

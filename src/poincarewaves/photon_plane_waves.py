@@ -37,7 +37,9 @@ MEASURED SIGN CONVENTIONS (frozen by computation, asserted in tests)
     me2(), the column me6() = (u; u*) and the E and B term lists fields().
     Each residual is one numpy kernel over B rows of n terms, amplitudes (B, n,
     d), wavevectors (B, n, 3), frequencies (B, n) at points (B, 3) and (B,): a
-    public residual reads row 0.  All are exact up to floating-point roundoff.
+    public residual reads row 0, and dirac_form_residual reads all four
+    first-order forms (ME1, ME2, ME6 and the conjugate-field form ANTI) from
+    one kernel.  All are exact up to floating-point roundoff.
     The matrices are the read-only tuples ALPHA (alpha_1..alpha_3) and GAMMA
     (Gamma_0..Gamma_3).
 """
@@ -674,7 +676,8 @@ def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
     c = _check_c(c)
     equation = equation.upper()
     if equation not in ("ME1", "ME2", "ME6", "ANTI"):
-        raise ValueError(f"equation must be ME1, ME2, ME6, or ANTI, got {equation!r}")
+        raise ValueError(
+            f"equation must be ME1, ME2, ME6, or ANTI, got {equation!r}")
     bundle = _stack([terms], 3 if equation in ("ME1", "ME2") else 6,
                     "conjugate-field residual" if equation == "ANTI"
                     else f"{equation} residual")

@@ -956,9 +956,10 @@ def build_report(name: str, config: SuiteConfig, *,
     """JSON-ready verification report for one suite (or 'all').
 
     The records come from run_suite's one sort, whose single encode covers
-    each distinct indices and point map object once per report.  A list given as ``_entries`` (the cli's JSON render) is filled
-    with those entries in record order, two per record, so the text reuses
-    the sort's encode.
+    each distinct indices and point map object once per report.  A list
+    given as ``_entries`` (the cli's JSON render) is filled with those
+    entries in record order, two per record, so the text reuses the sort's
+    encode.
     """
     pairs, entries = _sorted_run(name, config)
     if _entries is not None:

@@ -825,16 +825,17 @@ class TestConjugateFieldEquation:
         # c is checked first, then the terms, then the point.
         three = PhotonPlaneWave(GENERIC_KS[0], 1).me1()
         big = PhotonPlaneWave((1e200, 1e200, 0.0), 1).me6()
-        for args, message in (
-                ((three, (math.nan,) * 3, 0.0, 0.0),
-                 "c must be positive, got 0.0"),
-                ((three, (math.nan,) * 3, 0.0),
+        nan = (math.nan,) * 3
+        for terms, x, c, message in (
+                (three, nan, 0.0, "c must be positive, got 0.0"),
+                (three, nan, 1.0,
                  "conjugate-field residual needs 6-component terms"),
-                ((big, (math.nan,) * 3, 0.0), "x must be finite, got nan"),
-                ((big,), "the conjugate-field residual overflows a float: "
-                 "the amplitudes, k or omega / c of terms are too large")):
+                (big, nan, 1.0, "x must be finite, got nan"),
+                (big, (0.0,) * 3, 1.0, "the conjugate-field residual overflows "
+                 "a float: the amplitudes, k or omega / c of terms are too "
+                 "large")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                dirac_form_residual(args[0], "ANTI", *args[1:])
+                dirac_form_residual(terms, "ANTI", x, 0.0, c)
 
 
 def _conjugate_field_inputs():
