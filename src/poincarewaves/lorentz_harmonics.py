@@ -29,25 +29,24 @@ factorizes Z^l_mn; they deliberately evaluate the double sum's cached
 coefficient tables in the unfolded tangent-power form, so the factorization
 check compares genuinely different floating-point evaluations.
 
-``z_sum_grid`` / ``z_2f1_grid`` evaluate the same two routes for a list of
-indices over a whole theta x tau grid, as one complex128 array of shape
-(len(indices), len(thetas), len(taus)).  One engine serves them, ``table
-z`` and verify's Z grid suites: it walks each weight's grid a bounded chunk
-of angles at a time, taus outer and thetas inner, and sums every (m, n)
-pair of the rows the chunk uses.  Each side of the summand is one array
-block per chunk over those (m or n, k) rows and the chunk's angles, summed
-from one zero-padded coefficient block per weight and side over power
-tables filled by Python's own ``**`` (libm ``pow``, whose bits numpy's power
-does not reproduce); the three routes' blocks of one side share those
-tables.  The k sum is one numpy operation per chunk and k, ascending.  The
-factorization check sums the halves through the same engine.  Each side
-formula has one scalar and one block form, both taking a ``rotation`` flag
-that picks (sin, cos), the range-checked tan and the alternating
-coefficient table, or (sinh, cosh), tanh and the plain one.  Every grid
-value is bit-identical to ``z_sum`` / ``z_2f1`` at that point under the
-same interpreter (Python 3.14's mixed complex/float arithmetic, gh-69639,
-can flip the scalar routes' signed zeros), and an out-of-range point raises
-the error the scalar routes would raise first.
+``z_sum_grid`` evaluates ``z_sum`` for a list of indices over a whole theta
+x tau grid, as one complex128 array of shape (len(indices), len(thetas),
+len(taus)).  One engine serves it, ``table z`` and verify's Z grid suites,
+which also sum ``z_2f1`` and the factor halves through it: it walks each
+weight's grid a bounded chunk of angles at a time, taus outer and thetas
+inner, and sums every (m, n) pair of the rows the chunk uses.  Each side of
+the summand is one array block per chunk over those (m or n, k) rows and the
+chunk's angles, summed from one zero-padded coefficient block per weight and
+side over power tables filled by Python's own ``**`` (libm ``pow``, whose
+bits numpy's power does not reproduce); the three routes' blocks of one side
+share those tables.  The k sum is one numpy operation per chunk and k,
+ascending.  Each side formula has one scalar and one block form, both taking
+a ``rotation`` flag that picks (sin, cos), the range-checked tan and the
+alternating coefficient table, or (sinh, cosh), tanh and the plain one.
+Every grid value is bit-identical to its scalar route at that point under
+the same interpreter (Python 3.14's mixed complex/float arithmetic,
+gh-69639, can flip the scalar routes' signed zeros), and an out-of-range
+point of ``z_sum_grid`` raises the error ``z_sum`` would raise first.
 
 ``generalized_m`` decorates Z with the exponential weights
 e^(-m(epsilon + i phi)) and e^(-n(vareps + i chi)); the ``dotted`` flag selects
@@ -88,7 +87,6 @@ __all__ = [
     "z_sum",
     "z_2f1",
     "z_sum_grid",
-    "z_2f1_grid",
     "su2_factor_p",
     "qu2_factor_jacobi",
     "generalized_m",
@@ -582,18 +580,17 @@ def _chunks(L: int, ms, ns, thetas, taus, lead: int = 0, trail: int = 0):
             yield i, j, summed
 
 
-def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
-    """sum_K (i^(m - k) * rotation) * rapidity over the theta x tau grid.
+def _grid_values(indices, thetas, taus) -> np.ndarray:
+    """z_sum's sum_K (i^(m - k) * rotation) * rapidity over the theta x tau
+    grid, from the folded ``_Side`` blocks.
 
-    Shaped (len(indices), len(thetas), len(taus)).  form names the ``_Side``
-    block of the route ("folded", "hypergeometric" or "tangent").  Each
-    weight's chunks (see ``_chunks``) sum every pair of the distinct rows of
-    m and n that its indices use; each index takes its own pair.  This is
-    the order of z_2f1 and the factor halves, whose rotation side carries
-    the phase.  z_sum's i^(m - k) * (rotation * rapidity) has the same bits,
-    since the phase multiplies exactly and the sum from +0j turns every
-    signed zero into +0.0.  The rapidity factor is real, so numpy rounds
-    each component as Python does.  Dotted indices are conjugated.
+    Shaped (len(indices), len(thetas), len(taus)).  Each weight's chunks
+    (see ``_chunks``) sum every pair of the distinct rows of m and n that its
+    indices use; each index takes its own pair.  z_sum's i^(m - k) *
+    (rotation * rapidity) has the same bits, since the phase multiplies
+    exactly and the sum from +0j turns every signed zero into +0.0.  The
+    rapidity factor is real, so numpy rounds each component as Python does.
+    Dotted indices are conjugated.
     """
     grids = np.empty((len(indices), len(thetas), len(taus)), complex)
     weights = {}
@@ -607,7 +604,7 @@ def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
         slots = [(position, ms.index(m) * len(ns) + ns.index(n), dotted)
                  for position, m, n, dotted in members]
         for i, j, summed in _chunks(L, ms, ns, thetas, taus):
-            total = summed(form)
+            total = summed("folded")
             _, rows, columns = total.shape
             for position, pair, dotted in slots:
                 value = total[pair]
@@ -616,43 +613,25 @@ def _grid_values(indices, thetas, taus, form: str) -> np.ndarray:
     return grids
 
 
-def _on_grid(route, indices, thetas, taus, form: str) -> np.ndarray:
-    """Validate the grid, then return its ``_grid_values``.
-
-    On a domain error, raise the error that route(idx, theta, tau) meets
-    first in a loop over indices, then thetas, then taus: the grid's first
-    error is the scalar loop's.
-    """
-    indices, thetas, taus = list(indices), list(thetas), list(taus)
-    L = max((idx.doubled[0] for idx in indices), default=0)
-    try:
-        return _grid_values(indices, [_validate_theta(t) for t in thetas],
-                            [_validate_tau(t, L) for t in taus], form)
-    except ValueError:
-        for idx in indices:
-            for theta in thetas:
-                for tau in taus:
-                    route(idx, theta, tau)
-        raise
-
-
 def z_sum_grid(indices, thetas, taus) -> np.ndarray:
     """z_sum(idx, theta, tau) for each index over the theta x tau grid.
 
     Returns a complex128 array shaped (len(indices), len(thetas), len(taus)),
     each value bit-identical to z_sum at its point.  Each side of the summand
-    is one block per weight.
+    is one block per weight.  On a domain error it raises the error that
+    z_sum meets first in a loop over indices, then thetas, then taus.
     """
-    return _on_grid(z_sum, indices, thetas, taus, "folded")
-
-
-def z_2f1_grid(indices, thetas, taus) -> np.ndarray:
-    """z_2f1(idx, theta, tau) for each index over the theta x tau grid.
-
-    Same array shape and contract as ``z_sum_grid``: bit-identical to z_2f1,
-    with each hypergeometric side one block per weight.
-    """
-    return _on_grid(z_2f1, indices, thetas, taus, "hypergeometric")
+    indices, thetas, taus = list(indices), list(thetas), list(taus)
+    L = max((idx.doubled[0] for idx in indices), default=0)
+    try:
+        return _grid_values(indices, [_validate_theta(t) for t in thetas],
+                            [_validate_tau(t, L) for t in taus])
+    except ValueError:
+        for idx in indices:
+            for theta in thetas:
+                for tau in taus:
+                    z_sum(idx, theta, tau)
+        raise
 
 
 def _weight_bound(L: int, M: int, N: int, m: float, n: float, epsilon: float,

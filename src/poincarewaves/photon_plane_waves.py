@@ -216,15 +216,8 @@ def _check_helicity(lam: int) -> int:
 
 
 def _finite_array(name: str, values, kind) -> np.ndarray:
-    """values as an array of finite ``kind``: numpy converts and Python's
-    isfinite checks (cheaper than numpy's on a few entries); on a refusal
-    the gate takes each entry and names it."""
-    try:
-        array = np.asarray(values, dtype=kind)
-        if all(map(cmath.isfinite, array.ravel().tolist())):
-            return array
-    except OverflowError:  # an int past the float range
-        pass
+    """values as a new array of finite ``kind``, each entry through the gate,
+    which names the first it refuses."""
     return np.array([_finite(name, value, kind)
                      for value in np.ravel(values).tolist()],
                     dtype=kind).reshape(np.shape(values))

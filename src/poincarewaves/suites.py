@@ -250,21 +250,6 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
-class _PointMaps(dict):
-    """Flat grid position -> its one {"theta", "tau"} record map, made on
-    first use, so a fine grid holds maps only for its worst points."""
-
-    def __init__(self, thetas: tuple[float, ...], taus: tuple[float, ...]):
-        super().__init__()
-        self.thetas, self.taus = thetas, taus
-
-    def __missing__(self, position: int) -> dict[str, float]:
-        row, column = divmod(position, len(self.taus))
-        value = self[position] = {"theta": self.thetas[row],
-                                  "tau": self.taus[column]}
-        return value
-
-
 class _Worst:
     """Per index, the point of largest residual / max(1, scale) over the
     chunks seen so far, as argmax over the whole grid finds it: a tie keeps
@@ -294,13 +279,14 @@ class _Worst:
         self.found = found
 
     def records(self, config: SuiteConfig, check: str, index_maps: list,
-                point_maps: _PointMaps) -> list[ResidualRecord]:
-        """One record per index, at its worst point.  The maps are already
-        in make_record's form and the measurements become Python floats by
-        .tolist(), so the records are built directly."""
+                point_map: Callable[[int], dict]) -> list[ResidualRecord]:
+        """One record per index, at its worst point, whose map is
+        point_map(flat position).  The maps are already in make_record's
+        form and the measurements become Python floats by .tolist(), so the
+        records are built directly."""
         _, points, residuals, scales = (part.tolist() for part in self.found)
         tolerance = config.tolerance(check)
-        return [ResidualRecord(check, index_map, point_maps[point], value,
+        return [ResidualRecord(check, index_map, point_map(point), value,
                                size, tolerance)
                 for index_map, point, value, size in zip(
                     index_maps, points, residuals, scales)]
@@ -372,7 +358,14 @@ def _grid_records(config: SuiteConfig, names: list[str]
     gets.
     """
     thetas, taus = _theta_grid(config), _tau_grid(config)
-    point_maps = _PointMaps(thetas, taus)
+    point_maps = {}  # flat grid position -> its map, made on first use
+
+    def point_map(position: int) -> dict[str, float]:
+        if position not in point_maps:
+            row, column = divmod(position, len(taus))
+            point_maps[position] = {"theta": thetas[row], "tau": taus[column]}
+        return point_maps[position]
+
     pairs = []
     for l in _l_values(config.lmax) if names else []:
         indices = _harmonic_indices(l)
@@ -420,7 +413,7 @@ def _grid_records(config: SuiteConfig, names: list[str]
             del direct, inner, scale, summed
         for name in names:
             records = worst[name].records(config, _GRID_SUITES[name],
-                                          index_maps, point_maps)
+                                          index_maps, point_map)
             if name == "hypergeom":
                 records.append(config.record(
                     "identity", {"l": float(l)}, {"theta": 0.0, "tau": 0.0},

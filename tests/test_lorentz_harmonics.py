@@ -31,7 +31,6 @@ from poincarewaves.lorentz_harmonics import (
     su2_factor_p,
     terminating_2f1,
     z_2f1,
-    z_2f1_grid,
     z_sum,
     z_sum_grid,
     zonal_z,
@@ -641,7 +640,7 @@ class TestOutOfRange:
 
 GRID_THETAS = [0.0, 0.05, math.pi / 2, 2.9, math.pi]
 GRID_TAUS = [-1.0, -0.0, 0.0, 0.7]
-GRID_ROUTES = [(z_sum_grid, z_sum), (z_2f1_grid, z_2f1)]
+GRID_ROUTES = [(z_sum_grid, z_sum)]
 NAN, INF = float("nan"), float("inf")
 
 
@@ -657,9 +656,54 @@ def first_scalar_error(route, indices, thetas, taus):
     return None
 
 
+def chunked(form, name):
+    """A grid over indices of the ``_Side`` block form summed through
+    ``lorentz_harmonics._chunks``, as the Z grid suites sum it: one m row
+    and one n row per index, conjugated for a dotted index."""
+    def grid(indices, thetas, taus):
+        grids = np.empty((len(indices), len(thetas), len(taus)), complex)
+        for position, idx in enumerate(indices):
+            L, M, N = idx.doubled
+            for i, j, summed in lorentz_harmonics._chunks(
+                    L, [(M + L) // 2], [(N + L) // 2], thetas, taus):
+                [value] = summed(form)
+                rows, columns = value.shape
+                grids[position, i:i + rows, j:j + columns] = (
+                    value.conj() if idx.dotted else value)
+        return grids
+
+    grid.__name__ = name
+    return grid
+
+
+#: z_2f1 over a grid, as the hypergeom suite sums it.
+hypergeometric_grid = chunked("hypergeometric", "hypergeometric_grid")
+#: sum_k P^l_mk Q^l_kn over a grid, as the factorization suite sums it.
+factor_halves_grid = chunked("tangent", "factor_halves_grid")
+
+
+# Each half is reused by every index and point that shares it.
+cached_su2_factor_p = functools.lru_cache(maxsize=None)(su2_factor_p)
+cached_qu2_factor_jacobi = functools.lru_cache(maxsize=None)(qu2_factor_jacobi)
+
+
+def scalar_factor_halves(idx, theta, tau):
+    """sum_k su2_factor_p * qu2_factor_jacobi in ascending k, from 0j,
+    conjugated for a dotted index."""
+    total = 0j
+    for k in all_projections(idx.l):
+        total += (cached_su2_factor_p(idx.l, idx.m, k, theta)
+                  * cached_qu2_factor_jacobi(idx.l, k, idx.n, tau))
+    return total.conjugate() if idx.dotted else total
+
+
+ENGINE_ROUTES = GRID_ROUTES + [(hypergeometric_grid, z_2f1),
+                               (factor_halves_grid, scalar_factor_halves)]
+
+
 class TestGrids:
     @pytest.mark.parametrize("dotted", [False, True])
-    @pytest.mark.parametrize("grid, route", GRID_ROUTES)
+    @pytest.mark.parametrize("grid, route", ENGINE_ROUTES)
     def test_bit_identical_to_the_scalar_routes(self, grid, route, dotted):
         for doubled_l in range(13):
             projections = all_projections(doubled_l / 2)
@@ -730,14 +774,8 @@ class TestGrids:
                                                  theta):
         projections = all_projections(l)
         indices = [HarmonicIndex(l, m, n) for m in projections for n in projections]
-        message = first_scalar_error(route, indices, [theta], [tau])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if message is not None:
-                # z_2f1's tangent form refuses theta = pi at l = 10.
-                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    grid(indices, [theta], [tau])
-                return
             grids = grid(indices, [theta], [tau])
         for idx, rows in zip(indices, grids.tolist()):
             assert repr(rows[0][0]) == repr(route(idx, theta, tau)), idx
@@ -766,36 +804,13 @@ class TestGrids:
     @pytest.mark.parametrize("l", [2, 10])
     def test_out_of_range_raises_the_scalar_loops_first_error(
             self, grid, route, l, thetas, taus):
-        # At l = 10, tau = 100 is out of range, and so is theta = pi for
-        # z_2f1's tangent form; the scalar loop meets that before tau = 800.
+        # At l = 10, tau = 100 is out of range; the scalar loop meets it
+        # before tau = 800.
         indices = [HarmonicIndex(l, 1, -1), HarmonicIndex(1, 0, 1)]
         message = first_scalar_error(route, indices, thetas, taus)
         assert message is not None
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid(indices, thetas, taus)
-
-
-def factor_halves_grid(indices, thetas, taus):
-    """sum_k P^l_mk Q^l_kn over a grid, as the factorization suite sums it."""
-    return lorentz_harmonics._grid_values(indices, thetas, taus, "tangent")
-
-
-# Each half is reused by every index and point that shares it.
-cached_su2_factor_p = functools.lru_cache(maxsize=None)(su2_factor_p)
-cached_qu2_factor_jacobi = functools.lru_cache(maxsize=None)(qu2_factor_jacobi)
-
-
-def scalar_factor_halves(idx, theta, tau):
-    """sum_k su2_factor_p * qu2_factor_jacobi in ascending k, from 0j,
-    conjugated for a dotted index."""
-    total = 0j
-    for k in all_projections(idx.l):
-        total += (cached_su2_factor_p(idx.l, idx.m, k, theta)
-                  * cached_qu2_factor_jacobi(idx.l, k, idx.n, tau))
-    return total.conjugate() if idx.dotted else total
-
-
-ENGINE_ROUTES = GRID_ROUTES + [(factor_halves_grid, scalar_factor_halves)]
 
 
 class TestEngineOnVerifyGrids:

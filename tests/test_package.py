@@ -168,8 +168,6 @@ FACTORIES = {
                       dict(idx=_index(), theta=1.0, tau=0.3)),
     "z_sum_grid": lambda: (poincarewaves.z_sum_grid, dict(
         indices=[_index()], thetas=[1.0, 2.0], taus=[0.3])),
-    "z_2f1_grid": lambda: (poincarewaves.z_2f1_grid, dict(
-        indices=[_index()], thetas=[1.0, 2.0], taus=[0.3])),
     "su2_factor_p": lambda: (poincarewaves.su2_factor_p,
                              dict(l=1, m=1, k=0, theta=1.0)),
     "qu2_factor_jacobi": lambda: (poincarewaves.qu2_factor_jacobi,
