@@ -859,27 +859,31 @@ _SIX = PlaneWaveTerm(np.ones(6), (1.0, 2.0, 3.0), 1.0)
 _X, _T = (0.3, -0.7, 1.1), 0.45
 
 
-@pytest.mark.parametrize("function, zero, wrong, message", [
+@pytest.mark.parametrize("function, zero, refused, message", [
     (lambda terms: dirac_form_residual(terms, "ME1", _X, _T), 0.0,
-     _SIX, "ME1 residual needs 3-component terms"),
+     ([_SIX], [_THREE, _SIX]), "ME1 residual needs 3-component terms"),
     (lambda terms: dirac_form_residual(terms, "ME2", _X, _T), 0.0,
-     _SIX, "ME2 residual needs 3-component terms"),
+     ([_SIX], [_THREE, _SIX]), "ME2 residual needs 3-component terms"),
     (lambda terms: dirac_form_residual(terms, "ME6", _X, _T), 0.0,
-     _THREE, "ME6 residual needs 6-component terms"),
+     ([_THREE], [_SIX, _THREE]), "ME6 residual needs 6-component terms"),
     (lambda terms: dirac_form_residual(terms, "ANTI", _X, _T), 0.0,
-     _THREE, "conjugate-field residual needs 6-component terms"),
+     ([_THREE], [_SIX, _THREE]),
+     "conjugate-field residual needs 6-component terms"),
     (lambda terms: maxwell_residuals_from_terms(terms, terms, _X, _T),
-     (0.0, 0.0, 0.0, 0.0), _SIX, "Maxwell residual needs 3-component terms"),
+     (0.0, 0.0, 0.0, 0.0), ([_SIX], [_THREE, _SIX]),
+     "Maxwell residual needs 3-component terms"),
     (lambda terms: lagrangian_density_translation(terms, _X, _T), 0j,
-     _THREE, "Lagrangian density needs 6-component terms"),
-], ids=["ME1", "ME2", "ME6", "anti", "maxwell", "lagrangian"])
-def test_empty_term_list_is_the_zero_wave(function, zero, wrong, message):
+     ([_THREE], [_SIX, _THREE]), "Lagrangian density needs 6-component terms"),
+    # The scale takes terms of either size, all of the first term's.
+    (dirac_form_scale, 0.0, ([_THREE, _SIX],),
+     "Dirac-form scale needs 3-component terms"),
+], ids=["ME1", "ME2", "ME6", "anti", "maxwell", "lagrangian", "scale"])
+def test_empty_term_list_is_the_zero_wave(function, zero, refused, message):
     result = function([])
     assert result == zero and type(result) is type(zero)
     # A wrong-shape term is refused with a clear message, also after a
     # right-shape one.
-    right = _SIX if wrong is _THREE else _THREE
-    for terms in ([wrong], [right, wrong]):
+    for terms in refused:
         with pytest.raises(ValueError, match=f"^{message}$"):
             function(terms)
 
