@@ -680,7 +680,7 @@ def dirac_form_residual(terms: Sequence[PlaneWaveTerm], equation: str,
 def dirac_form_scale(terms: Sequence[PlaneWaveTerm], c: float = 1.0) -> float:
     """Sum of |amp| (|w|/c + |k|); ValueError where it overflows a float."""
     c, terms = _check_c(c), list(terms)
-    size = terms[0].amplitude.size if terms else 0
+    size = terms[0].amplitude.size if terms else 3  # no terms: any fixed size
     return float(_dirac_scales(_stack([terms], size, "Dirac-form scale"), c)[0])
 
 
