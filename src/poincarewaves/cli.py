@@ -574,22 +574,27 @@ def _json_pairs(block: np.ndarray) -> list[tuple[str, str]]:
     return list(zip(texts[0::2], texts[1::2]))
 
 
-def _table_blocks(grid: np.ndarray, theta_cells: list, tau_cells: list,
-                  values):
+def _table_blocks(grid: np.ndarray, thetas: list, taus: list, cells, values):
     """Walk grid in blocks of _TABLE_BLOCK points, flat and row-major, so a
     long row is split too.  Each block is three lists with one entry per
-    point: its theta cell, its tau cell and values(the block's array)."""
-    flat, width = grid.reshape(-1), len(tau_cells)
+    point: its theta cell, its tau cell and values(the block's array).
+    cells(angles) formats a list of angles: each block formats the thetas it
+    spans, and the taus it spans unless the tau axis fits in one block,
+    which is then formatted once."""
+    flat, width = grid.reshape(-1), len(taus)
+    whole = cells(taus) if width <= _TABLE_BLOCK else None
     for start in range(0, flat.size, _TABLE_BLOCK):
         stop = min(start + _TABLE_BLOCK, flat.size)
         row, column = divmod(start, width)
-        thetas, taus = [], []
-        while len(taus) < stop - start:
-            cells = tau_cells[column:column + stop - start - len(taus)]
-            thetas += [theta_cells[row]] * len(cells)
-            taus += cells
-            row, column = row + 1, 0
-        yield thetas, taus, values(flat[start:stop])
+        theta_cells, tau_cells = [], []
+        for theta in cells(thetas[row:(stop - 1) // width + 1]):
+            end = min(width, column + stop - start - len(tau_cells))
+            part = (whole[column:end] if whole is not None
+                    else cells(taus[column:end]))
+            theta_cells += [theta] * len(part)
+            tau_cells += part
+            column = 0
+        yield theta_cells, tau_cells, values(flat[start:stop])
 
 
 @main.command("table")
@@ -620,13 +625,12 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
         grid = z_sum_grid([idx], thetas, taus)[0]
     except ValueError as error:
         raise _DomainError(str(error)) from None
-    # Each grid coordinate is formatted once per axis; each block of points
-    # is rendered by one comprehension and written once.
+    # Each block formats the coordinates it spans and is rendered by one
+    # comprehension and written once.
     if fmt == "json":
         head = f'{{\n  "function": {json.dumps(function)},\n  "rows": [\n'
         separator, tail = ",\n", "\n  ]\n}\n"
-        blocks = _table_blocks(grid, _json_texts(thetas), _json_texts(taus),
-                               _json_pairs)
+        blocks = _table_blocks(grid, thetas, taus, _json_texts, _json_pairs)
         rendered = (",\n".join(
             f'    {{\n      "tau": {ta},\n      "theta": {th},\n'
             f'      "value": {{\n        "im": {im},\n        "re": {re}\n'
@@ -634,17 +638,19 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
             for th, ta, (re, im) in zip(*block)) for block in blocks)
     elif fmt == "text":
         head, separator, tail = f"{'theta':>24s} {'tau':>24s} value\n", "", ""
-        blocks = _table_blocks(grid, [f"{th:>24.17g}" for th in thetas],
-                               [f"{ta:>24.17g}" for ta in taus],
-                               np.ndarray.tolist)
+        blocks = _table_blocks(
+            grid, thetas, taus,
+            lambda angles: [f"{angle:>24.17g}" for angle in angles],
+            np.ndarray.tolist)
         rendered = ("".join(f"{th} {ta} {format_complex(v)}\n"
                             for th, ta, v in zip(*block)) for block in blocks)
     else:
         # Every cell is a float repr or a header name, so none needs RFC-4180
         # quoting and these lines are exactly what csv.writer would write.
         head, separator, tail = "theta,tau,value_re,value_im\r\n", "", ""
-        blocks = _table_blocks(grid, [repr(th) for th in thetas],
-                               [repr(ta) for ta in taus], np.ndarray.tolist)
+        blocks = _table_blocks(grid, thetas, taus,
+                               lambda angles: list(map(repr, angles)),
+                               np.ndarray.tolist)
         rendered = ("".join(f"{th},{ta},{v.real!r},{v.imag!r}\r\n"
                             for th, ta, v in zip(*block)) for block in blocks)
     # A table of one block is written once, head and tail included.

@@ -589,12 +589,13 @@ class TestTable:
     def test_block_boundaries_keep_bytes(self, runner, monkeypatch, case,
                                          fmt):
         # One point a block, a boundary in the middle of a row (the 37 x 41
-        # grid's rows are 41 long, the 1 x 9 row is split) and one block
-        # larger than the grid all write the bytes of the unpatched table.
+        # grid's rows are 41 long, the 1 x 9 row is split), blocks of whole
+        # tau axes and several rows, and one block larger than the grid all
+        # write the bytes of the unpatched table.
         args, points = self._golden_points(case)
         args = args + ["--format", fmt]
         expected = invoke(runner, args).stdout_bytes
-        for block in (1, 7, len(points) + 1):
+        for block in (1, 7, 100, len(points) + 1):
             monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
             assert invoke(runner, args).stdout_bytes == expected, block
 
