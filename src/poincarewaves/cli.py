@@ -23,7 +23,7 @@ REPORT BYTES
     is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The Z grid
     records share one indices map per index and one point map per grid
     point, and the sort in ``build_report`` encodes each distinct map object
-    once: ``entries`` are those ``differential_checks._json_entries``,
+    once: ``entries`` are those ``suites._json_entries``,
     handed out in record order, and the text lays out each distinct entry
     once.  One more call of the same encoder (``_json_texts``) writes each
     distinct word (name, suite, passed, flagged) and each distinct number
@@ -43,7 +43,7 @@ TABLE BYTES
     ``csv.writer`` writes, text is one formatted line per point, and JSON
     is exactly ``json.dumps({"function": ..., "rows": [...]},
     sort_keys=True, indent=2)``: one call of the report's encoder
-    (``differential_checks._json_texts``) gives each block's numbers and
+    (``suites._json_texts``) gives each block's numbers and
     each row is one f-string.  The bytes do not depend on the block size.
     ``tests/test_cli.py::TestTable`` pins them.
 """
@@ -59,7 +59,6 @@ import math
 import click
 import numpy as np
 
-from .differential_checks import _json_texts
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
     HarmonicIndex,
@@ -72,7 +71,8 @@ from .lorentz_harmonics import (
 from .lorentz_sector import VARIANTS, RadialSolution
 from .photon_plane_waves import PhotonPlaneWave, WaveVector, polarization_vectors
 from .poincare_assembly import PoincareWaveFunction
-from .suites import SUITE_NAMES, SuiteConfig, build_report, report_exit_code
+from .suites import (SUITE_NAMES, SuiteConfig, _json_texts, build_report,
+                     report_exit_code)
 
 _FORMATS = ("text", "json", "csv")
 _EVAL_FUNCTIONS = ("z", "m", "associated", "zonal", "polarization",

@@ -34,15 +34,12 @@ latter's records: reported, but never allowed to fail a verification run,
 since the underlying smoothness assumption is checked rather than proven.
 
 Everything here is pure and deterministic: identical inputs produce
-bit-identical results.  The module also holds the one NUL-split JSON encoder
-(``_NUL_JSON``) behind the report's record maps and the cli's report and
-table texts.
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -70,10 +67,6 @@ LEGENDRE_MARGIN = 1e-3
 _STEP, _LEVELS = 1e-3, 2
 #: The record-map entry types that _json_value keeps as they are.
 _JSON_NATIVE = frozenset((bool, int, float, str))
-#: The one encoder of the report and table texts: every raw "\0" in its text
-#: is a separator, as JSON escapes control characters (sort_keys changes
-#: nothing for a list of scalars).
-_NUL_JSON = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
 @dataclass(slots=True)
@@ -142,19 +135,6 @@ def make_record(check_name: str, indices: Mapping[str, object],
         tolerance = _finite("tolerance", tolerance)
     return ResidualRecord(check_name, indices, point, residual, scale,
                           tolerance, bool(flagged))
-
-
-def _json_texts(values: list) -> list[str]:
-    """The JSON text of each scalar item of values, from one encode."""
-    return _NUL_JSON(values)[1:-1].split("\0")
-
-
-def _json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
-    r"""Each flat map's sort_keys JSON entries joined by "\0", from one encode.
-    "}\0{" falls only between maps of scalars; a map's compact sort_keys JSON
-    text is "{" + entries.replace("\0", ", ") + "}"."""
-    text = _NUL_JSON(maps)
-    return text[2:-2].split("}\0{") if text != "[]" else []
 
 
 def _richardson(estimates: Sequence[complex]) -> complex:

@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .differential_checks import (
-    _json_entries,
     casimir_convergence_order,
     casimir_x2_residual,
     casimir_y2_residual,
@@ -105,6 +105,25 @@ __all__ = [
     "build_report",
     "report_exit_code",
 ]
+
+#: The one encoder of the report and table texts: every raw "\0" in its text
+#: is a separator, as JSON escapes control characters (sort_keys changes
+#: nothing for a list of scalars).
+_NUL_JSON = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
+
+
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each scalar item of values, from one encode."""
+    return _NUL_JSON(values)[1:-1].split("\0")
+
+
+def _json_entries(maps: Sequence[Mapping[str, object]]) -> list[str]:
+    r"""Each flat map's sort_keys JSON entries joined by "\0", from one encode.
+    "}\0{" falls only between maps of scalars; a map's compact sort_keys JSON
+    text is "{" + entries.replace("\0", ", ") + "}"."""
+    text = _NUL_JSON(maps)
+    return text[2:-2].split("}\0{") if text != "[]" else []
+
 
 #: Default tolerance per check name; overridable via SuiteConfig.tolerances.
 DEFAULT_TOLERANCES: dict[str, float] = {

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poincarewaves import cli, differential_checks
+from poincarewaves import cli, suites
 from poincarewaves.cli import format_complex, main
 from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_sum
 from poincarewaves.group_kinematics import make_angles
@@ -284,7 +284,7 @@ class TestVerify:
         # the grid records share one indices map per index and one point map
         # per grid point.  Counted under every name a package module binds
         # _json_entries to.
-        original = differential_checks._json_entries
+        original = suites._json_entries
         calls = []
 
         def counting(maps):

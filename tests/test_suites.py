@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from poincarewaves import lorentz_harmonics, suites
 from poincarewaves.cli import _report_json
-from poincarewaves.differential_checks import _json_entries, make_record
+from poincarewaves.differential_checks import make_record
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
     qu2_factor_jacobi,
@@ -25,6 +25,7 @@ from poincarewaves.suites import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
     SuiteConfig,
+    _json_entries,
     _tau_grid,
     _theta_grid,
     build_report,
