@@ -163,6 +163,11 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 
+def _unknown_check(name: str) -> ValueError:
+    return ValueError(f"unknown tolerance name {name!r}; "
+                      f"valid names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Configuration shared by all verification suites."""
@@ -190,9 +195,7 @@ class SuiteConfig:
         resolved = {}
         for name, value in dict(self.tolerances).items():
             if name not in DEFAULT_TOLERANCES:
-                raise ValueError(
-                    f"unknown tolerance name {name!r}; "
-                    f"valid names: {', '.join(sorted(DEFAULT_TOLERANCES))}")
+                raise _unknown_check(name)
             value = _finite(f"tolerance {name}", value)
             if not value >= 0:
                 raise ValueError(
@@ -202,7 +205,10 @@ class SuiteConfig:
         object.__setattr__(self, "corrected_lambda", bool(self.corrected_lambda))
 
     def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+        try:
+            return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+        except KeyError:
+            raise _unknown_check(name) from None
 
     def record(self, check: str, indices: Mapping[str, object],
                point: Mapping[str, object], residual: float, scale: float,

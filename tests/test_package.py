@@ -107,6 +107,12 @@ DOMAIN_CASES = [
           ("f-10**400", "f", 1, 10**400, r"\br\b"),
           ("f_prime-0", "f_prime", 1, 0, r"\br\b"),
           ("f-lam-5", "f", 5, 1.0, r"\blam\b"))),
+    # Once KeyError: 'nosuch'.
+    ("tolerance-unknown-check", lambda: poincarewaves.SuiteConfig().tolerance(
+        "nosuch"), "^unknown tolerance name 'nosuch'; valid names: "),
+    ("record-unknown-check", lambda: poincarewaves.SuiteConfig().record(
+        "nosuch", {}, {}, 0.0, 1.0),
+     "^unknown tolerance name 'nosuch'; valid names: "),
     # A NaN value, and numpy's "invalid value encountered in multiply".
     *((f"assembled-r-{r}", lambda r=r: poincarewaves.PoincareWaveFunction(
         (1, 2, 3), 1, 1, poincarewaves.RadialSolution(1, C=0.5)).value(
@@ -277,6 +283,11 @@ FACTORIES = {
         **POINT, r=0.9 - 0.4j, angles=_angles())),
     "PoincareWaveFunction.lorentz_factor": lambda: (
         _member().lorentz_factor, dict(r=0.9 - 0.4j, angles=_angles())),
+    "SuiteConfig.record": lambda: (poincarewaves.SuiteConfig().record, dict(
+        check="casimir", indices={"l": 1.0}, point={"theta": 0.5},
+        residual=1e-12, scale=1.0)),
+    "FieldPair.from_value": lambda: (poincarewaves.FieldPair.from_value,
+                                     dict(psi6=(0.1, 0.2j, 0.3, 0.1, -0.2j, 0.3))),
     "RadialSolution.f": lambda: (poincarewaves.RadialSolution(1, C=1 + 1j).f,
                                  dict(lam=1, r=0.9 - 0.4j)),
     "RadialSolution.f_prime": lambda: (
