@@ -23,10 +23,10 @@ REPORT BYTES
     is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The Z grid
     records share one indices map per index and one point map per grid
     point, and the sort in ``build_report`` encodes each distinct map object
-    once: ``entries`` are those ``suites._json_entries``,
-    handed out in record order, and the text lays out each distinct entry
-    once.  One more call of the same encoder (``_json_texts``) writes each
-    distinct word (name, suite, passed, flagged) and each distinct number
+    once: ``entries`` are those ``suites._json_entries``, handed out in
+    record order, and the text lays out each distinct entry once.  One more
+    call of the same encoder (``_json_texts``) writes each distinct word
+    (name, suite, passed, flagged) and each distinct number
     (residual, scale, tolerance) once, the items split by a raw "\0" (JSON
     escapes it inside strings), and each record is one f-string over those
     texts.  The memo never merges values that compare equal but print apart
@@ -38,12 +38,13 @@ TABLE BYTES
     ``table`` evaluates its whole grid as one ``z_sum_grid`` array first,
     so an out-of-range point prints nothing, then writes the table a block
     of ``_TABLE_BLOCK`` points at a time, flat in row-major order.  Each
-    axis is formatted once; each block is one comprehension and one write,
-    and a table of one block is written once.  CSV is exactly what
-    ``csv.writer`` writes, text is one formatted line per point, and JSON
-    is exactly ``json.dumps({"function": ..., "rows": [...]},
-    sort_keys=True, indent=2)``: one call of the report's encoder
-    (``suites._json_texts``) gives each block's numbers and
+    block formats the thetas it spans, and the taus it spans unless the
+    tau axis fits in one block, which is then formatted once; each block
+    is one comprehension and one write, and a table of one block is
+    written once.  CSV is exactly what ``csv.writer`` writes, text is one
+    formatted line per point, and JSON is exactly ``json.dumps({"function":
+    ..., "rows": [...]}, sort_keys=True, indent=2)``: one call of the
+    report's encoder (``suites._json_texts``) gives each block's numbers and
     each row is one f-string.  The bytes do not depend on the block size.
     ``tests/test_cli.py::TestTable`` pins them.
 """
