@@ -7,6 +7,7 @@ import json
 import math
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -480,6 +481,48 @@ class TestVerify:
         one = invoke(runner, ["verify", "casimir", "--seed", "1"])
         two = invoke(runner, ["verify", "casimir", "--seed", "2"])
         assert one.stdout_bytes != two.stdout_bytes
+
+
+def _record_writes(monkeypatch) -> list[str]:
+    """The texts click.echo writes to stdout from now on, in order."""
+    writes, echo = [], click.echo
+
+    def recording(message=None, file=None, nl=True, err=False, color=None):
+        if not err:
+            writes.append((message or "") + ("\n" if nl else ""))
+        return echo(message, file, nl, err, color)
+
+    monkeypatch.setattr(click, "echo", recording)
+    return writes
+
+
+class TestVerifyBlocks:
+    """The report is written a block of records at a time."""
+
+    def test_no_json_write_is_longer_than_one_block(self, runner,
+                                                    monkeypatch):
+        # Each write holds at most one block of records, and the head or the
+        # tail: the text is never held whole.
+        report = build_report("all", SuiteConfig(lmax=6, grid_density=4))
+        records = report["records"]
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        rows = ["    " + json.dumps(record, sort_keys=True,
+                                    indent=2).replace("\n", "\n    ")
+                for record in records]
+        opening = '  "records": [\n'
+        head = text[:text.index(opening) + len(opening)]
+        tail = text[text.rindex('\n  ],\n  "suite": '):]
+        assert head + ",\n".join(rows) + tail == text
+        block = cli._REPORT_BLOCK
+        assert len(records) > 4 * block
+        longest = max(sum(map(len, rows[start:start + block])) + 2 * block
+                      for start in range(len(rows)))
+        writes = _record_writes(monkeypatch)
+        result = invoke(runner, ["verify", "all", "--lmax", "6",
+                                 "--grid-density", "4", "--format", "json"])
+        assert result.stdout == text == "".join(writes)
+        assert max(map(len, writes)) <= longest + max(len(head), len(tail))
+        assert len(writes) == -(-len(records) // block)
 
 
 class TestTable:
