@@ -18,20 +18,25 @@ Output contract
       or domain error (a one-line ``Error:`` message on stderr).
 
 REPORT BYTES
-    ``verify`` renders the report that ``suites.build_report`` returns.
-    ``--format json`` writes ``_report_json(report, entries)``, whose text
-    is exactly ``json.dumps(report, sort_keys=True, indent=2)``.  The Z grid
-    records share one indices map per index and one point map per grid
-    point, and the sort in ``build_report`` encodes each distinct map object
-    once: ``entries`` are those ``suites._json_entries``, handed out in
-    record order, and the text lays out each distinct entry once.  One more
-    call of the same encoder (``_json_texts``) writes each distinct word
-    (name, suite, passed, flagged) and each distinct number
-    (residual, scale, tolerance) once, the items split by a raw "\0" (JSON
-    escapes it inside strings), and each record is one f-string over those
-    texts.  The memo never merges values that compare equal but print apart
-    (0.0 and -0.0, True and 1).  The indent encoder runs only on the config
-    and summary.
+    ``verify`` renders the report that ``suites.build_report`` returns, whole
+    before the first byte is written, so a domain error prints nothing.
+    ``_report_blocks(report, entries, fmt)`` then writes it a block of
+    ``_REPORT_BLOCK`` records at a time: the head comes with the first block
+    and the tail with the last, so a report of one block is written once,
+    and the bytes do not depend on the block size.  CSV is exactly what
+    ``csv.writer`` writes, and text is one line per record and a summary.
+    ``--format json`` is exactly ``json.dumps(report, sort_keys=True,
+    indent=2)``.  The Z grid records share one indices map per index and one
+    point map per grid point, and the sort in ``build_report`` encodes each
+    distinct map object once: ``entries`` are those ``suites._json_entries``,
+    handed out in record order, and the text lays out each distinct entry
+    once.  One more call of the same encoder (``_json_texts``) writes each
+    distinct word (name, suite, passed, flagged) and each distinct number
+    (residual, scale, tolerance) of the report once, the items split by a
+    raw "\0" (JSON escapes it inside strings), and each record is one
+    f-string over those texts.  The memo never merges values that compare
+    equal but print apart (0.0 and -0.0, True and 1).  The indent encoder
+    runs only on the config and summary.
     ``tests/test_suites.py::TestReportJson`` pins the equality.
 
 TABLE BYTES
@@ -62,6 +67,7 @@ import numpy as np
 
 from .group_kinematics import ComplexEulerAngles, make_angles
 from .lorentz_harmonics import (
+    _MAX_WEIGHT,
     HarmonicIndex,
     associated_m,
     generalized_m,
@@ -240,11 +246,14 @@ def _parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
     return overrides
 
 
-def _echo_csv(rows: list[list]) -> None:
+def _csv_text(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerows(rows)
-    click.echo(buffer.getvalue(), nl=False)
+    csv.writer(buffer, lineterminator="\r\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _echo_csv(rows: list[list]) -> None:
+    click.echo(_csv_text(rows), nl=False)
 
 
 def _scalar_text(value) -> str:
@@ -426,21 +435,27 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
+#: Records per write of a verify report, about 0.2 MB of JSON at lmax 6.
+_REPORT_BLOCK = 512
 #: A record's words and numbers, which the report encodes by one memo each.
 _RECORD_WORDS = ("flagged", "name", "passed", "suite")
 _RECORD_NUMBERS = ("residual", "scale", "tolerance")
 #: The types a memo may key by value: equal strings and bools print alike,
 #: and so do equal floats but for the signed zeros.
 _WORD_TYPES, _NUMBER_TYPES = frozenset((str, bool)), frozenset((float,))
+_CSV_HEADER = ["suite", "name", "indices", "point", "residual", "scale",
+               "tolerance", "passed", "flagged"]
 
 
-def _records_json(records: list, entries: list[str]) -> str:
+def _json_rows(records: list, entries: list[str]):
+    """rows(start, stop), the JSON text of records[start:stop] split by
+    ",\n", each distinct map laid out and each distinct word and number
+    encoded once per report."""
     # Records share maps, so each distinct text is laid out once (a memo by
     # text, never by value: 0.0 == -0.0, but their JSON differs).
     layouts = {text: "{\n        " + text.replace("\0", ",\n        ")
                + "\n      }" if text else "{}"
                for text in dict.fromkeys(entries)}
-    maps = [layouts[text] for text in entries]
     words = [r[key] for r in records for key in _RECORD_WORDS]
     numbers = [r[key] for r in records for key in _RECORD_NUMBERS]
     # Records repeat their words and numbers, so each distinct one is encoded
@@ -459,10 +474,16 @@ def _records_json(records: list, entries: list[str]) -> str:
                          *distinct_numbers.values()])
     word_texts = dict(zip(distinct_words, texts))
     number_texts = dict(zip(distinct_numbers, texts[len(distinct_words):]))
-    words = list(map(word_texts.__getitem__, word_keys))
-    numbers = list(map(number_texts.__getitem__, number_keys))
-    # One row per record, its keys in sorted order.
-    rows = [f'    {{\n      "flagged": {flagged},\n      "indices": {indices},\n'
+    del words, numbers, distinct_words, distinct_numbers, texts
+
+    def rows(start: int, stop: int) -> str:
+        words = list(map(word_texts.__getitem__, word_keys[4 * start:4 * stop]))
+        numbers = list(map(number_texts.__getitem__,
+                           number_keys[3 * start:3 * stop]))
+        maps = [layouts[text] for text in entries[2 * start:2 * stop]]
+        # One row per record, its keys in sorted order.
+        return ",\n".join(
+            f'    {{\n      "flagged": {flagged},\n      "indices": {indices},\n'
             f'      "name": {name},\n      "passed": {passed},\n'
             f'      "point": {point},\n      "residual": {residual},\n'
             f'      "scale": {scale},\n      "suite": {suite},\n'
@@ -470,35 +491,77 @@ def _records_json(records: list, entries: list[str]) -> str:
             for flagged, name, passed, suite, residual, scale, tolerance,
             indices, point in zip(words[0::4], words[1::4], words[2::4],
                                   words[3::4], numbers[0::3], numbers[1::3],
-                                  numbers[2::3], maps[0::2], maps[1::2])]
-    # Freed before the join, so the report is not held twice.
-    del maps, words, numbers
-    return ",\n".join(rows)
+                                  numbers[2::3], maps[0::2], maps[1::2]))
+    return rows
 
 
-def _report_json(report: dict, entries: list[str]) -> str:
-    """The text of json.dumps(report, sort_keys=True, indent=2).
+def _report_blocks(report: dict, entries: list[str], fmt: str = "json"):
+    """The report's text in fmt, one piece per block of _REPORT_BLOCK
+    records: the head comes with the first block and the tail with the last,
+    so a report of one block is one piece.
 
-    entries are the _json_entries of every record's indices and point maps,
-    in record order (two per record); one more encode gives each distinct
-    word and number of the records, and the small config and summary
-    sections go through json."""
-    def section(value) -> str:
-        # JSON escapes newlines in strings, so each newline is a line break.
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    The json text is exactly json.dumps(report, sort_keys=True, indent=2)
+    and a newline.  entries are the _json_entries of every record's indices
+    and point maps, in record order (two per record); the csv and text
+    formats do not read them."""
+    records = report["records"]
+    if fmt == "json":
+        def section(value) -> str:
+            # JSON escapes newlines in strings, so each newline is a line break.
+            return json.dumps(value, sort_keys=True,
+                              indent=2).replace("\n", "\n  ")
 
-    records = _records_json(report["records"], entries)
-    records = f"[\n{records}\n  ]" if records else "[]"
-    return (f'{{\n  "config": {section(report["config"])},\n'
-            f'  "records": {records},\n'
-            f'  "suite": {json.dumps(report["suite"])},\n'
-            f'  "summary": {section(report["summary"])}\n}}')
+        opening, closing = ("[\n", "\n  ]") if records else ("[", "]")
+        head = (f'{{\n  "config": {section(report["config"])},\n'
+                f'  "records": {opening}')
+        rows, separator = _json_rows(records, entries), ",\n"
+        tail = (f'{closing},\n  "suite": {json.dumps(report["suite"])},\n'
+                f'  "summary": {section(report["summary"])}\n}}\n')
+    elif fmt == "csv":
+        head, separator, tail = _csv_text([_CSV_HEADER]), "", ""
+
+        def rows(start: int, stop: int) -> str:
+            return _csv_text(
+                [record["suite"], record["name"],
+                 _mapping_text(record["indices"]),
+                 _mapping_text(record["point"]),
+                 repr(record["residual"]), repr(record["scale"]),
+                 repr(record["tolerance"]), _scalar_text(record["passed"]),
+                 _scalar_text(record["flagged"])]
+                for record in records[start:stop])
+    else:
+        summary = report["summary"]
+        head, separator = "", ""
+        tail = (f"summary: {summary['passed']} passed,"
+                f" {summary['failed']} failed,"
+                f" {summary['flagged']} flagged\n")
+
+        def rows(start: int, stop: int) -> str:
+            return "".join(
+                f"{'PASS' if record['passed'] else 'FAIL'}"
+                f" {record['suite']}:{record['name']}"
+                f" {_mapping_text(record['indices'])}"
+                f" {_mapping_text(record['point'])}"
+                f" residual={record['residual']:.3e}"
+                f" scale={record['scale']:.3g}"
+                f" tol={record['tolerance']:g}"
+                f"{' [flagged]' if record['flagged'] else ''}\n"
+                for record in records[start:stop])
+    text = head
+    for start in range(0, len(records), _REPORT_BLOCK):
+        block = rows(start, start + _REPORT_BLOCK)
+        if start:
+            yield text
+            text = separator + block
+        else:
+            text += block
+    yield text + tail
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(("all",) + SUITE_NAMES))
-@click.option("--lmax", type=int, default=3,
-              show_default=True, help="Largest representation weight.")
+@click.option("--lmax", type=int, default=3, show_default=True,
+              help=f"Largest representation weight, in [0, {_MAX_WEIGHT}].")
 @click.option("--grid-density", type=int, default=5,
               show_default=True, help="Points per angle-grid axis.")
 @click.option("--seed", type=int, default=0,
@@ -531,37 +594,10 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
         report = build_report(suite, config, _entries=entries)
     except ValueError as error:
         raise _DomainError(str(error)) from None
-    if fmt == "json":
-        click.echo(_report_json(report, entries))
-    elif fmt == "csv":
-        rows = [["suite", "name", "indices", "point", "residual", "scale",
-                 "tolerance", "passed", "flagged"]]
-        for record in report["records"]:
-            rows.append([
-                record["suite"], record["name"],
-                _mapping_text(record["indices"]),
-                _mapping_text(record["point"]),
-                repr(record["residual"]), repr(record["scale"]),
-                repr(record["tolerance"]),
-                _scalar_text(record["passed"]),
-                _scalar_text(record["flagged"]),
-            ])
-        _echo_csv(rows)
-    else:
-        for record in report["records"]:
-            status = "PASS" if record["passed"] else "FAIL"
-            flag = " [flagged]" if record["flagged"] else ""
-            click.echo(
-                f"{status} {record['suite']}:{record['name']}"
-                f" {_mapping_text(record['indices'])}"
-                f" {_mapping_text(record['point'])}"
-                f" residual={record['residual']:.3e}"
-                f" scale={record['scale']:.3g}"
-                f" tol={record['tolerance']:g}{flag}")
-        summary = report["summary"]
-        click.echo(f"summary: {summary['passed']} passed,"
-                   f" {summary['failed']} failed,"
-                   f" {summary['flagged']} flagged")
+    # The report is built whole before the first write, so a domain error
+    # prints nothing.
+    for piece in _report_blocks(report, entries, fmt):
+        click.echo(piece, nl=False)
     ctx.exit(report_exit_code(report))
 
 

@@ -624,8 +624,15 @@ def z_sum_grid(indices, thetas, taus) -> np.ndarray:
     indices, thetas, taus = list(indices), list(thetas), list(taus)
     L = max((idx.doubled[0] for idx in indices), default=0)
     try:
-        return _grid_values(indices, [_validate_theta(t) for t in thetas],
-                            [_validate_tau(t, L) for t in taus])
+        # Validated in place, so each axis is held in one list beyond the
+        # caller's.  An entry that passes gives z_sum the same value and
+        # error as the caller's, and the entries from a refused one on are
+        # still the caller's, so the replay below meets the same first error.
+        for position, theta in enumerate(thetas):
+            thetas[position] = _validate_theta(theta)
+        for position, tau in enumerate(taus):
+            taus[position] = _validate_tau(tau, L)
+        return _grid_values(indices, thetas, taus)
     except ValueError:
         for idx in indices:
             for theta in thetas:

@@ -54,6 +54,7 @@ from .differential_checks import (
 )
 from .group_kinematics import ComplexEulerAngles, _finite, make_angles
 from .lorentz_harmonics import (
+    _MAX_WEIGHT,
     HarmonicIndex,
     _chunks,
     z_sum,  # no suite calls it; perfbench's tracer wraps suites.z_sum
@@ -182,7 +183,7 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         for name, low, high, wording in (
-                ("lmax", 0, 6, "an integer in [0, 6]"),
+                ("lmax", 0, _MAX_WEIGHT, f"an integer in [0, {_MAX_WEIGHT}]"),
                 ("grid_density", 2, math.inf, "an integer >= 2"),
                 ("seed", 0, math.inf, "a non-negative integer")):
             value = _whole_number(getattr(self, name))

@@ -343,7 +343,7 @@ class TestVerify:
         ["verify", "casimir", "--tol", "nosuchname=1"],
         ["verify", "casimir", "--tol", "casimir"],
         ["verify", "casimir", "--tol", "casimir=inf"],
-        ["verify", "casimir", "--lmax", "9"],
+        ["verify", "casimir", "--lmax", "21"],
         ["verify", "casimir", "--grid-density", "1"],
         ["verify", "casimir", "--seed", "-1"],
     ])
@@ -351,7 +351,7 @@ class TestVerify:
         invoke(runner, args, expect=2)
 
     @pytest.mark.parametrize("option, value", [
-        ("lmax", 9), ("lmax", -1), ("grid_density", 1), ("seed", -1)])
+        ("lmax", 21), ("lmax", -1), ("grid_density", 1), ("seed", -1)])
     def test_range_errors_are_suite_config_messages(self, runner, option,
                                                     value):
         # SuiteConfig alone knows the ranges; the CLI prints its message.
@@ -499,6 +499,23 @@ def _record_writes(monkeypatch) -> list[str]:
 class TestVerifyBlocks:
     """The report is written a block of records at a time."""
 
+    #: A small run with flagged failures and records of every suite.
+    OPTIONS = ["--lmax", "1", "--variant", "paper", "--corrected-lambda",
+               "false", "--seed", "3"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_block_size_keeps_bytes(self, runner, monkeypatch, fmt):
+        # One record a block, block edges inside every suite, and one block
+        # larger than the report all write the bytes of the unpatched report.
+        args = ["verify", "all", *self.OPTIONS, "--format", fmt]
+        expected = invoke(runner, args).stdout_bytes
+        records = len(build_report("all", SuiteConfig(
+            lmax=1, variant="paper", corrected_lambda=False,
+            seed=3))["records"])
+        for block in (1, 7, records + 1):
+            monkeypatch.setattr(cli, "_REPORT_BLOCK", block)
+            assert invoke(runner, args).stdout_bytes == expected, block
+
     def test_no_json_write_is_longer_than_one_block(self, runner,
                                                     monkeypatch):
         # Each write holds at most one block of records, and the head or the
@@ -523,6 +540,12 @@ class TestVerifyBlocks:
         assert result.stdout == text == "".join(writes)
         assert max(map(len, writes)) <= longest + max(len(head), len(tail))
         assert len(writes) == -(-len(records) // block)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_one_block_report_is_one_write(self, runner, monkeypatch, fmt):
+        writes = _record_writes(monkeypatch)
+        result = invoke(runner, ["verify", "commutators", "--format", fmt])
+        assert [write.encode() for write in writes] == [result.stdout_bytes]
 
 
 class TestTable:

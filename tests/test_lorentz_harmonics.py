@@ -896,6 +896,28 @@ class TestGridChunks:
         peak(2)  # fill the coefficient caches
         assert peak(1500) - peak(300) < 256 * 1024
 
+    def test_grid_holds_one_list_per_axis(self, monkeypatch):
+        # When the grid starts to fill, z_sum_grid holds one list of the
+        # 200 000-point axis (8 bytes a point) beyond the caller's, not a
+        # copy and a validated list.
+        axis = np.linspace(0.0, 3.0, 200_000).tolist()
+        sizes, values = [], lorentz_harmonics._grid_values
+
+        def entered(*args):
+            sizes.append(tracemalloc.get_traced_memory()[0])
+            return values(*args)
+
+        monkeypatch.setattr(lorentz_harmonics, "_grid_values", entered)
+        z_sum_grid([HarmonicIndex(4, 1, -3)], [0.5], [0.7])  # fill the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid = z_sum_grid([HarmonicIndex(4, 1, -3)], axis, [0.7])
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (1, len(axis), 1)
+        assert sizes[-1] - start < 8 * len(axis) + 256 * 1024
+
 
 class TestGeneralizedM:
     def test_zero_projections_reduce_to_z(self):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewaves import lorentz_harmonics, suites
-from poincarewaves.cli import _report_json
+from poincarewaves import cli, lorentz_harmonics, suites
 from poincarewaves.differential_checks import make_record
 from poincarewaves.lorentz_harmonics import (
     HarmonicIndex,
@@ -46,7 +45,7 @@ class TestSuiteConfig:
         assert config.corrected_lambda is True
 
     @pytest.mark.parametrize("kwargs", [
-        {"lmax": 7}, {"lmax": -1}, {"grid_density": 1}, {"seed": -2},
+        {"lmax": 21}, {"lmax": -1}, {"grid_density": 1}, {"seed": -2},
         {"c": 0.0}, {"c": -1.0}, {"variant": "folklore"},
         {"tolerances": {"nosuch": 1e-9}}, {"tolerances": {"casimir": -1.0}},
     ])
@@ -57,7 +56,7 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
                                        np.float64("nan")])
     @pytest.mark.parametrize("field, message", [
-        ("lmax", "lmax must be an integer in [0, 6]"),
+        ("lmax", "lmax must be an integer in [0, 20]"),
         ("grid_density", "grid_density must be an integer >= 2"),
         ("seed", "seed must be a non-negative integer"),
     ])
@@ -257,12 +256,17 @@ class TestReportShape:
 
 
 def _indented_json(report):
-    return json.dumps(report, sort_keys=True, indent=2)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _blocks_text(report, entries):
+    """The verify JSON text the cli writes, its blocks joined."""
+    return "".join(cli._report_blocks(report, entries))
 
 
 def _own_report_json(report):
-    """_report_json of a hand-built report, fed _json_entries of its maps."""
-    return _report_json(report, _json_entries(
+    """_blocks_text of a hand-built report, fed _json_entries of its maps."""
+    return _blocks_text(report, _json_entries(
         [r[key] for r in report["records"] for key in ("indices", "point")]))
 
 
@@ -332,7 +336,7 @@ class TestReportJson:
         assert report_exit_code(report) == exit_code
         assert entries == _json_entries([r[key] for r in report["records"]
                                          for key in ("indices", "point")])
-        assert _report_json(report, entries) == _indented_json(report)
+        assert _blocks_text(report, entries) == _indented_json(report)
 
     def test_entries_of_edge_case_maps_follow_the_sort(self, monkeypatch):
         maps = [{"a": 10}, {"a": 1}, {}, {"a": "}\0{"}, {"a": "\0"},
@@ -346,7 +350,7 @@ class TestReportJson:
         assert report == build_report("casimir", FAST)
         assert entries == _json_entries([r[key] for r in report["records"]
                                          for key in ("indices", "point")])
-        assert _report_json(report, entries) == _indented_json(report)
+        assert _blocks_text(report, entries) == _indented_json(report)
 
     def test_hand_built_report(self):
         escapes = 'q"uote \\ back, "slash"\n é中'
@@ -390,7 +394,13 @@ class TestReportJson:
                             (0, 0.0, False, False), (-0.0, False, 0, 0.0)))
     @example(report=_valued((1.0, 1, 0, True), (0.0, 2, 2.0, False)))
     def test_generated_reports(self, report):
-        assert _own_report_json(report) == _indented_json(report)
+        # One record a block, and blocks of two: the block edges fall between
+        # records of every kind, and the text stays the same.
+        expected = _indented_json(report)
+        for block in (1, 2, cli._REPORT_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_REPORT_BLOCK", block)
+                assert _own_report_json(report) == expected, block
 
 
 class TestFlaggedVariants:
