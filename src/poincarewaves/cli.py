@@ -443,8 +443,6 @@ _RECORD_NUMBERS = ("residual", "scale", "tolerance")
 #: The types a memo may key by value: equal strings and bools print alike,
 #: and so do equal floats but for the signed zeros.
 _WORD_TYPES, _NUMBER_TYPES = frozenset((str, bool)), frozenset((float,))
-_CSV_HEADER = ["suite", "name", "indices", "point", "residual", "scale",
-               "tolerance", "passed", "flagged"]
 
 
 def _json_rows(records: list, entries: list[str]):
@@ -474,7 +472,6 @@ def _json_rows(records: list, entries: list[str]):
                          *distinct_numbers.values()])
     word_texts = dict(zip(distinct_words, texts))
     number_texts = dict(zip(distinct_numbers, texts[len(distinct_words):]))
-    del words, numbers, distinct_words, distinct_numbers, texts
 
     def rows(start: int, stop: int) -> str:
         words = list(map(word_texts.__getitem__, word_keys[4 * start:4 * stop]))
@@ -518,7 +515,9 @@ def _report_blocks(report: dict, entries: list[str], fmt: str = "json"):
         tail = (f'{closing},\n  "suite": {json.dumps(report["suite"])},\n'
                 f'  "summary": {section(report["summary"])}\n}}\n')
     elif fmt == "csv":
-        head, separator, tail = _csv_text([_CSV_HEADER]), "", ""
+        head = _csv_text([["suite", "name", "indices", "point", "residual",
+                           "scale", "tolerance", "passed", "flagged"]])
+        separator, tail = "", ""
 
         def rows(start: int, stop: int) -> str:
             return _csv_text(
