@@ -11,6 +11,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincarewaves import cli, suites
 from poincarewaves.cli import format_complex, main
@@ -548,6 +550,16 @@ class TestVerifyBlocks:
         assert [write.encode() for write in writes] == [result.stdout_bytes]
 
 
+#: (index, theta, tau): a weight's index, a theta in [0, pi] and a tau
+#: within the weight's bound |tau| <= 709 / l.
+_ONE_POINTS = st.sampled_from(
+    [(0, 0, 0), (0.5, 0.5, -0.5), (2, 1, -1), (4, 1, -3), (20, 3, 0)]
+).flatmap(lambda index: st.tuples(
+    st.just(index), st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=-709.0 / (index[0] or 0.5),
+              max_value=709.0 / (index[0] or 0.5))))
+
+
 class TestTable:
     def test_nine_rows_with_kronecker_first(self, runner):
         result = invoke(runner, ["table", "z", "--l", "1", "--m", "1",
@@ -664,6 +676,63 @@ class TestTable:
         for block in (1, 7, 100, len(points) + 1):
             monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
             assert invoke(runner, args).stdout_bytes == expected, block
+
+    #: The first line each format writes, and what it writes after the rows.
+    HEADS = {"csv": ("theta,tau,value_re,value_im\r\n", ""),
+             "text": (f"{'theta':>24s} {'tau':>24s} value\n", ""),
+             "json": ('{\n  "function": "z",\n  "rows": [\n', "\n  ]\n}\n")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_one_write_per_block(self, runner, monkeypatch, fmt):
+        # The 37 x 41 grid in blocks of 100 points is 16 writes: the head
+        # comes with the first, the tail with the last, and each write but
+        # the last holds one whole block of rows.
+        args, points = self._golden_points("dotted-half-integer")
+        args = args + ["--format", fmt]
+        expected = invoke(runner, args).stdout_bytes
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 100)
+        writes = _record_writes(monkeypatch)
+        assert invoke(runner, args).stdout_bytes == expected
+        assert len(writes) == 16 == -(-len(points) // 100)
+        assert "".join(writes).encode() == expected
+        head, tail = self.HEADS[fmt]
+        assert writes[0].startswith(head) and writes[-1].endswith(tail)
+        assert not any(write.startswith(head) for write in writes[1:])
+        rows = [write.count('"theta": ') if fmt == "json"
+                else write.count("\n") for write in writes]
+        rows[0] -= fmt != "json"  # the header line
+        assert rows == [100] * 15 + [len(points) - 1500]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    @pytest.mark.parametrize("case", ["single-point", "one-by-n"])
+    def test_one_block_table_is_one_write(self, runner, monkeypatch, fmt,
+                                          case):
+        args, _ = self._golden_points(case)
+        writes = _record_writes(monkeypatch)
+        result = invoke(runner, args + ["--format", fmt])
+        assert [write.encode() for write in writes] == [result.stdout_bytes]
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=_ONE_POINTS)
+    @example(point=((4, 1, -3), 5e-324, -0.0))
+    @example(point=((0.5, 0.5, -0.5), -0.0, 5e-324))
+    @example(point=((20, 3, 0), math.pi, 709.0 / 20))
+    def test_one_point_json_is_json_dumps(self, point):
+        # Each number of the JSON table is written as its repr, which is its
+        # json.dumps text at every finite float: the subnormal 5e-324, -0.0
+        # and values at the weight's largest |tau| included.
+        (l, m, n), theta, tau = point
+        value = z_sum(HarmonicIndex(l, m, n), theta, tau)
+        expected = json.dumps(
+            {"function": "z",
+             "rows": [{"theta": theta, "tau": tau,
+                       "value": {"re": value.real, "im": value.imag}}]},
+            sort_keys=True, indent=2) + "\n"
+        result = invoke(CliRunner(), [
+            "table", "z", "--l", repr(l), "--m", repr(m),
+            "--n", repr(n), "--theta", repr(theta), "--tau", repr(tau),
+            "--format", "json"])
+        assert result.stdout == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
     def test_domain_error_prints_nothing(self, runner, fmt):
