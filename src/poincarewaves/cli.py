@@ -21,9 +21,10 @@ REPORT BYTES
     ``verify`` renders the report that ``suites.build_report`` returns, whole
     before the first byte is written, so a domain error prints nothing.
     ``_report_blocks(report, entries, fmt)`` then writes it a block of
-    ``_REPORT_BLOCK`` records at a time: the head comes with the first block
-    and the tail with the last, so a report of one block is written once,
-    and the bytes do not depend on the block size.  CSV is exactly what
+    ``_REPORT_BLOCK`` records at a time through ``_pieces``, the one writer
+    of reports and tables: the head comes with the first block and the tail
+    with the last, so an output of one block is written once, and the bytes
+    do not depend on the block size.  CSV is exactly what
     ``csv.writer`` writes, and text is one line per record and a summary.
     ``--format json`` is exactly ``json.dumps(report, sort_keys=True,
     indent=2)``.  The Z grid records share one indices map per index and one
@@ -45,12 +46,14 @@ TABLE BYTES
     of ``_TABLE_BLOCK`` points at a time, flat in row-major order.  Each
     block formats the thetas it spans, and the taus it spans unless the
     tau axis fits in one block, which is then formatted once; each block
-    is one comprehension and one write, and a table of one block is
-    written once.  CSV is exactly what ``csv.writer`` writes, text is one
-    formatted line per point, and JSON is exactly ``json.dumps({"function":
-    ..., "rows": [...]}, sort_keys=True, indent=2)``: one call of the
-    report's encoder (``suites._json_texts``) gives each block's numbers and
-    each row is one f-string.  The bytes do not depend on the block size.
+    is one comprehension and one write through ``_pieces``, and a table of
+    one block is written once.  CSV is exactly what ``csv.writer`` writes,
+    text is one formatted line per point, and JSON is exactly
+    ``json.dumps({"function": ..., "rows": [...]}, sort_keys=True,
+    indent=2)``: the axes and values are finite, so each number is written
+    by its ``repr``, which is its JSON text, as in the CSV, and each row is
+    one f-string; the table does not use the report's ``_json_texts``.  The
+    bytes do not depend on the block size.
     ``tests/test_cli.py::TestTable`` pins them.
 """
 
@@ -65,7 +68,7 @@ import math
 import click
 import numpy as np
 
-from .group_kinematics import ComplexEulerAngles, make_angles
+from .group_kinematics import ComplexEulerAngles, _finite, make_angles
 from .lorentz_harmonics import (
     _MAX_WEIGHT,
     HarmonicIndex,
@@ -170,14 +173,6 @@ def _parse_vector3(token: str, name: str) -> tuple[float, float, float]:
     return tuple(_parse_number(part, name) for part in parts)
 
 
-def _finite(name: str, value):
-    """value itself when every component is finite; a domain error otherwise."""
-    parts = value if isinstance(value, tuple) else (value,)
-    if not all(cmath.isfinite(part) for part in parts):
-        raise _DomainError(f"--{name} must be finite, got {value!r}")
-    return value
-
-
 def _parse_angles(token: str) -> ComplexEulerAngles:
     parts = token.split(",")
     if len(parts) != 6:
@@ -199,8 +194,8 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise click.UsageError(
             f"--{name} grid must be a value or start:stop:count, got {spec!r}")
-    start = _finite(name, _parse_number(parts[0], name))
-    stop = _finite(name, _parse_number(parts[1], name))
+    start = _finite(f"--{name}", _parse_number(parts[0], name))
+    stop = _finite(f"--{name}", _parse_number(parts[1], name))
     try:
         count = int(parts[2])
     except ValueError:
@@ -250,10 +245,6 @@ def _csv_text(rows) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\r\n").writerows(rows)
     return buffer.getvalue()
-
-
-def _echo_csv(rows: list[list]) -> None:
-    click.echo(_csv_text(rows), nl=False)
 
 
 def _scalar_text(value) -> str:
@@ -366,13 +357,13 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
         # k, x and t are checked before the wave is built, so their errors
         # come first.
         k = _parse_vector3(kvec, "k")
-        x = _finite("x", _parse_vector3(xvec, "x"))
-        t = _finite("t", t)
+        x = tuple(_finite("--x", v) for v in _parse_vector3(xvec, "x"))
+        t = _finite("--t", t)
         return {"psi": list(PhotonPlaneWave(k, lam, light_speed).value(x, t))}
     if function == "radial":
         _require(function, l=l, r=rvalue)
         radial = _radial_solution(l, cconst, cdot, variant)
-        r = _finite("r", _parse_complex(rvalue, "r"))
+        r = _finite("--r", _parse_complex(rvalue, "r"), complex)
         r_star = r.conjugate()
         return {"f_plus": radial.f(1, r), "f_zero": radial.f(0, r),
                 "f_minus": radial.f(-1, r),
@@ -386,10 +377,10 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
         wave = PoincareWaveFunction(
             WaveVector(*_parse_vector3(kvec, "k")), lam, l, radial, dotted,
             light_speed)
-        value = wave.value(_finite("x", _parse_vector3(xvec, "x")),
-                           _finite("t", t),
-                           _finite("r", _parse_complex(rvalue, "r")),
-                           _parse_angles(angles))
+        value = wave.value(
+            tuple(_finite("--x", v) for v in _parse_vector3(xvec, "x")),
+            _finite("--t", t), _finite("--r", _parse_complex(rvalue, "r"),
+                                       complex), _parse_angles(angles))
         return {"psi": list(value)}
     raise click.UsageError(f"unknown function {function!r}")
 
@@ -428,7 +419,7 @@ def _render_eval(function: str, values: dict, fmt: str) -> None:
             z = complex(component)
             header.extend([f"{stem}_re", f"{stem}_im"])
             row.extend([repr(z.real), repr(z.imag)])
-    _echo_csv([header, row])
+    click.echo(_csv_text([header, row]), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +483,17 @@ def _json_rows(records: list, entries: list[str]):
     return rows
 
 
+def _pieces(head: str, blocks, separator: str, tail: str):
+    """head with the first block, separator and each later block, and tail
+    with the last: an output of one block, or of none, is one piece."""
+    blocks = iter(blocks)
+    text = head + next(blocks, "")
+    for block in blocks:
+        yield text
+        text = separator + block
+    yield text + tail
+
+
 def _report_blocks(report: dict, entries: list[str], fmt: str = "json"):
     """The report's text in fmt, one piece per block of _REPORT_BLOCK
     records: the head comes with the first block and the tail with the last,
@@ -546,15 +548,9 @@ def _report_blocks(report: dict, entries: list[str], fmt: str = "json"):
                 f" tol={record['tolerance']:g}"
                 f"{' [flagged]' if record['flagged'] else ''}\n"
                 for record in records[start:stop])
-    text = head
-    for start in range(0, len(records), _REPORT_BLOCK):
-        block = rows(start, start + _REPORT_BLOCK)
-        if start:
-            yield text
-            text = separator + block
-        else:
-            text += block
-    yield text + tail
+    return _pieces(head, (rows(start, start + _REPORT_BLOCK)
+                          for start in range(0, len(records), _REPORT_BLOCK)),
+                   separator, tail)
 
 
 @main.command("verify")
@@ -604,16 +600,10 @@ def cmd_verify(ctx, suite, lmax, grid_density, seed, tolerances, light_speed,
 # table
 # ---------------------------------------------------------------------------
 
-def _json_pairs(block: np.ndarray) -> list[tuple[str, str]]:
-    """The (re, im) JSON texts of each complex value in block."""
-    texts = _json_texts(block.view(np.float64).tolist())
-    return list(zip(texts[0::2], texts[1::2]))
-
-
-def _table_blocks(grid: np.ndarray, thetas: list, taus: list, cells, values):
+def _table_blocks(grid: np.ndarray, thetas: list, taus: list, cells):
     """Walk grid in blocks of _TABLE_BLOCK points, flat and row-major, so a
     long row is split too.  Each block is three lists with one entry per
-    point: its theta cell, its tau cell and values(the block's array).
+    point: its theta cell, its tau cell and its complex value.
     cells(angles) formats a list of angles: each block formats the thetas it
     spans, and the taus it spans unless the tau axis fits in one block,
     which is then formatted once."""
@@ -630,7 +620,7 @@ def _table_blocks(grid: np.ndarray, thetas: list, taus: list, cells, values):
             theta_cells += [theta] * len(part)
             tau_cells += part
             column = 0
-        yield theta_cells, tau_cells, values(flat[start:stop])
+        yield theta_cells, tau_cells, flat[start:stop].tolist()
 
 
 @main.command("table")
@@ -647,12 +637,13 @@ def _table_blocks(grid: np.ndarray, thetas: list, taus: list, cells, values):
 @_format_option("csv")
 def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
     """Tabulate FUNCTION over the (theta, tau) grid, row-major in theta."""
-    theta_spec, tau_spec = _parse_grid(theta, "theta"), _parse_grid(tau, "tau")
-    if (points := theta_spec[2] * tau_spec[2]) > _MAX_TABLE_POINTS:
-        raise _DomainError(f"the theta x tau grid has {points} points; a table"
-                           f" holds at most {_MAX_TABLE_POINTS}")
-    thetas, taus = _grid_axis(*theta_spec), _grid_axis(*tau_spec)
     try:
+        theta_spec = _parse_grid(theta, "theta")
+        tau_spec = _parse_grid(tau, "tau")
+        if (points := theta_spec[2] * tau_spec[2]) > _MAX_TABLE_POINTS:
+            raise _DomainError(f"the theta x tau grid has {points} points; a"
+                               f" table holds at most {_MAX_TABLE_POINTS}")
+        thetas, taus = _grid_axis(*theta_spec), _grid_axis(*tau_spec)
         if function == "z":
             _require(function, m=m, n=n)
             idx = HarmonicIndex(l, m, n, dotted=dotted)
@@ -662,39 +653,31 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
     except ValueError as error:
         raise _DomainError(str(error)) from None
     # Each block formats the coordinates it spans and is rendered by one
-    # comprehension and written once.
+    # comprehension and written once.  Every number is finite, so its repr
+    # is also its JSON text.
+    cells = ((lambda angles: [f"{angle:>24.17g}" for angle in angles])
+             if fmt == "text" else (lambda angles: list(map(repr, angles))))
+    blocks = _table_blocks(grid, thetas, taus, cells)
     if fmt == "json":
         head = f'{{\n  "function": {json.dumps(function)},\n  "rows": [\n'
         separator, tail = ",\n", "\n  ]\n}\n"
-        blocks = _table_blocks(grid, thetas, taus, _json_texts, _json_pairs)
         rendered = (",\n".join(
             f'    {{\n      "tau": {ta},\n      "theta": {th},\n'
-            f'      "value": {{\n        "im": {im},\n        "re": {re}\n'
-            f'      }}\n    }}'
-            for th, ta, (re, im) in zip(*block)) for block in blocks)
+            f'      "value": {{\n        "im": {v.imag!r},\n'
+            f'        "re": {v.real!r}\n      }}\n    }}'
+            for th, ta, v in zip(*block)) for block in blocks)
     elif fmt == "text":
         head, separator, tail = f"{'theta':>24s} {'tau':>24s} value\n", "", ""
-        blocks = _table_blocks(
-            grid, thetas, taus,
-            lambda angles: [f"{angle:>24.17g}" for angle in angles],
-            np.ndarray.tolist)
         rendered = ("".join(f"{th} {ta} {format_complex(v)}\n"
                             for th, ta, v in zip(*block)) for block in blocks)
     else:
         # Every cell is a float repr or a header name, so none needs RFC-4180
         # quoting and these lines are exactly what csv.writer would write.
         head, separator, tail = "theta,tau,value_re,value_im\r\n", "", ""
-        blocks = _table_blocks(grid, thetas, taus,
-                               lambda angles: list(map(repr, angles)),
-                               np.ndarray.tolist)
         rendered = ("".join(f"{th},{ta},{v.real!r},{v.imag!r}\r\n"
                             for th, ta, v in zip(*block)) for block in blocks)
-    # A table of one block is written once, head and tail included.
-    text = head + next(rendered)
-    for block in rendered:
-        click.echo(text, nl=False)
-        text = separator + block
-    click.echo(text + tail, nl=False)
+    for piece in _pieces(head, rendered, separator, tail):
+        click.echo(piece, nl=False)
 
 
 if __name__ == "__main__":
