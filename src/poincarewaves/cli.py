@@ -341,11 +341,14 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
             _parse_number(phi, "phi"), _parse_number(epsilon, "epsilon"),
             _parse_number(theta, "theta"), _parse_number(tau, "tau"),
             0.0, 0.0)
-        return {"associated": associated_m(l, m, euler)}
+        value = associated_m(l, m, euler)
+        # The dotted series is the undotted value conjugated, bit for bit.
+        return {"associated": value.conjugate() if dotted else value}
     if function == "zonal":
         _require(function, l=l, theta=theta, tau=tau)
-        return {"zonal": zonal_z(l, _parse_number(theta, "theta"),
-                                 _parse_number(tau, "tau"))}
+        value = zonal_z(l, _parse_number(theta, "theta"),
+                        _parse_number(tau, "tau"))
+        return {"zonal": value.conjugate() if dotted else value}
     if function == "polarization":
         _require(function, k=kvec)
         triple = polarization_vectors(_parse_vector3(kvec, "k"))
@@ -379,8 +382,9 @@ def _evaluate(function, l, m, n, dotted, theta, tau, phi, epsilon, chi,
             light_speed)
         value = wave.value(
             tuple(_finite("--x", v) for v in _parse_vector3(xvec, "x")),
-            _finite("--t", t), _finite("--r", _parse_complex(rvalue, "r"),
-                                       complex), _parse_angles(angles))
+            _finite("--t", t),
+            _finite("--r", _parse_complex(rvalue, "r"), complex),
+            _parse_angles(angles))
         return {"psi": list(value)}
     raise click.UsageError(f"unknown function {function!r}")
 
@@ -648,7 +652,7 @@ def cmd_table(function, l, m, n, dotted, theta, tau, fmt):
             _require(function, m=m, n=n)
             idx = HarmonicIndex(l, m, n, dotted=dotted)
         else:
-            idx = HarmonicIndex(l, 0.0, 0.0)
+            idx = HarmonicIndex(l, 0.0, 0.0, dotted=dotted)
         grid = z_sum_grid([idx], thetas, taus)[0]
     except ValueError as error:
         raise _DomainError(str(error)) from None

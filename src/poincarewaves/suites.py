@@ -182,9 +182,11 @@ class SuiteConfig:
     corrected_lambda: bool = True
 
     def __post_init__(self) -> None:
+        # A density of at most 999 keeps each weight's (d + 1)^2 grid within
+        # the 1 000 000 points of the CLI's largest table.
         for name, low, high, wording in (
                 ("lmax", 0, _MAX_WEIGHT, f"an integer in [0, {_MAX_WEIGHT}]"),
-                ("grid_density", 2, math.inf, "an integer >= 2"),
+                ("grid_density", 2, 999, "an integer in [2, 999]"),
                 ("seed", 0, math.inf, "a non-negative integer")):
             value = _whole_number(getattr(self, name))
             if value is None or not low <= value <= high:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from poincarewaves import cli, suites
 from poincarewaves.cli import format_complex, main
-from poincarewaves.lorentz_harmonics import HarmonicIndex, generalized_m, z_sum
+from poincarewaves.lorentz_harmonics import (HarmonicIndex, generalized_m,
+                                             generalized_m_values, z_sum)
 from poincarewaves.group_kinematics import make_angles
 from poincarewaves.suites import SuiteConfig, build_report
 
@@ -69,6 +70,20 @@ class TestEval:
                             )["values"]["z"]
         assert dotted["re"] == plain["re"]
         assert dotted["im"] == -plain["im"]
+
+    @pytest.mark.parametrize("args, m, phi, epsilon", [
+        (["zonal", "--l", "2"], 0.0, 0.0, 0.0),
+        (["associated", "--l", "2", "--m", "1", "--phi", "0.3",
+          "--epsilon", "0.2"], 1.0, 0.3, 0.2)])
+    def test_dotted_zonal_and_associated_are_the_dotted_series(
+            self, runner, args, m, phi, epsilon):
+        expected = generalized_m_values(2, m, 0, phi, epsilon, 0.7, 0.4,
+                                        0.0, 0.0, dotted=True)
+        assert expected.imag
+        result = invoke(runner, ["eval", *args, "--theta", "0.7", "--tau",
+                                 "0.4", "--dotted", "--format", "json"])
+        value = json.loads(result.output)["values"][args[0]]
+        assert complex(value["re"], value["im"]) == expected
 
     def test_pi_tokens(self, runner):
         result = invoke(runner, ["eval", "z", "--l", "1", "--m", "0",
@@ -347,13 +362,15 @@ class TestVerify:
         ["verify", "casimir", "--tol", "casimir=inf"],
         ["verify", "casimir", "--lmax", "21"],
         ["verify", "casimir", "--grid-density", "1"],
+        ["verify", "hypergeom", "--grid-density", "1000"],
         ["verify", "casimir", "--seed", "-1"],
     ])
     def test_usage_errors_exit_two(self, runner, args):
         invoke(runner, args, expect=2)
 
     @pytest.mark.parametrize("option, value", [
-        ("lmax", 21), ("lmax", -1), ("grid_density", 1), ("seed", -1)])
+        ("lmax", 21), ("lmax", -1), ("grid_density", 1),
+        ("grid_density", 1000), ("grid_density", 10 ** 12), ("seed", -1)])
     def test_range_errors_are_suite_config_messages(self, runner, option,
                                                     value):
         # SuiteConfig alone knows the ranges; the CLI prints its message.
@@ -589,6 +606,18 @@ class TestTable:
         rows = parse_csv(result)
         grid = [(float(r[0]), float(r[1])) for r in rows[1:]]
         assert grid == [(0.5, 0.0), (0.5, 1.0), (2.5, 0.0), (2.5, 1.0)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_dotted_zonal_is_dotted_z(self, runner, fmt):
+        grid = ["--l", "2", "--theta", "0:pi:9", "--tau", "-1:1:5",
+                "--format", fmt]
+        dotted = invoke(runner, ["table", "zonal", *grid, "--dotted"])
+        plain = invoke(runner, ["table", "zonal", *grid])
+        z = invoke(runner, ["table", "z", *grid, "--m", "0", "--n", "0",
+                            "--dotted"])
+        # The JSON table names its function; every other byte is z's.
+        assert dotted.stdout.replace('"zonal"', '"z"') == z.stdout
+        assert dotted.stdout != plain.stdout
 
     def test_json_rows(self, runner):
         result = invoke(runner, ["table", "z", "--l", "0.5", "--m", "0.5",

@@ -45,7 +45,8 @@ class TestSuiteConfig:
         assert config.corrected_lambda is True
 
     @pytest.mark.parametrize("kwargs", [
-        {"lmax": 21}, {"lmax": -1}, {"grid_density": 1}, {"seed": -2},
+        {"lmax": 21}, {"lmax": -1}, {"grid_density": 1},
+        {"grid_density": 1000}, {"seed": -2},
         {"c": 0.0}, {"c": -1.0}, {"variant": "folklore"},
         {"tolerances": {"nosuch": 1e-9}}, {"tolerances": {"casimir": -1.0}},
     ])
@@ -57,7 +58,7 @@ class TestSuiteConfig:
                                        np.float64("nan")])
     @pytest.mark.parametrize("field, message", [
         ("lmax", "lmax must be an integer in [0, 20]"),
-        ("grid_density", "grid_density must be an integer >= 2"),
+        ("grid_density", "grid_density must be an integer in [2, 999]"),
         ("seed", "seed must be a non-negative integer"),
     ])
     def test_non_finite_integer_field_names_the_field(self, field, message,
